@@ -24,6 +24,7 @@ from .galerkin import (
 from .procedure1 import procedure1_solve
 from .procedure2 import default_phase_box, procedure2_solve
 from .simulate import (
+    _fmt,
     compare_controllers,
     linear_controller,
     lqr_controller,
@@ -34,10 +35,6 @@ from .simulate import (
 from .systems import hj_residual, linearize
 
 _MAX_GRID_POINTS = 1_000_000
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def _ensure_out(cfg: RunConfig) -> Path:
@@ -188,8 +185,8 @@ def cmd_solve(cfg: RunConfig) -> None:
     if cfg.procedure == 1:
         sol, eig = _solve_procedure1(cfg, sys_, lin)
         values = sol.value(grid)
-        controls = np.atleast_2d(sol.control(grid)).reshape(len(grid), p)
-        residuals = np.array([hj_residual(sys_, sol.grad_value, x) for x in grid])
+        controls = sol.control(grid).reshape(len(grid), p)
+        residuals = hj_residual(sys_, sol.grad_value, grid)
 
         P_emb = sol.riccati_embedding
         ric_res = (
@@ -237,16 +234,13 @@ def cmd_solve(cfg: RunConfig) -> None:
         ]
     else:
         sol = _build_p2(cfg, sys_)
-        values = np.empty(len(grid))
-        controls = np.empty((len(grid), p))
-        residuals = np.empty(len(grid))
         has_fit = sol.value_fit is not None
-        for i, x in enumerate(grid):
-            values[i] = (
-                sol.value(x) if has_fit else 0.5 * float(x @ sol.Jl @ x)
-            )
-            controls[i] = np.asarray(sol.control(x), dtype=float).ravel()
-            residuals[i] = hj_residual(sys_, lambda xx: sol.p_star(xx), x)
+        values = (
+            sol.value(grid) if has_fit
+            else 0.5 * np.einsum("ki,ij,kj->k", grid, sol.Jl, grid)
+        )
+        controls = sol.control(grid).reshape(len(grid), p)
+        residuals = hj_residual(sys_, sol.p_star, grid)
 
         eigs = sol.eigs
         eigvals = _block_eigenvalues(eigs.Lambda_u, eigs.blocks)

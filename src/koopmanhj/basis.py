@@ -24,13 +24,14 @@ every dictionary — and everything computed from it — reproducible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.typing as npt
 
 __all__ = [
     "BasisSet",
+    "MonomialTable",
     "Procedure2Basis",
     "monomial_basis",
     "monomial_exponents",
@@ -65,29 +66,57 @@ def monomial_exponents(n: int, deg_min: int, deg_max: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(len(rows), n)
 
 
-def _eval_monomials(exponents: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Evaluate monomials at points ``Z`` of shape (..., n) -> (..., M)."""
-    return np.prod(Z[..., None, :] ** exponents, axis=-1)
+class MonomialTable:
+    """Table-driven evaluation of a fixed exponent table and of its jacobian.
 
-
-def _jacobian_monomials(exponents: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Analytic jacobian of the monomials: shape (..., M, n).
-
-    d(x^alpha)/dx_j = alpha_j * x^(alpha - e_j), using the convention that a
-    decremented negative exponent contributes zero (its coefficient
-    ``alpha_j`` is zero then anyway).
+    Built once from an ``(M, n)`` exponent table.  Evaluation gathers, for
+    every monomial, one entry per coordinate from the power table of
+    :meth:`powers` (``degree`` must be at least the largest exponent) and
+    multiplies them.  The jacobian uses the decremented-exponent table: one
+    entry per nonzero ``alpha_j`` with its row ``m``, column ``j``,
+    coefficient ``alpha_j`` and the exponents ``alpha - e_j``, so that
+    ``d(x^alpha)/dx_j = alpha_j * x^(alpha - e_j)`` costs one gather too.
     """
-    M, n = exponents.shape
-    out = np.zeros(Z.shape[:-1] + (M, n), dtype=float)
-    for j in range(n):
-        ej = exponents.copy()
-        mask = ej[:, j] > 0
-        if not np.any(mask):
-            continue
-        ej[mask, j] -= 1
-        vals = np.prod(Z[..., None, :] ** ej[mask, :], axis=-1)
-        out[..., mask, j] = exponents[mask, j] * vals
-    return out
+
+    def __init__(self, exponents: np.ndarray, degree: int) -> None:
+        expo = np.asarray(exponents, dtype=np.int64)
+        M, n = expo.shape
+        if expo.size and int(expo.max()) > degree:
+            raise ValueError(f"exponent {int(expo.max())} exceeds table degree {degree}")
+        offsets = np.arange(n) * (degree + 1)
+        self.M, self.n, self.degree = M, n, degree
+        self.eval_index = expo + offsets  # (M, n) into the power table
+        rows, cols = np.nonzero(expo)
+        dec = expo[rows].copy()
+        dec[np.arange(rows.size), cols] -= 1
+        self.jac_index = dec + offsets  # (T, n)
+        self.jac_coef = expo[rows, cols].astype(float)  # (T,)
+        self.jac_pos = rows * n + cols  # (T,) into a flattened (M, n) block
+
+    def powers(self, Z: np.ndarray) -> np.ndarray:
+        """Integer powers of every coordinate: (..., n) -> (..., n * (degree + 1)).
+
+        Entry ``j * (degree + 1) + k`` holds ``Z[..., j] ** k``, built by
+        repeated multiplication (``x ** 0 = 1``, also at ``x = 0``).
+        """
+        pw = np.empty(Z.shape + (self.degree + 1,))
+        pw[..., 0] = 1.0
+        if self.degree >= 1:
+            pw[..., 1] = Z
+        for k in range(2, self.degree + 1):
+            np.multiply(pw[..., k - 1], Z, out=pw[..., k])
+        return pw.reshape(Z.shape[:-1] + (-1,))
+
+    def eval(self, pw: np.ndarray) -> np.ndarray:
+        """Monomial values from a power table: (..., M)."""
+        return pw[..., self.eval_index].prod(axis=-1)
+
+    def jacobian(self, pw: np.ndarray) -> np.ndarray:
+        """Monomial jacobian from a power table: (..., M, n)."""
+        lead = pw.shape[:-1]
+        out = np.zeros(lead + (self.M * self.n,))
+        out[..., self.jac_pos] = self.jac_coef * pw[..., self.jac_index].prod(axis=-1)
+        return out.reshape(lead + (self.M, self.n))
 
 
 @dataclass(frozen=True)
@@ -98,7 +127,7 @@ class BasisSet:
     ----------
     dim_in : input dimension.
     M : number of basis functions.
-    exponents : (M, dim_in) integer exponent table (the full descriptor).
+    exponents : (M, dim_in) integer exponent table (it fully determines the basis).
     purely_nonlinear : True when every row has total degree >= 2, in which
         case ``eval(0) = 0`` and ``jacobian(0) = 0`` exactly.
     """
@@ -107,6 +136,7 @@ class BasisSet:
     M: int
     exponents: np.ndarray
     purely_nonlinear: bool
+    _table: MonomialTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         expo = np.asarray(self.exponents, dtype=np.int64)
@@ -116,40 +146,18 @@ class BasisSet:
                 f"(M, dim_in)=({self.M}, {self.dim_in})"
             )
         object.__setattr__(self, "exponents", expo)
+        degree = int(expo.max(initial=0))
+        object.__setattr__(self, "_table", MonomialTable(expo, degree))
 
     def eval(self, Z: npt.ArrayLike) -> np.ndarray:
         """Basis values at ``Z`` with shape (..., dim_in) -> (..., M)."""
-        Z = np.asarray(Z, dtype=float)
-        return _eval_monomials(self.exponents, Z)
+        t = self._table
+        return t.eval(t.powers(np.asarray(Z, dtype=float)))
 
     def jacobian(self, Z: npt.ArrayLike) -> np.ndarray:
         """Analytic jacobian at ``Z``: shape (..., M, dim_in)."""
-        Z = np.asarray(Z, dtype=float)
-        return _jacobian_monomials(self.exponents, Z)
-
-    @property
-    def descriptor(self) -> dict:
-        """Serializable description that fully determines the basis."""
-        return {
-            "kind": "monomial",
-            "dim_in": self.dim_in,
-            "exponents": self.exponents.tolist(),
-        }
-
-    @staticmethod
-    def from_descriptor(desc: dict) -> "BasisSet":
-        if desc.get("kind") != "monomial":
-            raise ValueError(f"unknown basis descriptor kind: {desc.get('kind')!r}")
-        expo = np.array(desc["exponents"], dtype=np.int64)
-        if expo.ndim != 2 or expo.shape[1] != desc["dim_in"]:
-            raise ValueError("malformed exponent table in basis descriptor")
-        nonlin = bool(np.all(expo.sum(axis=1) >= 2))
-        return BasisSet(
-            dim_in=int(desc["dim_in"]),
-            M=expo.shape[0],
-            exponents=expo,
-            purely_nonlinear=nonlin,
-        )
+        t = self._table
+        return t.jacobian(t.powers(np.asarray(Z, dtype=float)))
 
 
 def monomial_basis(n: int, deg_min: int, deg_max: int) -> BasisSet:
@@ -198,6 +206,8 @@ class Procedure2Basis:
     M: int
     xi1_exponents: np.ndarray  # (N, n)
     xi2_exponents: np.ndarray  # (K, n) x-monomials of degree 1..d2, K = (M-N)/n
+    _xi1_table: MonomialTable = field(init=False, repr=False, compare=False)
+    _xi2_table: MonomialTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("xi1_exponents", "xi2_exponents"):
@@ -208,6 +218,11 @@ class Procedure2Basis:
                 f"inconsistent sizes: M={self.M}, N={self.N}, "
                 f"{K} x-monomials x {self.n} momentum components"
             )
+        # both blocks read one power table of x
+        degree = max(int(self.xi1_exponents.max(initial=0)),
+                     int(self.xi2_exponents.max(initial=0)))
+        object.__setattr__(self, "_xi1_table", MonomialTable(self.xi1_exponents, degree))
+        object.__setattr__(self, "_xi2_table", MonomialTable(self.xi2_exponents, degree))
 
     # ------------------------------------------------------------------
     # BasisSet-compatible interface on the doubled space
@@ -224,8 +239,9 @@ class Procedure2Basis:
         """Values at z = (x, p): shape (..., 2n) -> (..., M)."""
         Z = np.asarray(Z, dtype=float)
         x, p = Z[..., : self.n], Z[..., self.n :]
-        xi1 = _eval_monomials(self.xi1_exponents, x)  # (..., N)
-        mono = _eval_monomials(self.xi2_exponents, x)  # (..., K)
+        pw = self._xi1_table.powers(x)
+        xi1 = self._xi1_table.eval(pw)  # (..., N)
+        mono = self._xi2_table.eval(pw)  # (..., K)
         block2 = mono[..., :, None] * p[..., None, :]  # (..., K, n)
         block2 = block2.reshape(Z.shape[:-1] + (-1,))
         return np.concatenate([xi1, block2], axis=-1)
@@ -236,10 +252,11 @@ class Procedure2Basis:
         x, p = Z[..., : self.n], Z[..., self.n :]
         n, N = self.n, self.N
         K = self.xi2_exponents.shape[0]
+        pw = self._xi1_table.powers(x)
         out = np.zeros(Z.shape[:-1] + (self.M, 2 * n), dtype=float)
-        out[..., :N, :n] = _jacobian_monomials(self.xi1_exponents, x)
-        dmono = _jacobian_monomials(self.xi2_exponents, x)  # (..., K, n)
-        mono = _eval_monomials(self.xi2_exponents, x)  # (..., K)
+        out[..., :N, :n] = self._xi1_table.jacobian(pw)
+        dmono = self._xi2_table.jacobian(pw)  # (..., K, n)
+        mono = self._xi2_table.eval(pw)  # (..., K)
         # d(m_j p_i)/dx = p_i dm_j/dx ; d(m_j p_i)/dp_l = m_j delta_il
         dx_block = dmono[..., :, None, :] * p[..., None, :, None]  # (..., K, n, n)
         out[..., N:, :n] = dx_block.reshape(Z.shape[:-1] + (K * n, n))
@@ -253,38 +270,18 @@ class Procedure2Basis:
     # ------------------------------------------------------------------
     def xi1(self, x: npt.ArrayLike) -> np.ndarray:
         """Xi1(x): shape (..., N)."""
-        return _eval_monomials(self.xi1_exponents, np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        return self._xi1_table.eval(self._xi1_table.powers(x))
 
     def xi2(self, x: npt.ArrayLike) -> np.ndarray:
         """Xi2(x): shape (..., M - N, n), so that block2 = Xi2(x) @ p."""
         x = np.asarray(x, dtype=float)
-        mono = _eval_monomials(self.xi2_exponents, x)  # (..., K)
+        mono = self._xi2_table.eval(self._xi1_table.powers(x))  # (..., K)
         K = self.xi2_exponents.shape[0]
         n = self.n
         eye = np.eye(n)
         block = mono[..., :, None, None] * eye[None, :, :]
         return block.reshape(x.shape[:-1] + (K * n, n))
-
-    @property
-    def descriptor(self) -> dict:
-        return {
-            "kind": "structured",
-            "n": self.n,
-            "xi1_exponents": self.xi1_exponents.tolist(),
-            "xi2_exponents": self.xi2_exponents.tolist(),
-        }
-
-    @staticmethod
-    def from_descriptor(desc: dict) -> "Procedure2Basis":
-        if desc.get("kind") != "structured":
-            raise ValueError(f"unknown basis descriptor kind: {desc.get('kind')!r}")
-        xi1 = np.array(desc["xi1_exponents"], dtype=np.int64)
-        xi2 = np.array(desc["xi2_exponents"], dtype=np.int64)
-        n = int(desc["n"])
-        N = xi1.shape[0]
-        return Procedure2Basis(
-            n=n, N=N, M=N + xi2.shape[0] * n, xi1_exponents=xi1, xi2_exponents=xi2
-        )
 
 
 def procedure2_basis(n: int, d1: int, d2: int) -> Procedure2Basis:

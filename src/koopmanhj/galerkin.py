@@ -65,6 +65,7 @@ AnyBasis = Union[BasisSet, Procedure2Basis]
 
 
 def _derive_seed(seed: Optional[int], xor_const: int) -> int:
+    """Child seed ``seed ^ xor_const`` in 64 bits (``xor_const`` for no seed)."""
     base = xor_const if seed is None else (int(seed) ^ xor_const)
     return base & _SEED_MASK
 
@@ -126,15 +127,16 @@ def sample_domain(box: npt.ArrayLike, L: int, seed: int) -> SampleSet:
 
 
 def _field_values(F, points: np.ndarray) -> np.ndarray:
-    """Evaluate a (pointwise) vector field on all rows of ``points``."""
-    if isinstance(F, np.ndarray):
-        FX = np.asarray(F, dtype=float)
-        if FX.shape != points.shape:
-            raise ValueError(
-                f"precomputed field values shape {FX.shape} != points shape {points.shape}"
-            )
-        return FX
-    return np.stack([np.asarray(F(z), dtype=float) for z in points])
+    """Field values at all rows of ``points``: one batched call ``F(points)``.
+
+    ``F`` maps points ``(..., dim)`` to values of the same shape; an array
+    is taken as precomputed values.  Either way the result must have the
+    shape of ``points``.
+    """
+    FX = np.asarray(F if isinstance(F, np.ndarray) else F(points), dtype=float)
+    if FX.shape != points.shape:
+        raise ValueError(f"field values shape {FX.shape} != points shape {points.shape}")
+    return FX
 
 
 @dataclass

@@ -36,9 +36,9 @@ import numpy as np
 import numpy.typing as npt
 import scipy.linalg
 
-from .galerkin import EigenfunctionSet, SampleSet, sample_domain
+from .galerkin import EigenfunctionSet, SampleSet, _derive_seed, sample_domain
 from .spectral import RiccatiSolution, solve_riccati
-from .systems import ControlAffineSystem, Linearization, linearize
+from .systems import ControlAffineSystem, Linearization, feedback, linearize
 
 __all__ = [
     "HJSolution1",
@@ -52,7 +52,6 @@ __all__ = [
 ]
 
 _MOMENTUM_SEED_XOR = 0xA0761D6478BD642F
-_SEED_MASK = 0xFFFFFFFFFFFFFFFF
 
 
 def compute_R1_Q1(lin: Linearization, Vt: npt.ArrayLike) -> tuple[np.ndarray, np.ndarray]:
@@ -77,8 +76,8 @@ def compute_R1_Q1(lin: Linearization, Vt: npt.ArrayLike) -> tuple[np.ndarray, np
 class HJSolution1:
     """Approximate stationary solution built from eigenfunction coordinates.
 
-    ``value``, ``grad_value`` accept batched states ``(..., n)``; ``control``
-    accepts a single state or a batch.  ``riccati_embedding`` is the
+    ``value``, ``grad_value`` and ``control`` accept a single state or
+    batched states ``(..., n)``.  ``riccati_embedding`` is the
     quadratic-order value matrix ``P_r = Vt^T L Vt``, which solves the
     state-space Riccati equation of the linearization.
     """
@@ -103,14 +102,7 @@ class HJSolution1:
 
     def control(self, x: npt.ArrayLike) -> np.ndarray:
         X = np.asarray(x, dtype=float)
-        single = X.ndim == 1
-        pts = X.reshape(-1, X.shape[-1])
-        grads = self.grad_value(pts)
-        us = np.empty((pts.shape[0], self.sys.p))
-        for k, (xk, pk) in enumerate(zip(pts, grads)):
-            gx = np.asarray(self.sys.g(xk), dtype=float).reshape(self.sys.n, self.sys.p)
-            us[k] = -np.linalg.solve(self.sys.D, gx.T @ pk)
-        return us[0] if single else us.reshape(X.shape[:-1] + (self.sys.p,))
+        return feedback(self.sys, X, self.grad_value(X))
 
     @property
     def riccati_embedding(self) -> np.ndarray:
@@ -214,9 +206,9 @@ def verify_nominal_integrability(
     n_steps = max(idx) if idx else 0
     record = {k: i for i, k in enumerate(sorted(set(idx)))}
     expms = {k: scipy.linalg.expm(-eig.Lambda * (k * dt)) for k in record}
+    expms_T = {k: scipy.linalg.expm(eig.Lambda.T * (k * dt)) for k in record}
 
-    seed = _MOMENTUM_SEED_XOR if samples.seed is None else (samples.seed ^ _MOMENTUM_SEED_XOR)
-    p_rng = np.random.default_rng(seed & _SEED_MASK)
+    p_rng = np.random.default_rng(_derive_seed(samples.seed, _MOMENTUM_SEED_XOR))
     P0 = p_rng.uniform(samples.box[:, 0], samples.box[:, 1], size=(samples.L, n))
 
     lo, hi = eig.box[:, 0], eig.box[:, 1]
@@ -236,8 +228,7 @@ def verify_nominal_integrability(
                 Phi = eig.Phi(x)
                 jac = eig.jac_Phi(x)
                 vals_X.append(E @ Phi)
-                vals_P.append(scipy.linalg.expm(eig.Lambda.T * (k * dt)) @
-                              np.linalg.solve(jac.T, p))
+                vals_P.append(expms_T[k] @ np.linalg.solve(jac.T, p))
                 vals_H.append(float(p @ np.asarray(sys.f(x), dtype=float)))
             if k < n_steps:
                 x, p = _rk4_nominal(sys, x, p, dt)
@@ -290,7 +281,7 @@ def verify_generating_function(
     """
     P = np.asarray(P_vec, dtype=float).reshape(eig.n)
     pts = samples.points
-    F = np.stack([np.asarray(sys.f(x), dtype=float) for x in pts])
+    F = np.asarray(sys.f(pts), dtype=float)
     Phi = eig.Phi(pts)  # (L, n)
     jac = eig.jac_Phi(pts)  # (L, n, n)
     dPhiF = np.einsum("kij,kj->ki", jac, F)  # (L, n)

@@ -35,6 +35,7 @@ from .basis import BasisSet, Procedure2Basis
 from .galerkin import (
     HELDOUT_SEED_XOR,
     SampleSet,
+    _derive_seed,
     _field_values,
     assemble_galerkin,
     pde_residual_rms,
@@ -42,7 +43,7 @@ from .galerkin import (
     solve_coefficients,
 )
 from .spectral import unstable_left_subspace
-from .systems import ControlAffineSystem, HamiltonianSystemModel, linearize
+from .systems import ControlAffineSystem, HamiltonianSystemModel, feedback, linearize
 
 __all__ = [
     "UnstableEigenfunctions",
@@ -59,7 +60,6 @@ __all__ = [
 ]
 
 _FIT_SEED_XOR = 0x8EBC6AF09C88C6E3
-_SEED_MASK = 0xFFFFFFFFFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -132,10 +132,9 @@ def unstable_eigfns(
         raise ValueError(f"samples have dim {samples.dim}, expected 2n={2 * n}")
     sub = unstable_left_subspace(ham.H0)
     FX = _field_values(ham.F, samples.points)
-    heldout_seed = (
-        HELDOUT_SEED_XOR if samples.seed is None else (samples.seed ^ HELDOUT_SEED_XOR)
-    ) & _SEED_MASK
-    held = sample_domain(samples.box, max(1, samples.L // 5), heldout_seed)
+    held = sample_domain(
+        samples.box, max(1, samples.L // 5), _derive_seed(samples.seed, HELDOUT_SEED_XOR)
+    )
     FXh = _field_values(ham.F, held.points)
 
     Wu = sub.D_full.copy()
@@ -218,12 +217,33 @@ def linear_manifold(eigs: UnstableEigenfunctions) -> np.ndarray:
     return -np.linalg.solve(eigs.Wu2_t, eigs.Wu1_t)
 
 
-def _G2_at(eigs: UnstableEigenfunctions, x: np.ndarray) -> np.ndarray:
-    return eigs.Wu2_t + eigs.U12 @ eigs.basis.xi2(x)
+def _manifold_system(
+    eigs: UnstableEigenfunctions, x: np.ndarray, Jl: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``G2(x)`` (..., n, n) and ``G1(x)`` (..., n) at states ``x`` (..., n)."""
+    C = eigs.U12 @ eigs.basis.xi2(x)  # (..., n, n)
+    G1 = eigs.basis.xi1(x) @ eigs.U11.T + (C @ (x @ Jl.T)[..., None])[..., 0]
+    return eigs.Wu2_t + C, G1
 
 
-def _G1_at(eigs: UnstableEigenfunctions, x: np.ndarray, Jl: np.ndarray) -> np.ndarray:
-    return eigs.U11 @ eigs.basis.xi1(x) + (eigs.U12 @ eigs.basis.xi2(x)) @ (Jl @ x)
+def _solve_manifold(
+    eigs: UnstableEigenfunctions, x: np.ndarray, Jl: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``p_n = -G2^{-1} G1`` at states ``x`` (..., n), with ``G2`` and ``G1``.
+
+    Every point must pass the ``cond(G2) < 1e12`` certificate; the first
+    point that fails is named in the error.
+    """
+    G2, G1 = _manifold_system(eigs, x, Jl)
+    cond = np.atleast_1d(np.linalg.cond(G2))
+    bad = np.flatnonzero(~(np.isfinite(cond) & (cond < 1e12)))
+    if bad.size:
+        k = bad[0]
+        raise RuntimeError(
+            f"manifold momentum matrix G2 singular at "
+            f"x={x.reshape(-1, eigs.n)[k].tolist()} (condition number {cond[k]:.2e})"
+        )
+    return -np.linalg.solve(G2, G1[..., None])[..., 0], G2, G1
 
 
 def nonlinear_manifold(
@@ -231,35 +251,23 @@ def nonlinear_manifold(
 ) -> np.ndarray:
     """Nonlinear momentum correction ``p_n(x) = -G2(x)^{-1} G1(x)``.
 
-    The full manifold point is ``p*(x) = Jl x + p_n(x)``, which solves
-    ``Psi_u(x, p) = 0`` exactly wherever ``G2(x)`` is invertible.
+    ``x`` is one state or a batch ``(..., n)``.  The full manifold point is
+    ``p*(x) = Jl x + p_n(x)``, which solves ``Psi_u(x, p) = 0`` exactly
+    wherever ``G2(x)`` is invertible.
     """
-    x = np.asarray(x, dtype=float).reshape(eigs.n)
+    x = np.asarray(x, dtype=float)
     if Jl is None:
         Jl = linear_manifold(eigs)
-    G2 = _G2_at(eigs, x)
-    cond = np.linalg.cond(G2)
-    if not np.isfinite(cond) or cond >= 1e12:
-        raise RuntimeError(
-            f"manifold momentum matrix G2 singular at x={x.tolist()} "
-            f"(condition number {cond:.2e})"
-        )
-    return -np.linalg.solve(G2, _G1_at(eigs, x, Jl))
+    return _solve_manifold(eigs, x, Jl)[0]
 
 
 def control2(
     sys: ControlAffineSystem, eigs: UnstableEigenfunctions, x: npt.ArrayLike
 ) -> np.ndarray:
-    """Feedback law from the manifold: ``u = -D^{-1} g(x)^T p*(x)``."""
-    x = np.asarray(x, dtype=float).reshape(sys.n)
+    """Feedback law from the manifold: ``u = -D^{-1} g(x)^T p*(x)``, batched."""
+    x = np.asarray(x, dtype=float)
     Jl = linear_manifold(eigs)
-    p_star = Jl @ x + nonlinear_manifold(eigs, x, Jl=Jl)
-    gx = np.asarray(sys.g(x), dtype=float).reshape(sys.n, sys.p)
-    return -np.linalg.solve(sys.D, gx.T @ p_star)
-
-
-def _vech_indices(m: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(m) for j in range(i, m)]
+    return feedback(sys, x, x @ Jl.T + nonlinear_manifold(eigs, x, Jl=Jl))
 
 
 @dataclass(frozen=True)
@@ -304,38 +312,25 @@ def fit_value_Jn(
         raise ValueError(f"x_samples must be (K, {eigs.n}), got {pts.shape}")
     K = pts.shape[0]
     M1 = xi3.M
-    pairs = _vech_indices(M1)
-    nv = len(pairs)
+    I, J = np.triu_indices(M1)  # half-vectorization of the symmetric Jn
+    nv = I.size
 
     Jl_raw = linear_manifold(eigs)
     Jl_sym = (Jl_raw + Jl_raw.T) / 2.0
     n = eigs.n
-    A = np.zeros((K * n, nv))
-    t = np.zeros(K * n)
-    p_stars = np.zeros((K, n))
-    for k, x in enumerate(pts):
-        v = xi3.eval(x)  # (M1,)
-        T = xi3.jacobian(x).T  # (n, M1)
-        cm = np.empty((n, nv))
-        for c, (i, j) in enumerate(pairs):
-            if i == j:
-                cm[:, c] = T[:, i] * v[i]
-            else:
-                cm[:, c] = T[:, i] * v[j] + T[:, j] * v[i]
-        G2 = _G2_at(eigs, x)
-        cond = np.linalg.cond(G2)
-        if not np.isfinite(cond) or cond >= 1e12:
-            raise RuntimeError(
-                f"manifold momentum matrix G2 singular at x={x.tolist()} "
-                f"(condition number {cond:.2e})"
-            )
-        G1 = _G1_at(eigs, x, Jl_raw)
-        p_n = -np.linalg.solve(G2, G1)
-        p_stars[k] = Jl_raw @ x + p_n
-        # weighted rows: G2 (gradient model) ~ -G1 - G2 p_n-linear part;
-        # the model replaces p_n, so target is G2 p_n = -G1.
-        A[k * n : (k + 1) * n] = G2 @ cm
-        t[k * n : (k + 1) * n] = -G1
+    v = xi3.eval(pts)  # (K, M1)
+    T = xi3.jacobian(pts)  # (K, M1, n)
+    # d(Xi3^T Jn Xi3 / 2)/dx is linear in vech(Jn): column (i, j) holds
+    # T_i v_j + T_j v_i, or T_i v_i on the diagonal
+    offdiag = (I != J)[None, :, None]
+    cm = T[:, I, :] * v[:, J, None] + (T[:, J, :] * v[:, I, None]) * offdiag
+    cm = np.swapaxes(cm, 1, 2)  # (K, n, nv)
+    p_n, G2, G1 = _solve_manifold(eigs, pts, Jl_raw)
+    p_stars = pts @ Jl_raw.T + p_n
+    # weighted rows: G2 (gradient model) ~ -G1 - G2 p_n-linear part;
+    # the model replaces p_n, so target is G2 p_n = -G1.
+    A = (G2 @ cm).reshape(K * n, nv)
+    t = -G1.reshape(K * n)
 
     sol, _, rank, _ = np.linalg.lstsq(A, t, rcond=None)
     if rank < nv:
@@ -343,27 +338,17 @@ def fit_value_Jn(
             f"value basis unidentifiable from samples (rank {rank} < {nv} coefficients)"
         )
 
-    def to_sym(vec: np.ndarray) -> np.ndarray:
-        Jn = np.zeros((M1, M1))
-        for c, (i, j) in enumerate(pairs):
-            Jn[i, j] = vec[c]
-            Jn[j, i] = vec[c]
-        return Jn
-
-    Jn = to_sym(sol)
+    Jn = np.zeros((M1, M1))
+    Jn[I, J] = sol
+    Jn[J, I] = sol
     evals, evecs = np.linalg.eigh(Jn)
     Jn_psd = (evecs * np.clip(evals, 0.0, None)) @ evecs.T
     Jn_psd = (Jn_psd + Jn_psd.T) / 2.0
 
     def direct_rms(Jmat: np.ndarray) -> float:
-        total = 0.0
-        for k, x in enumerate(pts):
-            v = xi3.eval(x)
-            T = xi3.jacobian(x).T
-            grad_model = Jl_sym @ x + T @ (Jmat @ v)
-            diff = grad_model - p_stars[k]
-            total += float(diff @ diff)
-        return float(np.sqrt(total / (K * n)))
+        grad_model = pts @ Jl_sym.T + np.einsum("kmj,km->kj", T, v @ Jmat.T)
+        diff = grad_model - p_stars
+        return float(np.sqrt(np.sum(diff * diff) / (K * n)))
 
     return ValueFit(
         Jn=Jn,
@@ -379,10 +364,12 @@ def fit_value_Jn(
 class HJSolution2:
     """Feedback law and (optional) value function from the zero-level set.
 
-    ``Jl`` is the symmetrized linear manifold coefficient with the raw
-    formula's asymmetry recorded; ``p_star`` uses the raw coefficient so
-    zero-level membership ``Psi_u(x, p_star(x)) = 0`` holds to machine
-    precision.
+    ``Jl`` is the symmetrized linear manifold coefficient; ``jl_asymmetry``
+    records the raw formula's relative asymmetry
+    ``|Jl_raw - Jl_raw^T|_F / max(1, |Jl_raw|_F)``.  ``p_star`` uses the raw
+    coefficient so zero-level membership ``Psi_u(x, p_star(x)) = 0`` holds
+    to machine precision.  ``p_star``, ``control``, ``value``, ``G1`` and
+    ``G2`` accept one state or states ``(..., n)``.
     """
 
     eigs: UnstableEigenfunctions
@@ -396,27 +383,31 @@ class HJSolution2:
         return linear_manifold(self.eigs)
 
     def G1(self, x: npt.ArrayLike) -> np.ndarray:
-        return _G1_at(self.eigs, np.asarray(x, dtype=float).reshape(self.eigs.n),
-                      self._Jl_raw)
+        return _manifold_system(self.eigs, np.asarray(x, dtype=float), self._Jl_raw)[1]
 
     def G2(self, x: npt.ArrayLike) -> np.ndarray:
-        return _G2_at(self.eigs, np.asarray(x, dtype=float).reshape(self.eigs.n))
+        return _manifold_system(self.eigs, np.asarray(x, dtype=float), self._Jl_raw)[0]
 
     def p_star(self, x: npt.ArrayLike) -> np.ndarray:
-        x = np.asarray(x, dtype=float).reshape(self.eigs.n)
+        x = np.asarray(x, dtype=float)
         Jl = self._Jl_raw
-        return Jl @ x + nonlinear_manifold(self.eigs, x, Jl=Jl)
+        return x @ Jl.T + nonlinear_manifold(self.eigs, x, Jl=Jl)
 
     def control(self, x: npt.ArrayLike) -> np.ndarray:
         return control2(self.sys, self.eigs, x)
 
-    def value(self, x: npt.ArrayLike) -> float:
-        """V(x) = 0.5 (x^T Jl x + Xi3^T Jn Xi3); requires a fitted Jn."""
+    def value(self, x: npt.ArrayLike):
+        """V(x) = 0.5 (x^T Jl x + Xi3^T Jn Xi3); requires a fitted Jn.
+
+        A float for one state, shape (...) for states (..., n).
+        """
         if self.value_fit is None:
             raise RuntimeError("no value fit available: solve with a value basis")
-        x = np.asarray(x, dtype=float).reshape(self.eigs.n)
+        x = np.asarray(x, dtype=float)
         v = self.value_fit.xi3.eval(x)
-        return float(0.5 * (x @ self.Jl @ x + v @ self.value_fit.Jn @ v))
+        V = 0.5 * (np.einsum("...i,ij,...j->...", x, self.Jl, x)
+                   + np.einsum("...i,ij,...j->...", v, self.value_fit.Jn, v))
+        return float(V) if x.ndim == 1 else V
 
 
 def default_phase_box(
@@ -458,19 +449,15 @@ def procedure2_solve(
     ham = hamiltonian_vector_field(sys)
     eigs = unstable_eigfns(ham, basis, samples, heldout_tol=heldout_tol)
     Jl_raw = linear_manifold(eigs)
-    asym = float(np.linalg.norm(Jl_raw - Jl_raw.T))
+    asym = float(np.linalg.norm(Jl_raw - Jl_raw.T)) / max(1.0, float(np.linalg.norm(Jl_raw)))
     Jl = (Jl_raw + Jl_raw.T) / 2.0
     value_fit = None
     if xi3 is not None:
         if fit_samples is None:
             nv = xi3.M * (xi3.M + 1) // 2
-            seed = (
-                _FIT_SEED_XOR
-                if samples.seed is None
-                else (samples.seed ^ _FIT_SEED_XOR)
-            ) & _SEED_MASK
             fit_samples = sample_domain(
-                samples.box[: sys.n], max(10 * nv, 100), seed
+                samples.box[: sys.n], max(10 * nv, 100),
+                _derive_seed(samples.seed, _FIT_SEED_XOR),
             )
         value_fit = fit_value_Jn(eigs, xi3, fit_samples)
     return HJSolution2(

@@ -322,7 +322,8 @@ def pendulum_ic_cloud(
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+    """A number with 17 significant digits: every float round-trips exactly."""
+    return f"{float(x):.17g}"
 
 
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:

@@ -18,21 +18,28 @@ Its linearization at the origin is the Hamiltonian matrix
 
 Optimal feedback laws downstream always take the form ``u = -D^{-1} g(x)^T p``
 for a momentum field ``p(x)`` supplied by one of the solution procedures.
+
+Every map is batched: it takes points of shape ``(..., n)`` and maps each
+row, so a sample set costs one call.  A single 1-D state stays a valid call
+with the single-state return shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 import numpy.typing as npt
+
+from .basis import MonomialTable
 
 __all__ = [
     "ControlAffineSystem",
     "Linearization",
     "HamiltonianSystemModel",
     "control_affine_system",
+    "feedback",
     "linearize",
     "hamiltonian_value",
     "hamiltonian_vector_field",
@@ -70,14 +77,42 @@ def _fd_gradient(func: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarr
     return grad
 
 
+def _coords(x: np.ndarray):
+    """The n coordinates of points ``(..., n)``, each of shape ``(...)``.
+
+    One state unpacks into numpy scalars, which keeps the single-state maps
+    (called four times per RK4 step) free of per-call array overhead.
+    """
+    return x.T if x.ndim <= 2 else np.moveaxis(x, -1, 0)
+
+
+def _rowwise(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """Lift a map of one 1-D state to points ``(..., n)`` by a loop over rows."""
+
+    def batched(x: npt.ArrayLike) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return fn(x)
+        out = np.array([fn(row) for row in x.reshape(-1, x.shape[-1])], dtype=float)
+        return out.reshape(x.shape[:-1] + out.shape[1:])
+
+    return batched
+
+
 @dataclass(frozen=True)
 class ControlAffineSystem:
     """Control-affine system with cost and derivative access.
 
-    All maps take and return 1-D numpy arrays (the input map ``g`` returns an
-    ``(n, p)`` matrix).  Invariants enforced at construction: ``f(0) = 0``,
-    ``D`` symmetric positive definite, ``q(0) = 0``, ``grad_q(0) = 0``, and
-    ``hess_q0`` symmetric.
+    Every map takes states of shape ``(..., n)`` and evaluates each row:
+    ``f``, ``grad_q`` -> ``(..., n)``; ``g`` -> ``(..., n, p)``; ``q`` ->
+    ``(...)``; ``jacobian_f`` -> ``(..., n, n)`` with entry ``[i, j] =
+    df_i/dx_j``; ``jacobian_g`` -> ``(..., n, p, n)`` with entry
+    ``[i, k, j] = dg_ik/dx_j``.  A single 1-D state returns the single-state
+    shape (``q`` a scalar).  Invariants enforced at construction:
+    ``f(0) = 0``, ``D`` symmetric positive definite, ``q(0) = 0``,
+    ``grad_q(0) = 0``, ``hess_q0`` symmetric, and the shape of
+    ``jacobian_g(0)``.  :func:`control_affine_system` builds one from maps
+    of a single state.
     """
 
     n: int
@@ -87,8 +122,10 @@ class ControlAffineSystem:
     D: np.ndarray
     q: Callable[[np.ndarray], float]
     jacobian_f: Callable[[np.ndarray], np.ndarray]
+    jacobian_g: Callable[[np.ndarray], np.ndarray]
     grad_q: Callable[[np.ndarray], np.ndarray]
     hess_q0: np.ndarray
+    D_inv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "D", np.atleast_2d(np.asarray(self.D, dtype=float)))
@@ -105,6 +142,7 @@ class ControlAffineSystem:
             raise ValueError("control weight must be symmetric")
         if np.min(np.linalg.eigvalsh(self.D)) <= 0:
             raise ValueError("control weight must be positive definite")
+        object.__setattr__(self, "D_inv", np.linalg.inv(self.D))
         if abs(float(self.q(zero))) > _EQ_TOL:
             raise ValueError(f"state cost must vanish at the origin: q(0) = {self.q(zero)!r}")
         gq0 = np.asarray(self.grad_q(zero), dtype=float)
@@ -117,12 +155,16 @@ class ControlAffineSystem:
             self.hess_q0 - self.hess_q0.T
         ) > 1e-12 * (1 + np.linalg.norm(self.hess_q0)):
             raise ValueError("hess_q0 must be a symmetric n x n matrix")
+        jg0 = np.shape(self.jacobian_g(zero))
+        if jg0 != (self.n, self.p, self.n):
+            raise ValueError(
+                f"jacobian_g(0) shape {jg0} != ({self.n}, {self.p}, {self.n})"
+            )
 
     def R(self, x: npt.ArrayLike) -> np.ndarray:
-        """State-dependent control-energy matrix ``g(x) D^{-1} g(x)^T``."""
-        gx = np.atleast_2d(np.asarray(self.g(np.asarray(x, dtype=float)), dtype=float))
-        gx = gx.reshape(self.n, self.p)
-        return gx @ np.linalg.solve(self.D, gx.T)
+        """State-dependent control-energy matrix ``g(x) D^{-1} g(x)^T``: (..., n, n)."""
+        gx = np.asarray(self.g(np.asarray(x, dtype=float)), dtype=float)
+        return gx @ self.D_inv @ np.swapaxes(gx, -1, -2)
 
 
 @dataclass(frozen=True)
@@ -138,7 +180,10 @@ class Linearization:
 
 @dataclass(frozen=True)
 class HamiltonianSystemModel:
-    """The 2n-dimensional Hamiltonian vector field and its linearization."""
+    """The 2n-dimensional Hamiltonian vector field and its linearization.
+
+    ``F`` and ``Fn`` take points ``z = (x, p)`` of shape ``(..., 2n)``.
+    """
 
     base: ControlAffineSystem
     F: Callable[[np.ndarray], np.ndarray]
@@ -156,23 +201,36 @@ def control_affine_system(
     jacobian_f: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     grad_q: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     hess_q0: Optional[npt.ArrayLike] = None,
+    jacobian_g: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> ControlAffineSystem:
-    """Build a system, filling missing derivatives with central differences.
+    """Build a system from maps of one 1-D state.
 
-    The finite-difference fallbacks use relative step ``1e-6 * max(1, |x_i|)``
-    per coordinate — accurate enough for every verification tolerance used in
-    this package, but analytic derivatives are preferred when available.
+    Each map is lifted to points ``(..., n)`` by a loop over the rows, so
+    user systems satisfy the batched contract of :class:`ControlAffineSystem`
+    unchanged (the built-in systems are vectorized instead).  ``g`` may
+    return anything that reshapes to ``(n, p)``.  Missing derivatives are
+    filled with central differences of relative step
+    ``1e-6 * max(1, |x_i|)`` per coordinate — accurate enough for every
+    verification tolerance used in this package, but analytic derivatives
+    are preferred when available.
     """
+    g_one = lambda x, _g=g: np.reshape(np.asarray(_g(x), dtype=float), (n, p))  # noqa: E731
     if jacobian_f is None:
         jacobian_f = lambda x, _f=f: _fd_jacobian(_f, x)  # noqa: E731
+    if jacobian_g is None:
+        jacobian_g = lambda x: _fd_jacobian(  # noqa: E731
+            lambda y: g_one(y).ravel(), x
+        ).reshape(n, p, n)
     if grad_q is None:
         grad_q = lambda x, _q=q: _fd_gradient(_q, x)  # noqa: E731
     if hess_q0 is None:
         hq = _fd_jacobian(grad_q, np.zeros(n))
         hess_q0 = (hq + hq.T) / 2.0
     return ControlAffineSystem(
-        n=n, p=p, f=f, g=g, D=np.atleast_2d(np.asarray(D, dtype=float)), q=q,
-        jacobian_f=jacobian_f, grad_q=grad_q, hess_q0=np.asarray(hess_q0, dtype=float),
+        n=n, p=p, f=_rowwise(f), g=_rowwise(g_one),
+        D=np.atleast_2d(np.asarray(D, dtype=float)), q=_rowwise(q),
+        jacobian_f=_rowwise(jacobian_f), jacobian_g=_rowwise(jacobian_g),
+        grad_q=_rowwise(grad_q), hess_q0=np.asarray(hess_q0, dtype=float),
     )
 
 
@@ -188,6 +246,13 @@ def linearize(sys: ControlAffineSystem) -> Linearization:
     return Linearization(A=A, B=B, R0=R0, Q0=sys.hess_q0.copy(), D=sys.D.copy())
 
 
+def feedback(sys: ControlAffineSystem, x: npt.ArrayLike, p: npt.ArrayLike) -> np.ndarray:
+    """Feedback ``u = -D^{-1} g(x)^T p`` for states and momenta ``(..., n)``: (..., p)."""
+    gx = np.asarray(sys.g(np.asarray(x, dtype=float)), dtype=float)
+    gTp = (np.asarray(p, dtype=float)[..., None, :] @ gx)[..., 0, :]
+    return -(gTp @ sys.D_inv.T)
+
+
 def hamiltonian_value(sys: ControlAffineSystem, x: npt.ArrayLike, p: npt.ArrayLike) -> float:
     """H(x, p) = f(x)^T p - 0.5 p^T R(x) p + q(x)."""
     x = np.asarray(x, dtype=float)
@@ -201,53 +266,73 @@ def hamiltonian_value(sys: ControlAffineSystem, x: npt.ArrayLike, p: npt.ArrayLi
 def hamiltonian_vector_field(sys: ControlAffineSystem) -> HamiltonianSystemModel:
     """Canonical equations of H as a vector field on z = (x, p).
 
-    The momentum equation needs ``d(p^T R(x) p)/dx``; it is computed by
-    central finite differences with relative step ``1e-6 * max(1, |x_i|)``
-    (for constant input maps the derivative is exactly zero and the
-    differences reproduce that to roundoff).
+    The momentum equation needs ``d(p^T R(x) p)/dx``; by the product rule
+    its j-th entry is ``2 p^T (dg/dx_j) D^{-1} g^T p``, computed from the
+    system's ``jacobian_g`` (identically zero for a constant input map).
     """
     n = sys.n
     lin = linearize(sys)
     H0 = np.block([[lin.A, -lin.R0], [-lin.Q0, -lin.A.T]])
 
-    def F(z: np.ndarray) -> np.ndarray:
+    def F(z: npt.ArrayLike) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        x, p = z[:n], z[n:]
-        xdot = np.asarray(sys.f(x), dtype=float) - sys.R(x) @ p
-
-        def pRp(xx: np.ndarray) -> float:
-            return float(p @ sys.R(xx) @ p)
-
+        x, p = z[..., :n], z[..., n:]
+        gx = np.asarray(sys.g(x), dtype=float)  # (..., n, m)
+        w = (p[..., None, :] @ gx)[..., 0, :] @ sys.D_inv.T  # D^{-1} g^T p
+        xdot = np.asarray(sys.f(x), dtype=float) - (gx @ w[..., None])[..., 0]
+        Jf = np.asarray(sys.jacobian_f(x), dtype=float)
+        Jg = np.asarray(sys.jacobian_g(x), dtype=float)
         pdot = (
-            -np.asarray(sys.jacobian_f(x), dtype=float).T @ p
-            + 0.5 * _fd_gradient(pRp, x)
+            -(p[..., None, :] @ Jf)[..., 0, :]
+            + np.einsum("...i,...ikj,...k->...j", p, Jg, w)  # 0.5 d(p^T R p)/dx
             - np.asarray(sys.grad_q(x), dtype=float)
         )
-        return np.concatenate([xdot, pdot])
+        return np.concatenate([xdot, pdot], axis=-1)
 
-    def Fn(z: np.ndarray) -> np.ndarray:
-        return F(z) - H0 @ np.asarray(z, dtype=float)
+    def Fn(z: npt.ArrayLike) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        return F(z) - z @ H0.T
 
     return HamiltonianSystemModel(base=sys, F=F, H0=H0, Fn=Fn)
 
 
 def hj_residual(
     sys: ControlAffineSystem, V_grad: Callable[[np.ndarray], np.ndarray], x: npt.ArrayLike
-) -> float:
-    """Pointwise residual of the stationary equation dV/dx f - 0.5 dV/dx R dV/dx^T + q.
+):
+    """Residual of the stationary equation dV/dx f - 0.5 dV/dx R dV/dx^T + q.
 
-    Exact value functions give zero; the returned signed residual is a direct
-    a-posteriori quality measure for approximate solutions.
+    ``x`` holds states ``(..., n)`` and ``V_grad`` must accept the same
+    batch; the result has shape ``(...)``, a float for one state.  Exact
+    value functions give zero; the signed residual is a direct a-posteriori
+    quality measure for approximate solutions.
     """
     x = np.asarray(x, dtype=float)
     px = np.asarray(V_grad(x), dtype=float)
     fx = np.asarray(sys.f(x), dtype=float)
-    return float(px @ fx - 0.5 * px @ sys.R(x) @ px + sys.q(x))
+    res = (
+        np.einsum("...i,...i->...", px, fx)
+        - 0.5 * np.einsum("...i,...ij,...j->...", px, sys.R(x), px)
+        + sys.q(x)
+    )
+    return float(res) if x.ndim == 1 else res
 
 
 # ----------------------------------------------------------------------
 # Built-in systems
 # ----------------------------------------------------------------------
+
+def _constant_input_map(B: np.ndarray):
+    """``g`` and ``jacobian_g`` of an input map that does not depend on x."""
+    n, p = B.shape
+
+    def g(x: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(B, np.shape(x)[:-1] + (n, p))
+
+    def jacobian_g(x: np.ndarray) -> np.ndarray:
+        return np.zeros(np.shape(x)[:-1] + (n, p, n))
+
+    return g, jacobian_g
+
 
 def builtin_example1(control_weight: float = 1.0) -> ControlAffineSystem:
     """Two-dimensional benchmark with closed-form principal eigenfunctions.
@@ -269,40 +354,49 @@ def builtin_example1(control_weight: float = 1.0) -> ControlAffineSystem:
         raise ValueError(f"control_weight must be positive, got {control_weight}")
 
     def f(x: np.ndarray) -> np.ndarray:
-        x1, x2 = x
-        alpha = 1.0 / (np.cos(x2) + 2.0)
-        return alpha * np.array(
-            [
-                -np.cos(x2) * (x1 - 2 * x2) + 4 * (x1 + np.sin(x2)),
-                (x1 - 2 * x2) + 2 * (x1 + np.sin(x2)),
-            ]
-        )
+        x = np.asarray(x, dtype=float)
+        x1, x2 = _coords(x)
+        c = np.cos(x2)
+        alpha = 1.0 / (c + 2.0)
+        a, b = x1 - 2 * x2, x1 + np.sin(x2)
+        out = np.empty(x.shape)
+        out[..., 0] = alpha * (-c * a + 4 * b)
+        out[..., 1] = alpha * (a + 2 * b)
+        return out
 
     def jacobian_f(x: np.ndarray) -> np.ndarray:
-        x1, x2 = x
+        x = np.asarray(x, dtype=float)
+        x1, x2 = _coords(x)
         c, s = np.cos(x2), np.sin(x2)
         alpha = 1.0 / (c + 2.0)
-        v = np.array([-c * (x1 - 2 * x2) + 4 * (x1 + s), 3 * x1 - 2 * x2 + 2 * s])
-        Jv = np.array([[4.0 - c, s * (x1 - 2 * x2) + 6 * c], [3.0, 2 * c - 2.0]])
-        dalpha = np.array([0.0, s * alpha * alpha])
-        return alpha * Jv + np.outer(v, dalpha)
+        a = x1 - 2 * x2
+        dalpha = s * alpha * alpha  # d(alpha)/dx2
+        J = np.empty(x.shape[:-1] + (2, 2))
+        J[..., 0, 0] = alpha * (4.0 - c)
+        J[..., 0, 1] = alpha * (s * a + 6 * c) + (-c * a + 4 * (x1 + s)) * dalpha
+        J[..., 1, 0] = alpha * 3.0
+        J[..., 1, 1] = alpha * (2 * c - 2.0) + (3 * x1 - 2 * x2 + 2 * s) * dalpha
+        return J
 
-    def g(x: np.ndarray) -> np.ndarray:
-        return np.array([[1.0], [0.0]])
+    g, jacobian_g = _constant_input_map(np.array([[1.0], [0.0]]))
 
-    def q(x: np.ndarray) -> float:
-        x1, x2 = x
+    def q(x: np.ndarray):
+        x1, x2 = _coords(np.asarray(x, dtype=float))
         return 0.5 * ((x1 - 2 * x2) ** 2 + (x1 + np.sin(x2)) ** 2)
 
     def grad_q(x: np.ndarray) -> np.ndarray:
-        x1, x2 = x
+        x = np.asarray(x, dtype=float)
+        x1, x2 = _coords(x)
         a, b = x1 - 2 * x2, x1 + np.sin(x2)
-        return np.array([a + b, -2 * a + np.cos(x2) * b])
+        out = np.empty(x.shape)
+        out[..., 0] = a + b
+        out[..., 1] = -2 * a + np.cos(x2) * b
+        return out
 
     hess_q0 = np.array([[2.0, -1.0], [-1.0, 5.0]])
     return ControlAffineSystem(
         n=2, p=1, f=f, g=g, D=np.array([[float(control_weight)]]), q=q,
-        jacobian_f=jacobian_f, grad_q=grad_q, hess_q0=hess_q0,
+        jacobian_f=jacobian_f, jacobian_g=jacobian_g, grad_q=grad_q, hess_q0=hess_q0,
     )
 
 
@@ -338,8 +432,10 @@ def builtin_pendulum(g_gravity: float) -> ControlAffineSystem:
                                               -m g l s)^T,
         s = sin(theta - pi),
 
-    solved numerically at every evaluation.  Cost: ``q(x) = x^T x`` and
-    control weight ``D = 2`` (so the control term is ``0.5 * 2 * u^2 = u^2``).
+    solved in closed form (adjugate over determinant) at every evaluation;
+    a state whose mass matrix is singular raises a ``RuntimeError`` naming
+    its ``theta``.  Cost: ``q(x) = x^T x`` and control weight ``D = 2`` (so
+    the control term is ``0.5 * 2 * u^2 = u^2``).
     """
     if g_gravity <= 0:
         raise ValueError(f"g_gravity must be positive, got {g_gravity}")
@@ -347,60 +443,86 @@ def builtin_pendulum(g_gravity: float) -> ControlAffineSystem:
     ml = m * l
     Il2 = I + m * l * l
 
-    def _check_mass(theta: float) -> float:
-        c = np.cos(theta - np.pi)
+    def _mass_det(th, c):
+        """Mass-matrix determinant at ``c = cos(theta - pi)``, checked per row."""
         det = (ml * c) ** 2 - (Mc + m) * Il2
-        if abs(det) < 1e-12:
+        bad = abs(det) < 1e-12
+        if bad.any() if bad.ndim else bad:
+            theta = float(np.asarray(th)[bad].flat[0]) if bad.ndim else float(th)
             raise RuntimeError(f"mass matrix singular at theta={theta!r}")
         return det
 
     def f(x: np.ndarray) -> np.ndarray:
-        th, ps, vt = x
-        det = _check_mass(th)
+        x = np.asarray(x, dtype=float)
+        th, ps, vt = _coords(x)
         c, s = np.cos(th - np.pi), np.sin(th - np.pi)
+        det = _mass_det(th, c)
         r1 = -b * vt + ml * ps * ps * s
         r2 = -m * g_gravity * l * s
         # inverse of [[ml c, Mc+m], [Il2, ml c]] applied to (r1, r2)
-        acc1 = (ml * c * r1 - (Mc + m) * r2) / det
-        acc2 = (-Il2 * r1 + ml * c * r2) / det
-        return np.array([ps, acc1, acc2])
+        out = np.empty(x.shape)
+        out[..., 0] = ps
+        out[..., 1] = (ml * c * r1 - (Mc + m) * r2) / det
+        out[..., 2] = (-Il2 * r1 + ml * c * r2) / det
+        return out
 
     def g(x: np.ndarray) -> np.ndarray:
-        th = x[0]
-        det = _check_mass(th)
+        x = np.asarray(x, dtype=float)
+        th = x[..., 0]
         c = np.cos(th - np.pi)
-        return np.array([[0.0], [ml * c / det], [-Il2 / det]])
+        det = _mass_det(th, c)
+        out = np.zeros(x.shape[:-1] + (3, 1))
+        out[..., 1, 0] = ml * c / det
+        out[..., 2, 0] = -Il2 / det
+        return out
 
     def jacobian_f(x: np.ndarray) -> np.ndarray:
-        th, ps, vt = x
-        det = _check_mass(th)
+        x = np.asarray(x, dtype=float)
+        th, ps, vt = _coords(x)
         c, s = np.cos(th - np.pi), np.sin(th - np.pi)
-        r = np.array([-b * vt + ml * ps * ps * s, -m * g_gravity * l * s])
-        adj = np.array([[ml * c, -(Mc + m)], [-Il2, ml * c]])
-        Minv = adj / det
-        dadj = np.array([[-ml * s, 0.0], [0.0, -ml * s]])
+        det = _mass_det(th, c)
+        r1 = -b * vt + ml * ps * ps * s
+        r2 = -m * g_gravity * l * s
+        acc1 = (ml * c * r1 - (Mc + m) * r2) / det
+        acc2 = (-Il2 * r1 + ml * c * r2) / det
+        # theta-derivatives: d(cos(th - pi)) = -s, d(sin(th - pi)) = c
         ddet = -2.0 * ml * ml * c * s
-        dMinv = dadj / det - adj * (ddet / det**2)
-        dr_dth = np.array([ml * ps * ps * c, -m * g_gravity * l * c])
-        dacc_dth = dMinv @ r + Minv @ dr_dth
-        dacc_dps = Minv @ np.array([2 * ml * ps * s, 0.0])
-        dacc_dvt = Minv @ np.array([-b, 0.0])
-        J = np.zeros((3, 3))
-        J[0, 1] = 1.0
-        J[1:, 0] = dacc_dth
-        J[1:, 1] = dacc_dps
-        J[1:, 2] = dacc_dvt
+        dr1 = ml * ps * ps * c
+        dr2 = -m * g_gravity * l * c
+        J = np.zeros(x.shape[:-1] + (3, 3))
+        J[..., 0, 1] = 1.0
+        J[..., 1, 0] = (-ml * s * r1 + ml * c * dr1 - (Mc + m) * dr2 - acc1 * ddet) / det
+        J[..., 2, 0] = (-ml * s * r2 - Il2 * dr1 + ml * c * dr2 - acc2 * ddet) / det
+        # r1 is the only right-hand side entry that depends on psi and vartheta
+        dr1_dps = 2 * ml * ps * s
+        J[..., 1, 1] = ml * c * dr1_dps / det
+        J[..., 2, 1] = -Il2 * dr1_dps / det
+        J[..., 1, 2] = ml * c * -b / det
+        J[..., 2, 2] = -Il2 * -b / det
         return J
 
-    def q(x: np.ndarray) -> float:
-        return float(np.dot(x, x))
+    def jacobian_g(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        th = x[..., 0]
+        c, s = np.cos(th - np.pi), np.sin(th - np.pi)
+        det = _mass_det(th, c)
+        ddet = -2.0 * ml * ml * c * s
+        out = np.zeros(x.shape[:-1] + (3, 1, 3))
+        out[..., 1, 0, 0] = ml * (-s * det - c * ddet) / (det * det)
+        out[..., 2, 0, 0] = Il2 * ddet / (det * det)
+        return out
+
+    def q(x: np.ndarray):
+        x = np.asarray(x, dtype=float)
+        return (x * x).sum(axis=-1)
 
     def grad_q(x: np.ndarray) -> np.ndarray:
         return 2.0 * np.asarray(x, dtype=float)
 
     return ControlAffineSystem(
         n=3, p=1, f=f, g=g, D=np.array([[2.0]]), q=q,
-        jacobian_f=jacobian_f, grad_q=grad_q, hess_q0=2.0 * np.eye(3),
+        jacobian_f=jacobian_f, jacobian_g=jacobian_g, grad_q=grad_q,
+        hess_q0=2.0 * np.eye(3),
     )
 
 
@@ -415,7 +537,9 @@ def polynomial_system(
     ``f_terms[i]`` lists ``(coefficient, exponents)`` pairs for coordinate i
     of the drift, e.g. ``[(-1.0, (1,)), (1.0, (3,))]`` for ``-x + x^3``.
     Every term must have total degree >= 1 so the origin stays an
-    equilibrium.  The cost is ``q(x) = 0.5 x^T Q0 x``.
+    equilibrium.  The cost is ``q(x) = 0.5 x^T Q0 x``.  The drift is one
+    monomial table (every term of every coordinate) times a coefficient
+    matrix.
     """
     g_mat = np.atleast_2d(np.asarray(g_matrix, dtype=float))
     n = g_mat.shape[0]
@@ -441,38 +565,32 @@ def polynomial_system(
     if Q0.shape != (n, n):
         raise ValueError(f"Q0 shape {Q0.shape} != ({n}, {n})")
 
+    expo = np.concatenate(expos, axis=0)  # (T, n), all terms
+    C = np.zeros((n, expo.shape[0]))  # drift_i = sum_t C[i, t] x^expo[t]
+    start = 0
+    for i, ci in enumerate(coeffs):
+        C[i, start : start + ci.size] = ci
+        start += ci.size
+    table = MonomialTable(expo, int(expo.max(initial=0)))
+
     def f(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.array(
-            [float(np.sum(c * np.prod(x[None, :] ** e, axis=1))) for c, e in zip(coeffs, expos)]
-        )
+        pw = table.powers(np.asarray(x, dtype=float))
+        return table.eval(pw) @ C.T
 
     def jacobian_f(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        J = np.zeros((n, n))
-        for i, (c, e) in enumerate(zip(coeffs, expos)):
-            for j in range(n):
-                mask = e[:, j] > 0
-                if not np.any(mask):
-                    continue
-                ej = e[mask].copy()
-                ej[:, j] -= 1
-                J[i, j] = float(
-                    np.sum(c[mask] * e[mask, j] * np.prod(x[None, :] ** ej, axis=1))
-                )
-        return J
+        pw = table.powers(np.asarray(x, dtype=float))
+        return C @ table.jacobian(pw)
 
-    def g(x: np.ndarray) -> np.ndarray:
-        return g_mat
+    g, jacobian_g = _constant_input_map(g_mat)
 
-    def q(x: np.ndarray) -> float:
+    def q(x: np.ndarray):
         x = np.asarray(x, dtype=float)
-        return 0.5 * float(x @ Q0 @ x)
+        return 0.5 * np.einsum("...i,ij,...j->...", x, Q0, x)
 
     def grad_q(x: np.ndarray) -> np.ndarray:
-        return Q0 @ np.asarray(x, dtype=float)
+        return np.asarray(x, dtype=float) @ Q0.T
 
     return ControlAffineSystem(
         n=n, p=p, f=f, g=g, D=np.atleast_2d(np.asarray(D, dtype=float)), q=q,
-        jacobian_f=jacobian_f, grad_q=grad_q, hess_q0=Q0,
+        jacobian_f=jacobian_f, jacobian_g=jacobian_g, grad_q=grad_q, hess_q0=Q0,
     )

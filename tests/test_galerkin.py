@@ -165,7 +165,7 @@ class TestLinearSystems:
         basis = monomial_basis(2, 2, 4)
         box = np.array([[-1.0, 1.0], [-1.0, 1.0]])
         samples = sample_domain(box, 3000, 11)
-        eig = approximate_eigenfunction_set(lambda x: A @ x, A, basis, samples)
+        eig = approximate_eigenfunction_set(lambda X: X @ A.T, A, basis, samples)
         assert np.max(np.abs(eig.Theta)) < 1e-10
 
     def test_linear_eigenfunction_set_exact(self):

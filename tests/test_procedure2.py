@@ -113,6 +113,17 @@ class TestLinearCoefficient:
         np.testing.assert_allclose(sol.Jl, P_r, atol=1e-10)
         assert sol.jl_asymmetry < 1e-10
 
+    def test_asymmetry_is_relative_to_the_coefficient_norm(self, example1_p2):
+        """The stored asymmetry is the value the solve report labels
+        |Jl_raw - Jl_raw^T|_F / max(1, |Jl_raw|_F); on example 1 the norm
+        exceeds one, so the raw and the relative asymmetry differ."""
+        _, sol = example1_p2
+        Jl_raw = linear_manifold(sol.eigs)
+        norm = np.linalg.norm(Jl_raw)
+        assert norm > 10.0
+        raw = np.linalg.norm(Jl_raw - Jl_raw.T)
+        assert sol.jl_asymmetry == pytest.approx(raw / max(1.0, norm), rel=1e-12, abs=0)
+
     def test_unstable_spectrum(self, example1_p2):
         _, sol = example1_p2
         assert all(size == 1 for _, size in sol.eigs.blocks)
