@@ -159,6 +159,12 @@ class BasisSet:
         t = self._table
         return t.jacobian(t.powers(np.asarray(Z, dtype=float)))
 
+    def eval_and_jacobian(self, Z: npt.ArrayLike) -> tuple[np.ndarray, np.ndarray]:
+        """``eval(Z)`` and ``jacobian(Z)`` from one power table."""
+        t = self._table
+        pw = t.powers(np.asarray(Z, dtype=float))
+        return t.eval(pw), t.jacobian(pw)
+
 
 def monomial_basis(n: int, deg_min: int, deg_max: int) -> BasisSet:
     """Purely nonlinear monomial dictionary on R^n, degrees deg_min..deg_max.
@@ -264,6 +270,10 @@ class Procedure2Basis:
         dp_block = mono[..., :, None, None] * eye[None, :, :]  # (..., K, n, n)
         out[..., N:, n:] = dp_block.reshape(Z.shape[:-1] + (K * n, n))
         return out
+
+    def eval_and_jacobian(self, Z: npt.ArrayLike) -> tuple[np.ndarray, np.ndarray]:
+        """``eval(Z)`` and ``jacobian(Z)``, the interface of :class:`BasisSet`."""
+        return self.eval(Z), self.jacobian(Z)
 
     # ------------------------------------------------------------------
     # Structured accessors

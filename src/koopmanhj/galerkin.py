@@ -28,7 +28,7 @@ regardless of available parallelism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import numpy.typing as npt
@@ -337,11 +337,13 @@ class EigenfunctionSet:
 
     ``Phi(x) = Vt x + h1(x)`` with ``dh1/dx(0) = 0`` and
     ``dPhi/dx . f = Lambda Phi`` on the box (up to the recorded residuals).
-    ``Phi`` and ``jac_Phi`` accept batched inputs ``(..., n)``.
+    ``Phi``, ``jac_Phi`` and ``Phi_jac`` (both at once, from one basis
+    evaluation) accept batched inputs ``(..., n)``.
     """
 
     Phi: Callable[[np.ndarray], np.ndarray]
     jac_Phi: Callable[[np.ndarray], np.ndarray]
+    Phi_jac: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     Lambda: np.ndarray  # (n, n) real block eigenmatrix
     Vt: np.ndarray  # (n, n) linear parts (rows)
     box: np.ndarray  # (n, 2)
@@ -363,11 +365,14 @@ def _make_phi(Vt: np.ndarray, Theta: np.ndarray, basis: AnyBasis):
         return X @ Vt.T + basis.eval(X) @ Theta.T
 
     def jac_Phi(x: npt.ArrayLike) -> np.ndarray:
-        X = np.asarray(x, dtype=float)
-        dG = basis.jacobian(X)
-        return Vt + np.einsum("im,...mj->...ij", Theta, dG)
+        return Vt + Theta @ basis.jacobian(np.asarray(x, dtype=float))
 
-    return Phi, jac_Phi
+    def Phi_jac(x: npt.ArrayLike) -> Tuple[np.ndarray, np.ndarray]:
+        X = np.asarray(x, dtype=float)
+        G, dG = basis.eval_and_jacobian(X)
+        return X @ Vt.T + G @ Theta.T, Vt + Theta @ dG
+
+    return Phi, jac_Phi, Phi_jac
 
 
 def approximate_eigenfunction_set(
@@ -420,10 +425,11 @@ def approximate_eigenfunction_set(
                 f"for eigenvalue block {bi} — eigenfunction did not generalize"
             )
 
-    Phi, jac_Phi = _make_phi(dec.Vt, Theta, basis)
+    Phi, jac_Phi, Phi_jac = _make_phi(dec.Vt, Theta, basis)
     return EigenfunctionSet(
         Phi=Phi,
         jac_Phi=jac_Phi,
+        Phi_jac=Phi_jac,
         Lambda=dec.Lambda,
         Vt=dec.Vt,
         box=samples.box,
@@ -450,10 +456,13 @@ def linear_eigenfunction_set(A: npt.ArrayLike, box: npt.ArrayLike) -> Eigenfunct
         X = np.asarray(x, dtype=float)
         return np.broadcast_to(Vt, X.shape[:-1] + Vt.shape).copy()
 
-    n = A_mat.shape[0]
+    def Phi_jac(x: npt.ArrayLike) -> Tuple[np.ndarray, np.ndarray]:
+        return Phi(x), jac_Phi(x)
+
     return EigenfunctionSet(
         Phi=Phi,
         jac_Phi=jac_Phi,
+        Phi_jac=Phi_jac,
         Lambda=dec.Lambda,
         Vt=Vt,
         box=box_arr,

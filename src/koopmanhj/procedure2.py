@@ -262,11 +262,18 @@ def nonlinear_manifold(
 
 
 def control2(
-    sys: ControlAffineSystem, eigs: UnstableEigenfunctions, x: npt.ArrayLike
+    sys: ControlAffineSystem,
+    eigs: UnstableEigenfunctions,
+    x: npt.ArrayLike,
+    Jl: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Feedback law from the manifold: ``u = -D^{-1} g(x)^T p*(x)``, batched."""
+    """Feedback law from the manifold: ``u = -D^{-1} g(x)^T p*(x)``, batched.
+
+    ``Jl`` is the raw linear manifold coefficient (computed when omitted).
+    """
     x = np.asarray(x, dtype=float)
-    Jl = linear_manifold(eigs)
+    if Jl is None:
+        Jl = linear_manifold(eigs)
     return feedback(sys, x, x @ Jl.T + nonlinear_manifold(eigs, x, Jl=Jl))
 
 
@@ -293,6 +300,7 @@ def fit_value_Jn(
     eigs: UnstableEigenfunctions,
     xi3: BasisSet,
     x_samples: Union[SampleSet, npt.ArrayLike],
+    Jl: Optional[np.ndarray] = None,
 ) -> ValueFit:
     """Fit ``V(x) = 0.5 (x^T Jl x + Xi3^T Jn Xi3)`` to the manifold.
 
@@ -301,7 +309,8 @@ def fit_value_Jn(
     ``G2(x_k)`` so the normal equations reproduce the manifold equation
     ``G2 p + G1 = 0``, and the targets are ``-G1(x_k)`` minus the linear
     part's contribution.  The reported residual is the direct (unweighted)
-    RMS mismatch of the full value gradient against ``p*``.
+    RMS mismatch of the full value gradient against ``p*``.  ``Jl`` is the
+    raw linear manifold coefficient (computed when omitted).
     """
     if not getattr(xi3, "purely_nonlinear", False):
         raise ValueError("xi3 must be a purely nonlinear basis")
@@ -315,7 +324,7 @@ def fit_value_Jn(
     I, J = np.triu_indices(M1)  # half-vectorization of the symmetric Jn
     nv = I.size
 
-    Jl_raw = linear_manifold(eigs)
+    Jl_raw = linear_manifold(eigs) if Jl is None else Jl
     Jl_sym = (Jl_raw + Jl_raw.T) / 2.0
     n = eigs.n
     v = xi3.eval(pts)  # (K, M1)
@@ -364,7 +373,8 @@ def fit_value_Jn(
 class HJSolution2:
     """Feedback law and (optional) value function from the zero-level set.
 
-    ``Jl`` is the symmetrized linear manifold coefficient; ``jl_asymmetry``
+    ``Jl`` is the symmetrized linear manifold coefficient and ``Jl_raw`` the
+    raw one (computed once, when the solution is built); ``jl_asymmetry``
     records the raw formula's relative asymmetry
     ``|Jl_raw - Jl_raw^T|_F / max(1, |Jl_raw|_F)``.  ``p_star`` uses the raw
     coefficient so zero-level membership ``Psi_u(x, p_star(x)) = 0`` holds
@@ -375,26 +385,22 @@ class HJSolution2:
     eigs: UnstableEigenfunctions
     sys: ControlAffineSystem
     Jl: np.ndarray
+    Jl_raw: np.ndarray
     jl_asymmetry: float
     value_fit: Optional[ValueFit] = None
 
-    @property
-    def _Jl_raw(self) -> np.ndarray:
-        return linear_manifold(self.eigs)
-
     def G1(self, x: npt.ArrayLike) -> np.ndarray:
-        return _manifold_system(self.eigs, np.asarray(x, dtype=float), self._Jl_raw)[1]
+        return _manifold_system(self.eigs, np.asarray(x, dtype=float), self.Jl_raw)[1]
 
     def G2(self, x: npt.ArrayLike) -> np.ndarray:
-        return _manifold_system(self.eigs, np.asarray(x, dtype=float), self._Jl_raw)[0]
+        return _manifold_system(self.eigs, np.asarray(x, dtype=float), self.Jl_raw)[0]
 
     def p_star(self, x: npt.ArrayLike) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        Jl = self._Jl_raw
-        return x @ Jl.T + nonlinear_manifold(self.eigs, x, Jl=Jl)
+        return x @ self.Jl_raw.T + nonlinear_manifold(self.eigs, x, Jl=self.Jl_raw)
 
     def control(self, x: npt.ArrayLike) -> np.ndarray:
-        return control2(self.sys, self.eigs, x)
+        return control2(self.sys, self.eigs, x, Jl=self.Jl_raw)
 
     def value(self, x: npt.ArrayLike):
         """V(x) = 0.5 (x^T Jl x + Xi3^T Jn Xi3); requires a fitted Jn.
@@ -459,7 +465,7 @@ def procedure2_solve(
                 samples.box[: sys.n], max(10 * nv, 100),
                 _derive_seed(samples.seed, _FIT_SEED_XOR),
             )
-        value_fit = fit_value_Jn(eigs, xi3, fit_samples)
+        value_fit = fit_value_Jn(eigs, xi3, fit_samples, Jl=Jl_raw)
     return HJSolution2(
-        eigs=eigs, sys=sys, Jl=Jl, jl_asymmetry=asym, value_fit=value_fit
+        eigs=eigs, sys=sys, Jl=Jl, Jl_raw=Jl_raw, jl_asymmetry=asym, value_fit=value_fit
     )

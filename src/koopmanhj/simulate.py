@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import numpy.typing as npt
@@ -34,6 +34,8 @@ __all__ = [
 
 CONVERGENCE_THRESHOLD = 1e-3  # |x(T)|_2 at the final retained node
 
+_Field = Callable[[np.ndarray], Tuple[np.ndarray, Optional[np.ndarray]]]
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -45,6 +47,13 @@ class Trajectory:
     ``converged`` means the rollout ran to completion and
     ``|x(T)|_2 <= 1e-3``; a truncated rollout (non-finite state or a
     controller failure, see ``diverged``/``diagnostic``) never converges.
+
+    ``cumulative_costs`` is the trapezoid rule over the node costs
+    ``q(x_k) + 0.5 u_k^T D u_k``.  When the rollout stops because
+    ``x_{k+1}`` is not finite, node ``k`` keeps its own cost (with the
+    stage-1 feedback at ``x_k``).  When the controller raises, while
+    stepping from ``x_k`` or at the final node, that node has no feedback
+    and costs what the node before it cost (0 for the first node).
     """
 
     times: np.ndarray  # (K+1,)
@@ -59,16 +68,153 @@ class Trajectory:
     final_input: Optional[np.ndarray] = None
 
 
-def _finite(*arrays: np.ndarray) -> bool:
-    return all(np.all(np.isfinite(a)) for a in arrays)
-
-
 def _steps(dt: float, T: float) -> int:
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if T < dt:
         raise ValueError(f"T must be at least dt, got T={T}, dt={dt}")
     return int(round(T / dt))
+
+
+def _finite_rows(x: np.ndarray) -> np.ndarray:
+    return np.isfinite(x).all(axis=-1)
+
+
+def _rk4_step(
+    field: _Field, x: np.ndarray, dt: float
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """One classical RK4 step from ``x``: ``x_{k+1}`` and the stage-1 feedback."""
+    k1, u = field(x)
+    k2, _ = field(x + 0.5 * dt * k1)
+    k3, _ = field(x + 0.5 * dt * k2)
+    k4, _ = field(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), u
+
+
+def _by_rows(fn: Callable, X: np.ndarray) -> list:
+    """``fn`` on each row of ``X`` alone: per row its result or the exception it raised."""
+    out = []
+    for row in X:
+        try:
+            out.append(fn(row))
+        except Exception as exc:  # noqa: BLE001 — the row's outcome, not a crash
+            out.append(exc)
+    return out
+
+
+@dataclass(frozen=True)
+class _Rollout:
+    """Raw output of :func:`_rk4` for ``B`` rows (a single state is one row).
+
+    Row ``i`` stepped ``kept[i]`` times: ``kept[i] == K`` unless it was
+    truncated at step ``kept[i]``, either because its field raised
+    ``errors[i]`` or (``errors[i] is None``) because ``x_{k+1}`` was not
+    admissible.  ``states`` (``(K+1, n)`` or ``(K+1, B, n)``, like ``x0``)
+    holds row ``i`` up to index ``kept[i]``; ``inputs`` (``(K, p)`` or
+    ``(K, B, p)``) its stage-1 feedback up to ``kept[i]`` inclusive when it
+    was truncated as inadmissible, and up to ``kept[i] - 1`` otherwise.
+    """
+
+    states: np.ndarray
+    inputs: Optional[np.ndarray]
+    kept: np.ndarray
+    errors: List[Optional[Exception]]
+
+    def row(self, i: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """States ``(kept+1, n)`` and the stored feedback ``(kept+1, p)`` of row ``i``."""
+        stop = self.kept[i] + 1
+        if self.states.ndim == 2:
+            return self.states[:stop], None if self.inputs is None else self.inputs[:stop]
+        return (
+            np.ascontiguousarray(self.states[:stop, i]),
+            None if self.inputs is None else np.ascontiguousarray(self.inputs[:stop, i]),
+        )
+
+
+def _rk4(
+    field: _Field,
+    x0: np.ndarray,
+    dt: float,
+    K: int,
+    p: int = 0,
+    admissible: Callable[[np.ndarray], np.ndarray] = _finite_rows,
+) -> _Rollout:
+    """The one RK4 loop: ``K`` fixed steps of one state ``(n,)`` or of rows ``(B, n)``.
+
+    ``field(x)`` returns ``(xdot, u)`` for states of the shape of ``x``, where
+    ``u`` (``(..., p)``; ``None`` when ``p == 0``) is the feedback at ``x``;
+    the kernel keeps the stage-1 value.  Each step tests ``admissible`` once,
+    on ``x_{k+1}`` (by default: every coordinate finite, which also catches a
+    non-finite stage derivative).  A row whose step raises or whose
+    ``x_{k+1}`` is not admissible stops there; the others go on.  When a
+    batched step raises, every row of that step is evaluated again on its
+    own, so only the rows that raise stop.  A batch of one row runs on the
+    single-state path, which is the cheap one for every map.
+    """
+    x = np.array(x0, dtype=float)
+    one_row = x.ndim == 2 and x.shape[0] == 1
+    if one_row:
+        x = x[0]
+    B = 1 if x.ndim == 1 else x.shape[0]
+    states = np.empty((K + 1,) + x.shape)
+    states[0] = x
+    inputs = np.empty((K,) + x.shape[:-1] + (p,)) if p else None
+    kept = np.full(B, K)
+    errors: List[Optional[Exception]] = [None] * B
+    live: Any = Ellipsis if x.ndim == 1 else slice(None)  # rows still stepping
+    for k in range(K):
+        raised: dict = {}
+        try:
+            xn, u = _rk4_step(field, x, dt)
+        except Exception as exc:  # noqa: BLE001 — truncation is the contract
+            if x.ndim == 1:
+                kept[0], errors[0] = k, exc
+                break
+            xn, u, raised = _step_by_rows(field, x, dt, p)
+        ok = admissible(xn)
+        if p:
+            inputs[k, live] = u
+        if not raised and ok.all():
+            states[k + 1, live] = xn
+            x = xn
+            continue
+        if x.ndim == 1:
+            kept[0] = k
+            break
+        rows = np.arange(B)[live]
+        stop = ~ok
+        stop[list(raised)] = True
+        for pos in np.flatnonzero(stop):
+            kept[rows[pos]] = k
+            errors[rows[pos]] = raised.get(pos)
+        live = rows[~stop]
+        x = xn[~stop]
+        states[k + 1, live] = x
+        if not live.size:
+            break
+    if one_row:
+        states = states[:, None]
+        inputs = None if inputs is None else inputs[:, None]
+    return _Rollout(states=states, inputs=inputs, kept=kept, errors=errors)
+
+
+def _step_by_rows(field: _Field, x: np.ndarray, dt: float, p: int):
+    """The RK4 step of each row of ``x`` (b, n) on its own.
+
+    Rows whose field raises get NaN in ``x_{k+1}`` and the feedback, and
+    their exception in the returned ``{position: exception}`` map.
+    """
+    xn = np.full(x.shape, np.nan)
+    u = np.full(x.shape[:-1] + (p,), np.nan) if p else None
+    raised = {}
+    for pos, out in enumerate(_by_rows(lambda row: _rk4_step(field, row, dt), x)):
+        if isinstance(out, Exception):
+            raised[pos] = out
+            continue
+        xn[pos] = out[0]
+        if p:
+            u[pos] = out[1]
+    return xn, u, raised
 
 
 def integrate_rk4(
@@ -80,44 +226,41 @@ def integrate_rk4(
     """Classical 4th-order Runge-Kutta on an autonomous field, fixed step.
 
     A non-finite state truncates the rollout, flags it ``diverged``, and
-    records the failure time.  No inputs and no cost for a bare field.
+    records the failure time.  An exception raised by ``field`` propagates.
+    No inputs and no cost for a bare field.
     """
     K = _steps(dt, T)
-    x = np.asarray(x0, dtype=float).ravel()
-    n = x.size
-    states = np.empty((K + 1, n))
-    states[0] = x
-    kept = K
-    diverged = False
-    t_fail = None
-    for k in range(K):
-        k1 = np.asarray(field(x), dtype=float)
-        k2 = np.asarray(field(x + 0.5 * dt * k1), dtype=float)
-        k3 = np.asarray(field(x + 0.5 * dt * k2), dtype=float)
-        k4 = np.asarray(field(x + dt * k3), dtype=float)
-        xn = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not _finite(k1, k2, k3, k4, xn):
-            kept = k
-            diverged = True
-            t_fail = (k + 1) * dt
-            break
-        states[k + 1] = xn
-        x = xn
-    times = np.arange(kept + 1) * dt
-    states = states[: kept + 1]
+
+    def bare(x: np.ndarray) -> Tuple[np.ndarray, None]:
+        v = field(x)
+        return (v if type(v) is np.ndarray else np.asarray(v, dtype=float)), None
+
+    run = _rk4(bare, np.asarray(x0, dtype=float).ravel(), dt, K)
+    if run.errors[0] is not None:
+        raise run.errors[0]
+    kept = int(run.kept[0])
+    states = run.row(0)[0]
+    diverged = kept < K
     converged = (not diverged) and float(np.linalg.norm(states[-1])) <= CONVERGENCE_THRESHOLD
     return Trajectory(
-        times=times,
+        times=np.arange(kept + 1) * dt,
         states=states,
         inputs=np.zeros((kept, 0)),
         running_cost=0.0,
         converged=converged,
         diverged=diverged,
         diagnostic="diverged" if diverged else None,
-        t_fail=t_fail,
+        t_fail=(kept + 1) * dt if diverged else None,
         cumulative_costs=np.zeros(kept + 1),
         final_input=np.zeros(0),
     )
+
+
+def _initial_state(sys: ControlAffineSystem, x0: npt.ArrayLike) -> np.ndarray:
+    x = np.asarray(x0, dtype=float).ravel()
+    if x.size != sys.n:
+        raise ValueError(f"x0 has dimension {x.size}, system has n={sys.n}")
+    return x
 
 
 def closed_loop(
@@ -135,82 +278,97 @@ def closed_loop(
     non-finite state truncates the rollout with a diagnostic.
     """
     K = _steps(dt, T)
-    x = np.asarray(x0, dtype=float).ravel()
-    if x.size != sys.n:
-        raise ValueError(f"x0 has dimension {x.size}, system has n={sys.n}")
+    return _closed_loop_rows(sys, controller, _initial_state(sys, x0), dt, K)[0]
 
-    def rhs(xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        u = np.asarray(controller(xs), dtype=float).ravel()
-        gx = np.asarray(sys.g(xs), dtype=float).reshape(sys.n, sys.p)
-        return np.asarray(sys.f(xs), dtype=float).ravel() + gx @ u, u
 
-    states = np.empty((K + 1, sys.n))
-    inputs = np.empty((K, sys.p))
-    node_costs = np.empty(K + 1)
-    states[0] = x
-    kept = K
-    diverged = False
-    diagnostic = None
-    t_fail = None
-    final_input: Optional[np.ndarray] = None
+def _closed_loop_rows(
+    sys: ControlAffineSystem,
+    controller: Callable[[np.ndarray], np.ndarray],
+    X0: np.ndarray,
+    dt: float,
+    K: int,
+) -> List[Trajectory]:
+    """Closed-loop rollouts of one state ``(n,)`` or of rows ``(B, n)``, one batch.
 
-    def node_cost(xs: np.ndarray, u: np.ndarray) -> float:
-        return float(sys.q(xs)) + 0.5 * float(u @ sys.D @ u)
+    The controller is called on the batch; it must map states ``(..., n)``
+    to inputs ``(..., p)``.  Each row is truncated on its own (see
+    :func:`_rk4`), so every returned trajectory is the one its row gives
+    alone.
+    """
+    f, g, p = sys.f, sys.g, sys.p
 
-    for k in range(K):
+    def control(x: np.ndarray) -> np.ndarray:
+        u = controller(x)
+        shape = x.shape[:-1] + (p,)
+        if getattr(u, "shape", None) != shape:
+            u = np.reshape(np.asarray(u, dtype=float), shape)
+        return u
+
+    def field(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        u = control(x)
+        gx = g(x)
+        if x.ndim == 1:
+            return f(x) + gx @ u, u
+        return f(x) + (gx @ u[..., None])[..., 0], u
+
+    run = _rk4(field, X0, dt, K, p=p)
+    B = run.kept.size
+    done = [i for i in range(B) if run.kept[i] == K and run.errors[i] is None]
+    final = dict(zip(done, _final_inputs(control, run, done)))
+    return [_trajectory(sys, run, i, dt, K, final.get(i)) for i in range(B)]
+
+
+def _final_inputs(control, run: _Rollout, done: List[int]) -> list:
+    """The feedback at the last node of each completed row (or its exception)."""
+    XK = run.states[-1].reshape(-1, run.states.shape[-1])[done]
+    if len(done) > 1:
         try:
-            k1, u1 = rhs(x)
-            k2, _ = rhs(x + 0.5 * dt * k1)
-            k3, _ = rhs(x + 0.5 * dt * k2)
-            k4, _ = rhs(x + dt * k3)
-        except Exception as exc:  # noqa: BLE001 — truncation is the contract
-            kept = k
-            diverged = True
-            diagnostic = f"controller failed at t={k * dt:.6g}: {exc}"
-            t_fail = k * dt
-            break
-        xn = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not _finite(k1, k2, k3, k4, xn):
-            inputs[k] = u1
-            node_costs[k] = node_cost(x, u1)
-            kept = k
-            diverged = True
-            diagnostic = "diverged"
-            t_fail = (k + 1) * dt
-            break
-        inputs[k] = u1
-        node_costs[k] = node_cost(x, u1)
-        states[k + 1] = xn
-        x = xn
+            return list(control(XK))
+        except Exception:  # noqa: BLE001 — each row gets its own outcome below
+            pass
+    return _by_rows(control, XK)
 
-    if not diverged:
-        try:
-            final_input = np.asarray(controller(x), dtype=float).ravel()
-            node_costs[K] = node_cost(x, final_input)
-        except Exception as exc:  # noqa: BLE001
-            diverged = True
-            diagnostic = f"controller failed at t={K * dt:.6g}: {exc}"
-            t_fail = K * dt
-            kept = K  # states are all finite; cost excludes the last node
-            final_input = None
-            node_costs[K] = node_costs[K - 1] if K > 0 else 0.0
 
-    times = np.arange(kept + 1) * dt
-    states = states[: kept + 1]
-    inputs = inputs[:kept]
-    node_costs = node_costs[: kept + 1]
+def _trajectory(
+    sys: ControlAffineSystem,
+    run: _Rollout,
+    i: int,
+    dt: float,
+    K: int,
+    final: Union[np.ndarray, Exception, None],
+) -> Trajectory:
+    """Row ``i`` of a closed-loop rollout with its node costs and diagnostic."""
+    kept = int(run.kept[i])
+    states, U = run.row(i)
+    err = run.errors[i]
+    nodes = np.full((kept + 1, sys.p), np.nan)  # feedback at each kept node
+    nodes[:kept] = U[:kept]
+    final_input = None
+    diagnostic: Optional[str] = None
+    t_fail: Optional[float] = None
+    raised = err if kept < K else final if isinstance(final, Exception) else None
+    if kept < K and err is None:  # x_{k+1} not finite: node k keeps its feedback
+        nodes[kept] = U[kept]
+        diagnostic, t_fail = "diverged", (kept + 1) * dt
+    elif raised is not None:
+        diagnostic, t_fail = f"controller failed at t={kept * dt:.6g}: {raised}", kept * dt
+    else:
+        nodes[kept] = final_input = final
+    node_costs = sys.q(states) + 0.5 * ((nodes @ sys.D) * nodes).sum(axis=-1)
+    if raised is not None:
+        # no feedback at the last kept node: it costs what the node before it cost
+        node_costs[kept] = node_costs[kept - 1] if kept > 0 else 0.0
     cumulative = np.zeros(kept + 1)
     if kept > 0:
         cumulative[1:] = np.cumsum(0.5 * dt * (node_costs[:-1] + node_costs[1:]))
+    diverged = diagnostic is not None
     converged = (
-        (not diverged)
-        and kept == K
-        and float(np.linalg.norm(states[-1])) <= CONVERGENCE_THRESHOLD
+        not diverged and float(np.linalg.norm(states[-1])) <= CONVERGENCE_THRESHOLD
     )
     return Trajectory(
-        times=times,
+        times=np.arange(kept + 1) * dt,
         states=states,
-        inputs=inputs,
+        inputs=U[:kept],
         running_cost=float(cumulative[-1]),
         converged=converged,
         diverged=diverged,
@@ -233,11 +391,16 @@ def lqr_controller(lin: Linearization) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def linear_controller(K: npt.ArrayLike) -> Callable[[np.ndarray], np.ndarray]:
-    """Feedback ``u = -K x`` as a rollout-ready callable."""
+    """Feedback ``u = -K x`` as a rollout-ready callable of states ``(..., n)``."""
     K = np.asarray(K, dtype=float)
     if K.ndim == 1:
         K = K.reshape(1, -1)
-    return lambda x: -K @ np.asarray(x, dtype=float).ravel()
+
+    def control(x: npt.ArrayLike) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return -K @ x if x.ndim == 1 else -(x @ K.T)
+
+    return control
 
 
 @dataclass(frozen=True)
@@ -264,16 +427,21 @@ def compare_controllers(
 ) -> List[ComparisonRow]:
     """Roll out every controller from every initial condition.
 
-    Failures stay in their own cell as diagnostics; the table always has one
-    row per (controller, x0) pair, in input order.  ``on_trajectory`` (if
-    given) receives each completed rollout as ``(name, ic_index, traj)``.
+    The initial conditions of one controller run as one batch (the
+    controller is called on states ``(B, n)``), and each row is truncated
+    on its own.  Failures stay in their own cell as diagnostics; the table
+    always has one row per (controller, x0) pair, in input order.
+    ``on_trajectory`` (if given) receives each completed rollout as
+    ``(name, ic_index, traj)``.
     """
     rows: List[ComparisonRow] = []
+    x0s = [np.asarray(x0, dtype=float).ravel() for x0 in x0_list]
     for name, ctrl in controllers:
-        for i, x0 in enumerate(x0_list):
-            x0a = np.asarray(x0, dtype=float).ravel()
+        for i, (x0a, traj) in enumerate(zip(x0s, _batch_outcomes(sys, ctrl, x0s, dt, T))):
+            if isinstance(traj, Exception):
+                rows.append(_failed_row(name, i, x0a, traj))
+                continue
             try:
-                traj = closed_loop(sys, ctrl, x0a, dt=dt, T=T)
                 if on_trajectory is not None:
                     on_trajectory(name, i, traj)
                 rows.append(
@@ -289,19 +457,50 @@ def compare_controllers(
                     )
                 )
             except Exception as exc:  # noqa: BLE001 — table must not abort
-                rows.append(
-                    ComparisonRow(
-                        controller=name,
-                        ic_index=i,
-                        x0=x0a,
-                        converged=False,
-                        diverged=True,
-                        running_cost=float("nan"),
-                        max_abs_state=float("nan"),
-                        diagnostic=f"rollout failed: {exc}",
-                    )
-                )
+                rows.append(_failed_row(name, i, x0a, exc))
     return rows
+
+
+def _failed_row(name: str, i: int, x0: np.ndarray, exc: Exception) -> ComparisonRow:
+    return ComparisonRow(
+        controller=name,
+        ic_index=i,
+        x0=x0,
+        converged=False,
+        diverged=True,
+        running_cost=float("nan"),
+        max_abs_state=float("nan"),
+        diagnostic=f"rollout failed: {exc}",
+    )
+
+
+def _batch_outcomes(
+    sys: ControlAffineSystem,
+    controller: Callable[[np.ndarray], np.ndarray],
+    x0s: List[np.ndarray],
+    dt: float,
+    T: float,
+) -> List[Union[Trajectory, Exception]]:
+    """Per initial condition its rollout, or the exception that prevented it.
+
+    The initial conditions of valid dimension run as one batch.
+    """
+    out: List[Union[Trajectory, Exception, None]] = []
+    for x0 in x0s:
+        try:
+            _initial_state(sys, x0)
+            out.append(None)
+        except ValueError as exc:
+            out.append(exc)
+    valid = [x0 for x0, o in zip(x0s, out) if o is None]
+    if not valid:
+        return out
+    try:
+        trajs = _closed_loop_rows(sys, controller, np.stack(valid), dt, _steps(dt, T))
+    except Exception as exc:  # noqa: BLE001 — the table must not abort
+        trajs = [exc] * len(valid)
+    it = iter(trajs)
+    return [next(it) if o is None else o for o in out]
 
 
 def pendulum_ic_cloud(
@@ -326,34 +525,49 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+_CSV_CHUNK = 512  # rows formatted per write; bounds the memory of a file's text
+
+
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
-    """Columns: t, x1..xn, u1..up, cumulative_cost; 17 significant digits."""
+    """Columns: t, x1..xn, u1..up, cumulative_cost; 17 significant digits.
+
+    The bytes are those of ``csv.writer`` with the default dialect (comma
+    separated, ``\\r\\n`` line ends; a missing value is an empty cell): every
+    row holds numbers only, so no cell needs quoting.  Rows are formatted
+    ``_CSV_CHUNK`` at a time with one ``%.17g`` row format.
+    """
     n = traj.states.shape[1]
     p = traj.inputs.shape[1]
     Kp1 = traj.times.size
+    K_in = traj.inputs.shape[0]
+    has_cost = traj.cumulative_costs.size > 0
+    header = (
+        ["t"]
+        + [f"x{i + 1}" for i in range(n)]
+        + [f"u{i + 1}" for i in range(p)]
+        + ["cumulative_cost"]
+    )
+    # rows up to K_in carry their input; the rest the final input if known
+    tail_u = traj.final_input is not None and traj.final_input.size == p
+    blocks = [(0, min(K_in, Kp1), traj.inputs, True), (K_in, Kp1, None, tail_u)]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["t"]
-            + [f"x{i + 1}" for i in range(n)]
-            + [f"u{i + 1}" for i in range(p)]
-            + ["cumulative_cost"]
-        )
-        for k in range(Kp1):
-            if p == 0:
-                u_cols: List[str] = []
-            elif k < traj.inputs.shape[0]:
-                u_cols = [_fmt(v) for v in traj.inputs[k]]
-            elif traj.final_input is not None and traj.final_input.size == p:
-                u_cols = [_fmt(v) for v in traj.final_input]
-            else:
-                u_cols = [""] * p
-            w.writerow(
-                [_fmt(traj.times[k])]
-                + [_fmt(v) for v in traj.states[k]]
-                + u_cols
-                + [_fmt(traj.cumulative_costs[k]) if traj.cumulative_costs.size else ""]
-            )
+        fh.write(",".join(header) + "\r\n")
+        for lo, hi, U, with_u in blocks:
+            cells = ["%.17g"] * (1 + n) + (["%.17g"] if with_u else [""]) * p
+            cells += ["%.17g"] if has_cost else [""]
+            row_format = ",".join(cells) + "\r\n"
+            for start in range(lo, hi, _CSV_CHUNK):
+                stop = min(start + _CSV_CHUNK, hi)
+                cols = [traj.times[start:stop, None], traj.states[start:stop]]
+                if with_u and p:
+                    cols.append(
+                        U[start:stop] if U is not None
+                        else np.broadcast_to(traj.final_input, (stop - start, p))
+                    )
+                if has_cost:
+                    cols.append(traj.cumulative_costs[start:stop, None])
+                values = np.concatenate(cols, axis=1)
+                fh.write((row_format * (stop - start)) % tuple(values.ravel().tolist()))
 
 
 def write_comparison_csv(rows: Sequence[ComparisonRow], path: str) -> None:

@@ -13,14 +13,18 @@ Closed-form anchors used below, all checkable by hand:
 """
 import numpy as np
 import pytest
+import scipy.linalg
 
 from koopmanhj.basis import monomial_basis
 from koopmanhj.galerkin import (
+    SampleSet,
+    _derive_seed,
     approximate_eigenfunction_set,
     linear_eigenfunction_set,
     sample_domain,
 )
 from koopmanhj.procedure1 import (
+    _MOMENTUM_SEED_XOR,
     compute_R1_Q1,
     example1_eigenfunction_set,
     procedure1_solve,
@@ -264,6 +268,69 @@ class TestIntegrability:
         )
         assert rep.max_H0_drift_rel < 1e-3
         assert rep.max_X_drift_rel < 1e-2
+
+
+def _integrability_per_sample(eig, sys_, samples, t_grid, dt):
+    """Reference: each flow integrated on its own by an RK4 loop, checked
+    against the box at every node and recorded at the grid times."""
+    rng = np.random.default_rng(_derive_seed(samples.seed, _MOMENTUM_SEED_XOR))
+    P0 = rng.uniform(samples.box[:, 0], samples.box[:, 1], size=(samples.L, eig.n))
+    steps = sorted({int(round(t / dt)) for t in t_grid})
+    lo, hi = eig.box[:, 0], eig.box[:, 1]
+
+    def rhs(x, p):
+        return sys_.f(x), -sys_.jacobian_f(x).T @ p
+
+    drift = {"H0": 0.0, "X": 0.0, "P": 0.0}
+    rel = dict(drift)
+    excluded = 0
+    for x, p in zip(samples.points, P0):
+        vals = {"X": [], "P": [], "H0": []}
+        for k in range(steps[-1] + 1):
+            if np.any(x < lo) or np.any(x > hi):
+                excluded += 1
+                break
+            if k in steps:
+                vals["X"].append(scipy.linalg.expm(-eig.Lambda * (k * dt)) @ eig.Phi(x))
+                vals["P"].append(scipy.linalg.expm(eig.Lambda.T * (k * dt))
+                                 @ np.linalg.solve(eig.jac_Phi(x).T, p))
+                vals["H0"].append(np.array([p @ sys_.f(x)]))
+            k1x, k1p = rhs(x, p)
+            k2x, k2p = rhs(x + 0.5 * dt * k1x, p + 0.5 * dt * k1p)
+            k3x, k3p = rhs(x + 0.5 * dt * k2x, p + 0.5 * dt * k2p)
+            k4x, k4p = rhs(x + dt * k3x, p + dt * k3p)
+            x = x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
+            p = p + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
+        else:
+            for key, v in vals.items():
+                V = np.array(v)
+                d = float(np.max(np.abs(V - V[0])))
+                drift[key] = max(drift[key], d)
+                rel[key] = max(rel[key], d / (1.0 + float(np.max(np.abs(V[0])))))
+    return drift, rel, excluded
+
+
+class TestIntegrabilityBatch:
+    @pytest.mark.parametrize("half_width", [6.0, 0.6])
+    def test_batch_equals_per_sample_flows(self, half_width):
+        """AC8's inputs (its first three samples): the one batch over (x, p)
+        gives the per-sample result to 1e-12, flows leaving the box (most of
+        them for the narrow box) excluded alike."""
+        sys_ = builtin_example1(1.0)
+        eig = example1_eigenfunction_set(box=((-half_width, half_width),) * 2)
+        full = sample_domain(np.array([[-0.5, 0.5], [-0.5, 0.5]]), 50, 0)
+        samples = SampleSet(points=full.points[:3], box=full.box, seed=full.seed)
+        t_grid = (0.25, 0.5, 0.75, 1.0)
+        rep = verify_nominal_integrability(eig, sys_, samples, t_grid=t_grid, dt=1e-4)
+        drift, rel, excluded = _integrability_per_sample(eig, sys_, samples, t_grid, 1e-4)
+        assert rep.n_samples == 3
+        assert rep.n_excluded == excluded and 0 < excluded < 3
+        got = {"H0": (rep.max_H0_drift, rep.max_H0_drift_rel),
+               "X": (rep.max_X_drift, rep.max_X_drift_rel),
+               "P": (rep.max_P_drift, rep.max_P_drift_rel)}
+        for key, (d, r) in got.items():
+            assert abs(d - drift[key]) <= 1e-12
+            assert abs(r - rel[key]) <= 1e-12
 
 
 class TestDimensionChecks:

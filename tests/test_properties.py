@@ -1,5 +1,6 @@
-"""Property tests of the batched maps, the basis tables and the batched
-solution maps, each against the single-state path or a direct formula."""
+"""Property tests of the batched maps, the basis tables, the batched
+solution maps and batched rollouts, each against the single-state path or a
+direct formula."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,13 +10,20 @@ from hypothesis.extra.numpy import arrays
 from koopmanhj import systems
 from koopmanhj.basis import BasisSet, monomial_basis, procedure2_basis
 from koopmanhj.galerkin import approximate_eigenfunction_set, sample_domain
-from koopmanhj.procedure1 import procedure1_solve
+from koopmanhj.procedure1 import example1_eigenfunction_set, procedure1_solve
 from koopmanhj.procedure2 import (
     UnstableEigenfunctions,
     control2,
     default_phase_box,
     nonlinear_manifold,
     procedure2_solve,
+)
+from koopmanhj.simulate import (
+    closed_loop,
+    compare_controllers,
+    linear_controller,
+    lqr_controller,
+    pendulum_ic_cloud,
 )
 from koopmanhj.systems import (
     _fd_gradient,
@@ -241,6 +249,20 @@ class TestBatchedSolutions:
         assert sol1.control(X[0]).shape == (1,)
         assert sol2.p_star(X[0]).shape == (2,)
 
+    @SETTINGS
+    @given(_points(2, -0.4, 0.4))
+    def test_grad_value_equals_separate_basis_passes(self, fitted, X):
+        """One basis power table for Phi and its jacobian gives the value
+        gradient of two separate passes contracted by einsum."""
+        sol1 = fitted[0]
+        eig = sol1.eig
+        for Y in (X, X[0]):
+            Phi, jac = eig.Phi_jac(Y)
+            _assert_rel(Phi, eig.Phi(Y))
+            _assert_rel(jac, eig.jac_Phi(Y))
+            want = np.einsum("...ij,...i->...j", eig.jac_Phi(Y), eig.Phi(Y) @ sol1.L.T)
+            _assert_rel(sol1.grad_value(Y), want)
+
 
 class TestSingularPointInBatch:
     def test_manifold_names_the_singular_point(self):
@@ -271,3 +293,123 @@ class TestSingularPointInBatch:
             with pytest.raises(RuntimeError, match=r"singular at theta=2\.35619"):
                 getattr(sys_, attr)(X)
         sys_.f(X[[0, 2]])  # the regular rows alone evaluate
+
+
+# ----------------------------------------------------------------------
+# Rollouts: a batch of initial conditions against each row run alone
+# ----------------------------------------------------------------------
+
+def _labelled_system():
+    """``x1' = x2 x1^2 - x1 + u``, ``x2' = 0``: the constant ``x2`` labels a
+    row, and a row with ``x2 x1(0)`` large blows up in finite time.  Maps
+    of one state lifted row by row, so a batch row does the arithmetic of
+    the row alone."""
+    return control_affine_system(
+        2, 1,
+        f=lambda x: np.array([x[1] * x[0] ** 2 - x[0], 0.0]),
+        g=lambda x: np.array([[1.0], [0.0]]),
+        D=np.array([[1.0]]),
+        q=lambda x: 0.5 * float(x @ x),
+    )
+
+
+def _refusing_controller(label=None, below=None, exact=None):
+    """``u = -x1/2``; raises on a batch holding a row with ``x2 == label``
+    and ``x1 < below``, or a row equal to ``exact``."""
+
+    def control(x):
+        X = np.asarray(x, dtype=float).reshape(-1, 2)
+        hit = np.zeros(len(X), dtype=bool)
+        if below is not None:
+            hit |= (X[:, 1] == label) & (X[:, 0] < below)
+        if exact is not None:
+            hit |= (X == exact).all(axis=1)
+        if hit.any():
+            raise RuntimeError(f"no input for label {label}")
+        return -0.5 * np.asarray(x, dtype=float)[..., :1]
+
+    return control
+
+
+def _assert_same_rollout(got, want, rel=1e-12):
+    assert got.times.size == want.times.size
+    assert got.t_fail == want.t_fail
+    assert got.diagnostic == want.diagnostic
+    assert (got.converged, got.diverged) == (want.converged, want.diverged)
+    assert (got.final_input is None) == (want.final_input is None)
+    pairs = [(got.states, want.states), (got.inputs, want.inputs),
+             (got.cumulative_costs, want.cumulative_costs)]
+    if want.final_input is not None:
+        pairs.append((got.final_input, want.final_input))
+    for a, b in pairs:
+        assert a.shape == b.shape
+        scale = max(1.0, float(np.max(np.abs(b), initial=0.0)))
+        np.testing.assert_allclose(a, b, rtol=0, atol=rel * scale)
+
+
+def _batch(sys_, ctrl, x0s, dt, T):
+    trajs = {}
+    rows = compare_controllers(
+        sys_, [("c", ctrl)], x0s, dt=dt, T=T,
+        on_trajectory=lambda name, i, traj: trajs.__setitem__(i, traj),
+    )
+    assert [r.ic_index for r in rows] == list(range(len(x0s)))
+    return [trajs[i] for i in range(len(x0s))]
+
+
+class TestRolloutTruncation:
+    DT, T = 1e-2, 2.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(st.floats(0.5, 1.0), min_size=2, max_size=5),
+        st.data(),
+        st.sampled_from(["diverge", "raise", "raise_at_last_node"]),
+        st.floats(0.2, 0.95),
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failing_row_in_a_batch_equals_the_row_alone(self, x1s, data, mode, frac):
+        """A row that diverges, or whose controller raises at a chosen time,
+        ends as it ends alone (kept length, t_fail, diagnostic, converged,
+        costs); the other rows are unaffected."""
+        sys_ = _labelled_system()
+        j = data.draw(st.integers(0, len(x1s) - 1))
+        x0s = [np.array([x1, 0.1 * i]) for i, x1 in enumerate(x1s)]
+        if mode == "diverge":
+            x0s[j][1] = 5.0  # x2 x1(0) >= 2.5: blow-up before t = 1
+            ctrl = _refusing_controller()
+        elif mode == "raise":
+            ctrl = _refusing_controller(label=x0s[j][1], below=frac * x1s[j])
+        else:
+            free = closed_loop(sys_, _refusing_controller(), x0s[j], dt=self.DT, T=self.T)
+            ctrl = _refusing_controller(label=x0s[j][1], exact=free.states[-1])
+        alone = [closed_loop(sys_, ctrl, x0, dt=self.DT, T=self.T) for x0 in x0s]
+        assert alone[j].diverged
+        if mode == "raise_at_last_node":
+            assert alone[j].t_fail == pytest.approx(self.T) and alone[j].final_input is None
+        assert not any(a.diverged for i, a in enumerate(alone) if i != j)
+        for got, want in zip(_batch(sys_, ctrl, x0s, self.DT, self.T), alone):
+            _assert_same_rollout(got, want)
+
+    def test_converging_batches_equal_single_state_rollouts(self):
+        """Batched rows of the vectorized pendulum and example-1 maps and
+        controllers match single-state rollouts to 1e-12."""
+        pend = builtin_pendulum(9.81)
+        lin = linearize(pend)
+        box = np.array([[-3.0, 3.0], [-5.0, 5.0], [-5.0, 5.0]])
+        eig = approximate_eigenfunction_set(
+            pend.f, lin.A, monomial_basis(3, 2, 2), sample_domain(box, 10000, 12345)
+        )
+        ex1 = builtin_example1(1.0)
+        cloud = pendulum_ic_cloud(seed=2024)[:3]
+        cases = [
+            (pend, procedure1_solve(pend, eig).control, cloud, 12.0),
+            (pend, linear_controller(lqr_controller(lin)[0]), cloud, 12.0),
+            (ex1, procedure1_solve(ex1, example1_eigenfunction_set()).control,
+             np.random.default_rng(2025).uniform(-0.5, 0.5, size=(3, 2)), 10.0),
+        ]
+        for sys_, ctrl, x0s, T in cases:
+            alone = [closed_loop(sys_, ctrl, x0, dt=self.DT, T=T) for x0 in x0s]
+            assert all(a.converged for a in alone)
+            for got, want in zip(_batch(sys_, ctrl, list(x0s), self.DT, T), alone):
+                _assert_same_rollout(got, want)

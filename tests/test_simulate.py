@@ -112,6 +112,31 @@ class TestClosedLoop:
         assert "lookup table exhausted" in traj.diagnostic
         assert traj.t_fail is not None and traj.t_fail > 0.0
 
+    def test_cost_at_a_failure_node_is_the_previous_node_cost(self):
+        """The node whose controller call raised costs what the node before
+        it cost, whatever the allocator hands out: memory freed after
+        holding either of two sentinels gives identical costs."""
+        sys_, _, _ = _linear_system()
+
+        def bad(x):
+            if x[0] < 0.5:
+                raise RuntimeError("lookup table exhausted")
+            return np.zeros(1)
+
+        costs = []
+        for sentinel in (7.0, -3.0e5):
+            freed = [np.full(5001, sentinel) for _ in range(8)]
+            del freed
+            traj = closed_loop(sys_, bad, [1.0, 0.0], dt=1e-3, T=5.0)
+            costs.append(traj.cumulative_costs)
+        np.testing.assert_array_equal(costs[0], costs[1])
+        k = traj.times.size - 1
+        assert k > 1 and traj.t_fail == k * 1e-3
+        x = traj.states[k - 1]
+        previous = 0.5 * float(x @ x)  # u = 0 at every node
+        assert np.diff(traj.cumulative_costs)[-1] == pytest.approx(1e-3 * previous, rel=1e-12)
+        assert traj.running_cost == traj.cumulative_costs[-1]
+
     def test_dimension_mismatch_rejected(self):
         sys_, _, _ = _linear_system()
         with pytest.raises(ValueError, match="x0 has dimension"):
@@ -270,3 +295,48 @@ class TestCsvExport:
         assert rows[1][0] == "z"
         assert float(rows[1][2]) == 0.1
         assert rows[1][4] in ("True", "False")
+
+    @staticmethod
+    def _csv_writer_reference(traj, path):
+        """The row-by-row ``csv.writer`` export the chunked writer replaces."""
+        n, p = traj.states.shape[1], traj.inputs.shape[1]
+        fmt = lambda v: f"{float(v):.17g}"  # noqa: E731
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["t"] + [f"x{i + 1}" for i in range(n)]
+                       + [f"u{i + 1}" for i in range(p)] + ["cumulative_cost"])
+            for k in range(traj.times.size):
+                if p == 0:
+                    u_cols = []
+                elif k < traj.inputs.shape[0]:
+                    u_cols = [fmt(v) for v in traj.inputs[k]]
+                elif traj.final_input is not None and traj.final_input.size == p:
+                    u_cols = [fmt(v) for v in traj.final_input]
+                else:
+                    u_cols = [""] * p
+                w.writerow([fmt(traj.times[k])] + [fmt(v) for v in traj.states[k]] + u_cols
+                           + [fmt(traj.cumulative_costs[k])])
+
+    def test_bytes_equal_the_csv_writer_export(self, tmp_path):
+        """Closed-loop, truncated (no final input: empty u cells) and bare
+        field rollouts, each longer than one formatting chunk."""
+        sys_, _, _ = _linear_system()
+        K, _ = lqr_controller(linearize(sys_))
+
+        def bad(x):
+            if x[0] < 0.5:
+                raise RuntimeError("lookup table exhausted")
+            return np.zeros(1)
+
+        trajs = {
+            "closed_loop": closed_loop(sys_, linear_controller(K), [0.3, -0.2], T=1.5),
+            "truncated": closed_loop(sys_, bad, [1.0, 0.0], T=5.0),
+            "bare": integrate_rk4(lambda x: -x, [1.0, -2.0], dt=1e-3, T=1.5),
+        }
+        assert trajs["truncated"].final_input is None
+        assert trajs["truncated"].times.size > 600
+        for name, traj in trajs.items():
+            ref, out = tmp_path / f"{name}_ref.csv", tmp_path / f"{name}.csv"
+            self._csv_writer_reference(traj, str(ref))
+            write_trajectory_csv(traj, str(out))
+            assert out.read_bytes() == ref.read_bytes(), name
