@@ -262,18 +262,11 @@ def nonlinear_manifold(
 
 
 def control2(
-    sys: ControlAffineSystem,
-    eigs: UnstableEigenfunctions,
-    x: npt.ArrayLike,
-    Jl: Optional[np.ndarray] = None,
+    sys: ControlAffineSystem, eigs: UnstableEigenfunctions, x: npt.ArrayLike
 ) -> np.ndarray:
-    """Feedback law from the manifold: ``u = -D^{-1} g(x)^T p*(x)``, batched.
-
-    ``Jl`` is the raw linear manifold coefficient (computed when omitted).
-    """
+    """Feedback law from the manifold: ``u = -D^{-1} g(x)^T p*(x)``, batched."""
     x = np.asarray(x, dtype=float)
-    if Jl is None:
-        Jl = linear_manifold(eigs)
+    Jl = linear_manifold(eigs)
     return feedback(sys, x, x @ Jl.T + nonlinear_manifold(eigs, x, Jl=Jl))
 
 
@@ -300,7 +293,6 @@ def fit_value_Jn(
     eigs: UnstableEigenfunctions,
     xi3: BasisSet,
     x_samples: Union[SampleSet, npt.ArrayLike],
-    Jl: Optional[np.ndarray] = None,
 ) -> ValueFit:
     """Fit ``V(x) = 0.5 (x^T Jl x + Xi3^T Jn Xi3)`` to the manifold.
 
@@ -309,8 +301,7 @@ def fit_value_Jn(
     ``G2(x_k)`` so the normal equations reproduce the manifold equation
     ``G2 p + G1 = 0``, and the targets are ``-G1(x_k)`` minus the linear
     part's contribution.  The reported residual is the direct (unweighted)
-    RMS mismatch of the full value gradient against ``p*``.  ``Jl`` is the
-    raw linear manifold coefficient (computed when omitted).
+    RMS mismatch of the full value gradient against ``p*``.
     """
     if not getattr(xi3, "purely_nonlinear", False):
         raise ValueError("xi3 must be a purely nonlinear basis")
@@ -324,7 +315,7 @@ def fit_value_Jn(
     I, J = np.triu_indices(M1)  # half-vectorization of the symmetric Jn
     nv = I.size
 
-    Jl_raw = linear_manifold(eigs) if Jl is None else Jl
+    Jl_raw = linear_manifold(eigs)
     Jl_sym = (Jl_raw + Jl_raw.T) / 2.0
     n = eigs.n
     v = xi3.eval(pts)  # (K, M1)
@@ -400,7 +391,7 @@ class HJSolution2:
         return x @ self.Jl_raw.T + nonlinear_manifold(self.eigs, x, Jl=self.Jl_raw)
 
     def control(self, x: npt.ArrayLike) -> np.ndarray:
-        return control2(self.sys, self.eigs, x, Jl=self.Jl_raw)
+        return feedback(self.sys, x, self.p_star(x))
 
     def value(self, x: npt.ArrayLike):
         """V(x) = 0.5 (x^T Jl x + Xi3^T Jn Xi3); requires a fitted Jn.
@@ -465,7 +456,7 @@ def procedure2_solve(
                 samples.box[: sys.n], max(10 * nv, 100),
                 _derive_seed(samples.seed, _FIT_SEED_XOR),
             )
-        value_fit = fit_value_Jn(eigs, xi3, fit_samples, Jl=Jl_raw)
+        value_fit = fit_value_Jn(eigs, xi3, fit_samples)
     return HJSolution2(
         eigs=eigs, sys=sys, Jl=Jl, Jl_raw=Jl_raw, jl_asymmetry=asym, value_fit=value_fit
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -91,44 +91,22 @@ def _rk4_step(
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), u
 
 
-def _by_rows(fn: Callable, X: np.ndarray) -> list:
-    """``fn`` on each row of ``X`` alone: per row its result or the exception it raised."""
-    out = []
-    for row in X:
-        try:
-            out.append(fn(row))
-        except Exception as exc:  # noqa: BLE001 — the row's outcome, not a crash
-            out.append(exc)
-    return out
-
-
 @dataclass(frozen=True)
 class _Rollout:
-    """Raw output of :func:`_rk4` for ``B`` rows (a single state is one row).
+    """Raw output of :func:`_rk4`.
 
-    Row ``i`` stepped ``kept[i]`` times: ``kept[i] == K`` unless it was
-    truncated at step ``kept[i]``, either because its field raised
-    ``errors[i]`` or (``errors[i] is None``) because ``x_{k+1}`` was not
-    admissible.  ``states`` (``(K+1, n)`` or ``(K+1, B, n)``, like ``x0``)
-    holds row ``i`` up to index ``kept[i]``; ``inputs`` (``(K, p)`` or
-    ``(K, B, p)``) its stage-1 feedback up to ``kept[i]`` inclusive when it
-    was truncated as inadmissible, and up to ``kept[i] - 1`` otherwise.
+    ``kept`` (shape ``x0.shape[:-1]``: 0-d for one state, ``(B,)`` for rows)
+    counts the steps of each row: ``K``, or the step ``k`` at which the row
+    stopped because ``x_{k+1}`` was not admissible or because the step
+    raised ``error``.  ``states`` (``(K+1,) + x0.shape``) holds each row up
+    to index ``kept``; ``inputs`` its stage-1 feedback up to ``kept``
+    inclusive when it stopped as inadmissible, up to ``kept - 1`` otherwise.
     """
 
     states: np.ndarray
     inputs: Optional[np.ndarray]
     kept: np.ndarray
-    errors: List[Optional[Exception]]
-
-    def row(self, i: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """States ``(kept+1, n)`` and the stored feedback ``(kept+1, p)`` of row ``i``."""
-        stop = self.kept[i] + 1
-        if self.states.ndim == 2:
-            return self.states[:stop], None if self.inputs is None else self.inputs[:stop]
-        return (
-            np.ascontiguousarray(self.states[:stop, i]),
-            None if self.inputs is None else np.ascontiguousarray(self.inputs[:stop, i]),
-        )
+    error: Optional[Exception]
 
 
 def _rk4(
@@ -145,76 +123,35 @@ def _rk4(
     ``u`` (``(..., p)``; ``None`` when ``p == 0``) is the feedback at ``x``;
     the kernel keeps the stage-1 value.  Each step tests ``admissible`` once,
     on ``x_{k+1}`` (by default: every coordinate finite, which also catches a
-    non-finite stage derivative).  A row whose step raises or whose
-    ``x_{k+1}`` is not admissible stops there; the others go on.  When a
-    batched step raises, every row of that step is evaluated again on its
-    own, so only the rows that raise stop.  A batch of one row runs on the
-    single-state path, which is the cheap one for every map.
+    non-finite stage derivative).  A row whose ``x_{k+1}`` is not admissible
+    stops there and the other rows go on; a stopped row is held at its last
+    state.  A step that raises stops every row still going.
     """
     x = np.array(x0, dtype=float)
-    one_row = x.ndim == 2 and x.shape[0] == 1
-    if one_row:
-        x = x[0]
-    B = 1 if x.ndim == 1 else x.shape[0]
     states = np.empty((K + 1,) + x.shape)
     states[0] = x
     inputs = np.empty((K,) + x.shape[:-1] + (p,)) if p else None
-    kept = np.full(B, K)
-    errors: List[Optional[Exception]] = [None] * B
-    live: Any = Ellipsis if x.ndim == 1 else slice(None)  # rows still stepping
+    kept = np.full(x.shape[:-1], K)
+    going = np.ones(x.shape[:-1], dtype=bool)
+    error: Optional[Exception] = None
     for k in range(K):
-        raised: dict = {}
         try:
             xn, u = _rk4_step(field, x, dt)
         except Exception as exc:  # noqa: BLE001 — truncation is the contract
-            if x.ndim == 1:
-                kept[0], errors[0] = k, exc
-                break
-            xn, u, raised = _step_by_rows(field, x, dt, p)
+            kept[going] = k
+            error = exc
+            break
+        if p:
+            inputs[k] = u
         ok = admissible(xn)
-        if p:
-            inputs[k, live] = u
-        if not raised and ok.all():
-            states[k + 1, live] = xn
-            x = xn
-            continue
-        if x.ndim == 1:
-            kept[0] = k
-            break
-        rows = np.arange(B)[live]
-        stop = ~ok
-        stop[list(raised)] = True
-        for pos in np.flatnonzero(stop):
-            kept[rows[pos]] = k
-            errors[rows[pos]] = raised.get(pos)
-        live = rows[~stop]
-        x = xn[~stop]
-        states[k + 1, live] = x
-        if not live.size:
-            break
-    if one_row:
-        states = states[:, None]
-        inputs = None if inputs is None else inputs[:, None]
-    return _Rollout(states=states, inputs=inputs, kept=kept, errors=errors)
-
-
-def _step_by_rows(field: _Field, x: np.ndarray, dt: float, p: int):
-    """The RK4 step of each row of ``x`` (b, n) on its own.
-
-    Rows whose field raises get NaN in ``x_{k+1}`` and the feedback, and
-    their exception in the returned ``{position: exception}`` map.
-    """
-    xn = np.full(x.shape, np.nan)
-    u = np.full(x.shape[:-1] + (p,), np.nan) if p else None
-    raised = {}
-    for pos, out in enumerate(_by_rows(lambda row: _rk4_step(field, row, dt), x)):
-        if isinstance(out, Exception):
-            raised[pos] = out
-            continue
-        xn[pos] = out[0]
-        if p:
-            u[pos] = out[1]
-    return xn, u, raised
+        if not ok.all():
+            kept[going & ~ok] = k
+            going &= ok
+            if not going.any():
+                break
+            xn = np.where(going[..., None], xn, x)
+        states[k + 1] = x = xn
+    return _Rollout(states=states, inputs=inputs, kept=kept, error=error)
 
 
 def integrate_rk4(
@@ -236,10 +173,10 @@ def integrate_rk4(
         return (v if type(v) is np.ndarray else np.asarray(v, dtype=float)), None
 
     run = _rk4(bare, np.asarray(x0, dtype=float).ravel(), dt, K)
-    if run.errors[0] is not None:
-        raise run.errors[0]
-    kept = int(run.kept[0])
-    states = run.row(0)[0]
+    if run.error is not None:
+        raise run.error
+    kept = int(run.kept)
+    states = run.states[: kept + 1]
     diverged = kept < K
     converged = (not diverged) and float(np.linalg.norm(states[-1])) <= CONVERGENCE_THRESHOLD
     return Trajectory(
@@ -254,13 +191,6 @@ def integrate_rk4(
         cumulative_costs=np.zeros(kept + 1),
         final_input=np.zeros(0),
     )
-
-
-def _initial_state(sys: ControlAffineSystem, x0: npt.ArrayLike) -> np.ndarray:
-    x = np.asarray(x0, dtype=float).ravel()
-    if x.size != sys.n:
-        raise ValueError(f"x0 has dimension {x.size}, system has n={sys.n}")
-    return x
 
 
 def closed_loop(
@@ -278,82 +208,41 @@ def closed_loop(
     non-finite state truncates the rollout with a diagnostic.
     """
     K = _steps(dt, T)
-    return _closed_loop_rows(sys, controller, _initial_state(sys, x0), dt, K)[0]
-
-
-def _closed_loop_rows(
-    sys: ControlAffineSystem,
-    controller: Callable[[np.ndarray], np.ndarray],
-    X0: np.ndarray,
-    dt: float,
-    K: int,
-) -> List[Trajectory]:
-    """Closed-loop rollouts of one state ``(n,)`` or of rows ``(B, n)``, one batch.
-
-    The controller is called on the batch; it must map states ``(..., n)``
-    to inputs ``(..., p)``.  Each row is truncated on its own (see
-    :func:`_rk4`), so every returned trajectory is the one its row gives
-    alone.
-    """
+    x = np.asarray(x0, dtype=float).ravel()
+    if x.size != sys.n:
+        raise ValueError(f"x0 has dimension {x.size}, system has n={sys.n}")
     f, g, p = sys.f, sys.g, sys.p
 
-    def control(x: np.ndarray) -> np.ndarray:
-        u = controller(x)
-        shape = x.shape[:-1] + (p,)
-        if getattr(u, "shape", None) != shape:
-            u = np.reshape(np.asarray(u, dtype=float), shape)
+    def control(xs: np.ndarray) -> np.ndarray:
+        u = controller(xs)
+        if type(u) is not np.ndarray or u.shape != (p,):
+            u = np.asarray(u, dtype=float).ravel()
         return u
 
-    def field(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        u = control(x)
-        gx = g(x)
-        if x.ndim == 1:
-            return f(x) + gx @ u, u
-        return f(x) + (gx @ u[..., None])[..., 0], u
+    def field(xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        u = control(xs)
+        return f(xs) + g(xs) @ u, u
 
-    run = _rk4(field, X0, dt, K, p=p)
-    B = run.kept.size
-    done = [i for i in range(B) if run.kept[i] == K and run.errors[i] is None]
-    final = dict(zip(done, _final_inputs(control, run, done)))
-    return [_trajectory(sys, run, i, dt, K, final.get(i)) for i in range(B)]
-
-
-def _final_inputs(control, run: _Rollout, done: List[int]) -> list:
-    """The feedback at the last node of each completed row (or its exception)."""
-    XK = run.states[-1].reshape(-1, run.states.shape[-1])[done]
-    if len(done) > 1:
+    run = _rk4(field, x, dt, K, p=p)
+    kept = int(run.kept)
+    states = run.states[: kept + 1]
+    nodes = np.full((kept + 1, p), np.nan)  # the feedback at each kept node
+    nodes[:kept] = run.inputs[:kept]
+    raised, final_input = run.error, None
+    if kept == K:
         try:
-            return list(control(XK))
-        except Exception:  # noqa: BLE001 — each row gets its own outcome below
-            pass
-    return _by_rows(control, XK)
-
-
-def _trajectory(
-    sys: ControlAffineSystem,
-    run: _Rollout,
-    i: int,
-    dt: float,
-    K: int,
-    final: Union[np.ndarray, Exception, None],
-) -> Trajectory:
-    """Row ``i`` of a closed-loop rollout with its node costs and diagnostic."""
-    kept = int(run.kept[i])
-    states, U = run.row(i)
-    err = run.errors[i]
-    nodes = np.full((kept + 1, sys.p), np.nan)  # feedback at each kept node
-    nodes[:kept] = U[:kept]
-    final_input = None
+            final_input = np.asarray(control(states[K]), dtype=float)
+        except Exception as exc:  # noqa: BLE001
+            raised = exc
     diagnostic: Optional[str] = None
     t_fail: Optional[float] = None
-    raised = err if kept < K else final if isinstance(final, Exception) else None
-    if kept < K and err is None:  # x_{k+1} not finite: node k keeps its feedback
-        nodes[kept] = U[kept]
-        diagnostic, t_fail = "diverged", (kept + 1) * dt
-    elif raised is not None:
+    if raised is not None:
         diagnostic, t_fail = f"controller failed at t={kept * dt:.6g}: {raised}", kept * dt
+    elif kept < K:  # x_{k+1} not finite: node k keeps its stage-1 feedback
+        nodes[kept] = run.inputs[kept]
+        diagnostic, t_fail = "diverged", (kept + 1) * dt
     else:
-        nodes[kept] = final_input = final
+        nodes[K] = final_input
     node_costs = sys.q(states) + 0.5 * ((nodes @ sys.D) * nodes).sum(axis=-1)
     if raised is not None:
         # no feedback at the last kept node: it costs what the node before it cost
@@ -368,7 +257,7 @@ def _trajectory(
     return Trajectory(
         times=np.arange(kept + 1) * dt,
         states=states,
-        inputs=U[:kept],
+        inputs=run.inputs[:kept],
         running_cost=float(cumulative[-1]),
         converged=converged,
         diverged=diverged,
@@ -391,16 +280,11 @@ def lqr_controller(lin: Linearization) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def linear_controller(K: npt.ArrayLike) -> Callable[[np.ndarray], np.ndarray]:
-    """Feedback ``u = -K x`` as a rollout-ready callable of states ``(..., n)``."""
+    """Feedback ``u = -K x`` as a rollout-ready callable."""
     K = np.asarray(K, dtype=float)
     if K.ndim == 1:
         K = K.reshape(1, -1)
-
-    def control(x: npt.ArrayLike) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return -K @ x if x.ndim == 1 else -(x @ K.T)
-
-    return control
+    return lambda x: -K @ np.asarray(x, dtype=float).ravel()
 
 
 @dataclass(frozen=True)
@@ -427,21 +311,16 @@ def compare_controllers(
 ) -> List[ComparisonRow]:
     """Roll out every controller from every initial condition.
 
-    The initial conditions of one controller run as one batch (the
-    controller is called on states ``(B, n)``), and each row is truncated
-    on its own.  Failures stay in their own cell as diagnostics; the table
-    always has one row per (controller, x0) pair, in input order.
-    ``on_trajectory`` (if given) receives each completed rollout as
-    ``(name, ic_index, traj)``.
+    Failures stay in their own cell as diagnostics; the table always has one
+    row per (controller, x0) pair, in input order.  ``on_trajectory`` (if
+    given) receives each completed rollout as ``(name, ic_index, traj)``.
     """
     rows: List[ComparisonRow] = []
-    x0s = [np.asarray(x0, dtype=float).ravel() for x0 in x0_list]
     for name, ctrl in controllers:
-        for i, (x0a, traj) in enumerate(zip(x0s, _batch_outcomes(sys, ctrl, x0s, dt, T))):
-            if isinstance(traj, Exception):
-                rows.append(_failed_row(name, i, x0a, traj))
-                continue
+        for i, x0 in enumerate(x0_list):
+            x0a = np.asarray(x0, dtype=float).ravel()
             try:
+                traj = closed_loop(sys, ctrl, x0a, dt=dt, T=T)
                 if on_trajectory is not None:
                     on_trajectory(name, i, traj)
                 rows.append(
@@ -457,50 +336,19 @@ def compare_controllers(
                     )
                 )
             except Exception as exc:  # noqa: BLE001 — table must not abort
-                rows.append(_failed_row(name, i, x0a, exc))
+                rows.append(
+                    ComparisonRow(
+                        controller=name,
+                        ic_index=i,
+                        x0=x0a,
+                        converged=False,
+                        diverged=True,
+                        running_cost=float("nan"),
+                        max_abs_state=float("nan"),
+                        diagnostic=f"rollout failed: {exc}",
+                    )
+                )
     return rows
-
-
-def _failed_row(name: str, i: int, x0: np.ndarray, exc: Exception) -> ComparisonRow:
-    return ComparisonRow(
-        controller=name,
-        ic_index=i,
-        x0=x0,
-        converged=False,
-        diverged=True,
-        running_cost=float("nan"),
-        max_abs_state=float("nan"),
-        diagnostic=f"rollout failed: {exc}",
-    )
-
-
-def _batch_outcomes(
-    sys: ControlAffineSystem,
-    controller: Callable[[np.ndarray], np.ndarray],
-    x0s: List[np.ndarray],
-    dt: float,
-    T: float,
-) -> List[Union[Trajectory, Exception]]:
-    """Per initial condition its rollout, or the exception that prevented it.
-
-    The initial conditions of valid dimension run as one batch.
-    """
-    out: List[Union[Trajectory, Exception, None]] = []
-    for x0 in x0s:
-        try:
-            _initial_state(sys, x0)
-            out.append(None)
-        except ValueError as exc:
-            out.append(exc)
-    valid = [x0 for x0, o in zip(x0s, out) if o is None]
-    if not valid:
-        return out
-    try:
-        trajs = _closed_loop_rows(sys, controller, np.stack(valid), dt, _steps(dt, T))
-    except Exception as exc:  # noqa: BLE001 — the table must not abort
-        trajs = [exc] * len(valid)
-    it = iter(trajs)
-    return [next(it) if o is None else o for o in out]
 
 
 def pendulum_ic_cloud(

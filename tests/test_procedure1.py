@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from koopmanhj import procedure1
 from koopmanhj.basis import monomial_basis
 from koopmanhj.galerkin import (
     SampleSet,
@@ -331,6 +332,23 @@ class TestIntegrabilityBatch:
         for key, (d, r) in got.items():
             assert abs(d - drift[key]) <= 1e-12
             assert abs(r - rel[key]) <= 1e-12
+
+    @pytest.mark.parametrize("half_width", [6.0, 0.6])
+    def test_batches_of_rows_equal_one_batch(self, half_width, monkeypatch):
+        """AC8's 50 samples on a coarser step: batches of 7 flows, each
+        within a smaller state record, give the report of one batch."""
+        sys_ = builtin_example1(1.0)
+        eig = example1_eigenfunction_set(box=((-half_width, half_width),) * 2)
+        samples = sample_domain(np.array([[-0.5, 0.5], [-0.5, 0.5]]), 50, 0)
+        t_grid = (0.25, 0.5, 0.75, 1.0)
+        one = verify_nominal_integrability(eig, sys_, samples, t_grid=t_grid, dt=1e-3)
+        monkeypatch.setattr(procedure1, "_FLOW_RECORD_FLOATS", 7 * 1001 * 4)
+        rows = verify_nominal_integrability(eig, sys_, samples, t_grid=t_grid, dt=1e-3)
+        assert rows.n_excluded == one.n_excluded < 50
+        for name in ("H0", "X", "P"):
+            for suffix in ("", "_rel"):
+                attr = f"max_{name}_drift{suffix}"
+                assert getattr(rows, attr) == pytest.approx(getattr(one, attr), rel=1e-12, abs=0)
 
 
 class TestDimensionChecks:

@@ -1,6 +1,6 @@
 """Property tests of the batched maps, the basis tables, the batched
 solution maps and batched rollouts, each against the single-state path or a
-direct formula."""
+direct formula, and of rollout truncation."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from koopmanhj import systems
 from koopmanhj.basis import BasisSet, monomial_basis, procedure2_basis
 from koopmanhj.galerkin import approximate_eigenfunction_set, sample_domain
-from koopmanhj.procedure1 import example1_eigenfunction_set, procedure1_solve
+from koopmanhj.procedure1 import procedure1_solve
 from koopmanhj.procedure2 import (
     UnstableEigenfunctions,
     control2,
@@ -18,13 +18,7 @@ from koopmanhj.procedure2 import (
     nonlinear_manifold,
     procedure2_solve,
 )
-from koopmanhj.simulate import (
-    closed_loop,
-    compare_controllers,
-    linear_controller,
-    lqr_controller,
-    pendulum_ic_cloud,
-)
+from koopmanhj.simulate import _rk4, closed_loop
 from koopmanhj.systems import (
     _fd_gradient,
     _fd_jacobian,
@@ -296,65 +290,26 @@ class TestSingularPointInBatch:
 
 
 # ----------------------------------------------------------------------
-# Rollouts: a batch of initial conditions against each row run alone
+# Rollouts: rows of one batch against each row alone, truncated rollouts
+# against the free rollout
 # ----------------------------------------------------------------------
 
+def _labelled_field(X):
+    """``x1' = x2 x1^2 - x1``, ``x2' = 0``: the constant ``x2`` labels a
+    row, and a row with ``x2 x1(0) > 1`` blows up in finite time."""
+    X = np.asarray(X, dtype=float)
+    return np.stack([X[..., 1] * X[..., 0] ** 2 - X[..., 0], 0.0 * X[..., 1]], axis=-1), None
+
+
 def _labelled_system():
-    """``x1' = x2 x1^2 - x1 + u``, ``x2' = 0``: the constant ``x2`` labels a
-    row, and a row with ``x2 x1(0)`` large blows up in finite time.  Maps
-    of one state lifted row by row, so a batch row does the arithmetic of
-    the row alone."""
+    """The labelled field with an input on ``x1``."""
     return control_affine_system(
         2, 1,
-        f=lambda x: np.array([x[1] * x[0] ** 2 - x[0], 0.0]),
+        f=lambda x: _labelled_field(x)[0],
         g=lambda x: np.array([[1.0], [0.0]]),
         D=np.array([[1.0]]),
         q=lambda x: 0.5 * float(x @ x),
     )
-
-
-def _refusing_controller(label=None, below=None, exact=None):
-    """``u = -x1/2``; raises on a batch holding a row with ``x2 == label``
-    and ``x1 < below``, or a row equal to ``exact``."""
-
-    def control(x):
-        X = np.asarray(x, dtype=float).reshape(-1, 2)
-        hit = np.zeros(len(X), dtype=bool)
-        if below is not None:
-            hit |= (X[:, 1] == label) & (X[:, 0] < below)
-        if exact is not None:
-            hit |= (X == exact).all(axis=1)
-        if hit.any():
-            raise RuntimeError(f"no input for label {label}")
-        return -0.5 * np.asarray(x, dtype=float)[..., :1]
-
-    return control
-
-
-def _assert_same_rollout(got, want, rel=1e-12):
-    assert got.times.size == want.times.size
-    assert got.t_fail == want.t_fail
-    assert got.diagnostic == want.diagnostic
-    assert (got.converged, got.diverged) == (want.converged, want.diverged)
-    assert (got.final_input is None) == (want.final_input is None)
-    pairs = [(got.states, want.states), (got.inputs, want.inputs),
-             (got.cumulative_costs, want.cumulative_costs)]
-    if want.final_input is not None:
-        pairs.append((got.final_input, want.final_input))
-    for a, b in pairs:
-        assert a.shape == b.shape
-        scale = max(1.0, float(np.max(np.abs(b), initial=0.0)))
-        np.testing.assert_allclose(a, b, rtol=0, atol=rel * scale)
-
-
-def _batch(sys_, ctrl, x0s, dt, T):
-    trajs = {}
-    rows = compare_controllers(
-        sys_, [("c", ctrl)], x0s, dt=dt, T=T,
-        on_trajectory=lambda name, i, traj: trajs.__setitem__(i, traj),
-    )
-    assert [r.ic_index for r in rows] == list(range(len(x0s)))
-    return [trajs[i] for i in range(len(x0s))]
 
 
 class TestRolloutTruncation:
@@ -363,53 +318,71 @@ class TestRolloutTruncation:
     @settings(max_examples=30, deadline=None)
     @given(
         st.lists(st.floats(0.5, 1.0), min_size=2, max_size=5),
-        st.data(),
-        st.sampled_from(["diverge", "raise", "raise_at_last_node"]),
-        st.floats(0.2, 0.95),
+        st.lists(st.floats(-0.5, 5.0), min_size=5, max_size=5),
+        st.sampled_from(["finite", "box"]),
     )
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_failing_row_in_a_batch_equals_the_row_alone(self, x1s, data, mode, frac):
-        """A row that diverges, or whose controller raises at a chosen time,
-        ends as it ends alone (kept length, t_fail, diagnostic, converged,
-        costs); the other rows are unaffected."""
-        sys_ = _labelled_system()
-        j = data.draw(st.integers(0, len(x1s) - 1))
-        x0s = [np.array([x1, 0.1 * i]) for i, x1 in enumerate(x1s)]
-        if mode == "diverge":
-            x0s[j][1] = 5.0  # x2 x1(0) >= 2.5: blow-up before t = 1
-            ctrl = _refusing_controller()
-        elif mode == "raise":
-            ctrl = _refusing_controller(label=x0s[j][1], below=frac * x1s[j])
-        else:
-            free = closed_loop(sys_, _refusing_controller(), x0s[j], dt=self.DT, T=self.T)
-            ctrl = _refusing_controller(label=x0s[j][1], exact=free.states[-1])
-        alone = [closed_loop(sys_, ctrl, x0, dt=self.DT, T=self.T) for x0 in x0s]
-        assert alone[j].diverged
-        if mode == "raise_at_last_node":
-            assert alone[j].t_fail == pytest.approx(self.T) and alone[j].final_input is None
-        assert not any(a.diverged for i, a in enumerate(alone) if i != j)
-        for got, want in zip(_batch(sys_, ctrl, x0s, self.DT, self.T), alone):
-            _assert_same_rollout(got, want)
+    def test_row_in_a_batch_stops_as_it_stops_alone(self, x1s, labels, stop):
+        """Rows that blow up (non-finite) or leave a box stop at the step
+        they stop at alone, with the same states; the other rows run on."""
+        X0 = np.array([[x1, label] for x1, label in zip(x1s, labels)])
+        K = int(round(self.T / self.DT))
+        kw = {} if stop == "finite" else {"admissible": lambda X: np.abs(X[..., 0]) <= 1.5}
+        batch = _rk4(_labelled_field, X0, self.DT, K, **kw)
+        assert batch.error is None and batch.kept.shape == (len(X0),)
+        for i, x0 in enumerate(X0):
+            alone = _rk4(_labelled_field, x0, self.DT, K, **kw)
+            kept = int(alone.kept)
+            assert int(batch.kept[i]) == kept
+            _assert_rel(batch.states[: kept + 1, i], alone.states[: kept + 1], rel=1e-12)
 
-    def test_converging_batches_equal_single_state_rollouts(self):
-        """Batched rows of the vectorized pendulum and example-1 maps and
-        controllers match single-state rollouts to 1e-12."""
-        pend = builtin_pendulum(9.81)
-        lin = linearize(pend)
-        box = np.array([[-3.0, 3.0], [-5.0, 5.0], [-5.0, 5.0]])
-        eig = approximate_eigenfunction_set(
-            pend.f, lin.A, monomial_basis(3, 2, 2), sample_domain(box, 10000, 12345)
-        )
-        ex1 = builtin_example1(1.0)
-        cloud = pendulum_ic_cloud(seed=2024)[:3]
-        cases = [
-            (pend, procedure1_solve(pend, eig).control, cloud, 12.0),
-            (pend, linear_controller(lqr_controller(lin)[0]), cloud, 12.0),
-            (ex1, procedure1_solve(ex1, example1_eigenfunction_set()).control,
-             np.random.default_rng(2025).uniform(-0.5, 0.5, size=(3, 2)), 10.0),
-        ]
-        for sys_, ctrl, x0s, T in cases:
-            alone = [closed_loop(sys_, ctrl, x0, dt=self.DT, T=T) for x0 in x0s]
-            assert all(a.converged for a in alone)
-            for got, want in zip(_batch(sys_, ctrl, list(x0s), self.DT, T), alone):
-                _assert_same_rollout(got, want)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_raising_step_stops_every_row_still_going(self):
+        def field(X):
+            if (X[..., 0] < 0.5).any():
+                raise RuntimeError("no value below 0.5")
+            return _labelled_field(X)
+
+        X0 = np.array([[1.0, 0.0], [0.8, 0.0], [2.0, 5.0]])  # row 2 blows up first
+        run = _rk4(field, X0, self.DT, 200)
+        assert isinstance(run.error, RuntimeError)
+        assert run.kept[2] < run.kept[0] == run.kept[1] < 200
+        free = _rk4(_labelled_field, X0[:2], self.DT, 200)
+        k = int(run.kept[0])
+        np.testing.assert_array_equal(run.states[: k + 1, :2], free.states[: k + 1])
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(0.5, 1.0), st.floats(-0.5, 0.5), st.floats(0.2, 0.95),
+           st.sampled_from(["raise", "raise_at_last_node"]))
+    def test_truncated_rollout_is_a_prefix_of_the_free_rollout(self, x1, label, frac, mode):
+        """A controller that raises at a chosen time (or at the last node)
+        truncates the free rollout there: same states, inputs and costs up
+        to the failure node, ``t_fail`` and diagnostic at that node, and a
+        last trapezoid of ``dt`` times the previous node's cost."""
+        sys_ = _labelled_system()
+        x0 = np.array([x1, label])
+        free = closed_loop(sys_, lambda x: -0.5 * x[:1], x0, dt=self.DT, T=self.T)
+        assert not free.diverged
+        last = free.states[-1]
+
+        def ctrl(x):
+            refused = (x == last).all() if mode == "raise_at_last_node" else x[0] < frac * x1
+            if refused:
+                raise RuntimeError("no input")
+            return -0.5 * x[:1]
+
+        got = closed_loop(sys_, ctrl, x0, dt=self.DT, T=self.T)
+        k = got.times.size - 1
+        assert 0 < k <= free.times.size - 1
+        if mode == "raise_at_last_node":
+            assert k == free.times.size - 1
+        assert got.diverged and not got.converged and got.final_input is None
+        assert got.t_fail == k * self.DT
+        assert got.diagnostic == f"controller failed at t={k * self.DT:.6g}: no input"
+        np.testing.assert_array_equal(got.states, free.states[: k + 1])
+        np.testing.assert_array_equal(got.inputs, free.inputs[:k])
+        np.testing.assert_array_equal(got.cumulative_costs[:k], free.cumulative_costs[:k])
+        x, u = free.states[k - 1], free.inputs[k - 1]
+        previous = 0.5 * float(x @ x) + 0.5 * float(u @ u)
+        assert got.cumulative_costs[k] - got.cumulative_costs[k - 1] == pytest.approx(
+            self.DT * previous, rel=1e-12)

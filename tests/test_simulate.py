@@ -245,6 +245,27 @@ class TestControllerComparison:
         assert np.isnan(rows[1].running_cost)
 
 
+    def test_single_state_controllers_get_one_state(self):
+        """A controller written for one state is called on one state: an
+        output with as many entries as inputs times initial conditions is
+        not mistaken for a batch, and each cell is its rollout alone."""
+        sys_, _, _ = _linear_system()
+        G = np.array([[0.4, 0.1]])
+        x0s = [[1.0, -0.5], [-0.3, 0.8]]
+        for ctrl in (lambda x: -G @ x, lambda x: np.array([-x[0]])):
+            trajs = {}
+            rows = compare_controllers(
+                sys_, [("c", ctrl)], x0s, dt=1e-2, T=1.0,
+                on_trajectory=lambda name, i, traj: trajs.__setitem__(i, traj),
+            )
+            for i, x0 in enumerate(x0s):
+                alone = closed_loop(sys_, ctrl, x0, dt=1e-2, T=1.0)
+                np.testing.assert_array_equal(trajs[i].states, alone.states)
+                np.testing.assert_array_equal(trajs[i].inputs, alone.inputs)
+                assert rows[i].running_cost == alone.running_cost
+                assert alone.inputs[0] == pytest.approx(ctrl(np.array(x0, dtype=float)))
+
+
 class TestInitialConditionCloud:
     def test_deterministic_and_bounded(self):
         a = pendulum_ic_cloud(seed=2024)
