@@ -21,6 +21,12 @@ Theta_2)`` is ``kron(I_2, J_hat) - kron(S, G_tilde)`` acting on the stacked
 coefficients, where ``J_hat = G^T KG / L`` and ``G_tilde = G^T G / L``; for a
 1x1 block it reduces to the equation above.
 
+``J_hat`` and ``G_tilde`` do not depend on the block, so one pass over a
+sample set serves every block and both routes (drift eigenfunctions here,
+unstable Hamiltonian-lift eigenfunctions in ``procedure2``):
+:func:`fit_blocks` assembles and solves, :func:`certify_blocks` takes one
+residual pass over the training and one over the held-out set.
+
 Accumulation is chunked at a fixed size so results are bit-reproducible
 regardless of available parallelism.
 """
@@ -28,7 +34,7 @@ regardless of available parallelism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import numpy.typing as npt
@@ -39,13 +45,14 @@ from .spectral import real_spectral_decomposition
 __all__ = [
     "SampleSet",
     "GalerkinProblem",
-    "PrincipalEigenfunction",
     "EigenfunctionSet",
     "ConvergenceStudy",
     "sample_domain",
     "assemble_galerkin",
     "solve_coefficients",
     "pde_residual_rms",
+    "fit_blocks",
+    "certify_blocks",
     "approximate_eigenfunction_set",
     "linear_eigenfunction_set",
     "convergence_study",
@@ -56,6 +63,9 @@ CHUNK = 1024
 
 HELDOUT_SEED_XOR = 0xD1B54A32D192ED03
 """Mixed into a sample seed to derive the held-out validation seed."""
+
+CONVERGENCE_EVAL_POINTS = 2000
+"""Size of the fixed evaluation sample of a convergence study."""
 
 _EVAL_SEED_XOR = 0x9E3779B97F4A7C15  # evaluation grid for convergence studies
 _REF_SEED_XOR = 0xC2B2AE3D27D4EB4F  # dense reference run for convergence studies
@@ -160,22 +170,23 @@ class GalerkinProblem:
     solve_residual: Optional[float] = None
 
 
-def assemble_galerkin(
-    F,
-    basis: AnyBasis,
-    lambda_block,
-    w: npt.ArrayLike,
-    samples: SampleSet,
-    E: Optional[npt.ArrayLike] = None,
-    F_values: Optional[np.ndarray] = None,
-) -> GalerkinProblem:
-    """Assemble the projected linear system for one eigenvalue block.
+def _check_cond(cond_J: float) -> None:
+    """The ``cond(J) < 1e12`` certificate of a projection system."""
+    if not np.isfinite(cond_J) or cond_J >= 1e12:
+        raise RuntimeError(
+            f"Gram matrix numerically singular (cond {cond_J:.3e}); "
+            "basis functions are not independent on this sample"
+        )
 
-    ``w`` must hold left-eigenvector rows of the linearization ``E`` for the
-    given block (``W E = S W`` to 1e-8 relative).  ``E`` defaults to a
-    central-difference Jacobian of ``F`` at the origin; passing it explicitly
-    keeps the forcing ``F_n = F - Ez`` exact.  ``F_values`` may carry
-    precomputed ``F(z_k)`` rows to avoid re-evaluating the field.
+
+def _assemble_pass(
+    F, E_mat: np.ndarray, basis: AnyBasis, blocks: Sequence, samples: SampleSet
+) -> List[GalerkinProblem]:
+    """Projection systems of every ``(S, W)`` block from one pass over the samples.
+
+    Each chunk evaluates the basis and its jacobian once.  ``J_hat`` and
+    ``G_tilde`` do not depend on the block; each block adds its own forcing
+    rows ``(Fn W^T)^T G``.  ``cond_J`` is recorded, not yet certified.
     """
     if not getattr(basis, "purely_nonlinear", False):
         raise ValueError("basis must be purely nonlinear (degrees >= 2 in z)")
@@ -186,37 +197,31 @@ def assemble_galerkin(
     L = samples.L
     if L < M:
         raise ValueError(f"underdetermined: L={L} samples < M={M} basis functions")
-
-    S = np.atleast_2d(np.asarray(lambda_block, dtype=float))
-    W = np.atleast_2d(np.asarray(w, dtype=float))
-    r = S.shape[0]
-    if S.shape != (r, r) or r not in (1, 2):
-        raise ValueError(f"lambda_block must be 1x1 or 2x2, got shape {S.shape}")
-    if W.shape != (r, dim):
-        raise ValueError(f"w shape {W.shape} inconsistent with block size {r} and dim {dim}")
-
-    pts = samples.points
-    FX = _field_values(F, pts) if F_values is None else _field_values(F_values, pts)
-    if E is None:
-        if not callable(F):
-            raise ValueError("E must be given explicitly when F is precomputed values")
-        from .systems import _fd_jacobian
-
-        E_mat = _fd_jacobian(F, np.zeros(dim))
-    else:
-        E_mat = np.asarray(E, dtype=float)
     if E_mat.shape != (dim, dim):
         raise ValueError(f"linearization shape {E_mat.shape} != ({dim}, {dim})")
-    eig_res = np.max(np.abs(W @ E_mat - S @ W))
-    if eig_res > 1e-8 * (1.0 + np.max(np.abs(E_mat))):
-        raise ValueError(
-            f"w is not a left-eigenvector row block of E for this block: "
-            f"residual {eig_res:.3e}"
-        )
 
+    rows = []
+    for lambda_block, w in blocks:
+        S = np.atleast_2d(np.asarray(lambda_block, dtype=float))
+        W = np.atleast_2d(np.asarray(w, dtype=float))
+        r = S.shape[0]
+        if S.shape != (r, r) or r not in (1, 2):
+            raise ValueError(f"lambda_block must be 1x1 or 2x2, got shape {S.shape}")
+        if W.shape != (r, dim):
+            raise ValueError(f"w shape {W.shape} inconsistent with block size {r} and dim {dim}")
+        eig_res = np.max(np.abs(W @ E_mat - S @ W))
+        if eig_res > 1e-8 * (1.0 + np.max(np.abs(E_mat))):
+            raise ValueError(
+                f"w is not a left-eigenvector row block of E for this block: "
+                f"residual {eig_res:.3e}"
+            )
+        rows.append((S, W))
+
+    pts = samples.points
+    FX = _field_values(F, pts)
     J_hat = np.zeros((M, M))
     G_tilde = np.zeros((M, M))
-    b_rows = np.zeros((r, M))
+    b_rows = [np.zeros((W.shape[0], M)) for _, W in rows]
     for start in range(0, L, CHUNK):
         Zc = pts[start : start + CHUNK]
         FXc = FX[start : start + CHUNK]
@@ -226,22 +231,46 @@ def assemble_galerkin(
         Fn = FXc - Zc @ E_mat.T
         J_hat += G.T @ KG
         G_tilde += G.T @ G
-        b_rows += (Fn @ W.T).T @ G  # rows: G^T (Fn w_i)
+        for (_, W), b in zip(rows, b_rows):
+            b += (Fn @ W.T).T @ G  # rows: G^T (Fn w_i)
     J_hat /= L
     G_tilde /= L
-    b_rows /= L
 
-    J_sys = np.kron(np.eye(r), J_hat) - np.kron(S, G_tilde)
-    b_vec = b_rows.reshape(-1)
-    cond_J = float(np.linalg.cond(J_sys))
-    if not np.isfinite(cond_J) or cond_J >= 1e12:
-        raise RuntimeError(
-            f"Gram matrix numerically singular (cond {cond_J:.3e}); "
-            "basis functions are not independent on this sample"
-        )
-    return GalerkinProblem(
-        J=J_sys, b=b_vec, lambda_block=S, w=W, basis=basis, cond_J=cond_J, L=L
-    )
+    probs = []
+    for (S, W), b in zip(rows, b_rows):
+        b /= L
+        J_sys = np.kron(np.eye(S.shape[0]), J_hat) - np.kron(S, G_tilde)
+        probs.append(GalerkinProblem(
+            J=J_sys, b=b.reshape(-1), lambda_block=S, w=W, basis=basis,
+            cond_J=float(np.linalg.cond(J_sys)), L=L,
+        ))
+    return probs
+
+
+def assemble_galerkin(
+    F,
+    basis: AnyBasis,
+    lambda_block,
+    w: npt.ArrayLike,
+    samples: SampleSet,
+    E: Optional[npt.ArrayLike] = None,
+) -> GalerkinProblem:
+    """Assemble the projected linear system for one eigenvalue block.
+
+    ``w`` must hold left-eigenvector rows of the linearization ``E`` for the
+    given block (``W E = S W`` to 1e-8 relative).  ``E`` defaults to a
+    central-difference Jacobian of ``F`` at the origin; passing it explicitly
+    keeps the forcing ``F_n = F - Ez`` exact.
+    """
+    if E is None:
+        if not callable(F):
+            raise ValueError("E must be given explicitly when F is precomputed values")
+        from .systems import _fd_jacobian
+
+        E = _fd_jacobian(F, np.zeros(basis.dim_in))
+    prob = _assemble_pass(F, np.asarray(E, dtype=float), basis, [(lambda_block, w)], samples)[0]
+    _check_cond(prob.cond_J)
+    return prob
 
 
 def solve_coefficients(prob: GalerkinProblem) -> np.ndarray:
@@ -250,11 +279,7 @@ def solve_coefficients(prob: GalerkinProblem) -> np.ndarray:
     The achieved residual is recorded on the problem and certified against
     ``1e-8 ||b||``.
     """
-    if not np.isfinite(prob.cond_J) or prob.cond_J >= 1e12:
-        raise RuntimeError(
-            f"Gram matrix numerically singular (cond {prob.cond_J:.3e}); "
-            "basis functions are not independent on this sample"
-        )
+    _check_cond(prob.cond_J)
     theta_vec = np.linalg.solve(prob.J, -prob.b)
     residual = float(np.linalg.norm(prob.J @ theta_vec + prob.b))
     bound = 1e-8 * np.linalg.norm(prob.b) + 1e-300
@@ -270,29 +295,36 @@ def solve_coefficients(prob: GalerkinProblem) -> np.ndarray:
     return Theta
 
 
-@dataclass(frozen=True)
-class PrincipalEigenfunction:
-    """One eigenvalue block's eigenfunction(s): psi(z) = W z + Theta Gamma(z)."""
+def fit_blocks(
+    F, E: npt.ArrayLike, basis: AnyBasis, blocks: Sequence, samples: SampleSet
+) -> Tuple[List[np.ndarray], np.ndarray]:
+    """Nonlinear coefficients of every ``(S, W)`` block from one sample pass.
 
-    block: np.ndarray  # (r, r)
-    w: np.ndarray  # (r, dim)
-    Theta: np.ndarray  # (r, M)
-    basis: AnyBasis
-    domain: np.ndarray  # (dim, 2)
-    residual_rms: float
-    heldout_rms: float
-    cond_J: float
+    ``F`` is the field or its values at the samples.  Every block's system
+    passes the ``cond(J)`` and solve-residual certificates.  Returns the
+    (r, M) coefficient rows of each block and ``cond(J)`` per block.
+    """
+    probs = _assemble_pass(F, np.asarray(E, dtype=float), basis, blocks, samples)
+    return [solve_coefficients(p) for p in probs], np.array([p.cond_J for p in probs])
 
-    def eval(self, Z: npt.ArrayLike) -> np.ndarray:
-        """psi values: shape (..., dim) -> (..., r)."""
-        Z = np.asarray(Z, dtype=float)
-        return Z @ self.w.T + self.basis.eval(Z) @ self.Theta.T
 
-    def jacobian(self, Z: npt.ArrayLike) -> np.ndarray:
-        """dpsi/dz: shape (..., dim) -> (..., r, dim)."""
-        Z = np.asarray(Z, dtype=float)
-        dG = self.basis.jacobian(Z)
-        return self.w + np.einsum("im,...mj->...ij", self.Theta, dG)
+def _residual_pass(F, basis: AnyBasis, blocks: Sequence, points: np.ndarray) -> np.ndarray:
+    """RMS of ``dpsi/dz . F - S psi`` per ``(S, W, Theta)`` block, in one pass."""
+    FX = _field_values(F, points)
+    totals = [0.0] * len(blocks)
+    for start in range(0, points.shape[0], CHUNK):
+        Zc = points[start : start + CHUNK]
+        FXc = FX[start : start + CHUNK]
+        G = basis.eval(Zc)
+        dG = basis.jacobian(Zc)
+        KG = np.einsum("kmj,kj->km", dG, FXc)
+        for i, (S, W, Th) in enumerate(blocks):
+            Psi = Zc @ W.T + G @ Th.T  # (C, r)
+            dPsiF = FXc @ W.T + KG @ Th.T  # (C, r)
+            res = dPsiF - Psi @ S.T
+            totals[i] += float(np.sum(res * res))
+    counts = [points.shape[0] * W.shape[0] for _, W, _ in blocks]
+    return np.array([float(np.sqrt(t / max(c, 1))) for t, c in zip(totals, counts)])
 
 
 def pde_residual_rms(
@@ -302,7 +334,6 @@ def pde_residual_rms(
     w: npt.ArrayLike,
     Theta: npt.ArrayLike,
     points: npt.ArrayLike,
-    F_values: Optional[np.ndarray] = None,
 ) -> float:
     """RMS over points (and block rows) of ``dpsi/dz . F - S psi``.
 
@@ -310,25 +341,37 @@ def pde_residual_rms(
     directly — the quantity the projection step minimizes in the empirical
     norm.
     """
-    pts = np.asarray(points, dtype=float)
     S = np.atleast_2d(np.asarray(lambda_block, dtype=float))
     W = np.atleast_2d(np.asarray(w, dtype=float))
     Th = np.atleast_2d(np.asarray(Theta, dtype=float))
-    FX = _field_values(F, pts) if F_values is None else _field_values(F_values, pts)
-    total = 0.0
-    count = 0
-    for start in range(0, pts.shape[0], CHUNK):
-        Zc = pts[start : start + CHUNK]
-        FXc = FX[start : start + CHUNK]
-        G = basis.eval(Zc)
-        dG = basis.jacobian(Zc)
-        KG = np.einsum("kmj,kj->km", dG, FXc)
-        Psi = Zc @ W.T + G @ Th.T  # (C, r)
-        dPsiF = FXc @ W.T + KG @ Th.T  # (C, r)
-        res = dPsiF - Psi @ S.T
-        total += float(np.sum(res * res))
-        count += res.size
-    return float(np.sqrt(total / max(count, 1)))
+    return float(_residual_pass(F, basis, [(S, W, Th)], np.asarray(points, dtype=float))[0])
+
+
+def certify_blocks(
+    F, FX: np.ndarray, basis: AnyBasis, blocks: Sequence, samples: SampleSet,
+    heldout_tol: Optional[float], label: str,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Training and held-out PDE residual RMS of every ``(S, W, Theta)`` block.
+
+    ``FX`` holds the field values at the training samples; the held-out
+    sample (size ``L // 5``, seed derived from the sample seed) is drawn and
+    evaluated here.  Each block's held-out RMS must not exceed
+    ``heldout_tol`` (default: 10x its training RMS + 1e-9); ``label`` names
+    the block in the error.
+    """
+    held = sample_domain(
+        samples.box, max(1, samples.L // 5), _derive_seed(samples.seed, HELDOUT_SEED_XOR)
+    )
+    train = _residual_pass(FX, basis, blocks, samples.points)
+    heldout = _residual_pass(F, basis, blocks, held.points)
+    for bi in range(len(blocks)):
+        tol = heldout_tol if heldout_tol is not None else 10.0 * train[bi] + 1e-9
+        if heldout[bi] > tol:
+            raise RuntimeError(
+                f"held-out PDE residual {heldout[bi]:.3e} exceeds tolerance {tol:.3e} "
+                f"for {label} {bi} — eigenfunction did not generalize"
+            )
+    return train, heldout
 
 
 @dataclass(frozen=True)
@@ -381,49 +424,30 @@ def approximate_eigenfunction_set(
     basis: AnyBasis,
     samples: SampleSet,
     heldout_tol: Optional[float] = None,
-    F_values: Optional[np.ndarray] = None,
 ) -> EigenfunctionSet:
     """Approximate all principal eigenfunctions of the flow ``zdot = F(z)``.
 
     For each eigenvalue block of ``E`` (real block form), the linear part
     comes from the spectral decomposition and the nonlinear part from the
-    projected least-squares solve.  A held-out sample of size ``L // 5``
-    (fresh seed derived from the sample seed) validates each block's PDE
-    residual: it must not exceed ``heldout_tol`` (default: 10x the training
-    residual + 1e-9 absolute floor).
+    projected least-squares solve (:func:`fit_blocks`, one pass over the
+    samples for all blocks).  :func:`certify_blocks` validates each block's
+    PDE residual on a held-out sample of size ``L // 5``: it must not
+    exceed ``heldout_tol`` (default: 10x the training residual + 1e-9
+    absolute floor).
     """
     E_mat = np.asarray(E, dtype=float)
     dec = real_spectral_decomposition(E_mat)
     dim = E_mat.shape[0]
     if basis.dim_in != dim:
         raise ValueError(f"basis dim {basis.dim_in} != system dim {dim}")
-    M = basis.M
-    Theta = np.zeros((dim, M))
-    FX = _field_values(F, samples.points) if F_values is None else F_values
-
-    held = sample_domain(
-        samples.box, max(1, samples.L // 5), _derive_seed(samples.seed, HELDOUT_SEED_XOR)
+    FX = _field_values(F, samples.points)
+    blocks = [(dec.Lambda[o : o + r, o : o + r], dec.Vt[o : o + r]) for o, r in dec.blocks]
+    Thetas, conds = fit_blocks(FX, E_mat, basis, blocks, samples)
+    train_rms, held_rms = certify_blocks(
+        F, FX, basis, [(S, W, Th) for (S, W), Th in zip(blocks, Thetas)], samples,
+        heldout_tol, "eigenvalue block",
     )
-    FXh = _field_values(F, held.points)
-
-    train_rms = np.zeros(len(dec.blocks))
-    held_rms = np.zeros(len(dec.blocks))
-    conds = np.zeros(len(dec.blocks))
-    for bi, (off, size) in enumerate(dec.blocks):
-        W = dec.Vt[off : off + size]
-        S = dec.Lambda[off : off + size, off : off + size]
-        prob = assemble_galerkin(F, basis, S, W, samples, E=E_mat, F_values=FX)
-        Th = solve_coefficients(prob)
-        Theta[off : off + size] = Th
-        conds[bi] = prob.cond_J
-        train_rms[bi] = pde_residual_rms(F, basis, S, W, Th, samples.points, F_values=FX)
-        held_rms[bi] = pde_residual_rms(F, basis, S, W, Th, held.points, F_values=FXh)
-        tol = heldout_tol if heldout_tol is not None else 10.0 * train_rms[bi] + 1e-9
-        if held_rms[bi] > tol:
-            raise RuntimeError(
-                f"held-out PDE residual {held_rms[bi]:.3e} exceeds tolerance {tol:.3e} "
-                f"for eigenvalue block {bi} — eigenfunction did not generalize"
-            )
+    Theta = np.vstack(Thetas)
 
     Phi, jac_Phi, Phi_jac = _make_phi(dec.Vt, Theta, basis)
     return EigenfunctionSet(
@@ -501,45 +525,37 @@ def convergence_study(
     L_list: Sequence[int],
     trials: int,
     seed: int,
-    reference: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     block_index: int = 0,
-    n_eval: int = 2000,
 ) -> ConvergenceStudy:
     """Error-vs-sample-count study for one eigenvalue block.
 
     For each ``L`` in ``L_list`` and each trial, the block's eigenfunction is
     recomputed from a fresh sample (child seed from ``SeedSequence([seed,
     i_L, trial])``) and compared against a reference on one fixed evaluation
-    sample: ``error = ||psi_hat - psi_ref|| / ||psi_ref||`` in the empirical
-    2-norm.  The reference is either a supplied callable (e.g. an analytic
-    eigenfunction, shape ``(..., dim) -> (..., r)`` or ``(...,)`` for a real
-    block) or a dense run with ``L_ref = 100 * max(L_list)`` samples.
-    Reported: per-L mean and quartiles, and the least-squares slope of
-    ``log(mean error)`` vs ``log L``.
+    sample of ``CONVERGENCE_EVAL_POINTS`` points: ``error = ||psi_hat -
+    psi_ref|| / ||psi_ref||`` in the empirical 2-norm.  The reference is a
+    dense run with ``L_ref = 100 * max(L_list)`` samples.  Reported: per-L
+    mean and quartiles, and the least-squares slope of ``log(mean error)``
+    vs ``log L``.
     """
     E_mat = np.asarray(E, dtype=float)
     dec = real_spectral_decomposition(E_mat)
     if not (0 <= block_index < len(dec.blocks)) and block_index != -1:
         raise ValueError(f"block_index {block_index} out of range")
     off, size = dec.blocks[block_index]
-    W = dec.Vt[off : off + size]
-    S = dec.Lambda[off : off + size, off : off + size]
+    block = (dec.Lambda[off : off + size, off : off + size], dec.Vt[off : off + size])
 
     box_arr = np.asarray(box, dtype=float)
-    eval_set = sample_domain(box_arr, n_eval, _derive_seed(seed, _EVAL_SEED_XOR))
+    eval_set = sample_domain(
+        box_arr, CONVERGENCE_EVAL_POINTS, _derive_seed(seed, _EVAL_SEED_XOR)
+    )
     G_eval = basis.eval(eval_set.points)
-    lin_eval = eval_set.points @ W.T  # (n_eval, r)
+    lin_eval = eval_set.points @ block[1].T  # (n_eval, r)
 
-    if reference is not None:
-        ref_vals = np.asarray(reference(eval_set.points), dtype=float)
-        if ref_vals.ndim == 1:
-            ref_vals = ref_vals[:, None]
-    else:
-        L_ref = 100 * int(max(L_list))
-        ref_samples = sample_domain(box_arr, L_ref, _derive_seed(seed, _REF_SEED_XOR))
-        prob = assemble_galerkin(F, basis, S, W, ref_samples, E=E_mat)
-        Th_ref = solve_coefficients(prob)
-        ref_vals = lin_eval + G_eval @ Th_ref.T
+    L_ref = 100 * int(max(L_list))
+    ref_samples = sample_domain(box_arr, L_ref, _derive_seed(seed, _REF_SEED_XOR))
+    Th_ref = fit_blocks(F, E_mat, basis, [block], ref_samples)[0][0]
+    ref_vals = lin_eval + G_eval @ Th_ref.T
     ref_norm = float(np.linalg.norm(ref_vals))
     if ref_norm == 0.0:
         raise ValueError("reference eigenfunction is identically zero on the grid")
@@ -551,9 +567,7 @@ def convergence_study(
             child = int(
                 np.random.SeedSequence([int(seed), i, t]).generate_state(1, dtype=np.uint64)[0]
             )
-            samples = sample_domain(box_arr, L, child)
-            prob = assemble_galerkin(F, basis, S, W, samples, E=E_mat)
-            Th = solve_coefficients(prob)
+            Th = fit_blocks(F, E_mat, basis, [block], sample_domain(box_arr, L, child))[0][0]
             vals = lin_eval + G_eval @ Th.T
             errors[i, t] = float(np.linalg.norm(vals - ref_vals)) / ref_norm
 

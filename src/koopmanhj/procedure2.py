@@ -33,14 +33,12 @@ import numpy.typing as npt
 
 from .basis import BasisSet, Procedure2Basis
 from .galerkin import (
-    HELDOUT_SEED_XOR,
     SampleSet,
     _derive_seed,
     _field_values,
-    assemble_galerkin,
-    pde_residual_rms,
+    certify_blocks,
+    fit_blocks,
     sample_domain,
-    solve_coefficients,
 )
 from .spectral import unstable_left_subspace
 from .systems import ControlAffineSystem, HamiltonianSystemModel, feedback, linearize
@@ -120,9 +118,11 @@ def unstable_eigfns(
 
     Linear parts come from the left-unstable subspace of ``H0``; nonlinear
     coefficients from the projected least-squares solve against the full
-    nonlinear field, block by block.  A held-out sample (size L // 5,
-    derived seed) validates each block's PDE residual against
-    ``heldout_tol`` (default 10x training + 1e-9).  The momentum block
+    nonlinear field, the same fit as route 1: one pass over the samples
+    assembles every block (``galerkin.fit_blocks``).  After the row
+    normalization, a held-out sample (size L // 5, derived seed) validates
+    each block's PDE residual against ``heldout_tol`` (default 10x training
+    + 1e-9; ``galerkin.certify_blocks``).  The momentum block
     ``Wu2_t`` must be invertible for the downstream manifold solve.
     """
     n = ham.base.n
@@ -132,20 +132,9 @@ def unstable_eigfns(
         raise ValueError(f"samples have dim {samples.dim}, expected 2n={2 * n}")
     sub = unstable_left_subspace(ham.H0)
     FX = _field_values(ham.F, samples.points)
-    held = sample_domain(
-        samples.box, max(1, samples.L // 5), _derive_seed(samples.seed, HELDOUT_SEED_XOR)
-    )
-    FXh = _field_values(ham.F, held.points)
-
-    Wu = sub.D_full.copy()
-    U = np.zeros((n, basis.M))
-    conds = np.zeros(len(sub.blocks))
-    for bi, (off, size) in enumerate(sub.blocks):
-        W = sub.D_full[off : off + size]
-        S = sub.Lambda_u[off : off + size, off : off + size]
-        prob = assemble_galerkin(ham.F, basis, S, W, samples, E=ham.H0, F_values=FX)
-        U[off : off + size] = solve_coefficients(prob)
-        conds[bi] = prob.cond_J
+    blocks = [(sub.Lambda_u[o : o + r, o : o + r], sub.D_full[o : o + r]) for o, r in sub.blocks]
+    Thetas, conds = fit_blocks(FX, ham.H0, basis, blocks, samples)
+    Wu = sub.D_full
 
     # Per-row normalization: unit linear part, first significant entry
     # positive.  This is a diagonal row scaling s, so the block eigenmatrix
@@ -163,31 +152,15 @@ def unstable_eigfns(
             s = -s
         scale[i] = s
     Wu = Wu * scale[:, None]
-    U = U * scale[:, None]
+    U = np.vstack(Thetas) * scale[:, None]
     Lambda_u = (scale[:, None] * sub.Lambda_u) / scale[None, :]
 
-    train = np.zeros(len(sub.blocks))
-    heldout = np.zeros(len(sub.blocks))
-    for bi, (off, size) in enumerate(sub.blocks):
-        W = Wu[off : off + size]
-        Th = U[off : off + size]
-        S = Lambda_u[off : off + size, off : off + size]
-        train[bi] = pde_residual_rms(ham.F, basis, S, W, Th, samples.points, F_values=FX)
-        heldout[bi] = pde_residual_rms(ham.F, basis, S, W, Th, held.points, F_values=FXh)
-        tol = heldout_tol if heldout_tol is not None else 10.0 * train[bi] + 1e-9
-        if heldout[bi] > tol:
-            raise RuntimeError(
-                f"held-out PDE residual {heldout[bi]:.3e} exceeds tolerance {tol:.3e} "
-                f"for unstable block {bi} — eigenfunction did not generalize"
-            )
-
-    Wu2 = Wu[:, n:]
-    cond2 = np.linalg.cond(Wu2)
-    if not np.isfinite(cond2) or cond2 >= 1e12:
-        raise RuntimeError(
-            f"complementarity condition fails: momentum block of the unstable "
-            f"eigenfunctions numerically singular (condition number {cond2:.2e})"
-        )
+    train, heldout = certify_blocks(
+        ham.F, FX, basis,
+        [(Lambda_u[o : o + r, o : o + r], Wu[o : o + r], U[o : o + r]) for o, r in sub.blocks],
+        samples, heldout_tol, "unstable block",
+    )
+    _check_complementarity(Wu[:, n:])
     return UnstableEigenfunctions(
         Wu_t=Wu,
         U=U,
@@ -201,6 +174,16 @@ def unstable_eigfns(
     )
 
 
+def _check_complementarity(Wu2: np.ndarray) -> None:
+    """The complementarity certificate: ``cond(Wu2_t) < 1e12``."""
+    cond2 = np.linalg.cond(Wu2)
+    if not np.isfinite(cond2) or cond2 >= 1e12:
+        raise RuntimeError(
+            f"complementarity condition fails: momentum block of the unstable "
+            f"eigenfunctions numerically singular (condition number {cond2:.2e})"
+        )
+
+
 def linear_manifold(eigs: UnstableEigenfunctions) -> np.ndarray:
     """Linear coefficient of the manifold: ``Jl = -Wu2_t^{-1} Wu1_t``.
 
@@ -208,12 +191,7 @@ def linear_manifold(eigs: UnstableEigenfunctions) -> np.ndarray:
     for sampled data); callers that need the symmetric quadratic-form
     coefficient symmetrize it and track the asymmetry.
     """
-    cond2 = np.linalg.cond(eigs.Wu2_t)
-    if not np.isfinite(cond2) or cond2 >= 1e12:
-        raise RuntimeError(
-            f"complementarity condition fails: momentum block of the unstable "
-            f"eigenfunctions numerically singular (condition number {cond2:.2e})"
-        )
+    _check_complementarity(eigs.Wu2_t)
     return -np.linalg.solve(eigs.Wu2_t, eigs.Wu1_t)
 
 

@@ -1,10 +1,35 @@
-"""Shared pytest hooks: replay acceptance verdict lines in the summary.
+"""Shared pytest hooks and fixtures.
 
 The acceptance tests each record one ``[AC#] PASS/FAIL — detail`` line;
-pytest captures in-test prints, so this hook re-emits the collected lines
+pytest captures in-test prints, so a hook re-emits the collected lines
 after the run, where they are always visible.
 """
 import sys
+
+import numpy as np
+import pytest
+
+
+class CountingBasis:
+    """A basis that counts the rows its jacobian is evaluated on."""
+
+    def __init__(self, basis):
+        self._basis = basis
+        self.jacobian_rows = 0
+
+    def __getattr__(self, name):
+        return getattr(self._basis, name)
+
+    def jacobian(self, Z):
+        Z = np.asarray(Z, dtype=float)
+        self.jacobian_rows += int(np.prod(Z.shape[:-1]))
+        return self._basis.jacobian(Z)
+
+
+@pytest.fixture
+def counting_basis():
+    """The :class:`CountingBasis` wrapper, to wrap a basis under test."""
+    return CountingBasis
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

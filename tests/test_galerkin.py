@@ -275,3 +275,81 @@ class TestConvergenceStudy:
             convergence_study(
                 sys_.f, lin.A, basis, box, [100, 200], 2, 0, block_index=5
             )
+
+
+def spiral_f(X):
+    """Stable spiral (eigenvalues -1 +- 2i) with quadratic and cubic terms."""
+    X = np.asarray(X, dtype=float)
+    x1, x2 = X[..., 0], X[..., 1]
+    return np.stack([-x1 + 2 * x2 + x1 * x2, -2 * x1 - x2 + x1**2 - x2**3], axis=-1)
+
+
+SPIRAL_A = np.array([[-1.0, 2.0], [-2.0, -1.0]])
+
+
+def _per_block_fit(F, E, basis, samples):
+    """The set fit rebuilt from the one-block wrappers, block by block."""
+    from koopmanhj.galerkin import HELDOUT_SEED_XOR, _derive_seed
+    from koopmanhj.spectral import real_spectral_decomposition
+
+    dec = real_spectral_decomposition(E)
+    held = sample_domain(
+        samples.box, samples.L // 5, _derive_seed(samples.seed, HELDOUT_SEED_XOR)
+    )
+    Theta, conds, train, heldout = [], [], [], []
+    for off, size in dec.blocks:
+        S = dec.Lambda[off : off + size, off : off + size]
+        W = dec.Vt[off : off + size]
+        prob = assemble_galerkin(F, basis, S, W, samples, E=E)
+        Th = solve_coefficients(prob)
+        Theta.append(Th)
+        conds.append(prob.cond_J)
+        train.append(pde_residual_rms(F, basis, S, W, Th, samples.points))
+        heldout.append(pde_residual_rms(F, basis, S, W, Th, held.points))
+    return np.vstack(Theta), np.array(conds), np.array(train), np.array(heldout)
+
+
+ONE_PASS_CASES = {  # field, linearization, degrees, box, L, seed, blocks
+    "example1": (
+        builtin_example1().f, linearize(builtin_example1()).A, (2, 5),
+        np.array([[-1.0, 1.0], [-1.0, 1.0]]), 10000, 3, ((0, 1), (1, 1)),
+    ),
+    "spiral": (
+        spiral_f, SPIRAL_A, (2, 4), np.array([[-0.5, 0.5], [-0.5, 0.5]]), 3000, 1, ((0, 2),),
+    ),
+    "cubic": (cubic_f, np.array([[-1.0]]), (2, 9), CUBIC_BOX, 5000, 0, ((0, 1),)),
+}
+
+
+class TestOnePassFit:
+    """One pass over a sample set serves every eigenvalue block."""
+
+    @pytest.mark.parametrize("case", sorted(ONE_PASS_CASES))
+    def test_set_fit_equals_per_block_wrappers(self, case):
+        F, E, (dmin, dmax), box, L, seed, _ = ONE_PASS_CASES[case]
+        basis = monomial_basis(box.shape[0], dmin, dmax)
+        samples = sample_domain(box, L, seed)
+        eig = approximate_eigenfunction_set(F, E, basis, samples)
+        Theta, conds, train, heldout = _per_block_fit(F, E, basis, samples)
+        assert np.array_equal(eig.Theta, Theta)
+        assert np.array_equal(eig.cond_J, conds)
+        assert np.array_equal(eig.block_residuals, train)
+        assert np.array_equal(eig.heldout_residuals, heldout)
+        # the training RMS against the residual formula on all points at once
+        X, FX = samples.points, F(samples.points)
+        for bi, (off, size) in enumerate(eig.blocks):
+            rows = slice(off, off + size)
+            W, Th, S = eig.Vt[rows], eig.Theta[rows], eig.Lambda[rows, rows]
+            dpsi_f = FX @ W.T + np.einsum("kmj,kj->km", basis.jacobian(X), FX) @ Th.T
+            res = dpsi_f - (X @ W.T + basis.eval(X) @ Th.T) @ S.T
+            assert train[bi] == pytest.approx(np.sqrt(np.mean(res**2)), rel=1e-9)
+
+    @pytest.mark.parametrize("case", sorted(ONE_PASS_CASES))
+    def test_jacobian_rows_do_not_grow_with_blocks(self, case, counting_basis):
+        """Assembly and training residual take one pass over the L samples
+        each, the held-out residual one over L // 5, for any block count."""
+        F, E, (dmin, dmax), box, L, seed, blocks = ONE_PASS_CASES[case]
+        basis = counting_basis(monomial_basis(box.shape[0], dmin, dmax))
+        eig = approximate_eigenfunction_set(F, E, basis, sample_domain(box, L, seed))
+        assert eig.blocks == blocks
+        assert basis.jacobian_rows == 2 * L + L // 5

@@ -17,7 +17,15 @@ import numpy as np
 import pytest
 
 from koopmanhj.basis import monomial_basis, procedure2_basis, value_basis_xi3
-from koopmanhj.galerkin import SampleSet, sample_domain
+from koopmanhj.galerkin import (
+    HELDOUT_SEED_XOR,
+    SampleSet,
+    _derive_seed,
+    assemble_galerkin,
+    pde_residual_rms,
+    sample_domain,
+    solve_coefficients,
+)
 from koopmanhj.procedure2 import (
     UnstableEigenfunctions,
     default_phase_box,
@@ -28,7 +36,7 @@ from koopmanhj.procedure2 import (
     psi_u,
     unstable_eigfns,
 )
-from koopmanhj.spectral import solve_riccati
+from koopmanhj.spectral import solve_riccati, unstable_left_subspace
 from koopmanhj.systems import (
     builtin_example1,
     control_affine_system,
@@ -372,3 +380,64 @@ class TestPhaseBox:
         )
         with pytest.raises(RuntimeError, match="complementarity"):
             linear_manifold(eigs)
+
+
+ONE_PASS_CASES = {
+    "example1": (lambda: builtin_example1(1.0), EX1_BOX, (6, 4), 6000, 0),
+    "cubic": (_cubic_system, np.array([[-0.35, 0.35]]), (7, 5), 3000, 2),
+}
+
+
+def _one_pass_case(case):
+    make_sys, x_box, (d1, d2), L, seed = ONE_PASS_CASES[case]
+    sys_ = make_sys()
+    ham = hamiltonian_vector_field(sys_)
+    samples = sample_domain(default_phase_box(sys_, x_box, margin=1.0), L, seed)
+    return ham, procedure2_basis(sys_.n, d1, d2), samples
+
+
+class TestOnePassUnstableFit:
+    """Route 2 fits its blocks with the same one-pass code as route 1."""
+
+    @pytest.mark.parametrize("case", sorted(ONE_PASS_CASES))
+    def test_set_fit_equals_per_block_wrappers(self, case):
+        ham, basis, samples = _one_pass_case(case)
+        eigs = unstable_eigfns(ham, basis, samples)
+        sub = unstable_left_subspace(ham.H0)
+        U, conds = [], []
+        for off, size in sub.blocks:
+            S = sub.Lambda_u[off : off + size, off : off + size]
+            prob = assemble_galerkin(
+                ham.F, basis, S, sub.D_full[off : off + size], samples, E=ham.H0
+            )
+            U.append(solve_coefficients(prob))
+            conds.append(prob.cond_J)
+        # the stored rows: unit linear part, first significant entry positive
+        scale = np.array([
+            np.sign(row[np.flatnonzero(np.abs(row) > 1e-8 * np.max(np.abs(row)))[0]])
+            / np.linalg.norm(row)
+            for row in sub.D_full
+        ])
+        assert np.array_equal(eigs.Wu_t, sub.D_full * scale[:, None])
+        assert np.array_equal(eigs.U, np.vstack(U) * scale[:, None])
+        assert np.array_equal(eigs.cond_J, np.array(conds))
+        held = sample_domain(
+            samples.box, samples.L // 5, _derive_seed(samples.seed, HELDOUT_SEED_XOR)
+        )
+        for bi, (off, size) in enumerate(sub.blocks):
+            rows = slice(off, off + size)
+            block = (eigs.Lambda_u[rows, rows], eigs.Wu_t[rows], eigs.U[rows])
+            assert eigs.residual_rms[bi] == pde_residual_rms(
+                ham.F, basis, *block, samples.points
+            )
+            assert eigs.heldout_rms[bi] == pde_residual_rms(
+                ham.F, basis, *block, held.points
+            )
+
+    @pytest.mark.parametrize("case", sorted(ONE_PASS_CASES))
+    def test_jacobian_rows_do_not_grow_with_blocks(self, case, counting_basis):
+        ham, basis, samples = _one_pass_case(case)
+        counting = counting_basis(basis)
+        eigs = unstable_eigfns(ham, counting, samples)
+        assert len(eigs.blocks) == ham.base.n
+        assert counting.jacobian_rows == 2 * samples.L + samples.L // 5
