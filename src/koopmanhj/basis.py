@@ -36,6 +36,7 @@ __all__ = [
     "monomial_basis",
     "monomial_exponents",
     "procedure2_basis",
+    "quadratic_form_gradient",
     "value_basis_xi3",
 ]
 
@@ -117,6 +118,45 @@ class MonomialTable:
         out = np.zeros(lead + (self.M * self.n,))
         out[..., self.jac_pos] = self.jac_coef * pw[..., self.jac_index].prod(axis=-1)
         return out.reshape(lead + (self.M, self.n))
+
+
+def quadratic_form_gradient(
+    exponents: npt.ArrayLike, S: npt.ArrayLike
+) -> tuple[MonomialTable, np.ndarray]:
+    """``(dpsi/dx)^T S psi`` for monomials ``psi_a = x^(E_a)``, as one polynomial.
+
+    This is the gradient of ``0.5 psi^T S psi`` for a symmetric ``S``.  Entry
+    ``j`` is ``sum_{a,b} S_ba E_bj x^(E_a + E_b - e_j)``; with every row of
+    ``E`` of degree 1..d it is a polynomial of degrees 1..2d-1.  Returns the
+    table of ``monomial_exponents(n, 1, 2d - 1)`` (``C(n + 2d - 1, n) - 1``
+    terms) and the ``(n, T)`` coefficient matrix ``C``, so that the gradient
+    at ``x`` is ``table.eval(table.powers(x)) @ C.T``.  Every pair and
+    derivative is collected by one ``bincount`` in a fixed order.
+    """
+    E = np.asarray(exponents, dtype=np.int64)
+    S = np.asarray(S, dtype=float)
+    P, n = E.shape
+    if S.shape != (P, P):
+        raise ValueError(f"S has shape {S.shape}, expected ({P}, {P})")
+    deg = E.sum(axis=1)
+    if P == 0 or int(deg.min()) < 1:
+        raise ValueError("every monomial must have degree at least 1")
+    top = 2 * int(deg.max()) - 1
+    out = monomial_exponents(n, 1, top)
+    T = out.shape[0]
+    # one integer key per exponent vector (every exponent is at most top)
+    weights = (top + 1) ** np.arange(n, dtype=np.int64)
+    keys = out @ weights
+    order = np.argsort(keys)
+    b, j = np.nonzero(E)  # derivative of psi_b along x_j, nonzero terms only
+    dec = E[b].copy()
+    dec[np.arange(b.size), j] -= 1
+    gamma_keys = (E @ weights)[:, None] + (dec @ weights)[None, :]  # (P, Q)
+    term = order[np.searchsorted(keys[order], gamma_keys)]
+    coef = S[b, :].T * E[b, j]  # (P, Q): S_ba E_bj
+    pos = j[None, :] * T + term
+    C = np.bincount(pos.ravel(), weights=coef.ravel(), minlength=n * T)
+    return MonomialTable(out, top), C.reshape(n, T)
 
 
 @dataclass(frozen=True)

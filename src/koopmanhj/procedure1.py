@@ -29,13 +29,14 @@ Phi(x)`` solves the evolution equation ``H0(x, dW/dx^T) + dW/dt = 0``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
 import scipy.linalg
 
+from .basis import BasisSet, MonomialTable, quadratic_form_gradient
 from .galerkin import EigenfunctionSet, SampleSet, _derive_seed, sample_domain
 from .simulate import _rk4
 from .spectral import RiccatiSolution, solve_riccati
@@ -82,6 +83,11 @@ class HJSolution1:
     batched states ``(..., n)``.  ``riccati_embedding`` is the
     quadratic-order value matrix ``P_r = Vt^T L Vt``, which solves the
     state-space Riccati equation of the linearization.
+
+    ``grad_poly`` is the value gradient collapsed into one polynomial, a
+    monomial table and its ``(n, T)`` coefficient matrix (see
+    :func:`procedure1_solve`); without it the gradient is the contraction
+    ``(dPhi/dx)^T L Phi``.
     """
 
     eig: EigenfunctionSet
@@ -90,13 +96,20 @@ class HJSolution1:
     R1: np.ndarray
     Q1: np.ndarray
     riccati: RiccatiSolution
+    grad_poly: Optional[Tuple[MonomialTable, np.ndarray]] = field(
+        default=None, repr=False, compare=False
+    )
 
     def value(self, x: npt.ArrayLike) -> np.ndarray:
         Phi = self.eig.Phi(np.asarray(x, dtype=float))
         return 0.5 * np.einsum("...i,ij,...j->...", Phi, self.L, Phi)
 
     def grad_value(self, x: npt.ArrayLike) -> np.ndarray:
-        Phi, jac = self.eig.Phi_jac(np.asarray(x, dtype=float))
+        X = np.asarray(x, dtype=float)
+        if self.grad_poly is not None:
+            table, Cp = self.grad_poly
+            return table.eval(table.powers(X)) @ Cp.T
+        Phi, jac = self.eig.Phi_jac(X)
         LPhi = Phi @ self.L.T  # L symmetric; (..., n)
         return (LPhi[..., None, :] @ jac)[..., 0, :]
 
@@ -109,12 +122,32 @@ class HJSolution1:
         return self.eig.Vt.T @ self.L @ self.eig.Vt
 
 
+def _collapse_gradient(
+    eig: EigenfunctionSet, L: np.ndarray
+) -> Optional[Tuple[MonomialTable, np.ndarray]]:
+    """The value gradient of a fitted monomial set as one polynomial, else None.
+
+    ``Phi = C psi`` with ``psi = (x, G(x))`` and ``C = [Vt Theta]``, so
+    ``V = 0.5 psi^T S psi`` with ``S = C^T L C`` and ``grad V`` is a
+    polynomial of degree ``2d - 1`` (:func:`quadratic_form_gradient`).
+    """
+    if not isinstance(eig.basis, BasisSet) or eig.Theta is None:
+        return None
+    expo = np.vstack([np.eye(eig.n, dtype=np.int64), eig.basis.exponents])
+    if int(expo.sum(axis=1).min()) < 1:
+        return None
+    C = np.hstack([eig.Vt, eig.Theta])
+    return quadratic_form_gradient(expo, C.T @ L @ C)
+
+
 def procedure1_solve(sys: ControlAffineSystem, eig: EigenfunctionSet) -> HJSolution1:
     """Solve the eigenfunction-coordinate Riccati equation and assemble V, u*.
 
     Requires a hyperbolic eigenvalue matrix (no eigenvalue of ``Lambda`` on
     the imaginary axis) so the associated Hamiltonian matrix admits a
-    stabilizing solution.
+    stabilizing solution.  For a set fitted on a monomial basis the value
+    gradient is collapsed once here into one polynomial; sets without one
+    (closed-form and linear sets) keep the contraction.
     """
     if eig.n != sys.n:
         raise ValueError(f"eigenfunction set has n={eig.n}, system has n={sys.n}")
@@ -126,7 +159,10 @@ def procedure1_solve(sys: ControlAffineSystem, eig: EigenfunctionSet) -> HJSolut
     lin = linearize(sys)
     R1, Q1 = compute_R1_Q1(lin, eig.Vt)
     ric = solve_riccati(eig.Lambda, R1, Q1)
-    return HJSolution1(eig=eig, sys=sys, L=ric.P, R1=R1, Q1=Q1, riccati=ric)
+    return HJSolution1(
+        eig=eig, sys=sys, L=ric.P, R1=R1, Q1=Q1, riccati=ric,
+        grad_poly=_collapse_gradient(eig, ric.P),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -267,8 +303,7 @@ def verify_generating_function(
     P = np.asarray(P_vec, dtype=float).reshape(eig.n)
     pts = samples.points
     F = np.asarray(sys.f(pts), dtype=float)
-    Phi = eig.Phi(pts)  # (L, n)
-    jac = eig.jac_Phi(pts)  # (L, n, n)
+    Phi, jac = eig.Phi_jac(pts)  # (L, n), (L, n, n)
     dPhiF = np.einsum("kij,kj->ki", jac, F)  # (L, n)
     per_time = np.zeros(len(t_grid))
     for i, t in enumerate(t_grid):

@@ -6,9 +6,11 @@ import pytest
 
 from koopmanhj.basis import (
     BasisSet,
+    MonomialTable,
     monomial_basis,
     monomial_exponents,
     procedure2_basis,
+    quadratic_form_gradient,
     value_basis_xi3,
 )
 
@@ -152,3 +154,28 @@ class TestProcedure2Basis:
         z0 = np.zeros(4)
         np.testing.assert_array_equal(b.eval(z0), np.zeros(b.M))
         np.testing.assert_array_equal(b.jacobian(z0), np.zeros((b.M, 4)))
+
+
+class TestQuadraticFormGradient:
+    @pytest.mark.parametrize("n,dmax", [(1, 4), (2, 3), (3, 2)])
+    def test_equals_jacobian_contraction(self, n, dmax):
+        """The collected polynomial equals ``(dpsi/dx)^T S psi`` evaluated
+        from the monomials and their jacobian, for a nonsymmetric S."""
+        rng = np.random.default_rng(n)
+        E = monomial_exponents(n, 1, dmax)
+        S = rng.normal(size=(len(E), len(E)))
+        table, C = quadratic_form_gradient(E, S)
+        assert table.M == math.comb(n + 2 * dmax - 1, n) - 1
+        assert C.shape == (n, table.M)
+        psi = MonomialTable(E, dmax)
+        X = rng.uniform(-1.5, 1.5, size=(40, n))
+        pw = psi.powers(X)
+        want = np.einsum("kbn,ba,ka->kn", psi.jacobian(pw), S, psi.eval(pw))
+        got = table.eval(table.powers(X)) @ C.T
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    def test_rejects_constants_and_mismatched_weights(self):
+        with pytest.raises(ValueError, match="degree at least 1"):
+            quadratic_form_gradient(monomial_exponents(2, 0, 2), np.eye(6))
+        with pytest.raises(ValueError, match="S has shape"):
+            quadratic_form_gradient(monomial_exponents(2, 1, 2), np.eye(4))

@@ -11,9 +11,15 @@ Closed-form anchors used below, all checkable by hand:
 * scalar cubic system: Lambda = -1, R1 = Q1 = 1 gives the quadratic
   equation L^2 + 2L - 1 = 0, so L = sqrt(2) - 1.
 """
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from koopmanhj import procedure1
 from koopmanhj.basis import monomial_basis
@@ -35,6 +41,7 @@ from koopmanhj.procedure1 import (
 from koopmanhj.spectral import solve_riccati
 from koopmanhj.systems import (
     builtin_example1,
+    builtin_pendulum,
     hj_residual,
     linearize,
     polynomial_system,
@@ -255,6 +262,28 @@ class TestIntegrability:
         assert rep.max_residual < 1e-10
         assert rep.per_time_max.shape == (3,)
 
+    def test_generating_function_equals_separate_passes(self):
+        """One ``Phi_jac`` pass gives the bits of separate ``Phi`` and
+        ``jac_Phi`` passes contracted as before."""
+        sys_ = builtin_example1(1.0)
+        box = np.array([[-1.0, 1.0], [-1.0, 1.0]])
+        eig = approximate_eigenfunction_set(
+            sys_.f, linearize(sys_).A, monomial_basis(2, 2, 4), sample_domain(box, 3000, 2)
+        )
+        samples = sample_domain(0.5 * box, 200, 7)
+        P, t_grid = np.array([0.3, -0.2]), (0.0, 0.25, 1.0)
+        rep = verify_generating_function(eig, sys_, P, samples, t_grid)
+        pts = samples.points
+        Phi, jac = eig.Phi(pts), eig.jac_Phi(pts)
+        dPhiF = np.einsum("kij,kj->ki", jac, sys_.f(pts))
+        want = np.zeros(len(t_grid))
+        for i, t in enumerate(t_grid):
+            Et = scipy.linalg.expm(-eig.Lambda * t)
+            res = dPhiF @ (P @ Et) - Phi @ (P @ eig.Lambda @ Et)
+            want[i] = float(np.max(np.abs(res)))
+        np.testing.assert_array_equal(rep.per_time_max, want)
+        assert rep.max_residual == want.max()
+
     def test_fitted_eigenfunctions_keep_small_drift(self):
         sys_ = builtin_example1(1.0)
         lin = linearize(sys_)
@@ -269,6 +298,103 @@ class TestIntegrability:
         )
         assert rep.max_H0_drift_rel < 1e-3
         assert rep.max_X_drift_rel < 1e-2
+
+
+def _spiral_system():
+    """Stable spiral (eigenvalues -1 +- 2i) with quadratic and cubic terms."""
+    return polynomial_system(
+        [[(-1.0, (1, 0)), (2.0, (0, 1)), (1.0, (1, 1))],
+         [(-2.0, (1, 0)), (-1.0, (0, 1)), (1.0, (2, 0)), (-1.0, (0, 3))]],
+        [[1.0], [0.5]], [[1.0]], np.eye(2),
+    )
+
+
+# name: (system, box, (deg_min, deg_max), L, sample seed)
+COLLAPSE_CASES = {
+    "pendulum": (lambda: builtin_pendulum(9.81),
+                 np.array([[-3.0, 3.0], [-5.0, 5.0], [-5.0, 5.0]]), (2, 2), 10000, 12345),
+    "example1": (lambda: builtin_example1(0.5),
+                 np.array([[-1.0, 1.0], [-1.0, 1.0]]), (2, 5), 10000, 0),
+    "spiral": (_spiral_system, np.array([[-0.5, 0.5], [-0.5, 0.5]]), (2, 4), 3000, 1),
+}
+
+
+@pytest.fixture(scope="module")
+def collapsed():
+    """Route-1 solutions of the fitted sets of :data:`COLLAPSE_CASES`."""
+    sols = {}
+    for name, (make, box, (dmin, dmax), L, seed) in COLLAPSE_CASES.items():
+        sys_ = make()
+        eig = approximate_eigenfunction_set(
+            sys_.f, linearize(sys_).A, monomial_basis(sys_.n, dmin, dmax),
+            sample_domain(box, L, seed),
+        )
+        sols[name] = procedure1_solve(sys_, eig)
+    return sols
+
+
+def _box_points(name):
+    box = COLLAPSE_CASES[name][1]
+    n = box.shape[0]
+    return st.integers(1, 8).flatmap(lambda k: st.tuples(*[
+        arrays(np.float64, (k,), elements=st.floats(lo, hi, width=64)) for lo, hi in box
+    ])).map(lambda cols: np.stack(cols, axis=-1).reshape(-1, n))
+
+
+def _assert_rel_max(got, want, rel=1e-12):
+    """``got`` within ``rel`` of ``want``, relative to the largest entry of
+    ``want``; the floor 1e-300 keeps subnormal round-off out of the ratio."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * max(np.max(np.abs(want)), 1e-300)
+
+
+class TestCollapsedGradient:
+    """The route-1 value gradient as one polynomial against the contraction
+    ``(dPhi/dx)^T L Phi`` of the same fitted set."""
+
+    @pytest.mark.parametrize("name", sorted(COLLAPSE_CASES))
+    def test_equals_contraction_on_the_box(self, collapsed, name):
+        sol = collapsed[name]
+        assert sol.grad_poly is not None
+        oracle = dataclasses.replace(sol, grad_poly=None)
+        box = COLLAPSE_CASES[name][1]
+        X = sample_domain(box, 2000, 11).points
+        _assert_rel_max(sol.grad_value(X), oracle.grad_value(X))
+        np.testing.assert_array_equal(sol.grad_value(np.zeros(sol.eig.n)), 0.0)
+
+    @pytest.mark.parametrize("name", sorted(COLLAPSE_CASES))
+    def test_equals_contraction_one_state_and_batches(self, collapsed, name):
+        sol = collapsed[name]
+        oracle = dataclasses.replace(sol, grad_poly=None)
+
+        @settings(max_examples=30, deadline=None)
+        @given(_box_points(name))
+        def check(X):
+            want = oracle.grad_value(X)
+            _assert_rel_max(sol.grad_value(X), want)
+            _assert_rel_max(sol.grad_value(X[None]), want[None])
+            for x in X:
+                _assert_rel_max(sol.grad_value(x), oracle.grad_value(x))
+
+        check()
+
+    @pytest.mark.parametrize("name", sorted(COLLAPSE_CASES))
+    def test_term_count(self, collapsed, name):
+        """A dictionary of degree d gives C(n + 2d - 1, n) - 1 terms of
+        degrees 1..2d - 1."""
+        sol = collapsed[name]
+        n, d = sol.eig.n, COLLAPSE_CASES[name][2][1]
+        table, Cp = sol.grad_poly
+        assert table.M == math.comb(n + 2 * d - 1, n) - 1
+        assert Cp.shape == (n, table.M)
+        # the linear terms are the Riccati embedding: grad V = P_r x + ...
+        np.testing.assert_allclose(Cp[:, :n], sol.riccati_embedding, rtol=1e-12, atol=1e-12)
+
+    def test_sets_without_a_monomial_basis_keep_the_contraction(self):
+        sys_ = builtin_example1(1.0)
+        assert procedure1_solve(sys_, example1_eigenfunction_set()).grad_poly is None
+        eig = linear_eigenfunction_set(linearize(sys_).A, np.array([[-1.0, 1.0]] * 2))
+        assert procedure1_solve(sys_, eig).grad_poly is None
 
 
 def _integrability_per_sample(eig, sys_, samples, t_grid, dt):

@@ -8,6 +8,8 @@ only, never inside the library.
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from koopmanhj.spectral import (
     lagrangian_subspace,
@@ -184,3 +186,106 @@ class TestSolveRiccati:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             solve_riccati(np.eye(2), np.eye(3), np.eye(2))
+
+
+# ----------------------------------------------------------------------
+# Property tests on random matrices
+# ----------------------------------------------------------------------
+
+_parts = st.floats(-3.0, 3.0).filter(lambda v: abs(v) >= 0.05)
+
+
+@st.composite
+def _matrix_with_complex_pairs(draw):
+    """``A = S^{-1} blkdiag(...) S`` with 0-3 real eigenvalues and 1-2
+    complex pairs ``a +- ib``, all separated by at least 0.1."""
+    reals = draw(st.lists(_parts, min_size=0, max_size=3))
+    pairs = draw(st.lists(st.tuples(_parts, st.floats(0.1, 3.0)), min_size=1, max_size=2))
+    eigs = [complex(r) for r in reals] + [complex(a, s * b) for a, b in pairs for s in (1, -1)]
+    assume(min(abs(u - v) for i, u in enumerate(eigs) for v in eigs[i + 1:]) >= 0.1)
+    n = len(eigs)
+    B = np.zeros((n, n))
+    for i, r in enumerate(reals):
+        B[i, i] = r
+    o = len(reals)
+    for a, b in pairs:
+        B[o:o + 2, o:o + 2] = [[a, -b], [b, a]]
+        o += 2
+    S = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n, n))
+    assume(np.linalg.cond(S) < 1e3)
+    return np.linalg.solve(S, B @ S), [(r, 0.0) for r in reals] + list(pairs)
+
+
+class TestDecompositionProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_matrix_with_complex_pairs())
+    def test_block_form_on_random_matrices(self, case):
+        """``Vt A = Lambda Vt``; 1x1 blocks for real eigenvalues and 2x2
+        blocks ``[[a, -b], [b, a]]`` with ``b > 0`` for pairs, contiguous,
+        ascending in (a, b), zero outside the blocks; ``Vt`` invertible."""
+        A, spectrum = case
+        n = A.shape[0]
+        dec = real_spectral_decomposition(A)
+        scale = np.linalg.norm(A) * np.linalg.norm(dec.Vt)
+        np.testing.assert_allclose(dec.Vt @ A, dec.Lambda @ dec.Vt, rtol=0, atol=1e-10 * scale)
+        offsets = [o for o, _ in dec.blocks]
+        sizes = [r for _, r in dec.blocks]
+        assert offsets == list(np.cumsum([0] + sizes[:-1])) and sum(sizes) == n
+        assert sizes.count(2) == sum(1 for _, b in spectrum if b > 0)
+        got, mask = [], np.zeros((n, n), dtype=bool)
+        for o, r in dec.blocks:
+            blk = dec.Lambda[o:o + r, o:o + r]
+            mask[o:o + r, o:o + r] = True
+            if r == 1:
+                got.append((blk[0, 0], 0.0))
+            else:
+                a, b = blk[0, 0], blk[1, 0]
+                assert b > 0
+                np.testing.assert_array_equal(blk, [[a, -b], [b, a]])
+                got.append((a, b))
+        assert not dec.Lambda[~mask].any()
+        assert got == sorted(got)
+        as_eigs = lambda pairs: np.array(  # noqa: E731
+            [complex(a, s * b) for a, b in pairs for s in ((1,) if b == 0 else (1, -1))]
+        )
+        # the eigenvalues are 0.1 apart: each one has its own nearest match
+        dist = np.abs(as_eigs(got)[:, None] - as_eigs(spectrum)[None, :])
+        assert dist.min(axis=0).max() <= 1e-8 and dist.min(axis=1).max() <= 1e-8
+        assert dec.cond_V == np.linalg.cond(dec.Vt) < 1e12
+
+
+class TestRiccatiProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_certificates_on_random_stabilizable_pairs(self, n, p, seed):
+        """The stabilizing solution carries a residual certificate equal to
+        the residual of the returned ``P``, below its tolerance, and the
+        spectrum of ``A - R P`` in the open left half-plane; ``P`` is
+        symmetric and equals the independent CARE solution."""
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(n, n))
+        B = rng.normal(size=(n, p))
+        ctrb = np.hstack([np.linalg.matrix_power(A, k) @ B for k in range(n)])
+        sv = np.linalg.svd(ctrb, compute_uv=False)
+        assume(sv[-1] > 1e-3 * sv[0])
+        M = rng.normal(size=(n, n))
+        Q = M @ M.T + 0.1 * np.eye(n)
+        G = rng.normal(size=(p, p))
+        D = G @ G.T + np.eye(p)
+        R = B @ np.linalg.solve(D, B.T)
+        P_ref = scipy.linalg.solve_continuous_are(A, B, Q, D)
+        # the residual tolerance 1e-8 (1 + |Q|) does not grow with P: for
+        # |P| ~ 1e4 and more the round-off of an exact solution exceeds it
+        assume(np.linalg.norm(P_ref) <= 1e3)
+        sol = solve_riccati(A, R, Q)
+        P = sol.P
+        np.testing.assert_array_equal(P, P.T)
+        assert sol.residual == float(np.linalg.norm(A.T @ P + P @ A - P @ R @ P + Q))
+        assert sol.residual <= 1e-8 * (1.0 + np.linalg.norm(Q))
+        np.testing.assert_allclose(
+            np.sort_complex(sol.closed_loop_spectrum),
+            np.sort_complex(np.linalg.eigvals(A - R @ P)), rtol=0, atol=1e-12,
+        )
+        assert np.all(sol.closed_loop_spectrum.real < 0)
+        assert np.all(np.linalg.eigvalsh(P) > 0)
+        np.testing.assert_allclose(P, P_ref, rtol=0, atol=1e-7 * (1.0 + np.linalg.norm(P_ref)))
