@@ -32,7 +32,7 @@ from .simulate import (
     write_comparison_csv,
     write_trajectory_csv,
 )
-from .systems import MomentumFeedback, hj_residual, linearize
+from .systems import hj_residual, linearize
 
 _MAX_GRID_POINTS = 1_000_000
 
@@ -331,10 +331,10 @@ def _build_controllers(
                 named.append(("lqr", linear_controller(K)))
             elif spec == "procedure1":
                 sol, _ = _solve_procedure1(cfg, sys_, lin)
-                named.append(("procedure1", MomentumFeedback(sys_, sol.grad_value)))
+                named.append(("procedure1", sol.control))
             elif spec == "procedure2":
                 sol2 = _build_p2(cfg, sys_)
-                named.append(("procedure2", MomentumFeedback(sys_, sol2.p_star)))
+                named.append(("procedure2", sol2.control))
             else:  # pragma: no cover — config validation rejects other names
                 raise ConfigError(f"unknown controller '{spec}'")
         else:

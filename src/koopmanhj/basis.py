@@ -23,8 +23,8 @@ every dictionary — and everything computed from it — reproducible.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 import numpy.typing as npt
@@ -54,17 +54,20 @@ def monomial_exponents(n: int, deg_min: int, deg_max: int) -> np.ndarray:
         raise ValueError(f"dimension must be positive, got n={n}")
     if deg_max < deg_min:
         raise ValueError(f"deg_max={deg_max} < deg_min={deg_min}")
-    rows: list[tuple[int, ...]] = []
-    for deg in range(deg_min, deg_max + 1):
-        combos = [
-            alpha
-            for alpha in itertools.product(range(deg + 1), repeat=n)
-            if sum(alpha) == deg
-        ]
-        # lexicographic with x1 most significant: descending exponent tuples
-        combos.sort(key=lambda alpha: tuple(-a for a in alpha))
-        rows.extend(combos)
+    rows = [alpha for deg in range(deg_min, deg_max + 1) for alpha in _compositions(deg, n)]
     return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+
+
+def _compositions(deg: int, n: int) -> Iterator[tuple[int, ...]]:
+    """Exponent tuples of ``n`` entries summing to ``deg``, descending
+    lexicographic (x1 most significant), without scanning all (deg + 1)^n
+    candidate tuples."""
+    if n == 1:
+        yield (deg,)
+        return
+    for first in range(deg, -1, -1):
+        for rest in _compositions(deg - first, n - 1):
+            yield (first,) + rest
 
 
 class MonomialTable:
@@ -120,6 +123,24 @@ class MonomialTable:
         return out.reshape(lead + (self.M, self.n))
 
 
+def _row_keys(rows: np.ndarray, base: int) -> np.ndarray:
+    """One int64 key per row of digits ``0..base - 1``; equal rows, equal keys.
+
+    The digits are packed in base ``base``.  Whenever the next digit could
+    overflow int64, the keys so far are first replaced by their dense ranks
+    (below the number of rows), so the packing never wraps around.
+    """
+    key = np.zeros(rows.shape[0], dtype=np.int64)
+    span = 1  # every key lies in [0, span)
+    for col in rows.T:
+        if span * base > np.iinfo(np.int64).max:
+            key = np.unique(key, return_inverse=True)[1].reshape(-1)
+            span = rows.shape[0]
+        key = key * base + col
+        span *= base
+    return key
+
+
 def quadratic_form_gradient(
     exponents: npt.ArrayLike, S: npt.ArrayLike
 ) -> tuple[MonomialTable, np.ndarray]:
@@ -131,7 +152,9 @@ def quadratic_form_gradient(
     table of ``monomial_exponents(n, 1, 2d - 1)`` (``C(n + 2d - 1, n) - 1``
     terms) and the ``(n, T)`` coefficient matrix ``C``, so that the gradient
     at ``x`` is ``table.eval(table.powers(x)) @ C.T``.  Every pair and
-    derivative is collected by one ``bincount`` in a fixed order.
+    derivative is collected by one ``bincount`` in a fixed order.  The
+    products ``E_a + E_b - e_j`` are matched to table rows by
+    :func:`_row_keys`, exact for any ``n`` and degree.
     """
     E = np.asarray(exponents, dtype=np.int64)
     S = np.asarray(S, dtype=float)
@@ -144,16 +167,14 @@ def quadratic_form_gradient(
     top = 2 * int(deg.max()) - 1
     out = monomial_exponents(n, 1, top)
     T = out.shape[0]
-    # one integer key per exponent vector (every exponent is at most top)
-    weights = (top + 1) ** np.arange(n, dtype=np.int64)
-    keys = out @ weights
-    order = np.argsort(keys)
     b, j = np.nonzero(E)  # derivative of psi_b along x_j, nonzero terms only
     dec = E[b].copy()
     dec[np.arange(b.size), j] -= 1
-    gamma_keys = (E @ weights)[:, None] + (dec @ weights)[None, :]  # (P, Q)
-    term = order[np.searchsorted(keys[order], gamma_keys)]
-    coef = S[b, :].T * E[b, j]  # (P, Q): S_ba E_bj
+    gamma = (E[:, None, :] + dec[None, :, :]).reshape(-1, n)  # product exponents
+    keys = _row_keys(np.vstack([out, gamma]), top + 1)  # every exponent is <= top
+    order = np.argsort(keys[:T])
+    term = order[np.searchsorted(keys[:T][order], keys[T:])].reshape(P, b.size)
+    coef = S[b, :].T * E[b, j]  # (P, b.size): S_ba E_bj
     pos = j[None, :] * T + term
     C = np.bincount(pos.ravel(), weights=coef.ravel(), minlength=n * T)
     return MonomialTable(out, top), C.reshape(n, T)

@@ -84,10 +84,11 @@ class HJSolution1:
     quadratic-order value matrix ``P_r = Vt^T L Vt``, which solves the
     state-space Riccati equation of the linearization.
 
-    ``grad_poly`` is the value gradient collapsed into one polynomial, a
-    monomial table and its ``(n, T)`` coefficient matrix (see
-    :func:`procedure1_solve`); without it the gradient is the contraction
-    ``(dPhi/dx)^T L Phi``.
+    ``grad_poly`` is derived from ``eig`` and ``L`` on construction: for a
+    set fitted on a monomial basis, the value gradient collapsed into one
+    polynomial, a monomial table and its ``(n, T)`` coefficient matrix
+    (:func:`_collapse_gradient`); otherwise None, and the gradient is the
+    contraction ``(dPhi/dx)^T L Phi``.
     """
 
     eig: EigenfunctionSet
@@ -97,8 +98,11 @@ class HJSolution1:
     Q1: np.ndarray
     riccati: RiccatiSolution
     grad_poly: Optional[Tuple[MonomialTable, np.ndarray]] = field(
-        default=None, repr=False, compare=False
+        init=False, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "grad_poly", _collapse_gradient(self.eig, self.L))
 
     def value(self, x: npt.ArrayLike) -> np.ndarray:
         Phi = self.eig.Phi(np.asarray(x, dtype=float))
@@ -145,9 +149,9 @@ def procedure1_solve(sys: ControlAffineSystem, eig: EigenfunctionSet) -> HJSolut
 
     Requires a hyperbolic eigenvalue matrix (no eigenvalue of ``Lambda`` on
     the imaginary axis) so the associated Hamiltonian matrix admits a
-    stabilizing solution.  For a set fitted on a monomial basis the value
-    gradient is collapsed once here into one polynomial; sets without one
-    (closed-form and linear sets) keep the contraction.
+    stabilizing solution.  For a set fitted on a monomial basis the
+    solution collapses its value gradient once into one polynomial; sets
+    without one (closed-form and linear sets) keep the contraction.
     """
     if eig.n != sys.n:
         raise ValueError(f"eigenfunction set has n={eig.n}, system has n={sys.n}")
@@ -159,10 +163,7 @@ def procedure1_solve(sys: ControlAffineSystem, eig: EigenfunctionSet) -> HJSolut
     lin = linearize(sys)
     R1, Q1 = compute_R1_Q1(lin, eig.Vt)
     ric = solve_riccati(eig.Lambda, R1, Q1)
-    return HJSolution1(
-        eig=eig, sys=sys, L=ric.P, R1=R1, Q1=Q1, riccati=ric,
-        grad_poly=_collapse_gradient(eig, ric.P),
-    )
+    return HJSolution1(eig=eig, sys=sys, L=ric.P, R1=R1, Q1=Q1, riccati=ric)
 
 
 # ----------------------------------------------------------------------

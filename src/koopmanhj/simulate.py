@@ -16,7 +16,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .spectral import solve_riccati
-from .systems import ControlAffineSystem, Linearization, MomentumFeedback, feedback_from_g
+from .systems import ControlAffineSystem, Linearization
 
 __all__ = [
     "CONVERGENCE_THRESHOLD",
@@ -206,11 +206,6 @@ def closed_loop(
     the trapezoid rule over the node values ``q(x_k) + 0.5 u_k^T D u_k``
     (node input = feedback at the node).  A controller exception or a
     non-finite state truncates the rollout with a diagnostic.
-
-    A :class:`~koopmanhj.systems.MomentumFeedback` of this ``sys`` is
-    stepped with one ``g(x)`` per stage, shared by the input and the field;
-    the states, inputs and costs equal those of the same law called as a
-    plain callable, which evaluates ``g`` twice per stage.
     """
     K = _steps(dt, T)
     x = np.asarray(x0, dtype=float).ravel()
@@ -218,28 +213,15 @@ def closed_loop(
         raise ValueError(f"x0 has dimension {x.size}, system has n={sys.n}")
     f, g, p = sys.f, sys.g, sys.p
 
-    def shaped(u) -> np.ndarray:
+    def control(xs: np.ndarray) -> np.ndarray:
+        u = controller(xs)
         if type(u) is not np.ndarray or u.shape != (p,):
             u = np.asarray(u, dtype=float).ravel()
         return u
 
-    def control(xs: np.ndarray) -> np.ndarray:
-        return shaped(controller(xs))
-
-    if isinstance(controller, MomentumFeedback) and controller.sys is sys:
-        momentum = controller.momentum
-
-        def field(xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            pm = momentum(xs)
-            gx = np.asarray(g(xs), dtype=float)
-            u = shaped(feedback_from_g(sys, gx, pm))
-            return f(xs) + gx @ u, u
-
-    else:
-
-        def field(xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            u = control(xs)
-            return f(xs) + g(xs) @ u, u
+    def field(xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        u = control(xs)
+        return f(xs) + g(xs) @ u, u
 
     run = _rk4(field, x, dt, K, p=p)
     kept = int(run.kept)

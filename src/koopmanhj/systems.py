@@ -17,8 +17,7 @@ Its linearization at the origin is the Hamiltonian matrix
     H0 = [[A, -R0], [-Q0, -A^T]],   A = df/dx(0), R0 = B D^{-1} B^T, Q0 = d2q/dx2(0).
 
 Optimal feedback laws downstream always take the form ``u = -D^{-1} g(x)^T p``
-for a momentum field ``p(x)`` supplied by one of the solution procedures
-(:class:`MomentumFeedback`).
+for a momentum field ``p(x)`` supplied by one of the solution procedures.
 
 Every map is batched: it takes points of shape ``(..., n)`` and maps each
 row, so a sample set costs one call.  A single 1-D state stays a valid call
@@ -40,9 +39,7 @@ __all__ = [
     "Linearization",
     "HamiltonianSystemModel",
     "control_affine_system",
-    "MomentumFeedback",
     "feedback",
-    "feedback_from_g",
     "linearize",
     "hamiltonian_value",
     "hamiltonian_vector_field",
@@ -249,33 +246,11 @@ def linearize(sys: ControlAffineSystem) -> Linearization:
     return Linearization(A=A, B=B, R0=R0, Q0=sys.hess_q0.copy(), D=sys.D.copy())
 
 
-def feedback_from_g(sys: ControlAffineSystem, gx: np.ndarray, p: npt.ArrayLike) -> np.ndarray:
-    """Feedback ``u = -D^{-1} g^T p`` from the input map's value ``gx = g(x)``: (..., p)."""
-    gTp = (np.asarray(p, dtype=float)[..., None, :] @ gx)[..., 0, :]
-    return -(gTp @ sys.D_inv.T)
-
-
 def feedback(sys: ControlAffineSystem, x: npt.ArrayLike, p: npt.ArrayLike) -> np.ndarray:
     """Feedback ``u = -D^{-1} g(x)^T p`` for states and momenta ``(..., n)``: (..., p)."""
-    return feedback_from_g(sys, np.asarray(sys.g(np.asarray(x, dtype=float)), dtype=float), p)
-
-
-@dataclass(frozen=True)
-class MomentumFeedback:
-    """The feedback ``u = -D^{-1} g(x)^T p(x)`` of a momentum field ``p``.
-
-    Calling it gives ``feedback(sys, x, momentum(x))``.  A controller that
-    declares its momentum this way lets a rollout of the same ``sys``
-    evaluate ``g(x)`` once per stage, for the input and for ``f + g u``
-    (:func:`koopmanhj.simulate.closed_loop`).
-    """
-
-    sys: ControlAffineSystem
-    momentum: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, x: npt.ArrayLike) -> np.ndarray:
-        X = np.asarray(x, dtype=float)
-        return feedback(self.sys, X, self.momentum(X))
+    gx = np.asarray(sys.g(np.asarray(x, dtype=float)), dtype=float)
+    gTp = (np.asarray(p, dtype=float)[..., None, :] @ gx)[..., 0, :]
+    return -(gTp @ sys.D_inv.T)
 
 
 def hamiltonian_value(sys: ControlAffineSystem, x: npt.ArrayLike, p: npt.ArrayLike) -> float:

@@ -4,7 +4,6 @@ The acceptance tests each record one ``[AC#] PASS/FAIL — detail`` line;
 pytest captures in-test prints, so a hook re-emits the collected lines
 after the run, where they are always visible.
 """
-import dataclasses
 import sys
 
 import numpy as np
@@ -31,25 +30,6 @@ class CountingBasis:
 def counting_basis():
     """The :class:`CountingBasis` wrapper, to wrap a basis under test."""
     return CountingBasis
-
-
-class CountingSystem:
-    """A copy ``.sys`` of a system whose input map ``g`` counts its calls."""
-
-    def __init__(self, sys_):
-        self.g_calls = 0
-
-        def g(x):
-            self.g_calls += 1
-            return sys_.g(x)
-
-        self.sys = dataclasses.replace(sys_, g=g)
-
-
-@pytest.fixture
-def counting_system():
-    """The :class:`CountingSystem` wrapper, to wrap a system under test."""
-    return CountingSystem
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

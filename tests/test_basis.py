@@ -174,6 +174,27 @@ class TestQuadraticFormGradient:
         got = table.eval(table.powers(X)) @ C.T
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
+    def test_exact_past_the_int64_packing_limit(self):
+        """At n = 33 and degree 2 the exponent vectors of the product terms
+        (digits 0..3) no longer pack into 64 bits (4^33 = 2^66), and terms
+        that differ in x1 alone would share a packed key; every term must
+        still land on its own table row."""
+        n = 33
+        E = np.zeros((6, n), dtype=np.int64)
+        E[0, 0] = E[1, 32] = E[2, 30] = 1
+        E[3, [0, 32]] = 1
+        E[4, 32] = 2
+        E[5, [1, 30]] = 1
+        S = np.random.default_rng(7).normal(size=(6, 6))
+        table, C = quadratic_form_gradient(E, S)
+        assert table.M == math.comb(n + 3, n) - 1
+        psi = MonomialTable(E, 2)
+        X = np.random.default_rng(8).uniform(-1.5, 1.5, size=(40, n))
+        pw = psi.powers(X)
+        want = np.einsum("kbn,ba,ka->kn", psi.jacobian(pw), S, psi.eval(pw))
+        got = table.eval(table.powers(X)) @ C.T
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
     def test_rejects_constants_and_mismatched_weights(self):
         with pytest.raises(ValueError, match="degree at least 1"):
             quadratic_form_gradient(monomial_exponents(2, 0, 2), np.eye(6))

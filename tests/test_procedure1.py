@@ -32,6 +32,7 @@ from koopmanhj.galerkin import (
 )
 from koopmanhj.procedure1 import (
     _MOMENTUM_SEED_XOR,
+    HJSolution1,
     compute_R1_Q1,
     example1_eigenfunction_set,
     procedure1_solve,
@@ -348,6 +349,12 @@ def _assert_rel_max(got, want, rel=1e-12):
     assert np.max(np.abs(got - want)) <= rel * max(np.max(np.abs(want)), 1e-300)
 
 
+def _contraction(sol, X):
+    """The value gradient ``(dPhi/dx)^T L Phi`` of ``sol``'s fitted set."""
+    Phi, jac = sol.eig.Phi_jac(np.asarray(X, dtype=float))
+    return np.einsum("...i,ij,...jk->...k", Phi, sol.L, jac)
+
+
 class TestCollapsedGradient:
     """The route-1 value gradient as one polynomial against the contraction
     ``(dPhi/dx)^T L Phi`` of the same fitted set."""
@@ -356,25 +363,23 @@ class TestCollapsedGradient:
     def test_equals_contraction_on_the_box(self, collapsed, name):
         sol = collapsed[name]
         assert sol.grad_poly is not None
-        oracle = dataclasses.replace(sol, grad_poly=None)
         box = COLLAPSE_CASES[name][1]
         X = sample_domain(box, 2000, 11).points
-        _assert_rel_max(sol.grad_value(X), oracle.grad_value(X))
+        _assert_rel_max(sol.grad_value(X), _contraction(sol, X))
         np.testing.assert_array_equal(sol.grad_value(np.zeros(sol.eig.n)), 0.0)
 
     @pytest.mark.parametrize("name", sorted(COLLAPSE_CASES))
     def test_equals_contraction_one_state_and_batches(self, collapsed, name):
         sol = collapsed[name]
-        oracle = dataclasses.replace(sol, grad_poly=None)
 
         @settings(max_examples=30, deadline=None)
         @given(_box_points(name))
         def check(X):
-            want = oracle.grad_value(X)
+            want = _contraction(sol, X)
             _assert_rel_max(sol.grad_value(X), want)
             _assert_rel_max(sol.grad_value(X[None]), want[None])
             for x in X:
-                _assert_rel_max(sol.grad_value(x), oracle.grad_value(x))
+                _assert_rel_max(sol.grad_value(x), _contraction(sol, x))
 
         check()
 
@@ -389,6 +394,23 @@ class TestCollapsedGradient:
         assert Cp.shape == (n, table.M)
         # the linear terms are the Riccati embedding: grad V = P_r x + ...
         np.testing.assert_allclose(Cp[:, :n], sol.riccati_embedding, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(COLLAPSE_CASES))
+    def test_derived_from_eig_and_L(self, collapsed, name):
+        """Every solution, however it is built, collapses its own ``eig``
+        and ``L``: a copy with another ``L`` gets a gradient to match."""
+        sol = collapsed[name]
+        X = sample_domain(COLLAPSE_CASES[name][1], 200, 12).points
+        direct = HJSolution1(eig=sol.eig, sys=sol.sys, L=sol.L, R1=sol.R1,
+                             Q1=sol.Q1, riccati=sol.riccati)
+        np.testing.assert_array_equal(direct.grad_value(X), sol.grad_value(X))
+        scaled = dataclasses.replace(sol, L=3.0 * sol.L)
+        assert scaled.grad_poly is not sol.grad_poly
+        _assert_rel_max(scaled.grad_value(X), _contraction(scaled, X))
+        _assert_rel_max(scaled.grad_value(X), 3.0 * sol.grad_value(X))
+        with pytest.raises(TypeError):
+            HJSolution1(eig=sol.eig, sys=sol.sys, L=sol.L, R1=sol.R1, Q1=sol.Q1,
+                        riccati=sol.riccati, grad_poly=None)
 
     def test_sets_without_a_monomial_basis_keep_the_contraction(self):
         sys_ = builtin_example1(1.0)

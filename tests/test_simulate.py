@@ -30,12 +30,11 @@ from koopmanhj.simulate import (
 )
 from koopmanhj.spectral import solve_riccati
 from koopmanhj.systems import (
-    MomentumFeedback,
     builtin_example1,
     builtin_pendulum,
     control_affine_system,
+    feedback,
     linearize,
-    polynomial_system,
 )
 
 
@@ -287,90 +286,30 @@ class TestControllerComparison:
                 assert alone.inputs[0] == pytest.approx(ctrl(np.array(x0, dtype=float)))
 
 
-@pytest.fixture(scope="module")
-def pendulum_route1():
-    """The pendulum with a degree-2 route-1 solution on a small box."""
+def test_route1_rollout_with_the_collapsed_gradient():
+    """A pendulum rollout fed back from the collapsed value gradient stays
+    within round-off of one fed back from the contraction
+    ``(dPhi/dx)^T L Phi`` of the same fitted set, and converges as it does."""
     sys_ = builtin_pendulum(9.81)
     box = np.array([[-0.5, 0.5], [-1.0, 1.0], [-1.0, 1.0]])
     eig = approximate_eigenfunction_set(
         sys_.f, linearize(sys_).A, monomial_basis(3, 2, 2), sample_domain(box, 3000, 5)
     )
-    return sys_, procedure1_solve(sys_, eig)
+    sol = procedure1_solve(sys_, eig)
+    assert sol.grad_poly is not None
 
+    def contraction_control(x):
+        Phi, jac = eig.Phi_jac(np.asarray(x, dtype=float))
+        return feedback(sys_, x, np.einsum("i,ij,jk->k", Phi, sol.L, jac))
 
-def _assert_same_rollout(a, b):
-    for attr in ("times", "states", "inputs", "cumulative_costs"):
-        np.testing.assert_array_equal(getattr(a, attr), getattr(b, attr))
-    assert (a.final_input is None) == (b.final_input is None)
-    if a.final_input is not None:
-        np.testing.assert_array_equal(a.final_input, b.final_input)
-    assert a.running_cost == b.running_cost
-    assert (a.converged, a.diverged, a.t_fail, a.diagnostic) == (
-        b.converged, b.diverged, b.t_fail, b.diagnostic
-    )
-
-
-class TestMomentumFeedback:
-    """A law declared by its momentum field is stepped with one ``g(x)`` per
-    stage and gives the rollout of the same law as a plain callable."""
-
-    def test_converging_rollout_equals_plain_callable(self, pendulum_route1):
-        sys_, sol = pendulum_route1
-        law = MomentumFeedback(sys_, sol.grad_value)
-        x0 = [0.3, -0.5, 0.4]
-        got = closed_loop(sys_, law, x0, dt=1e-2, T=15.0)
-        assert got.converged
-        _assert_same_rollout(got, closed_loop(sys_, lambda x: law(x), x0, dt=1e-2, T=15.0))
-        # the law is the solution's own feedback
-        np.testing.assert_array_equal(law(got.states[:5]), sol.control(got.states[:5]))
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_diverging_rollout_equals_plain_callable(self):
-        """``x' = x^2 + u`` with a weak law blows up in finite time."""
-        sys_ = polynomial_system([[(1.0, (2,))]], [[1.0]], [[1.0]], [[1.0]])
-        law = MomentumFeedback(sys_, lambda x: 0.1 * x)
-        got = closed_loop(sys_, law, [1.5], dt=1e-2, T=5.0)
-        assert got.diverged and got.diagnostic == "diverged" and got.t_fail < 1.0
-        _assert_same_rollout(got, closed_loop(sys_, lambda x: law(x), [1.5], dt=1e-2, T=5.0))
-
-    def test_momentum_raising_mid_run_equals_plain_callable(self, pendulum_route1):
-        sys_, sol = pendulum_route1
-        x0 = np.array([0.3, -0.5, 0.4])
-
-        def momentum(x):
-            if np.linalg.norm(x) < 0.5 * np.linalg.norm(x0):
-                raise RuntimeError("momentum refused")
-            return sol.grad_value(x)
-
-        law = MomentumFeedback(sys_, momentum)
-        got = closed_loop(sys_, law, x0, dt=1e-2, T=15.0)
-        assert got.diverged and 0 < got.t_fail < 15.0
-        assert got.diagnostic.endswith("momentum refused")
-        _assert_same_rollout(got, closed_loop(sys_, lambda x: law(x), x0, dt=1e-2, T=15.0))
-
-    def test_one_input_map_evaluation_per_stage(self, pendulum_route1, counting_system):
-        """K steps evaluate g 4K + 1 times (the last node's input included);
-        the same law as a plain callable evaluates it 8K + 1 times."""
-        sys_, sol = pendulum_route1
-        K, x0 = 50, [0.3, -0.5, 0.4]
-        counted = counting_system(sys_)
-        law = MomentumFeedback(counted.sys, sol.grad_value)
-        closed_loop(counted.sys, law, x0, dt=1e-2, T=K * 1e-2)
-        assert counted.g_calls == 4 * K + 1
-        counted.g_calls = 0
-        closed_loop(counted.sys, lambda x: law(x), x0, dt=1e-2, T=K * 1e-2)
-        assert counted.g_calls == 8 * K + 1
-
-    def test_law_of_another_system_is_a_plain_callable(self):
-        """A law declared for another system (here another control weight)
-        keeps its own ``D`` and ``g``: the rollout equals the plain call."""
-        sys_ = builtin_example1(1.0)
-        law = MomentumFeedback(builtin_example1(0.5), lambda x: x + x**3)
-        got = closed_loop(sys_, law, [0.2, -0.1], dt=1e-2, T=2.0)
-        _assert_same_rollout(got, closed_loop(sys_, lambda x: law(x), [0.2, -0.1], dt=1e-2, T=2.0))
-        same_weight = closed_loop(sys_, MomentumFeedback(sys_, law.momentum), [0.2, -0.1],
-                                  dt=1e-2, T=2.0)
-        assert not np.array_equal(got.inputs, same_weight.inputs)
+    x0 = [0.3, -0.5, 0.4]
+    got = closed_loop(sys_, sol.control, x0, dt=1e-2, T=15.0)
+    want = closed_loop(sys_, contraction_control, x0, dt=1e-2, T=15.0)
+    assert got.converged and want.converged
+    np.testing.assert_array_equal(got.times, want.times)
+    for attr in ("states", "inputs", "cumulative_costs"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 class TestInitialConditionCloud:

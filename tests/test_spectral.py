@@ -289,3 +289,19 @@ class TestRiccatiProperties:
         assert np.all(sol.closed_loop_spectrum.real < 0)
         assert np.all(np.linalg.eigvalsh(P) > 0)
         np.testing.assert_allclose(P, P_ref, rtol=0, atol=1e-7 * (1.0 + np.linalg.norm(P_ref)))
+
+    @pytest.mark.xfail(raises=RuntimeError, strict=True,
+                       reason="the residual tolerance 1e-8 (1 + |Q|) does not grow "
+                              "with |P| (FOUND line on solve_riccati in CHANGES.md)")
+    def test_accepts_an_accurate_solution_with_a_large_P(self):
+        """A well-posed scalar problem whose stabilizing ``P`` is about 7.9e4:
+        scipy's CARE solution leaves a residual of 4.4e-8, round-off of an
+        exact solution, which the program's own solution should be allowed
+        too.  The property test above draws only pairs with ``|P| <= 1e3``."""
+        A, B, D, Q = (np.array([[v]]) for v in (2.39, 0.0078, 1.005, 0.128))
+        R = B @ np.linalg.solve(D, B.T)
+        P_ref = scipy.linalg.solve_continuous_are(A, B, Q, D)
+        residual_ref = np.linalg.norm(A.T @ P_ref + P_ref @ A - P_ref @ R @ P_ref + Q)
+        assert residual_ref > 1e-8 * (1.0 + np.linalg.norm(Q))
+        sol = solve_riccati(A, R, Q)
+        np.testing.assert_allclose(sol.P, P_ref, rtol=1e-10)
