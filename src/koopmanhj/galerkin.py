@@ -390,7 +390,7 @@ class EigenfunctionSet:
     Lambda: np.ndarray  # (n, n) real block eigenmatrix
     Vt: np.ndarray  # (n, n) linear parts (rows)
     box: np.ndarray  # (n, 2)
-    blocks: tuple = ()
+    blocks: tuple  # (offset, size) of each block of Lambda, in row order
     basis: Optional[AnyBasis] = None
     Theta: Optional[np.ndarray] = None  # (n, M) nonlinear coefficients
     block_residuals: Optional[np.ndarray] = None  # train RMS per block

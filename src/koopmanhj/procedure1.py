@@ -34,12 +34,11 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
-import scipy.linalg
 
 from .basis import BasisSet, MonomialTable, quadratic_form_gradient
 from .galerkin import EigenfunctionSet, SampleSet, _derive_seed, sample_domain
 from .simulate import _rk4
-from .spectral import RiccatiSolution, solve_riccati
+from .spectral import RiccatiSolution, block_exp, solve_riccati
 from .systems import ControlAffineSystem, Linearization, feedback, linearize
 
 __all__ = [
@@ -224,8 +223,9 @@ def verify_nominal_integrability(
     idx = _grid_indices(t_grid, dt)
     n_steps = max(idx) if idx else 0
     ks = sorted(set(idx))  # recorded steps
-    E = np.stack([scipy.linalg.expm(-eig.Lambda * (k * dt)) for k in ks])[:, None]
-    E_T = np.stack([scipy.linalg.expm(eig.Lambda.T * (k * dt)) for k in ks])[:, None]
+    t_rec = np.array(ks) * dt
+    E = block_exp(eig.Lambda, eig.blocks, -t_rec)[:, None]  # e^{-Lambda t}
+    E_T = np.swapaxes(block_exp(eig.Lambda, eig.blocks, t_rec), -1, -2)[:, None]  # e^{Lambda^T t}
 
     p_rng = np.random.default_rng(_derive_seed(samples.seed, _MOMENTUM_SEED_XOR))
     P0 = p_rng.uniform(samples.box[:, 0], samples.box[:, 1], size=(samples.L, n))
@@ -307,8 +307,7 @@ def verify_generating_function(
     Phi, jac = eig.Phi_jac(pts)  # (L, n), (L, n, n)
     dPhiF = np.einsum("kij,kj->ki", jac, F)  # (L, n)
     per_time = np.zeros(len(t_grid))
-    for i, t in enumerate(t_grid):
-        Et = scipy.linalg.expm(-eig.Lambda * float(t))
+    for i, Et in enumerate(block_exp(eig.Lambda, eig.blocks, -np.asarray(t_grid, dtype=float))):
         row = P @ Et  # (n,)
         grad_term = dPhiF @ row  # (L,) = dW/dx . f = H0(x, dW/dx^T)
         dWdt = -(Phi @ (P @ eig.Lambda @ Et))  # d/dt of P^T e^{-Lambda t} Phi

@@ -40,7 +40,7 @@ from .galerkin import (
     fit_blocks,
     sample_domain,
 )
-from .spectral import unstable_left_subspace
+from .spectral import _lead_index, unstable_left_subspace
 from .systems import ControlAffineSystem, HamiltonianSystemModel, feedback, linearize
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "psi_u",
     "linear_manifold",
     "nonlinear_manifold",
-    "control2",
     "fit_value_Jn",
     "procedure2_solve",
     "default_phase_box",
@@ -144,13 +143,7 @@ def unstable_eigfns(
         nrm = float(np.linalg.norm(Wu[i]))
         if nrm == 0.0:
             raise RuntimeError(f"unstable eigenfunction row {i} has zero linear part")
-        s = 1.0 / nrm
-        mx = np.max(np.abs(Wu[i]))
-        idx = np.flatnonzero(np.abs(Wu[i]) > 1e-8 * mx)
-        lead = idx[0] if idx.size else int(np.argmax(np.abs(Wu[i])))
-        if Wu[i, lead] < 0:
-            s = -s
-        scale[i] = s
+        scale[i] = -1.0 / nrm if Wu[i, _lead_index(Wu[i])] < 0 else 1.0 / nrm
     Wu = Wu * scale[:, None]
     U = np.vstack(Thetas) * scale[:, None]
     Lambda_u = (scale[:, None] * sub.Lambda_u) / scale[None, :]
@@ -237,15 +230,6 @@ def nonlinear_manifold(
     if Jl is None:
         Jl = linear_manifold(eigs)
     return _solve_manifold(eigs, x, Jl)[0]
-
-
-def control2(
-    sys: ControlAffineSystem, eigs: UnstableEigenfunctions, x: npt.ArrayLike
-) -> np.ndarray:
-    """Feedback law from the manifold: ``u = -D^{-1} g(x)^T p*(x)``, batched."""
-    x = np.asarray(x, dtype=float)
-    Jl = linear_manifold(eigs)
-    return feedback(sys, x, x @ Jl.T + nonlinear_manifold(eigs, x, Jl=Jl))
 
 
 @dataclass(frozen=True)
@@ -347,8 +331,9 @@ class HJSolution2:
     records the raw formula's relative asymmetry
     ``|Jl_raw - Jl_raw^T|_F / max(1, |Jl_raw|_F)``.  ``p_star`` uses the raw
     coefficient so zero-level membership ``Psi_u(x, p_star(x)) = 0`` holds
-    to machine precision.  ``p_star``, ``control``, ``value``, ``G1`` and
-    ``G2`` accept one state or states ``(..., n)``.
+    to machine precision.  ``p_star``, ``control`` (the feedback law
+    ``u = -D^{-1} g(x)^T p*(x)``) and ``value`` accept one state or states
+    ``(..., n)``.
     """
 
     eigs: UnstableEigenfunctions
@@ -357,12 +342,6 @@ class HJSolution2:
     Jl_raw: np.ndarray
     jl_asymmetry: float
     value_fit: Optional[ValueFit] = None
-
-    def G1(self, x: npt.ArrayLike) -> np.ndarray:
-        return _manifold_system(self.eigs, np.asarray(x, dtype=float), self.Jl_raw)[1]
-
-    def G2(self, x: npt.ArrayLike) -> np.ndarray:
-        return _manifold_system(self.eigs, np.asarray(x, dtype=float), self.Jl_raw)[0]
 
     def p_star(self, x: npt.ArrayLike) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -16,6 +16,13 @@ Riccati equation
 
 is ``P = -D2^{-1} D1``.  This subspace route is the production Riccati
 solver everywhere in this package.
+
+Both constructions read left eigenvectors from ``numpy.linalg.eig`` of the
+transpose: its eigenvector columns ``v`` satisfy ``A^T v = lambda v``, that
+is ``v^T A = lambda v^T``.  Route 1's flow invariants need ``exp(Lambda t)``
+only for the real block form, which :func:`block_exp` writes in closed
+form: ``e^{at}`` for a 1x1 block and ``e^{at}`` times the rotation by
+``bt`` for a 2x2 block.  numpy is the only numerical dependency.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
-import scipy.linalg
 
 __all__ = [
     "RealSpectralDecomposition",
@@ -34,6 +40,7 @@ __all__ = [
     "unstable_left_subspace",
     "lagrangian_subspace",
     "solve_riccati",
+    "block_exp",
 ]
 
 _DEFECTIVE_MSG = "defective matrix unsupported"
@@ -86,6 +93,14 @@ class RiccatiSolution:
     closed_loop_spectrum: np.ndarray
 
 
+def _lead_index(row: np.ndarray) -> int:
+    """Index of a row's first significant entry: the first above ``1e-8``
+    times the largest magnitude, else the largest one."""
+    mag = np.abs(row)
+    idx = np.flatnonzero(mag > 1e-8 * np.max(mag))
+    return int(idx[0]) if idx.size else int(np.argmax(mag))
+
+
 def _normalize_real_row(row: np.ndarray) -> np.ndarray:
     """Monic normalization: first significant entry scaled to exactly +1.
 
@@ -93,12 +108,9 @@ def _normalize_real_row(row: np.ndarray) -> np.ndarray:
     eigenvectors (e.g. rows like (1, -2)) in their natural form, so matrices
     derived from them are directly comparable against published values.
     """
-    mx = np.max(np.abs(row))
-    if mx == 0.0:
+    if np.max(np.abs(row)) == 0.0:
         raise ValueError("zero eigenvector row")
-    idx = np.flatnonzero(np.abs(row) > 1e-8 * mx)
-    lead = idx[0] if idx.size else int(np.argmax(np.abs(row)))
-    return row / row[lead]
+    return row / row[_lead_index(row)]
 
 
 def _normalize_complex_row(w: np.ndarray) -> np.ndarray:
@@ -112,6 +124,16 @@ def _normalize_complex_row(w: np.ndarray) -> np.ndarray:
     return w / phase
 
 
+def _left_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and left eigenvector rows: ``rows[k] @ A = eigvals[k] * rows[k]``.
+
+    The eigenvector columns ``v`` of ``A^T`` satisfy ``A^T v = lambda v``,
+    which transposed is ``v^T A = lambda v^T``; each row has unit norm.
+    """
+    eigvals, v = np.linalg.eig(A.T)
+    return eigvals, v.T
+
+
 def _real_block_rows(
     eigvals: np.ndarray, left_rows: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]:
@@ -121,6 +143,9 @@ def _real_block_rows(
     left_rows[k]``.  Conjugate pairs are merged into 2x2 real blocks; blocks
     are ordered by ascending real part, then ascending imaginary part (real
     eigenvalues sort as imaginary part zero, pairs by their +b member).
+    Real parts that agree within ``tol (1 + |lambda|)`` count as equal, so
+    the order does not depend on round-off: a group starts at its smallest
+    real part and takes every later one within that distance of it.
     Returns (Lambda, Vt, blocks).
     """
     m = eigvals.shape[0]
@@ -151,7 +176,14 @@ def _real_block_rows(
         # keep the representative with positive imaginary part
         kp = k if eigvals[k].imag > 0 else j
         entries.append((a, b, "pair", int(kp), -1))
-    entries.sort(key=lambda e: (e[0], e[1]))
+    # real parts within tol (1 + |lambda|) of a group's first tie; a tie orders by b
+    entries.sort(key=lambda e: e[0])
+    keys, first = [], None
+    for a, b, *_ in entries:
+        if first is None or a - first > tol * (1.0 + abs(complex(a, b))):
+            first = a
+        keys.append((first, b))
+    entries = [e for _, e in sorted(zip(keys, entries), key=lambda ke: ke[0])]
 
     n_total = sum(1 if e[2] == "real" else 2 for e in entries)
     Lambda = np.zeros((n_total, n_total))
@@ -186,9 +218,7 @@ def real_spectral_decomposition(A: npt.ArrayLike, tol: float = 1e-8) -> RealSpec
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    eigvals, vl = scipy.linalg.eig(A, left=True, right=False)
-    # vl columns satisfy vl[:, k]^H @ A = eigvals[k] * vl[:, k]^H
-    left_rows = vl.conj().T
+    eigvals, left_rows = _left_eig(A)
     sv = np.linalg.svd(left_rows, compute_uv=False)
     if sv[-1] <= tol * sv[0]:
         raise ValueError(
@@ -219,7 +249,7 @@ def unstable_left_subspace(H: npt.ArrayLike, tol: float = 1e-8) -> UnstableSubsp
     if H.shape != (m, m) or m % 2 != 0:
         raise ValueError(f"expected a 2n x 2n matrix, got shape {H.shape}")
     n = m // 2
-    eigvals, vl = scipy.linalg.eig(H, left=True, right=False)
+    eigvals, left_rows = _left_eig(H)
     scale = 1.0 + np.abs(eigvals)
     if np.any(np.abs(eigvals.real) < tol * scale):
         worst = eigvals[int(np.argmin(np.abs(eigvals.real) / scale))]
@@ -232,8 +262,7 @@ def unstable_left_subspace(H: npt.ArrayLike, tol: float = 1e-8) -> UnstableSubsp
             f"not a Hamiltonian spectrum: {int(np.count_nonzero(unstable))} unstable "
             f"eigenvalues, expected {n}"
         )
-    left_rows = vl.conj().T[unstable]
-    Lambda_u, D_full, blocks = _real_block_rows(eigvals[unstable], left_rows, tol)
+    Lambda_u, D_full, blocks = _real_block_rows(eigvals[unstable], left_rows[unstable], tol)
     return UnstableSubspace(
         D_full=D_full,
         D1=D_full[:, :n],
@@ -297,3 +326,46 @@ def solve_riccati(A: npt.ArrayLike, R: npt.ArrayLike, Q: npt.ArrayLike) -> Ricca
             f"Riccati solution not stabilizing: closed-loop eigenvalues {clspec}"
         )
     return RiccatiSolution(P=P, residual=residual, closed_loop_spectrum=clspec)
+
+
+def block_exp(
+    Lambda: npt.ArrayLike, blocks: tuple[tuple[int, int], ...], t: npt.ArrayLike
+) -> np.ndarray:
+    """``exp(Lambda t)`` of a real block form, for each time in ``t``.
+
+    ``Lambda`` is block-diagonal with the ``(offset, size)`` layout
+    ``blocks``: ``exp(a t)`` for a 1x1 block ``a``, and ``exp(a t)`` times
+    the rotation ``[[cos bt, -sin bt], [sin bt, cos bt]]`` for a 2x2 block
+    ``[[a, -b], [b, a]]``.  Returns ``t.shape + (n, n)``.  Raises
+    ``ValueError`` unless the blocks tile the rows in order and ``Lambda``
+    has that form, zero outside the blocks.
+    """
+    Lambda = np.asarray(Lambda, dtype=float)
+    t = np.asarray(t, dtype=float)
+    n = Lambda.shape[0]
+    if Lambda.shape != (n, n):
+        raise ValueError(f"expected a square matrix, got shape {Lambda.shape}")
+    sizes = [r for _, r in blocks]
+    ends = np.cumsum([0] + sizes)  # a tiling starts each block where the last ended
+    if any(r not in (1, 2) for r in sizes) or [o for o, _ in blocks] != list(ends[:-1]) \
+            or ends[-1] != n:
+        raise ValueError(f"blocks {tuple(blocks)} do not tile the {n} rows of Lambda")
+    inside = np.zeros((n, n), dtype=bool)
+    for o, r in blocks:
+        inside[o : o + r, o : o + r] = True
+        blk = Lambda[o : o + r, o : o + r]
+        if r == 2 and not (blk[1, 1] == blk[0, 0] and blk[0, 1] == -blk[1, 0]):
+            raise ValueError(f"block at {o} is not of the form [[a, -b], [b, a]]: {blk.tolist()}")
+    if Lambda[~inside].any():
+        raise ValueError("Lambda has entries outside its blocks")
+    out = np.zeros(t.shape + (n, n))
+    for o, r in blocks:
+        grow = np.exp(Lambda[o, o] * t)
+        if r == 1:
+            out[..., o, o] = grow
+        else:
+            bt = Lambda[o + 1, o] * t
+            c, s = grow * np.cos(bt), grow * np.sin(bt)
+            out[..., o, o], out[..., o, o + 1] = c, -s
+            out[..., o + 1, o], out[..., o + 1, o + 1] = s, c
+    return out

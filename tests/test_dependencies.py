@@ -1,0 +1,31 @@
+"""The runtime dependency boundary: numpy and pyyaml only.
+
+scipy serves the tests and the benchmark as an independent oracle; the
+package itself must not load it.
+"""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import koopmanhj
+
+_PROBE = """
+import importlib, sys
+import koopmanhj
+for name in koopmanhj._SUBMODULES + ("_commands",):
+    importlib.import_module("koopmanhj." + name)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_importing_the_package_loads_no_scipy():
+    """A fresh interpreter imports the package, every submodule and the
+    command implementations, and has no scipy module loaded after."""
+    src = str(Path(koopmanhj.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE], capture_output=True, text=True,
+        cwd=src, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

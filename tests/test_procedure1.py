@@ -300,6 +300,24 @@ class TestIntegrability:
         assert rep.max_H0_drift_rel < 1e-3
         assert rep.max_X_drift_rel < 1e-2
 
+    def test_constants_of_motion_with_a_complex_pair(self):
+        """On a linear spiral (eigenvalues -1 +- 2i) the exact set
+        ``Phi = Vt x`` keeps ``X`` and ``P`` constant, which takes the
+        exponential of a 2x2 block ``[[a, -b], [b, a]]``."""
+        sys_ = polynomial_system(
+            [[(-1.0, (1, 0)), (2.0, (0, 1))], [(-2.0, (1, 0)), (-1.0, (0, 1))]],
+            [[1.0], [0.5]], [[1.0]], np.eye(2),
+        )
+        box = np.array([[-0.5, 0.5], [-0.5, 0.5]])
+        eig = linear_eigenfunction_set(linearize(sys_).A, box)
+        assert eig.blocks == ((0, 2),)
+        rep = verify_nominal_integrability(
+            eig, sys_, sample_domain(box, 20, 0), t_grid=(0.25, 0.5, 1.0), dt=1e-3
+        )
+        assert rep.n_excluded < rep.n_samples
+        assert rep.max_X_drift_rel < 1e-9
+        assert rep.max_P_drift_rel < 1e-9
+
 
 def _spiral_system():
     """Stable spiral (eigenvalues -1 +- 2i) with quadratic and cubic terms."""

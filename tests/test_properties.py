@@ -13,7 +13,6 @@ from koopmanhj.galerkin import approximate_eigenfunction_set, sample_domain
 from koopmanhj.procedure1 import procedure1_solve
 from koopmanhj.procedure2 import (
     UnstableEigenfunctions,
-    control2,
     default_phase_box,
     nonlinear_manifold,
     procedure2_solve,
@@ -237,7 +236,6 @@ class TestBatchedSolutions:
         _assert_rel(sol1.control(X), _rowwise(sol1.control, X))
         _assert_rel(sol2.p_star(X), _rowwise(sol2.p_star, X))
         _assert_rel(sol2.control(X), _rowwise(sol2.control, X))
-        _assert_rel(control2(sol2.sys, sol2.eigs, X), _rowwise(sol2.control, X))
         _assert_rel(nonlinear_manifold(sol2.eigs, X),
                     _rowwise(lambda x: nonlinear_manifold(sol2.eigs, x), X))
         assert sol1.control(X[0]).shape == (1,)

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from koopmanhj.spectral import (
+    block_exp,
     lagrangian_subspace,
     real_spectral_decomposition,
     solve_riccati,
@@ -211,9 +212,33 @@ def _matrix_with_complex_pairs(draw):
     for a, b in pairs:
         B[o:o + 2, o:o + 2] = [[a, -b], [b, a]]
         o += 2
-    S = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n, n))
+    # real parts are equal (a tie, ordered by b) or clearly apart; unequal
+    # parts near the tie tolerance 1e-8 (1 + |lambda|) may come in either order
+    parts = [e.real for e in eigs]
+    assume(all(u == v or abs(u - v) > 1e-6 for i, u in enumerate(parts) for v in parts[i + 1:]))
+    return _similar(draw, B), [(r, 0.0) for r in reals] + list(pairs)
+
+
+def _similar(draw, B):
+    """``S^{-1} B S`` for a drawn ``S`` with ``cond(S) < 1e3``."""
+    S = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=B.shape)
     assume(np.linalg.cond(S) < 1e3)
-    return np.linalg.solve(S, B @ S), [(r, 0.0) for r in reals] + list(pairs)
+    return np.linalg.solve(S, B @ S)
+
+
+@st.composite
+def _matrix_with_tied_real_parts(draw):
+    """``S^{-1} blkdiag(a, [[a, -b1], [b1, a]], ...) S``: one real eigenvalue
+    and one or two complex pairs, all with the same real part ``a``."""
+    a = draw(_parts)
+    bs = draw(st.lists(st.floats(0.1, 3.0), min_size=1, max_size=2))
+    assume(len(bs) == 1 or abs(bs[0] - bs[1]) >= 0.1)
+    n = 1 + 2 * len(bs)
+    B = np.zeros((n, n))
+    B[0, 0] = a
+    for k, b in enumerate(bs):
+        B[1 + 2 * k:3 + 2 * k, 1 + 2 * k:3 + 2 * k] = [[a, -b], [b, a]]
+    return _similar(draw, B), a, bs
 
 
 class TestDecompositionProperties:
@@ -222,7 +247,8 @@ class TestDecompositionProperties:
     def test_block_form_on_random_matrices(self, case):
         """``Vt A = Lambda Vt``; 1x1 blocks for real eigenvalues and 2x2
         blocks ``[[a, -b], [b, a]]`` with ``b > 0`` for pairs, contiguous,
-        ascending in (a, b), zero outside the blocks; ``Vt`` invertible."""
+        in the (a, b) order of the exact spectrum (tied real parts by b),
+        zero outside the blocks; ``Vt`` invertible."""
         A, spectrum = case
         n = A.shape[0]
         dec = real_spectral_decomposition(A)
@@ -244,7 +270,9 @@ class TestDecompositionProperties:
                 np.testing.assert_array_equal(blk, [[a, -b], [b, a]])
                 got.append((a, b))
         assert not dec.Lambda[~mask].any()
-        assert got == sorted(got)
+        # computed real parts of a tie differ by round-off; the block order
+        # must follow the exact spectrum all the same
+        np.testing.assert_allclose(got, sorted(spectrum), rtol=0, atol=1e-8)
         as_eigs = lambda pairs: np.array(  # noqa: E731
             [complex(a, s * b) for a, b in pairs for s in ((1,) if b == 0 else (1, -1))]
         )
@@ -252,6 +280,101 @@ class TestDecompositionProperties:
         dist = np.abs(as_eigs(got)[:, None] - as_eigs(spectrum)[None, :])
         assert dist.min(axis=0).max() <= 1e-8 and dist.min(axis=1).max() <= 1e-8
         assert dec.cond_V == np.linalg.cond(dec.Vt) < 1e12
+
+    @settings(max_examples=60, deadline=None)
+    @given(_matrix_with_tied_real_parts())
+    def test_tied_real_parts_order_by_imaginary_part(self, case):
+        """A real eigenvalue ``a`` and pairs ``a +- ib`` come out real first,
+        then the pairs by ascending ``b``, whatever the round-off of the
+        computed real parts."""
+        A, a, bs = case
+        dec = real_spectral_decomposition(A)
+        assert [r for _, r in dec.blocks] == [1] + [2] * len(bs)
+        b_got = [dec.Lambda[o + 1, o] for o, r in dec.blocks if r == 2]
+        np.testing.assert_allclose(b_got, sorted(bs), rtol=0, atol=1e-8)
+        np.testing.assert_allclose(np.diag(dec.Lambda), a, rtol=0, atol=1e-8)
+
+
+def _times(bound):
+    return st.floats(-bound, bound)
+
+
+@st.composite
+def _block_form(draw, bound):
+    """A real block form ``Lambda`` with its layout: 1-4 blocks, each a real
+    ``a`` or a 2x2 ``[[a, -b], [b, a]]`` (either sign of ``b``), with
+    ``|a|, |b| <= bound``."""
+    kinds = draw(st.lists(st.booleans(), min_size=1, max_size=4))
+    n = sum(2 if pair else 1 for pair in kinds)
+    Lambda, blocks, o = np.zeros((n, n)), [], 0
+    for pair in kinds:
+        a = draw(st.floats(-bound, bound))
+        if pair:
+            b = draw(st.floats(-bound, bound))
+            Lambda[o:o + 2, o:o + 2] = [[a, -b], [b, a]]
+        else:
+            Lambda[o, o] = a
+        blocks.append((o, 2 if pair else 1))
+        o += blocks[-1][1]
+    return Lambda, tuple(blocks)
+
+
+def _growth_scaled(Lambda, t, E):
+    """``E`` (per time) divided row-wise by each block's growth ``e^{at}``."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    return E.reshape(-1, *Lambda.shape) / np.exp(ts[:, None] * np.diag(Lambda))[..., None]
+
+
+class TestBlockExp:
+    @settings(max_examples=80, deadline=None)
+    @given(_block_form(2.0), st.one_of(_times(1.0), st.lists(_times(1.0), max_size=5)))
+    def test_equals_the_general_exponential(self, form, t):
+        """``exp(Lambda t)`` in closed form equals ``scipy.linalg.expm`` to
+        1e-13 relative to each block's growth ``e^{at}``, for a scalar time
+        and a vector of times of both signs.  The draws keep ``|Lambda t|``
+        small: on 2x2 blocks with ``|a|, |b| <= 3`` and ``|t| <= 2`` expm's
+        scaling and squaring itself errs by up to 6e-13 of the growth, where
+        the closed form stays within 7e-16 of a 40-digit evaluation."""
+        Lambda, blocks = form
+        E = block_exp(Lambda, blocks, t)
+        assert E.shape == np.shape(t) + Lambda.shape
+        ref = np.array([scipy.linalg.expm(Lambda * tk) for tk in np.atleast_1d(t)])
+        err = _growth_scaled(Lambda, t, E - ref.reshape(E.shape))
+        assert err.size == 0 or np.abs(err).max() <= 1e-13
+
+    @settings(max_examples=80, deadline=None)
+    @given(_block_form(3.0), _times(2.0), _times(2.0))
+    def test_group_law(self, form, s, t):
+        """``exp(Lambda (s + t)) = exp(Lambda s) exp(Lambda t)`` and
+        ``exp(Lambda t) exp(-Lambda t) = I`` on the wider range, to 1e-14
+        relative to the growth."""
+        Lambda, blocks = form
+        Es, Et, Est, Emt = block_exp(Lambda, blocks, [s, t, s + t, -t])
+        err = _growth_scaled(Lambda, s + t, Es @ Et - Est)
+        assert np.abs(err).max() <= 1e-14 * (1.0 + np.abs(Lambda).max() * (abs(s) + abs(t)))
+        np.testing.assert_allclose(Et @ Emt, np.eye(len(Lambda)), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("blocks", [
+        ((0, 1),),  # rows 1-2 uncovered
+        ((0, 1), (2, 1)),  # a gap
+        ((0, 2), (1, 2)),  # overlapping
+        ((0, 3),),  # no 3x3 blocks
+        ((0, 1), (1, 1), (2, 1), (3, 1)),  # past the last row
+        (),
+    ])
+    def test_layout_that_does_not_tile_the_rows_rejected(self, blocks):
+        with pytest.raises(ValueError, match="tile"):
+            block_exp(np.diag([1.0, 2.0, 3.0]), blocks, 0.5)
+
+    def test_entry_outside_the_blocks_rejected(self):
+        Lambda = np.diag([1.0, 2.0, 3.0])
+        Lambda[0, 2] = 0.5
+        with pytest.raises(ValueError, match="outside"):
+            block_exp(Lambda, ((0, 1), (1, 1), (2, 1)), [0.5])
+
+    def test_two_by_two_block_not_a_rotation_form_rejected(self):
+        with pytest.raises(ValueError, match=r"\[\[a, -b\], \[b, a\]\]"):
+            block_exp(np.array([[1.0, -2.0], [3.0, 1.0]]), ((0, 2),), 0.5)
 
 
 class TestRiccatiProperties:
@@ -294,13 +417,15 @@ class TestRiccatiProperties:
                        reason="the residual tolerance 1e-8 (1 + |Q|) does not grow "
                               "with |P| (FOUND line on solve_riccati in CHANGES.md)")
     def test_accepts_an_accurate_solution_with_a_large_P(self):
-        """A well-posed scalar problem whose stabilizing ``P`` is about 7.9e4:
-        scipy's CARE solution leaves a residual of 4.4e-8, round-off of an
-        exact solution, which the program's own solution should be allowed
-        too.  The property test above draws only pairs with ``|P| <= 1e3``."""
-        A, B, D, Q = (np.array([[v]]) for v in (2.39, 0.0078, 1.005, 0.128))
+        """A well-posed scalar problem whose stabilizing ``P`` is about 4.8e10:
+        the closed-form root ``(a + sqrt(a^2 + r q)) / r`` leaves a residual
+        of about 9e-6, round-off of an exact solution, which the program's
+        own solution should be allowed too.  The property test above draws
+        only pairs with ``|P| <= 1e3``."""
+        A, B, D, Q = (np.array([[v]]) for v in (2.39, 1e-5, 1.005, 0.128))
         R = B @ np.linalg.solve(D, B.T)
-        P_ref = scipy.linalg.solve_continuous_are(A, B, Q, D)
+        a, r, q = A[0, 0], R[0, 0], Q[0, 0]
+        P_ref = np.array([[(a + np.sqrt(a * a + r * q)) / r]])
         residual_ref = np.linalg.norm(A.T @ P_ref + P_ref @ A - P_ref @ R @ P_ref + Q)
         assert residual_ref > 1e-8 * (1.0 + np.linalg.norm(Q))
         sol = solve_riccati(A, R, Q)
