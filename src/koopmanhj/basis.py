@@ -332,10 +332,6 @@ class Procedure2Basis:
         out[..., N:, n:] = dp_block.reshape(Z.shape[:-1] + (K * n, n))
         return out
 
-    def eval_and_jacobian(self, Z: npt.ArrayLike) -> tuple[np.ndarray, np.ndarray]:
-        """``eval(Z)`` and ``jacobian(Z)``, the interface of :class:`BasisSet`."""
-        return self.eval(Z), self.jacobian(Z)
-
     # ------------------------------------------------------------------
     # Structured accessors
     # ------------------------------------------------------------------

@@ -34,7 +34,7 @@ regardless of available parallelism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import numpy.typing as npt
@@ -376,46 +376,40 @@ def certify_blocks(
 
 @dataclass(frozen=True)
 class EigenfunctionSet:
-    """Stacked principal eigenfunctions Phi with their block eigenmatrix.
+    """Stacked principal eigenfunctions ``Phi = Vt x + Theta Gamma(x)``.
 
-    ``Phi(x) = Vt x + h1(x)`` with ``dh1/dx(0) = 0`` and
+    ``Gamma`` is the dictionary ``basis`` (anything with ``eval`` and
+    ``eval_and_jacobian`` on states ``(..., n)``), ``dGamma/dx(0) = 0``, and
     ``dPhi/dx . f = Lambda Phi`` on the box (up to the recorded residuals).
-    ``Phi``, ``jac_Phi`` and ``Phi_jac`` (both at once, from one basis
-    evaluation) accept batched inputs ``(..., n)``.
+    A fitted set carries its monomial basis, a linear set the empty one
+    (``M = 0``), the closed-form example-1 set its one-function dictionary.
+    :meth:`Phi` and :meth:`Phi_jac` accept batched inputs ``(..., n)``.
     """
 
-    Phi: Callable[[np.ndarray], np.ndarray]
-    jac_Phi: Callable[[np.ndarray], np.ndarray]
-    Phi_jac: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     Lambda: np.ndarray  # (n, n) real block eigenmatrix
     Vt: np.ndarray  # (n, n) linear parts (rows)
+    Theta: np.ndarray  # (n, M) nonlinear coefficients
+    basis: object  # the dictionary Gamma, M functions
     box: np.ndarray  # (n, 2)
     blocks: tuple  # (offset, size) of each block of Lambda, in row order
-    basis: Optional[AnyBasis] = None
-    Theta: Optional[np.ndarray] = None  # (n, M) nonlinear coefficients
-    block_residuals: Optional[np.ndarray] = None  # train RMS per block
-    heldout_residuals: Optional[np.ndarray] = None
-    cond_J: Optional[np.ndarray] = None
+    block_residuals: np.ndarray  # train RMS per block
+    heldout_residuals: np.ndarray
+    cond_J: np.ndarray
 
     @property
     def n(self) -> int:
         return self.Vt.shape[0]
 
-
-def _make_phi(Vt: np.ndarray, Theta: np.ndarray, basis: AnyBasis):
-    def Phi(x: npt.ArrayLike) -> np.ndarray:
+    def Phi(self, x: npt.ArrayLike) -> np.ndarray:
+        """``Phi(x)``: (..., n) -> (..., n)."""
         X = np.asarray(x, dtype=float)
-        return X @ Vt.T + basis.eval(X) @ Theta.T
+        return X @ self.Vt.T + self.basis.eval(X) @ self.Theta.T
 
-    def jac_Phi(x: npt.ArrayLike) -> np.ndarray:
-        return Vt + Theta @ basis.jacobian(np.asarray(x, dtype=float))
-
-    def Phi_jac(x: npt.ArrayLike) -> Tuple[np.ndarray, np.ndarray]:
+    def Phi_jac(self, x: npt.ArrayLike) -> Tuple[np.ndarray, np.ndarray]:
+        """``Phi(x)`` and ``dPhi/dx`` (..., n, n) from one dictionary pass."""
         X = np.asarray(x, dtype=float)
-        G, dG = basis.eval_and_jacobian(X)
-        return X @ Vt.T + G @ Theta.T, Vt + Theta @ dG
-
-    return Phi, jac_Phi, Phi_jac
+        G, dG = self.basis.eval_and_jacobian(X)
+        return X @ self.Vt.T + G @ self.Theta.T, self.Vt + self.Theta @ dG
 
 
 def approximate_eigenfunction_set(
@@ -447,19 +441,13 @@ def approximate_eigenfunction_set(
         F, FX, basis, [(S, W, Th) for (S, W), Th in zip(blocks, Thetas)], samples,
         heldout_tol, "eigenvalue block",
     )
-    Theta = np.vstack(Thetas)
-
-    Phi, jac_Phi, Phi_jac = _make_phi(dec.Vt, Theta, basis)
     return EigenfunctionSet(
-        Phi=Phi,
-        jac_Phi=jac_Phi,
-        Phi_jac=Phi_jac,
         Lambda=dec.Lambda,
         Vt=dec.Vt,
+        Theta=np.vstack(Thetas),
+        basis=basis,
         box=samples.box,
         blocks=tuple(dec.blocks),
-        basis=basis,
-        Theta=Theta,
         block_residuals=train_rms,
         heldout_residuals=held_rms,
         cond_J=conds,
@@ -467,32 +455,20 @@ def approximate_eigenfunction_set(
 
 
 def linear_eigenfunction_set(A: npt.ArrayLike, box: npt.ArrayLike) -> EigenfunctionSet:
-    """Exact eigenfunction set of a linear field ``xdot = A x``: Phi = Vt x."""
-    A_mat = np.asarray(A, dtype=float)
-    dec = real_spectral_decomposition(A_mat)
-    Vt = dec.Vt
-    box_arr = np.asarray(box, dtype=float)
+    """Exact eigenfunction set of a linear field ``xdot = A x``: Phi = Vt x.
 
-    def Phi(x: npt.ArrayLike) -> np.ndarray:
-        return np.asarray(x, dtype=float) @ Vt.T
-
-    def jac_Phi(x: npt.ArrayLike) -> np.ndarray:
-        X = np.asarray(x, dtype=float)
-        return np.broadcast_to(Vt, X.shape[:-1] + Vt.shape).copy()
-
-    def Phi_jac(x: npt.ArrayLike) -> Tuple[np.ndarray, np.ndarray]:
-        return Phi(x), jac_Phi(x)
-
+    Its dictionary is the empty monomial basis (``M = 0``).
+    """
+    dec = real_spectral_decomposition(np.asarray(A, dtype=float))
+    n = dec.Vt.shape[0]
+    empty = BasisSet(dim_in=n, M=0, exponents=np.zeros((0, n)), purely_nonlinear=True)
     return EigenfunctionSet(
-        Phi=Phi,
-        jac_Phi=jac_Phi,
-        Phi_jac=Phi_jac,
         Lambda=dec.Lambda,
-        Vt=Vt,
-        box=box_arr,
+        Vt=dec.Vt,
+        Theta=np.zeros((n, 0)),
+        basis=empty,
+        box=np.asarray(box, dtype=float),
         blocks=tuple(dec.blocks),
-        basis=None,
-        Theta=None,
         block_residuals=np.zeros(len(dec.blocks)),
         heldout_residuals=np.zeros(len(dec.blocks)),
         cond_J=np.full(len(dec.blocks), np.nan),

@@ -84,10 +84,11 @@ class HJSolution1:
     state-space Riccati equation of the linearization.
 
     ``grad_poly`` is derived from ``eig`` and ``L`` on construction: for a
-    set fitted on a monomial basis, the value gradient collapsed into one
-    polynomial, a monomial table and its ``(n, T)`` coefficient matrix
-    (:func:`_collapse_gradient`); otherwise None, and the gradient is the
-    contraction ``(dPhi/dx)^T L Phi``.
+    set on a monomial dictionary (fitted, or the empty one of a linear set),
+    the value gradient collapsed into one polynomial, a monomial table and
+    its ``(n, T)`` coefficient matrix (:func:`_collapse_gradient`);
+    otherwise None, and the gradient is the contraction
+    ``(dPhi/dx)^T L Phi``.
     """
 
     eig: EigenfunctionSet
@@ -128,13 +129,13 @@ class HJSolution1:
 def _collapse_gradient(
     eig: EigenfunctionSet, L: np.ndarray
 ) -> Optional[Tuple[MonomialTable, np.ndarray]]:
-    """The value gradient of a fitted monomial set as one polynomial, else None.
+    """The value gradient of a set on monomials as one polynomial, else None.
 
     ``Phi = C psi`` with ``psi = (x, G(x))`` and ``C = [Vt Theta]``, so
     ``V = 0.5 psi^T S psi`` with ``S = C^T L C`` and ``grad V`` is a
     polynomial of degree ``2d - 1`` (:func:`quadratic_form_gradient`).
     """
-    if not isinstance(eig.basis, BasisSet) or eig.Theta is None:
+    if not isinstance(eig.basis, BasisSet):
         return None
     expo = np.vstack([np.eye(eig.n, dtype=np.int64), eig.basis.exponents])
     if int(expo.sum(axis=1).min()) < 1:
@@ -148,9 +149,9 @@ def procedure1_solve(sys: ControlAffineSystem, eig: EigenfunctionSet) -> HJSolut
 
     Requires a hyperbolic eigenvalue matrix (no eigenvalue of ``Lambda`` on
     the imaginary axis) so the associated Hamiltonian matrix admits a
-    stabilizing solution.  For a set fitted on a monomial basis the
-    solution collapses its value gradient once into one polynomial; sets
-    without one (closed-form and linear sets) keep the contraction.
+    stabilizing solution.  For a set on a monomial dictionary (fitted or
+    linear) the solution collapses its value gradient once into one
+    polynomial; the closed-form example-1 set keeps the contraction.
     """
     if eig.n != sys.n:
         raise ValueError(f"eigenfunction set has n={eig.n}, system has n={sys.n}")
@@ -317,44 +318,37 @@ def verify_generating_function(
     )
 
 
+class _SineDictionary:
+    """The one-function dictionary ``Gamma(x) = sin x2 - x2`` on R^2."""
+
+    def eval(self, x: npt.ArrayLike) -> np.ndarray:
+        x2 = np.asarray(x, dtype=float)[..., 1]
+        return (np.sin(x2) - x2)[..., None]
+
+    def eval_and_jacobian(self, x: npt.ArrayLike) -> tuple[np.ndarray, np.ndarray]:
+        X = np.asarray(x, dtype=float)
+        dG = np.zeros(X.shape[:-1] + (1, 2))
+        dG[..., 0, 1] = np.cos(X[..., 1]) - 1.0
+        return self.eval(X), dG
+
+
 def example1_eigenfunction_set(
     box: npt.ArrayLike = ((-1.0, 1.0), (-1.0, 1.0)),
 ) -> EigenfunctionSet:
     """Closed-form eigenfunction set of the two-dimensional benchmark drift.
 
-    ``Phi(x) = (x1 - 2 x2, x1 + sin x2)`` with eigenvalues ``(-1, 2)``;
-    residuals are identically zero, which makes this the exactness oracle
-    for everything downstream.
+    ``Phi(x) = (x1 - 2 x2, x1 + sin x2)`` with eigenvalues ``(-1, 2)``: the
+    linear parts ``Vt = [[1, -2], [1, 1]]`` and ``Theta = [[0], [1]]`` on
+    the one-function dictionary ``sin x2 - x2``.  Residuals are identically
+    zero, which makes this the exactness oracle for everything downstream.
     """
-
-    def Phi(x: npt.ArrayLike) -> np.ndarray:
-        X = np.asarray(x, dtype=float)
-        return np.stack(
-            [X[..., 0] - 2.0 * X[..., 1], X[..., 0] + np.sin(X[..., 1])], axis=-1
-        )
-
-    def jac_Phi(x: npt.ArrayLike) -> np.ndarray:
-        X = np.asarray(x, dtype=float)
-        out = np.zeros(X.shape[:-1] + (2, 2))
-        out[..., 0, 0] = 1.0
-        out[..., 0, 1] = -2.0
-        out[..., 1, 0] = 1.0
-        out[..., 1, 1] = np.cos(X[..., 1])
-        return out
-
-    def Phi_jac(x: npt.ArrayLike) -> tuple[np.ndarray, np.ndarray]:
-        return Phi(x), jac_Phi(x)
-
     return EigenfunctionSet(
-        Phi=Phi,
-        jac_Phi=jac_Phi,
-        Phi_jac=Phi_jac,
         Lambda=np.diag([-1.0, 2.0]),
         Vt=np.array([[1.0, -2.0], [1.0, 1.0]]),
+        Theta=np.array([[0.0], [1.0]]),
+        basis=_SineDictionary(),
         box=np.asarray(box, dtype=float),
         blocks=((0, 1), (1, 1)),
-        basis=None,
-        Theta=None,
         block_residuals=np.zeros(2),
         heldout_residuals=np.zeros(2),
         cond_J=np.full(2, np.nan),

@@ -11,13 +11,11 @@ the principal eigenfunctions associated with the *unstable* eigenvalues:
 With a dictionary at most linear in ``p`` (``Gamma = (Xi1(x), Xi2(x) p)``),
 the zero-level equation is linear in ``p`` and solves in closed form:
 
-    G2(x) = Wu2_t + U12 Xi2(x),
-    G1(x) = U11 Xi1(x) + U12 Xi2(x) Jl x,
-    Jl    = -Wu2_t^{-1} Wu1_t,
-    p*(x) = Jl x + p_n(x),      p_n(x) = -G2(x)^{-1} G1(x),
+    Psi_u(x, p) = Wu1_t x + U11 Xi1(x) + G2(x) p,     G2(x) = Wu2_t + U12 Xi2(x),
+    p*(x) = -G2(x)^{-1} (Wu1_t x + U11 Xi1(x)).
 
-which algebraically equals ``-G2(x)^{-1}(Wu1_t x + U11 Xi1(x))`` — the
-direct solve of ``Psi_u(x, .) = 0``.  The feedback law is
+Its linear part is the graph of the linear parts,
+``Jl = -Wu2_t^{-1} Wu1_t`` (``spectral._graph``).  The feedback law is
 ``u = -D^{-1} g(x)^T p*(x)``; a value function can additionally be fitted
 as ``V(x) = 0.5 (x^T Jl x + Xi3(x)^T Jn Xi3(x))`` by least squares on the
 manifold gradient.
@@ -25,7 +23,7 @@ manifold gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -40,8 +38,20 @@ from .galerkin import (
     fit_blocks,
     sample_domain,
 )
-from .spectral import _lead_index, unstable_left_subspace
-from .systems import ControlAffineSystem, HamiltonianSystemModel, feedback, linearize
+from .spectral import (
+    _certify_complementarity,
+    _graph,
+    _lead_index,
+    solve_riccati,
+    unstable_left_subspace,
+)
+from .systems import (
+    ControlAffineSystem,
+    HamiltonianSystemModel,
+    feedback,
+    hamiltonian_vector_field,
+    linearize,
+)
 
 __all__ = [
     "UnstableEigenfunctions",
@@ -153,7 +163,7 @@ def unstable_eigfns(
         [(Lambda_u[o : o + r, o : o + r], Wu[o : o + r], U[o : o + r]) for o, r in sub.blocks],
         samples, heldout_tol, "unstable block",
     )
-    _check_complementarity(Wu[:, n:])
+    _certify_complementarity(Wu[:, n:])
     return UnstableEigenfunctions(
         Wu_t=Wu,
         U=U,
@@ -167,16 +177,6 @@ def unstable_eigfns(
     )
 
 
-def _check_complementarity(Wu2: np.ndarray) -> None:
-    """The complementarity certificate: ``cond(Wu2_t) < 1e12``."""
-    cond2 = np.linalg.cond(Wu2)
-    if not np.isfinite(cond2) or cond2 >= 1e12:
-        raise RuntimeError(
-            f"complementarity condition fails: momentum block of the unstable "
-            f"eigenfunctions numerically singular (condition number {cond2:.2e})"
-        )
-
-
 def linear_manifold(eigs: UnstableEigenfunctions) -> np.ndarray:
     """Linear coefficient of the manifold: ``Jl = -Wu2_t^{-1} Wu1_t``.
 
@@ -184,28 +184,17 @@ def linear_manifold(eigs: UnstableEigenfunctions) -> np.ndarray:
     for sampled data); callers that need the symmetric quadratic-form
     coefficient symmetrize it and track the asymmetry.
     """
-    _check_complementarity(eigs.Wu2_t)
-    return -np.linalg.solve(eigs.Wu2_t, eigs.Wu1_t)
+    return _graph(eigs.Wu1_t, eigs.Wu2_t)
 
 
-def _manifold_system(
-    eigs: UnstableEigenfunctions, x: np.ndarray, Jl: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``G2(x)`` (..., n, n) and ``G1(x)`` (..., n) at states ``x`` (..., n)."""
-    C = eigs.U12 @ eigs.basis.xi2(x)  # (..., n, n)
-    G1 = eigs.basis.xi1(x) @ eigs.U11.T + (C @ (x @ Jl.T)[..., None])[..., 0]
-    return eigs.Wu2_t + C, G1
-
-
-def _solve_manifold(
-    eigs: UnstableEigenfunctions, x: np.ndarray, Jl: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``p_n = -G2^{-1} G1`` at states ``x`` (..., n), with ``G2`` and ``G1``.
+def _solve_manifold(eigs: UnstableEigenfunctions, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``p*(x) = -G2(x)^{-1} (Wu1_t x + U11 Xi1(x))`` and ``G2(x)`` at states
+    ``x`` (..., n).
 
     Every point must pass the ``cond(G2) < 1e12`` certificate; the first
     point that fails is named in the error.
     """
-    G2, G1 = _manifold_system(eigs, x, Jl)
+    G2 = eigs.Wu2_t + eigs.U12 @ eigs.basis.xi2(x)  # (..., n, n)
     cond = np.atleast_1d(np.linalg.cond(G2))
     bad = np.flatnonzero(~(np.isfinite(cond) & (cond < 1e12)))
     if bad.size:
@@ -214,22 +203,17 @@ def _solve_manifold(
             f"manifold momentum matrix G2 singular at "
             f"x={x.reshape(-1, eigs.n)[k].tolist()} (condition number {cond[k]:.2e})"
         )
-    return -np.linalg.solve(G2, G1[..., None])[..., 0], G2, G1
+    rest = x @ eigs.Wu1_t.T + eigs.basis.xi1(x) @ eigs.U11.T  # Psi_u(x, 0)
+    return -np.linalg.solve(G2, rest[..., None])[..., 0], G2
 
 
-def nonlinear_manifold(
-    eigs: UnstableEigenfunctions, x: npt.ArrayLike, Jl: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Nonlinear momentum correction ``p_n(x) = -G2(x)^{-1} G1(x)``.
+def nonlinear_manifold(eigs: UnstableEigenfunctions, x: npt.ArrayLike) -> np.ndarray:
+    """The manifold point ``p*(x) = -G2(x)^{-1} (Wu1_t x + U11 Xi1(x))``.
 
-    ``x`` is one state or a batch ``(..., n)``.  The full manifold point is
-    ``p*(x) = Jl x + p_n(x)``, which solves ``Psi_u(x, p) = 0`` exactly
-    wherever ``G2(x)`` is invertible.
+    ``x`` is one state or a batch ``(..., n)``.  ``p*(x)`` solves
+    ``Psi_u(x, p) = 0`` exactly wherever ``G2(x)`` is invertible.
     """
-    x = np.asarray(x, dtype=float)
-    if Jl is None:
-        Jl = linear_manifold(eigs)
-    return _solve_manifold(eigs, x, Jl)[0]
+    return _solve_manifold(eigs, np.asarray(x, dtype=float))[0]
 
 
 @dataclass(frozen=True)
@@ -259,11 +243,11 @@ def fit_value_Jn(
     """Fit ``V(x) = 0.5 (x^T Jl x + Xi3^T Jn Xi3)`` to the manifold.
 
     For each sample the value-gradient model is linear in the
-    half-vectorization of the symmetric ``Jn``; rows are weighted by
-    ``G2(x_k)`` so the normal equations reproduce the manifold equation
-    ``G2 p + G1 = 0``, and the targets are ``-G1(x_k)`` minus the linear
-    part's contribution.  The reported residual is the direct (unweighted)
-    RMS mismatch of the full value gradient against ``p*``.
+    half-vectorization of the symmetric ``Jn``; it models the nonlinear part
+    ``p*(x_k) - Jl_raw x_k`` of the manifold momentum, in rows weighted by
+    ``G2(x_k)``, the momentum matrix of the zero-level equation.  The
+    reported residual is the direct (unweighted) RMS mismatch of the full
+    value gradient against ``p*``.
     """
     if not getattr(xi3, "purely_nonlinear", False):
         raise ValueError("xi3 must be a purely nonlinear basis")
@@ -287,12 +271,10 @@ def fit_value_Jn(
     offdiag = (I != J)[None, :, None]
     cm = T[:, I, :] * v[:, J, None] + (T[:, J, :] * v[:, I, None]) * offdiag
     cm = np.swapaxes(cm, 1, 2)  # (K, n, nv)
-    p_n, G2, G1 = _solve_manifold(eigs, pts, Jl_raw)
-    p_stars = pts @ Jl_raw.T + p_n
-    # weighted rows: G2 (gradient model) ~ -G1 - G2 p_n-linear part;
-    # the model replaces p_n, so target is G2 p_n = -G1.
+    p_stars, G2 = _solve_manifold(eigs, pts)
+    # weighted rows: G2 (gradient model) ~ G2 (p* - Jl_raw x)
     A = (G2 @ cm).reshape(K * n, nv)
-    t = -G1.reshape(K * n)
+    t = (G2 @ (p_stars - pts @ Jl_raw.T)[..., None]).reshape(K * n)
 
     sol, _, rank, _ = np.linalg.lstsq(A, t, rcond=None)
     if rank < nv:
@@ -326,26 +308,33 @@ def fit_value_Jn(
 class HJSolution2:
     """Feedback law and (optional) value function from the zero-level set.
 
-    ``Jl`` is the symmetrized linear manifold coefficient and ``Jl_raw`` the
-    raw one (computed once, when the solution is built); ``jl_asymmetry``
-    records the raw formula's relative asymmetry
-    ``|Jl_raw - Jl_raw^T|_F / max(1, |Jl_raw|_F)``.  ``p_star`` uses the raw
-    coefficient so zero-level membership ``Psi_u(x, p_star(x)) = 0`` holds
-    to machine precision.  ``p_star``, ``control`` (the feedback law
+    ``Jl_raw``, ``Jl`` and ``jl_asymmetry`` are derived from ``eigs`` on
+    construction: the raw linear manifold coefficient
+    (:func:`linear_manifold`), its symmetrization, and the raw formula's
+    relative asymmetry ``|Jl_raw - Jl_raw^T|_F / max(1, |Jl_raw|_F)``.
+    ``p_star`` solves the zero-level equation directly
+    (:func:`nonlinear_manifold`), so ``Psi_u(x, p_star(x)) = 0`` holds to
+    machine precision.  ``p_star``, ``control`` (the feedback law
     ``u = -D^{-1} g(x)^T p*(x)``) and ``value`` accept one state or states
     ``(..., n)``.
     """
 
     eigs: UnstableEigenfunctions
     sys: ControlAffineSystem
-    Jl: np.ndarray
-    Jl_raw: np.ndarray
-    jl_asymmetry: float
     value_fit: Optional[ValueFit] = None
+    Jl_raw: np.ndarray = field(init=False, repr=False, compare=False)
+    Jl: np.ndarray = field(init=False, repr=False, compare=False)
+    jl_asymmetry: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        Jl_raw = linear_manifold(self.eigs)
+        asym = float(np.linalg.norm(Jl_raw - Jl_raw.T)) / max(1.0, float(np.linalg.norm(Jl_raw)))
+        object.__setattr__(self, "Jl_raw", Jl_raw)
+        object.__setattr__(self, "Jl", (Jl_raw + Jl_raw.T) / 2.0)
+        object.__setattr__(self, "jl_asymmetry", asym)
 
     def p_star(self, x: npt.ArrayLike) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return x @ self.Jl_raw.T + nonlinear_manifold(self.eigs, x, Jl=self.Jl_raw)
+        return nonlinear_manifold(self.eigs, x)
 
     def control(self, x: npt.ArrayLike) -> np.ndarray:
         return feedback(self.sys, x, self.p_star(x))
@@ -373,8 +362,6 @@ def default_phase_box(
     The linear estimate is the stabilizing Riccati solution of the origin
     linearization; the momentum radius is ``margin * ||P_r||_2 * max |x|``.
     """
-    from .spectral import solve_riccati
-
     x_box = np.asarray(x_box, dtype=float).reshape(sys.n, 2)
     lin = linearize(sys)
     P_r = solve_riccati(lin.A, lin.R0, lin.Q0).P
@@ -398,13 +385,8 @@ def procedure2_solve(
     value basis ``xi3`` is given, ``Jn`` is fitted on ``fit_samples``
     (default: a fresh sample of the x-part of the box, derived seed).
     """
-    from .systems import hamiltonian_vector_field
-
     ham = hamiltonian_vector_field(sys)
     eigs = unstable_eigfns(ham, basis, samples, heldout_tol=heldout_tol)
-    Jl_raw = linear_manifold(eigs)
-    asym = float(np.linalg.norm(Jl_raw - Jl_raw.T)) / max(1.0, float(np.linalg.norm(Jl_raw)))
-    Jl = (Jl_raw + Jl_raw.T) / 2.0
     value_fit = None
     if xi3 is not None:
         if fit_samples is None:
@@ -414,6 +396,4 @@ def procedure2_solve(
                 _derive_seed(samples.seed, _FIT_SEED_XOR),
             )
         value_fit = fit_value_Jn(eigs, xi3, fit_samples)
-    return HJSolution2(
-        eigs=eigs, sys=sys, Jl=Jl, Jl_raw=Jl_raw, jl_asymmetry=asym, value_fit=value_fit
-    )
+    return HJSolution2(eigs=eigs, sys=sys, value_fit=value_fit)

@@ -272,20 +272,35 @@ def unstable_left_subspace(H: npt.ArrayLike, tol: float = 1e-8) -> UnstableSubsp
     )
 
 
+def _certify_complementarity(D2: np.ndarray) -> None:
+    """The complementarity certificate: the momentum block ``D2`` of a row
+    basis ``(D1 | D2)`` has ``cond(D2) < 1e12``, so the rows are a graph
+    over the positions."""
+    cond = np.linalg.cond(D2)
+    if not np.isfinite(cond) or cond >= _COND_LIMIT:
+        raise RuntimeError(
+            f"complementarity condition fails: momentum block numerically singular "
+            f"(condition number {cond:.2e})"
+        )
+
+
+def _graph(D1: np.ndarray, D2: np.ndarray) -> np.ndarray:
+    """``-D2^{-1} D1``: the zero-level set ``{D1 x + D2 p = 0}`` of the rows
+    ``(D1 | D2)`` is its graph ``{p = -D2^{-1} D1 x}``.  The only solve of a
+    momentum block against a position block; certified first."""
+    _certify_complementarity(D2)
+    return -np.linalg.solve(D2, D1)
+
+
 def lagrangian_subspace(sub: UnstableSubspace) -> np.ndarray:
-    """Symmetric matrix L with the unstable subspace as graph ``{p = -L x}``.
+    """Symmetric L whose graph ``{p = L x}`` is the zero-level set of the
+    unstable subspace's rows.
 
     ``L = -D2^{-1} D1``.  The result is mathematically symmetric (the
     subspace is Lagrangian); asymmetry beyond ``1e-8`` relative is treated
     as a failure, otherwise the symmetrized matrix is returned.
     """
-    cond = np.linalg.cond(sub.D2)
-    if not np.isfinite(cond) or cond >= _COND_LIMIT:
-        raise ValueError(
-            f"complementarity condition fails: D2 block numerically singular "
-            f"(condition number {cond:.2e})"
-        )
-    L = -np.linalg.solve(sub.D2, sub.D1)
+    L = _graph(sub.D1, sub.D2)
     asym = np.linalg.norm(L - L.T)
     if asym > 1e-8 * max(np.linalg.norm(L), 1e-300):
         raise RuntimeError(

@@ -54,27 +54,18 @@ _EQ_TOL = 1e-12
 
 
 def _fd_jacobian(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Central finite-difference Jacobian, relative step 1e-6 per coordinate."""
+    """Central finite-difference Jacobian, relative step 1e-6 per coordinate.
+
+    A scalar ``func`` gives a ``(1, n)`` jacobian, its gradient as row 0.
+    """
     x = np.asarray(x, dtype=float)
-    f0 = np.atleast_1d(np.asarray(func(x), dtype=float))
-    J = np.zeros((f0.size, x.size))
+    cols = []
     for j in range(x.size):
         h = 1e-6 * max(1.0, abs(x[j]))
         e = np.zeros_like(x)
         e[j] = h
-        J[:, j] = (np.atleast_1d(func(x + e)) - np.atleast_1d(func(x - e))) / (2 * h)
-    return J
-
-
-def _fd_gradient(func: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    grad = np.zeros_like(x)
-    for j in range(x.size):
-        h = 1e-6 * max(1.0, abs(x[j]))
-        e = np.zeros_like(x)
-        e[j] = h
-        grad[j] = (func(x + e) - func(x - e)) / (2 * h)
-    return grad
+        cols.append((np.atleast_1d(func(x + e)) - np.atleast_1d(func(x - e))) / (2 * h))
+    return np.stack(cols, axis=-1)
 
 
 def _coords(x: np.ndarray):
@@ -182,13 +173,12 @@ class Linearization:
 class HamiltonianSystemModel:
     """The 2n-dimensional Hamiltonian vector field and its linearization.
 
-    ``F`` and ``Fn`` take points ``z = (x, p)`` of shape ``(..., 2n)``.
+    ``F`` takes points ``z = (x, p)`` of shape ``(..., 2n)``.
     """
 
     base: ControlAffineSystem
     F: Callable[[np.ndarray], np.ndarray]
     H0: np.ndarray
-    Fn: Callable[[np.ndarray], np.ndarray]
 
 
 def control_affine_system(
@@ -222,7 +212,7 @@ def control_affine_system(
             lambda y: g_one(y).ravel(), x
         ).reshape(n, p, n)
     if grad_q is None:
-        grad_q = lambda x, _q=q: _fd_gradient(_q, x)  # noqa: E731
+        grad_q = lambda x, _q=q: _fd_jacobian(_q, x)[0]  # noqa: E731
     if hess_q0 is None:
         hq = _fd_jacobian(grad_q, np.zeros(n))
         hess_q0 = (hq + hq.T) / 2.0
@@ -289,11 +279,7 @@ def hamiltonian_vector_field(sys: ControlAffineSystem) -> HamiltonianSystemModel
         )
         return np.concatenate([xdot, pdot], axis=-1)
 
-    def Fn(z: npt.ArrayLike) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        return F(z) - z @ H0.T
-
-    return HamiltonianSystemModel(base=sys, F=F, H0=H0, Fn=Fn)
+    return HamiltonianSystemModel(base=sys, F=F, H0=H0)
 
 
 def hj_residual(

@@ -223,7 +223,7 @@ class TestExampleSystemBlocks:
             e = np.zeros(2)
             e[j] = h
             fd[:, j] = (eig.Phi(x + e) - eig.Phi(x - e)) / (2 * h)
-        np.testing.assert_allclose(eig.jac_Phi(x), fd, atol=1e-8)
+        np.testing.assert_allclose(eig.Phi_jac(x)[1], fd, atol=1e-8)
 
 
 class TestFailurePaths:

@@ -9,17 +9,23 @@ from hypothesis.extra.numpy import arrays
 
 from koopmanhj import systems
 from koopmanhj.basis import BasisSet, monomial_basis, procedure2_basis
-from koopmanhj.galerkin import approximate_eigenfunction_set, sample_domain
-from koopmanhj.procedure1 import procedure1_solve
+from koopmanhj.galerkin import (
+    approximate_eigenfunction_set,
+    linear_eigenfunction_set,
+    sample_domain,
+)
+from koopmanhj.procedure1 import example1_eigenfunction_set, procedure1_solve
 from koopmanhj.procedure2 import (
     UnstableEigenfunctions,
     default_phase_box,
+    linear_manifold,
     nonlinear_manifold,
     procedure2_solve,
+    psi_u,
 )
 from koopmanhj.simulate import _rk4, closed_loop
+from koopmanhj.spectral import solve_riccati
 from koopmanhj.systems import (
-    _fd_gradient,
     _fd_jacobian,
     builtin_example1,
     builtin_pendulum,
@@ -122,7 +128,8 @@ class TestBatchedMaps:
             assert isinstance(hj_residual(sys_, V_grad, X[0]), float)
             Z = np.concatenate([X, scale * X[:, ::-1]], axis=1)
             _assert_rel(ham.F(Z), _rowwise(ham.F, Z))
-            _assert_rel(ham.Fn(Z), _rowwise(ham.Fn, Z))
+            Fn = lambda W: ham.F(W) - W @ ham.H0.T  # noqa: E731
+            _assert_rel(Fn(Z), _rowwise(Fn, Z))
 
         check()
 
@@ -141,7 +148,7 @@ class TestLiftGradient:
         @given(pts, arrays(np.float64, (n,), elements=st.floats(-3.0, 3.0, width=64)))
         def check(X, p):
             for x in X:
-                fd = _fd_gradient(lambda y: float(p @ sys_.R(y) @ p), x)
+                fd = _fd_jacobian(lambda y: float(p @ sys_.R(y) @ p), x)[0]
                 want = (
                     -sys_.jacobian_f(x).T @ p + 0.5 * fd - sys_.grad_q(x)
                 )
@@ -167,7 +174,7 @@ class TestLiftGradient:
             raise AssertionError("finite-difference gradient called")
 
         ham = hamiltonian_vector_field(builtin_pendulum(9.81))
-        monkeypatch.setattr(systems, "_fd_gradient", forbidden)
+        monkeypatch.setattr(systems, "_fd_jacobian", forbidden)
         Z = np.random.default_rng(0).uniform(-1, 1, size=(5, 6))
         assert np.all(np.isfinite(ham.F(Z)))
 
@@ -251,9 +258,145 @@ class TestBatchedSolutions:
         for Y in (X, X[0]):
             Phi, jac = eig.Phi_jac(Y)
             _assert_rel(Phi, eig.Phi(Y))
-            _assert_rel(jac, eig.jac_Phi(Y))
-            want = np.einsum("...ij,...i->...j", eig.jac_Phi(Y), eig.Phi(Y) @ sol1.L.T)
+            jac_alone = eig.Vt + eig.Theta @ eig.basis.jacobian(Y)
+            _assert_rel(jac, jac_alone)
+            want = np.einsum("...ij,...i->...j", jac_alone, eig.Phi(Y) @ sol1.L.T)
             _assert_rel(sol1.grad_value(Y), want)
+
+
+# ----------------------------------------------------------------------
+# Eigenfunction sets as data and the one zero-level solve, on example 1
+# and the scalar cubic
+# ----------------------------------------------------------------------
+
+def _scalar_cubic():
+    return polynomial_system([[(-1.0, (1,)), (1.0, (3,))]], [[1.0]], [[1.0]], [[1.0]])
+
+
+ROUTE2_CASES = {
+    "example1": (lambda: builtin_example1(1.0), [[-0.4, 0.4]] * 2, (3, 2), 1500, 4),
+    "cubic": (_scalar_cubic, [[-0.35, 0.35]], (7, 5), 3000, 2),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(ROUTE2_CASES))
+def route2(request):
+    make_sys, x_box, (d1, d2), L, seed = ROUTE2_CASES[request.param]
+    sys_ = make_sys()
+    phase = default_phase_box(sys_, x_box, margin=1.0)
+    sol = procedure2_solve(sys_, procedure2_basis(sys_.n, d1, d2), sample_domain(phase, L, seed))
+    return sol, np.asarray(x_box, dtype=float)
+
+
+def _in_box(box):
+    """Batches of 1..6 states inside ``box`` (rows [lo, hi])."""
+    n = len(box)
+    return _points(n, 0.0, 1.0).map(lambda U: box[:, 0] + U * (box[:, 1] - box[:, 0]))
+
+
+class TestZeroLevelSolve:
+    def test_p_star_is_on_the_zero_level_set(self, route2):
+        sol, box = route2
+        eigs = sol.eigs
+
+        @SETTINGS
+        @given(_in_box(box))
+        def check(X):
+            Z = np.concatenate([X, sol.p_star(X)], axis=-1)
+            # scale: the largest term of Psi_u = Wu_t z + U Gamma(z)
+            scale = np.max(np.abs(Z) @ np.abs(eigs.Wu_t).T
+                           + np.abs(eigs.basis.eval(Z)) @ np.abs(eigs.U).T)
+            assert np.max(np.abs(psi_u(eigs, Z))) <= 1e-12 * scale
+
+        check()
+
+    def test_p_star_equals_the_two_step_form(self, route2):
+        """``-G2^{-1}(Wu1 x + U11 Xi1)`` equals ``Jl_raw x - G2^{-1} G1``,
+        ``G1 = U11 Xi1 + U12 Xi2 Jl_raw x``."""
+        sol, box = route2
+        eigs = sol.eigs
+        Jl_raw = linear_manifold(eigs)
+
+        @SETTINGS
+        @given(_in_box(box))
+        def check(X):
+            C = eigs.U12 @ eigs.basis.xi2(X)
+            G1 = eigs.basis.xi1(X) @ eigs.U11.T + (C @ (X @ Jl_raw.T)[..., None])[..., 0]
+            p_n = -np.linalg.solve(eigs.Wu2_t + C, G1[..., None])[..., 0]
+            _assert_rel(sol.p_star(X), X @ Jl_raw.T + p_n, rel=1e-12)
+
+        check()
+
+
+class TestComplementarityMessage:
+    @SETTINGS
+    @given(st.floats(0.5, 3.0), st.floats(0.5, 3.0))
+    def test_riccati_and_route2_raise_the_same_failure(self, a, q):
+        """Without control authority (``g = 0``) the momentum block of the
+        unstable rows vanishes: the state Riccati solve and the route-2
+        solve fail with one message."""
+        sys_ = polynomial_system([[(a, (1,))]], [[0.0]], [[1.0]], [[q]])
+        with pytest.raises(RuntimeError, match="complementarity") as riccati:
+            solve_riccati([[a]], [[0.0]], [[q]])
+        samples = sample_domain(np.array([[-1.0, 1.0], [-1.0, 1.0]]), 300, 0)
+        with pytest.raises(RuntimeError, match="complementarity") as route2:
+            procedure2_solve(sys_, procedure2_basis(1, 2, 2), samples)
+        assert str(riccati.value) == str(route2.value)
+
+
+class TestEigenfunctionSetsAsData:
+    @pytest.mark.parametrize("make_sys", [lambda: builtin_example1(1.0), _scalar_cubic],
+                             ids=["example1", "cubic"])
+    def test_linear_set_is_Vt_x(self, make_sys):
+        sys_ = make_sys()
+        n = sys_.n
+        eig = linear_eigenfunction_set(linearize(sys_).A, [[-6.0, 6.0]] * n)
+
+        @SETTINGS
+        @given(_points(n, -6.0, 6.0))
+        def check(X):
+            for Y in (X, X[0]):
+                Phi, jac = eig.Phi_jac(Y)
+                _assert_rel(eig.Phi(Y), Y @ eig.Vt.T, rel=1e-14)
+                _assert_rel(Phi, Y @ eig.Vt.T, rel=1e-14)
+                _assert_rel(jac, np.broadcast_to(eig.Vt, Y.shape[:-1] + (n, n)), rel=1e-14)
+
+        check()
+
+    @SETTINGS
+    @given(_points(2, -6.0, 6.0))
+    def test_example1_set_is_the_closed_form(self, X):
+        eig = example1_eigenfunction_set(box=((-6.0, 6.0),) * 2)
+        for Y in (X, X[0]):
+            x1, x2 = Y[..., 0], Y[..., 1]
+            want = np.stack([x1 - 2.0 * x2, x1 + np.sin(x2)], axis=-1)
+            want_jac = np.zeros(Y.shape[:-1] + (2, 2))
+            want_jac[..., 0, :] = [1.0, -2.0]
+            want_jac[..., 1, 0] = 1.0
+            want_jac[..., 1, 1] = np.cos(x2)
+            Phi, jac = eig.Phi_jac(Y)
+            _assert_rel(eig.Phi(Y), want, rel=1e-14)
+            _assert_rel(Phi, want, rel=1e-14)
+            _assert_rel(jac, want_jac, rel=1e-14)
+
+    @pytest.mark.parametrize("make_sys", [lambda: builtin_example1(1.0), _scalar_cubic],
+                             ids=["example1", "cubic"])
+    def test_route1_on_a_linear_set_is_lqr(self, make_sys):
+        """The linear set goes through the collapsed gradient, and its
+        feedback is the LQR law ``u = -D^{-1} B^T P x``."""
+        sys_ = make_sys()
+        lin = linearize(sys_)
+        sol = procedure1_solve(sys_, linear_eigenfunction_set(lin.A, [[-1.0, 1.0]] * sys_.n))
+        assert sol.grad_poly is not None
+        K = np.linalg.solve(lin.D, lin.B.T @ solve_riccati(lin.A, lin.R0, lin.Q0).P)
+
+        @SETTINGS
+        @given(_points(sys_.n))
+        def check(X):
+            for Y in (X, X[0]):
+                _assert_rel(sol.control(Y), -(Y @ K.T), rel=1e-12)
+
+        check()
 
 
 class TestSingularPointInBatch:

@@ -149,7 +149,7 @@ class TestLagrangianSubspace:
         # Hamiltonian with R = 0: unstable rows have D2 singular
         A = np.diag([1.0, 2.0])
         H = np.block([[A, np.zeros((2, 2))], [-np.eye(2), -A.T]])
-        with pytest.raises(ValueError, match="complementarity"):
+        with pytest.raises(RuntimeError, match="complementarity"):
             lagrangian_subspace(unstable_left_subspace(H))
 
 
