@@ -27,14 +27,18 @@ unstable Hamiltonian-lift eigenfunctions in ``procedure2``):
 :func:`fit_blocks` assembles and solves, :func:`certify_blocks` takes one
 residual pass over the training and one over the held-out set.
 
-Accumulation is chunked at a fixed size so results are bit-reproducible
-regardless of available parallelism.
+Every pass streams its samples in ``CHUNK``-row blocks: the basis, its
+jacobian and a callable field are evaluated one block at a time, so a
+pass's temporaries take O(CHUNK M dim) memory whatever the sample count.
+A :class:`SampleStream` is not even drawn whole: ``convergence_study`` fits
+its dense reference from one.  The fixed block size also keeps results
+bit-reproducible regardless of available parallelism.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import numpy.typing as npt
@@ -44,6 +48,7 @@ from .spectral import real_spectral_decomposition
 
 __all__ = [
     "SampleSet",
+    "SampleStream",
     "GalerkinProblem",
     "EigenfunctionSet",
     "ConvergenceStudy",
@@ -80,6 +85,17 @@ def _derive_seed(seed: Optional[int], xor_const: int) -> int:
     return base & _SEED_MASK
 
 
+def _box_bounds(box: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The in-box check's bounds: ``box`` widened by 1e-12 of its largest entry."""
+    eps = 1e-12 * max(1.0, float(np.abs(box).max()))
+    return box[:, 0] - eps, box[:, 1] + eps
+
+
+def _check_in_box(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+    if (pts < lo).any() or (pts > hi).any():
+        raise ValueError("some points lie outside the declared box")
+
+
 @dataclass(frozen=True)
 class SampleSet:
     """Points drawn (or laid out) inside a box, with their provenance.
@@ -102,9 +118,7 @@ class SampleSet:
             raise ValueError(f"box shape {box.shape} != ({pts.shape[1]}, 2)")
         if np.any(box[:, 0] >= box[:, 1]):
             raise ValueError("box must have lo < hi in every coordinate")
-        eps = 1e-12 * np.maximum(1.0, np.abs(box).max())
-        if np.any(pts < box[None, :, 0] - eps) or np.any(pts > box[None, :, 1] + eps):
-            raise ValueError("some points lie outside the declared box")
+        _check_in_box(pts, *_box_bounds(box))
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "box", box)
 
@@ -117,13 +131,8 @@ class SampleSet:
         return self.points.shape[1]
 
 
-def sample_domain(box: npt.ArrayLike, L: int, seed: int) -> SampleSet:
-    """L i.i.d. uniform points over the box from numpy's PCG64 generator.
-
-    Deterministic per ``(box, L, seed)``: the generator is
-    ``numpy.random.default_rng(seed)`` and the points come from a single
-    ``uniform(lo, hi, (L, dim))`` call.
-    """
+def _sample_args(box: npt.ArrayLike, L: int, seed: int) -> Tuple[np.ndarray, int, int]:
+    """Validated ``(box (dim, 2), L, 64-bit seed)`` of a uniform sample."""
     box_arr = np.asarray(box, dtype=float)
     if box_arr.ndim == 1:
         box_arr = box_arr.reshape(1, 2)
@@ -131,13 +140,66 @@ def sample_domain(box: npt.ArrayLike, L: int, seed: int) -> SampleSet:
         raise ValueError(f"need at least one sample, got L={L}")
     if np.any(box_arr[:, 0] >= box_arr[:, 1]):
         raise ValueError("box must have lo < hi in every coordinate")
-    rng = np.random.default_rng(int(seed) & _SEED_MASK)
-    pts = rng.uniform(box_arr[:, 0], box_arr[:, 1], size=(int(L), box_arr.shape[0]))
-    return SampleSet(points=pts, box=box_arr, seed=int(seed) & _SEED_MASK)
+    return box_arr, int(L), int(seed) & _SEED_MASK
+
+
+def _draw(box: np.ndarray, L: int, seed: int, rows: int) -> Iterator[np.ndarray]:
+    """The ``L`` uniform points of ``seed`` over ``box``, in blocks of at most
+    ``rows`` rows.
+
+    The blocks continue one PCG64 stream, ``numpy.random.default_rng(seed)``,
+    which draws row by row, so every ``rows`` gives the same points.
+    """
+    rng = np.random.default_rng(seed)
+    lo, hi = box[:, 0].copy(), box[:, 1].copy()
+    for start in range(0, L, rows):
+        yield rng.uniform(lo, hi, size=(min(rows, L - start), box.shape[0]))
+
+
+def sample_domain(box: npt.ArrayLike, L: int, seed: int) -> SampleSet:
+    """L i.i.d. uniform points over the box from numpy's PCG64 generator.
+
+    Deterministic per ``(box, L, seed)``: the generator is
+    ``numpy.random.default_rng(seed)``, and :class:`SampleStream` draws the
+    same points without holding them at once.
+    """
+    box_arr, L, seed = _sample_args(box, L, seed)
+    (pts,) = _draw(box_arr, L, seed, L)
+    return SampleSet(points=pts, box=box_arr, seed=seed)
+
+
+@dataclass(frozen=True)
+class SampleStream:
+    """The points of ``sample_domain(box, L, seed)``, never held at once.
+
+    :meth:`chunks` draws them ``CHUNK`` rows at a time and checks each block
+    against the box as :class:`SampleSet` does.  :func:`fit_blocks` takes a
+    stream wherever it takes a sample set, with a callable field.
+    """
+
+    box: np.ndarray  # (dim, 2) rows [lo, hi]
+    L: int
+    seed: int
+
+    def __post_init__(self) -> None:
+        box, L, seed = _sample_args(self.box, self.L, self.seed)
+        object.__setattr__(self, "box", box)
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "seed", seed)
+
+    @property
+    def dim(self) -> int:
+        return self.box.shape[0]
+
+    def chunks(self) -> Iterator[np.ndarray]:
+        lo, hi = _box_bounds(self.box)
+        for pts in _draw(self.box, self.L, self.seed, CHUNK):
+            _check_in_box(pts, lo, hi)
+            yield pts
 
 
 def _field_values(F, points: np.ndarray) -> np.ndarray:
-    """Field values at all rows of ``points``: one batched call ``F(points)``.
+    """Field values at the rows of ``points``.
 
     ``F`` maps points ``(..., dim)`` to values of the same shape; an array
     is taken as precomputed values.  Either way the result must have the
@@ -147,6 +209,23 @@ def _field_values(F, points: np.ndarray) -> np.ndarray:
     if FX.shape != points.shape:
         raise ValueError(f"field values shape {FX.shape} != points shape {points.shape}")
     return FX
+
+
+def _chunks(F, points) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """``(Z, F at Z)`` for each ``CHUNK``-row block of ``points``, in order.
+
+    ``points`` is an ``(L, dim)`` array or a :class:`SampleStream`.  A
+    callable ``F`` is evaluated one block at a time; precomputed values (an
+    array, with array points only) are sliced.
+    """
+    if isinstance(F, np.ndarray):
+        FX = _field_values(F, points)
+        return ((points[s : s + CHUNK], FX[s : s + CHUNK]) for s in range(0, len(FX), CHUNK))
+    if isinstance(points, SampleStream):
+        blocks = points.chunks()
+    else:
+        blocks = (points[s : s + CHUNK] for s in range(0, len(points), CHUNK))
+    return ((Z, _field_values(F, Z)) for Z in blocks)
 
 
 @dataclass
@@ -180,11 +259,13 @@ def _check_cond(cond_J: float) -> None:
 
 
 def _assemble_pass(
-    F, E_mat: np.ndarray, basis: AnyBasis, blocks: Sequence, samples: SampleSet
+    F, E_mat: np.ndarray, basis: AnyBasis, blocks: Sequence,
+    samples: Union[SampleSet, SampleStream],
 ) -> List[GalerkinProblem]:
     """Projection systems of every ``(S, W)`` block from one pass over the samples.
 
-    Each chunk evaluates the basis and its jacobian once.  ``J_hat`` and
+    ``samples`` is a :class:`SampleSet` or a :class:`SampleStream`.  Each
+    chunk evaluates the basis and its jacobian once.  ``J_hat`` and
     ``G_tilde`` do not depend on the block; each block adds its own forcing
     rows ``(Fn W^T)^T G``.  ``cond_J`` is recorded, not yet certified.
     """
@@ -217,14 +298,11 @@ def _assemble_pass(
             )
         rows.append((S, W))
 
-    pts = samples.points
-    FX = _field_values(F, pts)
     J_hat = np.zeros((M, M))
     G_tilde = np.zeros((M, M))
     b_rows = [np.zeros((W.shape[0], M)) for _, W in rows]
-    for start in range(0, L, CHUNK):
-        Zc = pts[start : start + CHUNK]
-        FXc = FX[start : start + CHUNK]
+    points = samples if isinstance(samples, SampleStream) else samples.points
+    for Zc, FXc in _chunks(F, points):
         G = basis.eval(Zc)  # (C, M)
         dG = basis.jacobian(Zc)  # (C, M, dim)
         KG = np.einsum("kmj,kj->km", dG, FXc)
@@ -296,13 +374,16 @@ def solve_coefficients(prob: GalerkinProblem) -> np.ndarray:
 
 
 def fit_blocks(
-    F, E: npt.ArrayLike, basis: AnyBasis, blocks: Sequence, samples: SampleSet
+    F, E: npt.ArrayLike, basis: AnyBasis, blocks: Sequence,
+    samples: Union[SampleSet, SampleStream],
 ) -> Tuple[List[np.ndarray], np.ndarray]:
     """Nonlinear coefficients of every ``(S, W)`` block from one sample pass.
 
-    ``F`` is the field or its values at the samples.  Every block's system
-    passes the ``cond(J)`` and solve-residual certificates.  Returns the
-    (r, M) coefficient rows of each block and ``cond(J)`` per block.
+    ``F`` is the field or its values at the samples; ``samples`` is a
+    :class:`SampleSet` or, with a callable field, a :class:`SampleStream`.
+    Every block's system passes the ``cond(J)`` and solve-residual
+    certificates.  Returns the (r, M) coefficient rows of each block and
+    ``cond(J)`` per block.
     """
     probs = _assemble_pass(F, np.asarray(E, dtype=float), basis, blocks, samples)
     return [solve_coefficients(p) for p in probs], np.array([p.cond_J for p in probs])
@@ -310,11 +391,8 @@ def fit_blocks(
 
 def _residual_pass(F, basis: AnyBasis, blocks: Sequence, points: np.ndarray) -> np.ndarray:
     """RMS of ``dpsi/dz . F - S psi`` per ``(S, W, Theta)`` block, in one pass."""
-    FX = _field_values(F, points)
     totals = [0.0] * len(blocks)
-    for start in range(0, points.shape[0], CHUNK):
-        Zc = points[start : start + CHUNK]
-        FXc = FX[start : start + CHUNK]
+    for Zc, FXc in _chunks(F, points):
         G = basis.eval(Zc)
         dG = basis.jacobian(Zc)
         KG = np.einsum("kmj,kj->km", dG, FXc)
@@ -510,9 +588,11 @@ def convergence_study(
     i_L, trial])``) and compared against a reference on one fixed evaluation
     sample of ``CONVERGENCE_EVAL_POINTS`` points: ``error = ||psi_hat -
     psi_ref|| / ||psi_ref||`` in the empirical 2-norm.  The reference is a
-    dense run with ``L_ref = 100 * max(L_list)`` samples.  Reported: per-L
-    mean and quartiles, and the least-squares slope of ``log(mean error)``
-    vs ``log L``.
+    dense run with ``L_ref = 100 * max(L_list)`` samples, streamed
+    (:class:`SampleStream`): its points are drawn, evaluated and projected
+    ``CHUNK`` rows at a time, so the study's memory does not grow with
+    ``L_ref``.  Reported: per-L mean and quartiles, and the least-squares
+    slope of ``log(mean error)`` vs ``log L``.
     """
     E_mat = np.asarray(E, dtype=float)
     dec = real_spectral_decomposition(E_mat)
@@ -529,7 +609,7 @@ def convergence_study(
     lin_eval = eval_set.points @ block[1].T  # (n_eval, r)
 
     L_ref = 100 * int(max(L_list))
-    ref_samples = sample_domain(box_arr, L_ref, _derive_seed(seed, _REF_SEED_XOR))
+    ref_samples = SampleStream(box_arr, L_ref, _derive_seed(seed, _REF_SEED_XOR))
     Th_ref = fit_blocks(F, E_mat, basis, [block], ref_samples)[0][0]
     ref_vals = lin_eval + G_eval @ Th_ref.T
     ref_norm = float(np.linalg.norm(ref_vals))

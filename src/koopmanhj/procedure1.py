@@ -228,8 +228,9 @@ def verify_nominal_integrability(
     E = block_exp(eig.Lambda, eig.blocks, -t_rec)[:, None]  # e^{-Lambda t}
     E_T = np.swapaxes(block_exp(eig.Lambda, eig.blocks, t_rec), -1, -2)[:, None]  # e^{Lambda^T t}
 
-    p_rng = np.random.default_rng(_derive_seed(samples.seed, _MOMENTUM_SEED_XOR))
-    P0 = p_rng.uniform(samples.box[:, 0], samples.box[:, 1], size=(samples.L, n))
+    P0 = sample_domain(
+        samples.box, samples.L, _derive_seed(samples.seed, _MOMENTUM_SEED_XOR)
+    ).points
 
     lo, hi = eig.box[:, 0], eig.box[:, 1]
 

@@ -236,19 +236,20 @@ class ValueFit:
 
 
 def fit_value_Jn(
-    eigs: UnstableEigenfunctions,
+    sol: HJSolution2,
     xi3: BasisSet,
     x_samples: Union[SampleSet, npt.ArrayLike],
 ) -> ValueFit:
-    """Fit ``V(x) = 0.5 (x^T Jl x + Xi3^T Jn Xi3)`` to the manifold.
+    """Fit ``V(x) = 0.5 (x^T Jl x + Xi3^T Jn Xi3)`` to the manifold of ``sol``.
 
     For each sample the value-gradient model is linear in the
     half-vectorization of the symmetric ``Jn``; it models the nonlinear part
     ``p*(x_k) - Jl_raw x_k`` of the manifold momentum, in rows weighted by
-    ``G2(x_k)``, the momentum matrix of the zero-level equation.  The
-    reported residual is the direct (unweighted) RMS mismatch of the full
-    value gradient against ``p*``.
+    ``G2(x_k)``, the momentum matrix of the zero-level equation.  ``Jl_raw``
+    and ``Jl`` are the solution's own.  The reported residual is the direct
+    (unweighted) RMS mismatch of the full value gradient against ``p*``.
     """
+    eigs = sol.eigs
     if not getattr(xi3, "purely_nonlinear", False):
         raise ValueError("xi3 must be a purely nonlinear basis")
     pts = x_samples.points if isinstance(x_samples, SampleSet) else np.asarray(
@@ -261,8 +262,7 @@ def fit_value_Jn(
     I, J = np.triu_indices(M1)  # half-vectorization of the symmetric Jn
     nv = I.size
 
-    Jl_raw = linear_manifold(eigs)
-    Jl_sym = (Jl_raw + Jl_raw.T) / 2.0
+    Jl_raw = sol.Jl_raw
     n = eigs.n
     v = xi3.eval(pts)  # (K, M1)
     T = xi3.jacobian(pts)  # (K, M1, n)
@@ -276,21 +276,21 @@ def fit_value_Jn(
     A = (G2 @ cm).reshape(K * n, nv)
     t = (G2 @ (p_stars - pts @ Jl_raw.T)[..., None]).reshape(K * n)
 
-    sol, _, rank, _ = np.linalg.lstsq(A, t, rcond=None)
+    vech, _, rank, _ = np.linalg.lstsq(A, t, rcond=None)
     if rank < nv:
         raise RuntimeError(
             f"value basis unidentifiable from samples (rank {rank} < {nv} coefficients)"
         )
 
     Jn = np.zeros((M1, M1))
-    Jn[I, J] = sol
-    Jn[J, I] = sol
+    Jn[I, J] = vech
+    Jn[J, I] = vech
     evals, evecs = np.linalg.eigh(Jn)
     Jn_psd = (evecs * np.clip(evals, 0.0, None)) @ evecs.T
     Jn_psd = (Jn_psd + Jn_psd.T) / 2.0
 
     def direct_rms(Jmat: np.ndarray) -> float:
-        grad_model = pts @ Jl_sym.T + np.einsum("kmj,km->kj", T, v @ Jmat.T)
+        grad_model = pts @ sol.Jl.T + np.einsum("kmj,km->kj", T, v @ Jmat.T)
         diff = grad_model - p_stars
         return float(np.sqrt(np.sum(diff * diff) / (K * n)))
 
@@ -383,11 +383,12 @@ def procedure2_solve(
     Lifts the system to its Hamiltonian flow, approximates the unstable
     eigenfunctions on the sample, and assembles the manifold maps.  When a
     value basis ``xi3`` is given, ``Jn`` is fitted on ``fit_samples``
-    (default: a fresh sample of the x-part of the box, derived seed).
+    (default: a fresh sample of the x-part of the box, derived seed) from
+    the solution's own ``Jl_raw``, so the solve takes one
+    :func:`linear_manifold`.
     """
     ham = hamiltonian_vector_field(sys)
-    eigs = unstable_eigfns(ham, basis, samples, heldout_tol=heldout_tol)
-    value_fit = None
+    sol = HJSolution2(eigs=unstable_eigfns(ham, basis, samples, heldout_tol=heldout_tol), sys=sys)
     if xi3 is not None:
         if fit_samples is None:
             nv = xi3.M * (xi3.M + 1) // 2
@@ -395,5 +396,6 @@ def procedure2_solve(
                 samples.box[: sys.n], max(10 * nv, 100),
                 _derive_seed(samples.seed, _FIT_SEED_XOR),
             )
-        value_fit = fit_value_Jn(eigs, xi3, fit_samples)
-    return HJSolution2(eigs=eigs, sys=sys, value_fit=value_fit)
+        # set in place: a new HJSolution2 would derive Jl_raw again
+        object.__setattr__(sol, "value_fit", fit_value_Jn(sol, xi3, fit_samples))
+    return sol

@@ -61,6 +61,29 @@ def test_tracer_installs_and_its_undo_list_restores_every_original():
     assert [k for k in before if after[k] is not before[k]] == []
 
 
+def test_traced_counters_see_the_streamed_reference():
+    """With the dense reference streamed CHUNK rows at a time, the tracer
+    still counts every field row once (``L_ref`` plus every trial sample)
+    and one basis evaluation per sample."""
+    from koopmanhj import galerkin
+
+    tracer = _load("tracing").Tracer()
+    undo = tracer.install()
+    try:
+        sys1 = builtin_example1(1.0)
+        box = np.array([[-1.0, 1.0], [-1.0, 1.0]])
+        galerkin.convergence_study(
+            sys1.f, linearize(sys1).A, monomial_basis(2, 2, 3), box, [100, 300], 2, 0,
+            block_index=1,
+        )
+    finally:
+        for owner, attr, orig in reversed(undo):
+            setattr(owner, attr, orig)
+    layers = tracer.layer_metrics()
+    assert layers["galerkin.field_values.points"] == 100 * 300 + 2 * (100 + 300)
+    assert layers["galerkin.basis_passes_per_sample"] == 1.0
+
+
 @pytest.fixture(scope="module")
 def solutions():
     sys1 = builtin_example1(0.5)

@@ -266,6 +266,26 @@ class TestConvergenceStudy:
         rows = list(st.rows())
         assert rows[0][:2] == (100, 0) and rows[-1][:2] == (1000, 7)
 
+    def test_reference_is_streamed_in_constant_memory(self):
+        """The 1e6-point reference is drawn, evaluated and projected CHUNK
+        rows at a time: the traced peak stays below 8 MB, where its points
+        alone would take 16 MB."""
+        import tracemalloc
+
+        sys_ = builtin_example1()
+        lin = linearize(sys_)
+        box = np.array([[-1.0, 1.0], [-1.0, 1.0]])
+        tracemalloc.start()
+        try:
+            convergence_study(
+                sys_.f, lin.A, monomial_basis(2, 2, 3), box, [100, 1000, 10000], 1, 0,
+                block_index=1,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
     def test_block_index_validated(self):
         sys_ = builtin_example1()
         lin = linearize(sys_)

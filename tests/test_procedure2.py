@@ -268,7 +268,7 @@ class TestValueFitDiagnostics:
         _, sol = cubic_p2
         with pytest.raises(RuntimeError, match="unidentifiable.*rank 5 < 6"):
             fit_value_Jn(
-                sol.eigs,
+                sol,
                 value_basis_xi3(1, 4),
                 np.linspace(-0.3, 0.3, 41).reshape(-1, 1),
             )
@@ -280,12 +280,35 @@ class TestValueFitDiagnostics:
             purely_nonlinear = False
 
         with pytest.raises(ValueError, match="purely nonlinear"):
-            fit_value_Jn(sol.eigs, Fake(), np.zeros((3, 1)))
+            fit_value_Jn(sol, Fake(), np.zeros((3, 1)))
 
     def test_sample_shape_validated(self, cubic_p2):
         _, sol = cubic_p2
         with pytest.raises(ValueError, match="x_samples"):
-            fit_value_Jn(sol.eigs, value_basis_xi3(1, 2), np.zeros((3, 2)))
+            fit_value_Jn(sol, value_basis_xi3(1, 2), np.zeros((3, 2)))
+
+
+class TestOneLinearManifoldPerSolve:
+    def test_value_fit_uses_the_solution_graph(self, monkeypatch):
+        """A route-2 solve with a value basis takes one ``-Wu2^{-1} Wu1``
+        solve: the value fit reads the ``Jl_raw`` of the solution it serves."""
+        from koopmanhj import procedure2
+
+        seen = []
+
+        def counting(eigs):
+            seen.append(eigs)
+            return linear_manifold(eigs)
+
+        monkeypatch.setattr(procedure2, "linear_manifold", counting)
+        sys_ = _cubic_system()
+        box = default_phase_box(sys_, np.array([[-0.35, 0.35]]), margin=1.0)
+        sol = procedure2_solve(
+            sys_, procedure2_basis(1, 7, 5), sample_domain(box, 3000, 2),
+            xi3=value_basis_xi3(1, 2),
+        )
+        assert sol.value_fit is not None
+        assert len(seen) == 1 and seen[0] is sol.eigs
 
 
 class TestFailureModes:

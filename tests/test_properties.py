@@ -10,7 +10,11 @@ from hypothesis.extra.numpy import arrays
 from koopmanhj import systems
 from koopmanhj.basis import BasisSet, monomial_basis, procedure2_basis
 from koopmanhj.galerkin import (
+    CHUNK,
+    SampleStream,
+    _residual_pass,
     approximate_eigenfunction_set,
+    fit_blocks,
     linear_eigenfunction_set,
     sample_domain,
 )
@@ -22,9 +26,10 @@ from koopmanhj.procedure2 import (
     nonlinear_manifold,
     procedure2_solve,
     psi_u,
+    unstable_eigfns,
 )
 from koopmanhj.simulate import _rk4, closed_loop
-from koopmanhj.spectral import solve_riccati
+from koopmanhj.spectral import real_spectral_decomposition, solve_riccati
 from koopmanhj.systems import (
     _fd_jacobian,
     builtin_example1,
@@ -527,3 +532,88 @@ class TestRolloutTruncation:
         previous = 0.5 * float(x @ x) + 0.5 * float(u @ u)
         assert got.cumulative_costs[k] - got.cumulative_costs[k - 1] == pytest.approx(
             self.DT * previous, rel=1e-12)
+
+
+STREAM_LENGTHS = st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+SEEDS = st.integers(0, 2**64 - 1)
+
+
+@st.composite
+def _boxes(draw):
+    """Boxes of 1..4 coordinates with lo < hi."""
+    dim = draw(st.integers(1, 4))
+    lo = draw(arrays(np.float64, dim, elements=st.floats(-5.0, 5.0)))
+    width = draw(arrays(np.float64, dim, elements=st.floats(0.01, 10.0)))
+    return np.column_stack([lo, lo + width])
+
+
+def _fitted_residual_case(name):
+    """A field, dictionary, ``(S, W, Theta)`` blocks and box from a small fit."""
+    if name == "lift":
+        sys_ = builtin_example1(1.0)
+        ham = hamiltonian_vector_field(sys_)
+        box = default_phase_box(sys_, 0.4 * np.array([[-1.0, 1.0], [-1.0, 1.0]]), margin=1.0)
+        basis = procedure2_basis(2, 3, 2)
+        eigs = unstable_eigfns(ham, basis, sample_domain(box, 1500, 4))
+        blocks = [(eigs.Lambda_u[o : o + r, o : o + r], eigs.Wu_t[o : o + r], eigs.U[o : o + r])
+                  for o, r in eigs.blocks]
+        return ham.F, basis, blocks, box
+    if name == "example1":
+        sys_, box, basis = builtin_example1(), np.array([[-1.0, 1.0]] * 2), monomial_basis(2, 2, 3)
+    else:
+        sys_ = builtin_pendulum(9.81)
+        box, basis = np.array([[-3.0, 3.0], [-5.0, 5.0], [-5.0, 5.0]]), monomial_basis(3, 2, 2)
+    eig = approximate_eigenfunction_set(
+        sys_.f, linearize(sys_).A, basis, sample_domain(box, 3000, 1)
+    )
+    blocks = [(eig.Lambda[o : o + r, o : o + r], eig.Vt[o : o + r], eig.Theta[o : o + r])
+              for o, r in eig.blocks]
+    return sys_.f, basis, blocks, box
+
+
+class TestStreamedSamples:
+    """Sample passes stream CHUNK rows at a time and give the results of
+    the materialized set, bit for bit."""
+
+    @SETTINGS
+    @given(_boxes(), STREAM_LENGTHS, SEEDS)
+    def test_chunked_draw_equals_sample_domain(self, box, L, seed):
+        chunks = list(SampleStream(box, L, seed).chunks())
+        assert [len(c) for c in chunks[:-1]] == [CHUNK] * (len(chunks) - 1)
+        assert 1 <= len(chunks[-1]) <= CHUNK
+        assert np.array_equal(np.concatenate(chunks), sample_domain(box, L, seed).points)
+
+    @settings(max_examples=5, deadline=None)
+    @given(SEEDS)
+    def test_streamed_fit_equals_the_materialized_fit(self, seed):
+        E = linearize(builtin_example1()).A
+        dec = real_spectral_decomposition(E)
+        blocks = [(dec.Lambda[o : o + r, o : o + r], dec.Vt[o : o + r]) for o, r in dec.blocks]
+        basis = monomial_basis(2, 2, 3)
+        box, L = np.array([[-1.0, 1.0], [-1.0, 1.0]]), 5 * CHUNK + 3
+        f = builtin_example1().f
+        rows = []
+
+        def field(X):
+            rows.append(len(X))
+            return f(X)
+
+        streamed, conds = fit_blocks(field, E, basis, blocks, SampleStream(box, L, seed))
+        assert max(rows) == CHUNK and sum(rows) == L
+        want, want_conds = fit_blocks(f, E, basis, blocks, sample_domain(box, L, seed))
+        assert all(np.array_equal(a, b) for a, b in zip(streamed, want))
+        assert np.array_equal(conds, want_conds)
+
+    @pytest.mark.parametrize("name", ["example1", "lift", "pendulum"])
+    def test_per_chunk_residual_equals_one_field_call(self, name):
+        F, basis, blocks, box = _fitted_residual_case(name)
+
+        @SETTINGS
+        @given(STREAM_LENGTHS, SEEDS)
+        def check(L, seed):
+            pts = sample_domain(box, L, seed).points
+            assert np.array_equal(
+                _residual_pass(F, basis, blocks, pts), _residual_pass(F(pts), basis, blocks, pts)
+            )
+
+        check()
