@@ -1,20 +1,13 @@
 """Monomial basis dictionaries with analytic gradients.
 
-Two kinds of dictionaries are provided:
-
-* :class:`BasisSet` — purely nonlinear monomial bases ``x^alpha`` with
-  ``deg_min <= |alpha| <= deg_max`` and ``deg_min >= 2``, used to expand the
-  nonlinear part of principal eigenfunctions and of value functions.  Because
-  every exponent vector has total degree at least two, ``eval(0) = 0`` and
-  ``jacobian(0) = 0`` hold exactly by construction.
-
-* :class:`Procedure2Basis` — a dictionary on the doubled phase space
-  ``z = (x, p)`` whose entries are at most linear in ``p``:
-  ``Gamma(z) = (Xi1(x)^T, (Xi2(x) p)^T)^T`` where ``Xi1`` collects
-  x-monomials of degree ``2..d1`` and the second block collects products
-  ``m(x) * p_i`` for every x-monomial ``m`` of degree ``1..d2`` and every
-  momentum component ``p_i``.  This linear-in-p structure is what lets the
-  stable-manifold equation be solved for ``p`` in closed form downstream.
+One kind of dictionary is provided, :class:`BasisSet`: the monomials of an
+integer exponent table, evaluated with their jacobian from one table of
+integer powers.  When every row has total degree at least two
+(``purely_nonlinear``), ``eval(0) = 0`` and ``jacobian(0) = 0`` hold exactly;
+such dictionaries expand the nonlinear part of principal eigenfunctions and
+of value functions.  :class:`Procedure2Basis` is the one on ``z = (x, p)``
+whose rows are at most linear in ``p``, which lets the stable-manifold
+equation be solved for ``p`` in closed form downstream.
 
 Monomials are ordered graded-lexicographically (ascending total degree,
 then lexicographic with the first coordinate most significant), which makes
@@ -80,6 +73,8 @@ class MonomialTable:
     entry per nonzero ``alpha_j`` with its row ``m``, column ``j``,
     coefficient ``alpha_j`` and the exponents ``alpha - e_j``, so that
     ``d(x^alpha)/dx_j = alpha_j * x^(alpha - e_j)`` costs one gather too.
+    Equal decremented exponents are evaluated once and scattered to every
+    entry that shares them.
     """
 
     def __init__(self, exponents: np.ndarray, degree: int) -> None:
@@ -93,7 +88,9 @@ class MonomialTable:
         rows, cols = np.nonzero(expo)
         dec = expo[rows].copy()
         dec[np.arange(rows.size), cols] -= 1
-        self.jac_index = dec + offsets  # (T, n)
+        dec, inverse = np.unique(dec, axis=0, return_inverse=True)
+        self.jac_index = dec + offsets  # (U, n) distinct decremented monomials
+        self.jac_row = inverse.reshape(-1)  # (T,) row of each entry in jac_index
         self.jac_coef = expo[rows, cols].astype(float)  # (T,)
         self.jac_pos = rows * n + cols  # (T,) into a flattened (M, n) block
 
@@ -119,7 +116,8 @@ class MonomialTable:
         """Monomial jacobian from a power table: (..., M, n)."""
         lead = pw.shape[:-1]
         out = np.zeros(lead + (self.M * self.n,))
-        out[..., self.jac_pos] = self.jac_coef * pw[..., self.jac_index].prod(axis=-1)
+        vals = pw[..., self.jac_index].prod(axis=-1)  # (..., U)
+        out[..., self.jac_pos] = self.jac_coef * vals[..., self.jac_row]
         return out.reshape(lead + (self.M, self.n))
 
 
@@ -253,102 +251,57 @@ def value_basis_xi3(n: int, d3: int) -> BasisSet:
 
 
 @dataclass(frozen=True)
-class Procedure2Basis:
-    """Dictionary on z = (x, p) that is at most linear in p.
+class Procedure2Basis(BasisSet):
+    """The :class:`BasisSet` on z = (x, p) that is at most linear in p.
 
     ``eval(z) = (Xi1(x)^T, (Xi2(x) p)^T)^T`` with
 
-    * ``Xi1``: x-monomials of degree 2..d1 (``N`` functions);
+    * ``Xi1``: x-monomials of degree 2..d1, rows ``(alpha, 0)`` (``N``
+      functions);
     * second block: ``m_j(x) * p_i`` for x-monomials ``m_j`` of degree
-      1..d2 (monomial-major, then momentum index), ``M - N`` functions.
+      1..d2, rows ``(alpha_j, e_i)`` (monomial-major, then momentum index),
+      ``M - N`` functions.
 
-    Both blocks vanish at the origin together with their jacobians, so this
-    is a purely nonlinear dictionary on the doubled space: the x-degree of
-    every entry in the second block is at least one, hence every entry has
-    total degree at least two.
+    Every row has x-degree at least one and total degree at least two.
+    ``n`` is the state dimension (``dim_in = 2n``).
     """
 
     n: int
     N: int
-    M: int
-    xi1_exponents: np.ndarray  # (N, n)
-    xi2_exponents: np.ndarray  # (K, n) x-monomials of degree 1..d2, K = (M-N)/n
-    _xi1_table: MonomialTable = field(init=False, repr=False, compare=False)
-    _xi2_table: MonomialTable = field(init=False, repr=False, compare=False)
+    _xi1_index: np.ndarray = field(init=False, repr=False, compare=False)
+    _xi2_index: np.ndarray = field(init=False, repr=False, compare=False)
+
+    # bound here too: bench/tracing.py wraps each class's own eval/jacobian
+    eval = BasisSet.eval
+    jacobian = BasisSet.jacobian
 
     def __post_init__(self) -> None:
-        for name in ("xi1_exponents", "xi2_exponents"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
-        K = self.xi2_exponents.shape[0]
-        if self.M != self.N + K * self.n:
-            raise ValueError(
-                f"inconsistent sizes: M={self.M}, N={self.N}, "
-                f"{K} x-monomials x {self.n} momentum components"
-            )
-        # both blocks read one power table of x
-        degree = max(int(self.xi1_exponents.max(initial=0)),
-                     int(self.xi2_exponents.max(initial=0)))
-        object.__setattr__(self, "_xi1_table", MonomialTable(self.xi1_exponents, degree))
-        object.__setattr__(self, "_xi2_table", MonomialTable(self.xi2_exponents, degree))
+        super().__post_init__()
+        n, N, expo = self.n, self.N, self.exponents
+        if self.dim_in != 2 * n or (self.M - N) % n or not np.array_equal(
+            expo, _momentum_linear_rows(expo[:N, :n], expo[N::n, :n])
+        ):
+            raise ValueError(f"exponent table is not N={N} rows (alpha, 0), then (alpha_j, e_i)")
+        # the x-part of the power table of z is the power table of x
+        index = self._table.eval_index[:, :n]
+        object.__setattr__(self, "_xi1_index", index[:N])
+        object.__setattr__(self, "_xi2_index", index[N::n])
 
-    # ------------------------------------------------------------------
-    # BasisSet-compatible interface on the doubled space
-    # ------------------------------------------------------------------
-    @property
-    def dim_in(self) -> int:
-        return 2 * self.n
+    def x_monomials(self, x: npt.ArrayLike) -> tuple[np.ndarray, np.ndarray]:
+        """``Xi1(x)`` (..., N) and the monomials ``m_j(x)`` (..., K) of the
+        second block, from one power table of ``x``."""
+        pw = self._table.powers(np.asarray(x, dtype=float))
+        return pw[..., self._xi1_index].prod(axis=-1), pw[..., self._xi2_index].prod(axis=-1)
 
-    @property
-    def purely_nonlinear(self) -> bool:
-        return True
-
-    def eval(self, Z: npt.ArrayLike) -> np.ndarray:
-        """Values at z = (x, p): shape (..., 2n) -> (..., M)."""
-        Z = np.asarray(Z, dtype=float)
-        x, p = Z[..., : self.n], Z[..., self.n :]
-        pw = self._xi1_table.powers(x)
-        xi1 = self._xi1_table.eval(pw)  # (..., N)
-        mono = self._xi2_table.eval(pw)  # (..., K)
-        block2 = mono[..., :, None] * p[..., None, :]  # (..., K, n)
-        block2 = block2.reshape(Z.shape[:-1] + (-1,))
-        return np.concatenate([xi1, block2], axis=-1)
-
-    def jacobian(self, Z: npt.ArrayLike) -> np.ndarray:
-        """Analytic jacobian w.r.t. z = (x, p): shape (..., M, 2n)."""
-        Z = np.asarray(Z, dtype=float)
-        x, p = Z[..., : self.n], Z[..., self.n :]
-        n, N = self.n, self.N
-        K = self.xi2_exponents.shape[0]
-        pw = self._xi1_table.powers(x)
-        out = np.zeros(Z.shape[:-1] + (self.M, 2 * n), dtype=float)
-        out[..., :N, :n] = self._xi1_table.jacobian(pw)
-        dmono = self._xi2_table.jacobian(pw)  # (..., K, n)
-        mono = self._xi2_table.eval(pw)  # (..., K)
-        # d(m_j p_i)/dx = p_i dm_j/dx ; d(m_j p_i)/dp_l = m_j delta_il
-        dx_block = dmono[..., :, None, :] * p[..., None, :, None]  # (..., K, n, n)
-        out[..., N:, :n] = dx_block.reshape(Z.shape[:-1] + (K * n, n))
-        eye = np.eye(n)
-        dp_block = mono[..., :, None, None] * eye[None, :, :]  # (..., K, n, n)
-        out[..., N:, n:] = dp_block.reshape(Z.shape[:-1] + (K * n, n))
-        return out
-
-    # ------------------------------------------------------------------
-    # Structured accessors
-    # ------------------------------------------------------------------
     def xi1(self, x: npt.ArrayLike) -> np.ndarray:
         """Xi1(x): shape (..., N)."""
-        x = np.asarray(x, dtype=float)
-        return self._xi1_table.eval(self._xi1_table.powers(x))
+        return self.x_monomials(x)[0]
 
     def xi2(self, x: npt.ArrayLike) -> np.ndarray:
         """Xi2(x): shape (..., M - N, n), so that block2 = Xi2(x) @ p."""
-        x = np.asarray(x, dtype=float)
-        mono = self._xi2_table.eval(self._xi1_table.powers(x))  # (..., K)
-        K = self.xi2_exponents.shape[0]
-        n = self.n
-        eye = np.eye(n)
-        block = mono[..., :, None, None] * eye[None, :, :]
-        return block.reshape(x.shape[:-1] + (K * n, n))
+        mono = self.x_monomials(x)[1]  # (..., K)
+        block = mono[..., :, None, None] * np.eye(self.n)
+        return block.reshape(mono.shape[:-1] + (self.M - self.N, self.n))
 
 
 def procedure2_basis(n: int, d1: int, d2: int) -> Procedure2Basis:
@@ -365,8 +318,19 @@ def procedure2_basis(n: int, d1: int, d2: int) -> Procedure2Basis:
     if d2 < 1:
         raise ValueError(f"d2 must be >= 1, got {d2}")
     xi1 = monomial_exponents(n, 2, d1)
-    xi2 = monomial_exponents(n, 1, d2)
-    N = xi1.shape[0]
+    expo = _momentum_linear_rows(xi1, monomial_exponents(n, 1, d2))
     return Procedure2Basis(
-        n=n, N=N, M=N + xi2.shape[0] * n, xi1_exponents=xi1, xi2_exponents=xi2
+        dim_in=2 * n, M=expo.shape[0], exponents=expo, purely_nonlinear=True,
+        n=n, N=xi1.shape[0],
     )
+
+
+def _momentum_linear_rows(xi1: np.ndarray, mono: np.ndarray) -> np.ndarray:
+    """Exponent rows on (x, p): ``(alpha, 0)`` for each row of ``xi1``, then
+    ``(alpha_j, e_i)`` for each row ``alpha_j`` of ``mono`` and each i."""
+    n = xi1.shape[1]
+    momentum = np.tile(np.eye(n, dtype=np.int64), (len(mono), 1))
+    return np.vstack([
+        np.hstack([xi1, np.zeros_like(xi1)]),
+        np.hstack([np.repeat(mono, n, axis=0), momentum]),
+    ])

@@ -43,7 +43,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 import numpy.typing as npt
 
-from .basis import BasisSet, Procedure2Basis
+from .basis import BasisSet
 from .spectral import real_spectral_decomposition
 
 __all__ = [
@@ -75,8 +75,6 @@ CONVERGENCE_EVAL_POINTS = 2000
 _EVAL_SEED_XOR = 0x9E3779B97F4A7C15  # evaluation grid for convergence studies
 _REF_SEED_XOR = 0xC2B2AE3D27D4EB4F  # dense reference run for convergence studies
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
-
-AnyBasis = Union[BasisSet, Procedure2Basis]
 
 
 def _derive_seed(seed: Optional[int], xor_const: int) -> int:
@@ -242,7 +240,7 @@ class GalerkinProblem:
     b: np.ndarray
     lambda_block: np.ndarray  # (r, r)
     w: np.ndarray  # (r, dim)
-    basis: AnyBasis
+    basis: BasisSet
     cond_J: float
     L: int
     Theta: Optional[np.ndarray] = None
@@ -259,7 +257,7 @@ def _check_cond(cond_J: float) -> None:
 
 
 def _assemble_pass(
-    F, E_mat: np.ndarray, basis: AnyBasis, blocks: Sequence,
+    F, E_mat: np.ndarray, basis: BasisSet, blocks: Sequence,
     samples: Union[SampleSet, SampleStream],
 ) -> List[GalerkinProblem]:
     """Projection systems of every ``(S, W)`` block from one pass over the samples.
@@ -269,7 +267,7 @@ def _assemble_pass(
     ``G_tilde`` do not depend on the block; each block adds its own forcing
     rows ``(Fn W^T)^T G``.  ``cond_J`` is recorded, not yet certified.
     """
-    if not getattr(basis, "purely_nonlinear", False):
+    if not basis.purely_nonlinear:
         raise ValueError("basis must be purely nonlinear (degrees >= 2 in z)")
     dim = basis.dim_in
     if samples.dim != dim:
@@ -327,7 +325,7 @@ def _assemble_pass(
 
 def assemble_galerkin(
     F,
-    basis: AnyBasis,
+    basis: BasisSet,
     lambda_block,
     w: npt.ArrayLike,
     samples: SampleSet,
@@ -374,7 +372,7 @@ def solve_coefficients(prob: GalerkinProblem) -> np.ndarray:
 
 
 def fit_blocks(
-    F, E: npt.ArrayLike, basis: AnyBasis, blocks: Sequence,
+    F, E: npt.ArrayLike, basis: BasisSet, blocks: Sequence,
     samples: Union[SampleSet, SampleStream],
 ) -> Tuple[List[np.ndarray], np.ndarray]:
     """Nonlinear coefficients of every ``(S, W)`` block from one sample pass.
@@ -389,7 +387,7 @@ def fit_blocks(
     return [solve_coefficients(p) for p in probs], np.array([p.cond_J for p in probs])
 
 
-def _residual_pass(F, basis: AnyBasis, blocks: Sequence, points: np.ndarray) -> np.ndarray:
+def _residual_pass(F, basis: BasisSet, blocks: Sequence, points: np.ndarray) -> np.ndarray:
     """RMS of ``dpsi/dz . F - S psi`` per ``(S, W, Theta)`` block, in one pass."""
     totals = [0.0] * len(blocks)
     for Zc, FXc in _chunks(F, points):
@@ -407,7 +405,7 @@ def _residual_pass(F, basis: AnyBasis, blocks: Sequence, points: np.ndarray) -> 
 
 def pde_residual_rms(
     F,
-    basis: AnyBasis,
+    basis: BasisSet,
     lambda_block,
     w: npt.ArrayLike,
     Theta: npt.ArrayLike,
@@ -426,7 +424,7 @@ def pde_residual_rms(
 
 
 def certify_blocks(
-    F, FX: np.ndarray, basis: AnyBasis, blocks: Sequence, samples: SampleSet,
+    F, FX: np.ndarray, basis: BasisSet, blocks: Sequence, samples: SampleSet,
     heldout_tol: Optional[float], label: str,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Training and held-out PDE residual RMS of every ``(S, W, Theta)`` block.
@@ -493,7 +491,7 @@ class EigenfunctionSet:
 def approximate_eigenfunction_set(
     F,
     E: npt.ArrayLike,
-    basis: AnyBasis,
+    basis: BasisSet,
     samples: SampleSet,
     heldout_tol: Optional[float] = None,
 ) -> EigenfunctionSet:
@@ -574,7 +572,7 @@ class ConvergenceStudy:
 def convergence_study(
     F,
     E: npt.ArrayLike,
-    basis: AnyBasis,
+    basis: BasisSet,
     box: npt.ArrayLike,
     L_list: Sequence[int],
     trials: int,

@@ -191,19 +191,31 @@ def _solve_manifold(eigs: UnstableEigenfunctions, x: np.ndarray) -> tuple[np.nda
     """``p*(x) = -G2(x)^{-1} (Wu1_t x + U11 Xi1(x))`` and ``G2(x)`` at states
     ``x`` (..., n).
 
-    Every point must pass the ``cond(G2) < 1e12`` certificate; the first
-    point that fails is named in the error.
+    ``Xi1(x)`` and the monomials ``m_j(x)`` of ``Xi2`` come from one power
+    table, and ``G2 = Wu2_t + sum_j m_j(x) U12_j`` with ``U12_j`` the
+    ``(n, n)`` column block of ``m_j``.  Every point must have a finite
+    ``G2`` and ``Psi_u(x, 0)`` and pass the ``cond(G2) < 1e12`` certificate;
+    the first point that fails is named in the error.
     """
-    G2 = eigs.Wu2_t + eigs.U12 @ eigs.basis.xi2(x)  # (..., n, n)
+    n = eigs.n
+    xi1, mono = eigs.basis.x_monomials(x)  # (..., N), (..., K)
+    K = mono.shape[-1]
+    U12 = eigs.U12.reshape(n, K, n).transpose(1, 0, 2).reshape(K, n * n)
+    G2 = eigs.Wu2_t + (mono @ U12).reshape(mono.shape[:-1] + (n, n))
+    rest = x @ eigs.Wu1_t.T + xi1 @ eigs.U11.T  # Psi_u(x, 0)
+    pts = x.reshape(-1, n)
+    for name, val in (("momentum matrix G2", G2), ("offset Psi_u(x, 0)", rest)):
+        bad = np.flatnonzero(~np.isfinite(val.reshape(len(pts), -1)).all(axis=1))
+        if bad.size:
+            raise RuntimeError(f"manifold {name} not finite at x={pts[bad[0]].tolist()}")
     cond = np.atleast_1d(np.linalg.cond(G2))
     bad = np.flatnonzero(~(np.isfinite(cond) & (cond < 1e12)))
     if bad.size:
         k = bad[0]
         raise RuntimeError(
             f"manifold momentum matrix G2 singular at "
-            f"x={x.reshape(-1, eigs.n)[k].tolist()} (condition number {cond[k]:.2e})"
+            f"x={pts[k].tolist()} (condition number {cond[k]:.2e})"
         )
-    rest = x @ eigs.Wu1_t.T + eigs.basis.xi1(x) @ eigs.U11.T  # Psi_u(x, 0)
     return -np.linalg.solve(G2, rest[..., None])[..., 0], G2
 
 
@@ -250,7 +262,7 @@ def fit_value_Jn(
     (unweighted) RMS mismatch of the full value gradient against ``p*``.
     """
     eigs = sol.eigs
-    if not getattr(xi3, "purely_nonlinear", False):
+    if not xi3.purely_nonlinear:
         raise ValueError("xi3 must be a purely nonlinear basis")
     pts = x_samples.points if isinstance(x_samples, SampleSet) else np.asarray(
         x_samples, dtype=float

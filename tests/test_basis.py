@@ -7,6 +7,7 @@ import pytest
 from koopmanhj.basis import (
     BasisSet,
     MonomialTable,
+    Procedure2Basis,
     monomial_basis,
     monomial_exponents,
     procedure2_basis,
@@ -154,6 +155,70 @@ class TestProcedure2Basis:
         z0 = np.zeros(4)
         np.testing.assert_array_equal(b.eval(z0), np.zeros(b.M))
         np.testing.assert_array_equal(b.jacobian(z0), np.zeros((b.M, 4)))
+
+    def test_is_a_basis_set(self):
+        b = procedure2_basis(2, 3, 2)
+        assert isinstance(b, BasisSet)
+        assert b.dim_in == 4 and b.exponents.shape == (b.M, 4)
+
+    def test_exponent_rows_and_their_order(self):
+        """Rows ``(alpha, 0)`` of Xi1 (degree 2..3), then ``(alpha_j, e_i)``
+        for the x-monomials of degree 1..2, monomial-major."""
+        b = procedure2_basis(2, 3, 2)
+        xi1 = [[2, 0], [1, 1], [0, 2], [3, 0], [2, 1], [1, 2], [0, 3]]
+        mono = [[1, 0], [0, 1], [2, 0], [1, 1], [0, 2]]
+        want = [a + [0, 0] for a in xi1] + [a + e for a in mono for e in ([1, 0], [0, 1])]
+        np.testing.assert_array_equal(b.exponents, np.array(want))
+
+    def test_rejects_a_table_that_is_not_momentum_linear(self):
+        b = procedure2_basis(1, 2, 2)
+        expo = b.exponents.copy()
+        expo[-1, 1] = 2  # x^2 p^2
+        with pytest.raises(ValueError, match="exponent table"):
+            Procedure2Basis(dim_in=2, M=b.M, exponents=expo, purely_nonlinear=True,
+                            n=1, N=b.N)
+
+    @pytest.mark.parametrize("n,d1,d2", [(1, 7, 5), (2, 6, 4), (3, 4, 3)])
+    def test_jacobian_matches_the_product_rule(self, n, d1, d2):
+        """``d(m_j p_i)/dx = p_i grad m_j`` and ``d(m_j p_i)/dp_l = m_j
+        delta_il``, with Xi1 and the m_j evaluated from their own tables."""
+        b = procedure2_basis(n, d1, d2)
+        rng = np.random.default_rng(d1)
+        Z = rng.uniform(-1.2, 1.2, size=(50, 2 * n))
+        x, p = Z[:, :n], Z[:, n:]
+        xi1 = MonomialTable(monomial_exponents(n, 2, d1), d1)
+        mono = MonomialTable(monomial_exponents(n, 1, d2), d2)
+        K = mono.M
+        want = np.zeros((50, b.M, 2 * n))
+        want[:, : b.N, :n] = xi1.jacobian(xi1.powers(x))
+        pw = mono.powers(x)
+        dx = mono.jacobian(pw)[:, :, None, :] * p[:, None, :, None]
+        dp = mono.eval(pw)[:, :, None, None] * np.eye(n)
+        want[:, b.N :, :n] = dx.reshape(50, K * n, n)
+        want[:, b.N :, n:] = dp.reshape(50, K * n, n)
+        np.testing.assert_allclose(b.jacobian(Z), want, rtol=1e-14, atol=0)
+
+
+class TestMonomialTable:
+    @pytest.mark.parametrize("expo", [
+        monomial_exponents(2, 2, 5),  # a route-1 dictionary
+        procedure2_basis(2, 6, 4).exponents,  # a route-2 dictionary on (x, p)
+    ], ids=["route1", "route2"])
+    def test_jacobian_is_the_product_of_each_decremented_monomial(self, expo):
+        """Evaluating each distinct decremented monomial once leaves every
+        entry ``alpha_j * prod(pw[alpha - e_j])`` bit for bit."""
+        degree = int(expo.max())
+        table = MonomialTable(expo, degree)
+        rows, cols = np.nonzero(expo)
+        dec = expo[rows].copy()
+        dec[np.arange(rows.size), cols] -= 1
+        assert len(table.jac_index) < rows.size  # shared rows are evaluated once
+        Z = np.random.default_rng(11).uniform(-1.5, 1.5, size=(30, expo.shape[1]))
+        pw = table.powers(Z)
+        offsets = np.arange(expo.shape[1]) * (degree + 1)
+        want = np.zeros(Z.shape[:1] + expo.shape)
+        want[:, rows, cols] = expo[rows, cols] * pw[:, dec + offsets].prod(axis=-1)
+        assert np.array_equal(table.jacobian(pw), want)
 
 
 class TestQuadraticFormGradient:

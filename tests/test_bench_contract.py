@@ -84,6 +84,24 @@ def test_traced_counters_see_the_streamed_reference():
     assert layers["galerkin.basis_passes_per_sample"] == 1.0
 
 
+def test_traced_route2_basis_counts_each_jacobian_row_once():
+    """The tracer wraps ``eval``/``jacobian`` in the class dict of both
+    ``BasisSet`` and ``Procedure2Basis``; a route-2 fit evaluates the
+    jacobian on the training rows twice (fit and training residual) and on
+    the held-out rows once, and each row must be counted once."""
+    tracer = _load("tracing").Tracer()
+    undo = tracer.install()
+    try:
+        sys2 = builtin_example1(1.0)
+        phase = default_phase_box(sys2, 0.4 * np.array([[-1.0, 1.0], [-1.0, 1.0]]), margin=1.0)
+        L = 1500
+        procedure2_solve(sys2, procedure2_basis(2, 3, 2), sample_domain(phase, L, 4))
+    finally:
+        for owner, attr, orig in reversed(undo):
+            setattr(owner, attr, orig)
+    assert tracer.layer_metrics()["basis.jacobian.points"] == 2 * L + L // 5
+
+
 @pytest.fixture(scope="module")
 def solutions():
     sys1 = builtin_example1(0.5)

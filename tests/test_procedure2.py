@@ -311,6 +311,25 @@ class TestOneLinearManifoldPerSolve:
         assert len(seen) == 1 and seen[0] is sol.eigs
 
 
+class TestOnePowerTablePerManifoldSolve:
+    def test_batched_p_star_builds_one_power_table(self, example1_p2, monkeypatch):
+        """``Xi1(x)`` and the ``Xi2`` monomials come from one power table."""
+        from koopmanhj.basis import MonomialTable
+
+        calls = []
+        powers = MonomialTable.powers
+
+        def counting(self, Z):
+            calls.append(Z.shape)
+            return powers(self, Z)
+
+        monkeypatch.setattr(MonomialTable, "powers", counting)
+        _, sol = example1_p2
+        X = np.random.default_rng(6).uniform(-0.4, 0.4, size=(7, 3, 2))
+        assert sol.p_star(X).shape == (7, 3, 2)
+        assert calls == [(7, 3, 2)]
+
+
 class TestFailureModes:
     def test_heldout_validation_can_fail(self):
         sys_ = builtin_example1(1.0)
@@ -340,11 +359,16 @@ class TestFailureModes:
         with pytest.raises(RuntimeError, match="complementarity"):
             procedure2_solve(sys_, procedure2_basis(1, 2, 2), samples)
 
-    def test_singular_momentum_matrix_names_the_point(self):
+    @staticmethod
+    def _singular_eigs():
         basis = procedure2_basis(1, 2, 2)
         U = np.zeros((1, basis.M))
         U[0, basis.N] = -2.0  # G2(x) = 1 - 2x vanishes at x = 0.5
-        eigs = UnstableEigenfunctions(
+        return TestFailureModes._scalar_eigs(basis, U)
+
+    @staticmethod
+    def _scalar_eigs(basis, U):
+        return UnstableEigenfunctions(
             Wu_t=np.array([[0.0, 1.0]]),
             U=U,
             basis=basis,
@@ -355,8 +379,28 @@ class TestFailureModes:
             cond_J=np.ones(1),
             box=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
         )
+
+    def test_singular_momentum_matrix_names_the_point(self):
         with pytest.raises(RuntimeError, match=r"G2 singular at x=\[0.5\]"):
-            nonlinear_manifold(eigs, np.array([0.5]))
+            nonlinear_manifold(self._singular_eigs(), np.array([0.5]))
+
+    def test_non_finite_momentum_matrix_names_the_point(self):
+        """At x = 1e200 the monomial x^2 overflows and its zero coefficient
+        gives 0 * inf = NaN in G2; the solve names the point instead of
+        failing inside the condition-number SVD."""
+        X = np.array([[0.1], [1e200], [0.2]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RuntimeError, match=r"G2 not finite at x=\[1e\+200\]"):
+                nonlinear_manifold(self._singular_eigs(), X)
+
+    def test_non_finite_offset_names_the_point(self):
+        """``G2 = 1`` stays finite while ``x^3`` of Xi1 overflows at 1e150."""
+        basis = procedure2_basis(1, 3, 1)
+        U = np.zeros((1, basis.M))
+        U[0, 1] = 1.0  # the x^3 column of Xi1
+        with np.errstate(over="ignore"):
+            with pytest.raises(RuntimeError, match=r"Psi_u\(x, 0\) not finite at x=\[1e\+150\]"):
+                nonlinear_manifold(self._scalar_eigs(basis, U), np.array([1e150]))
 
     def test_dimension_mismatches_rejected(self):
         sys_ = _cubic_system()
