@@ -32,6 +32,7 @@ from .simulate import (
     write_comparison_csv,
     write_trajectory_csv,
 )
+from .spectral import real_spectral_decomposition
 from .systems import hj_residual, linearize
 
 _MAX_GRID_POINTS = 1_000_000
@@ -88,6 +89,23 @@ def _block_eigenvalues(Lambda: np.ndarray, blocks) -> List[Tuple[float, float]]:
     return pairs
 
 
+def _eigenfunction_lines(eig, name: str) -> Tuple[List[str], List[str]]:
+    """A fitted set's eigenvalue listing (``name_i: (real, imag)``) and its
+    per-block certificate lines (training and held-out PDE residual RMS,
+    ``cond(J)``)."""
+    listing = [
+        f"  {name}_{i + 1}: ({re:.9g}, {im:.9g})"
+        for i, (re, im) in enumerate(_block_eigenvalues(eig.Lambda, eig.blocks))
+    ]
+    blocks = [
+        f"  block {bi}: train={eig.block_residuals[bi]:.6g} "
+        f"heldout={eig.heldout_residuals[bi]:.6g} "
+        f"cond(J)={eig.cond_J[bi]:.6g}"
+        for bi in range(len(eig.blocks))
+    ]
+    return listing, blocks
+
+
 def _write_report(out: Path, lines: Sequence[str]) -> None:
     with open(out / "report.txt", "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -141,15 +159,8 @@ def cmd_eigfun(cfg: RunConfig) -> None:
         "",
         "eigenvalues (real, imag):",
     ]
-    lines += [f"  psi_{i + 1}: ({re:.9g}, {im:.9g})" for i, (re, im) in enumerate(eigvals)]
-    lines += ["", "per-block PDE residuals (RMS):"]
-    for bi in range(len(eig.blocks)):
-        lines.append(
-            f"  block {bi}: train={eig.block_residuals[bi]:.6g} "
-            f"heldout={eig.heldout_residuals[bi]:.6g} "
-            f"cond(J)={eig.cond_J[bi]:.6g}"
-        )
-    lines += [""]
+    listing, block_lines = _eigenfunction_lines(eig, "psi")
+    lines += listing + ["", "per-block PDE residuals (RMS):"] + block_lines + [""]
     lines += _matrix_lines("linear parts (rows of Vt)", eig.Vt)
     lines += ["", "files: eigenfunctions.csv, resolved_config.yaml"]
     _write_report(out, lines)
@@ -162,8 +173,7 @@ def cmd_eigfun(cfg: RunConfig) -> None:
 def _solve_procedure1(cfg: RunConfig, sys_, lin):
     basis = monomial_basis(sys_.n, cfg.basis["deg_min"], cfg.basis["deg_max"])
     samples = sample_domain(cfg.box, cfg.L, cfg.seed)
-    eig = approximate_eigenfunction_set(sys_.f, lin.A, basis, samples)
-    return procedure1_solve(sys_, eig), eig
+    return procedure1_solve(sys_, approximate_eigenfunction_set(sys_.f, lin.A, basis, samples))
 
 
 def _build_p2(cfg: RunConfig, sys_):
@@ -183,7 +193,7 @@ def cmd_solve(cfg: RunConfig) -> None:
     grid = _grid_points(cfg.box, cfg.points_per_dim)
 
     if cfg.procedure == 1:
-        sol, eig = _solve_procedure1(cfg, sys_, lin)
+        sol = _solve_procedure1(cfg, sys_, lin)
         values = sol.value(grid)
         controls = sol.control(grid).reshape(len(grid), p)
         residuals = hj_residual(sys_, sol.grad_value, grid)
@@ -196,7 +206,7 @@ def cmd_solve(cfg: RunConfig) -> None:
             + sol.Q1
         )
         K_lin = np.linalg.solve(lin.D, lin.B.T @ P_emb)
-        eigvals = _block_eigenvalues(eig.Lambda, eig.blocks)
+        listing, block_lines = _eigenfunction_lines(sol.eig, "psi")
         lines = [
             "stationary solution report (eigenfunction-coordinate quadratic form)",
             "=====================================================================",
@@ -206,10 +216,7 @@ def cmd_solve(cfg: RunConfig) -> None:
             "",
             "eigenvalues (real, imag):",
         ]
-        lines += [
-            f"  psi_{i + 1}: ({re:.9g}, {im:.9g})" for i, (re, im) in enumerate(eigvals)
-        ]
-        lines += [""]
+        lines += listing + [""]
         lines += _matrix_lines("cost matrix L (eigenfunction coordinates)", sol.L)
         lines += _matrix_lines("quadratic-order value matrix P_r = Vt^T L Vt", P_emb)
         lines += _matrix_lines("linear feedback gain K = D^-1 B^T P_r", K_lin)
@@ -219,11 +226,7 @@ def cmd_solve(cfg: RunConfig) -> None:
             f"{np.linalg.norm(ric_res):.6g}",
             "per-block PDE residuals (RMS):",
         ]
-        for bi in range(len(eig.blocks)):
-            lines.append(
-                f"  block {bi}: train={eig.block_residuals[bi]:.6g} "
-                f"heldout={eig.heldout_residuals[bi]:.6g}"
-            )
+        lines += block_lines
         lines += [
             "",
             f"evaluation grid: {cfg.points_per_dim} points per dimension "
@@ -242,8 +245,7 @@ def cmd_solve(cfg: RunConfig) -> None:
         controls = sol.control(grid).reshape(len(grid), p)
         residuals = hj_residual(sys_, sol.p_star, grid)
 
-        eigs = sol.eigs
-        eigvals = _block_eigenvalues(eigs.Lambda_u, eigs.blocks)
+        listing, block_lines = _eigenfunction_lines(sol.eigs, "Psi")
         lines = [
             "stationary solution report (zero-level set of unstable eigenfunctions)",
             "=======================================================================",
@@ -255,10 +257,7 @@ def cmd_solve(cfg: RunConfig) -> None:
             "",
             "unstable eigenvalues (real, imag):",
         ]
-        lines += [
-            f"  Psi_{i + 1}: ({re:.9g}, {im:.9g})" for i, (re, im) in enumerate(eigvals)
-        ]
-        lines += [""]
+        lines += listing + [""]
         lines += _matrix_lines("linear manifold coefficient Jl (symmetrized)", sol.Jl)
         lines += [
             f"Jl asymmetry |Jl_raw - Jl_raw^T|_F / max(1, |Jl_raw|_F): "
@@ -266,12 +265,7 @@ def cmd_solve(cfg: RunConfig) -> None:
             "",
             "per-block PDE residuals (RMS):",
         ]
-        for bi in range(len(eigs.blocks)):
-            lines.append(
-                f"  block {bi}: train={eigs.residual_rms[bi]:.6g} "
-                f"heldout={eigs.heldout_rms[bi]:.6g} "
-                f"cond(J)={eigs.cond_J[bi]:.6g}"
-            )
+        lines += block_lines
         if has_fit:
             vf = sol.value_fit
             lines += [""]
@@ -330,7 +324,7 @@ def _build_controllers(
                 K, _ = lqr_controller(lin)
                 named.append(("lqr", linear_controller(K)))
             elif spec == "procedure1":
-                sol, _ = _solve_procedure1(cfg, sys_, lin)
+                sol = _solve_procedure1(cfg, sys_, lin)
                 named.append(("procedure1", sol.control))
             elif spec == "procedure2":
                 sol2 = _build_p2(cfg, sys_)
@@ -416,6 +410,12 @@ def cmd_converge(cfg: RunConfig) -> None:
     out = _ensure_out(cfg)
     sys_ = build_system(cfg)
     lin = linearize(sys_)
+    n_blocks = len(real_spectral_decomposition(lin.A).blocks)
+    if cfg.eig_block >= n_blocks:
+        raise ConfigError(
+            f"'eig_block' is {cfg.eig_block}, but the drift linearization has "
+            f"{n_blocks} eigenvalue blocks (valid: 0..{n_blocks - 1})"
+        )
     basis = monomial_basis(sys_.n, cfg.basis["deg_min"], cfg.basis["deg_max"])
     study = convergence_study(
         sys_.f,

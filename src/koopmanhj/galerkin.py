@@ -22,10 +22,13 @@ coefficients, where ``J_hat = G^T KG / L`` and ``G_tilde = G^T G / L``; for a
 1x1 block it reduces to the equation above.
 
 ``J_hat`` and ``G_tilde`` do not depend on the block, so one pass over a
-sample set serves every block and both routes (drift eigenfunctions here,
-unstable Hamiltonian-lift eigenfunctions in ``procedure2``):
-:func:`fit_blocks` assembles and solves, :func:`certify_blocks` takes one
-residual pass over the training and one over the held-out set.
+sample set serves every block (:func:`fit_blocks`).
+:func:`fit_eigenfunction_set` is the one fit of both routes: it fits every
+block in that one pass, takes one residual pass over the training and one
+over the held-out set, and builds the :class:`EigenfunctionSet`, for the
+drift eigenfunctions on x (:func:`approximate_eigenfunction_set`) and for
+the unstable Hamiltonian-lift eigenfunctions on z = (x, p)
+(``procedure2.unstable_eigfns``).
 
 Every pass streams its samples in ``CHUNK``-row blocks: the basis, its
 jacobian and a callable field are evaluated one block at a time, so a
@@ -38,7 +41,7 @@ bit-reproducible regardless of available parallelism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 import numpy.typing as npt
@@ -57,7 +60,7 @@ __all__ = [
     "solve_coefficients",
     "pde_residual_rms",
     "fit_blocks",
-    "certify_blocks",
+    "fit_eigenfunction_set",
     "approximate_eigenfunction_set",
     "linear_eigenfunction_set",
     "convergence_study",
@@ -423,50 +426,26 @@ def pde_residual_rms(
     return float(_residual_pass(F, basis, [(S, W, Th)], np.asarray(points, dtype=float))[0])
 
 
-def certify_blocks(
-    F, FX: np.ndarray, basis: BasisSet, blocks: Sequence, samples: SampleSet,
-    heldout_tol: Optional[float], label: str,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Training and held-out PDE residual RMS of every ``(S, W, Theta)`` block.
-
-    ``FX`` holds the field values at the training samples; the held-out
-    sample (size ``L // 5``, seed derived from the sample seed) is drawn and
-    evaluated here.  Each block's held-out RMS must not exceed
-    ``heldout_tol`` (default: 10x its training RMS + 1e-9); ``label`` names
-    the block in the error.
-    """
-    held = sample_domain(
-        samples.box, max(1, samples.L // 5), _derive_seed(samples.seed, HELDOUT_SEED_XOR)
-    )
-    train = _residual_pass(FX, basis, blocks, samples.points)
-    heldout = _residual_pass(F, basis, blocks, held.points)
-    for bi in range(len(blocks)):
-        tol = heldout_tol if heldout_tol is not None else 10.0 * train[bi] + 1e-9
-        if heldout[bi] > tol:
-            raise RuntimeError(
-                f"held-out PDE residual {heldout[bi]:.3e} exceeds tolerance {tol:.3e} "
-                f"for {label} {bi} — eigenfunction did not generalize"
-            )
-    return train, heldout
-
-
 @dataclass(frozen=True)
 class EigenfunctionSet:
-    """Stacked principal eigenfunctions ``Phi = Vt x + Theta Gamma(x)``.
+    """Stacked principal eigenfunctions ``Phi(z) = Vt z + Theta Gamma(z)``.
 
     ``Gamma`` is the dictionary ``basis`` (anything with ``eval`` and
-    ``eval_and_jacobian`` on states ``(..., n)``), ``dGamma/dx(0) = 0``, and
-    ``dPhi/dx . f = Lambda Phi`` on the box (up to the recorded residuals).
-    A fitted set carries its monomial basis, a linear set the empty one
-    (``M = 0``), the closed-form example-1 set its one-function dictionary.
-    :meth:`Phi` and :meth:`Phi_jac` accept batched inputs ``(..., n)``.
+    ``eval_and_jacobian`` on points ``(..., dim)``), ``dGamma/dz(0) = 0``, and
+    ``dPhi/dz . F = Lambda Phi`` on the box (up to the recorded residuals).
+    Route 1 fits all ``dim = n`` eigenfunctions of the drift on x; route 2
+    the ``n`` unstable ones of the Hamiltonian lift on z = (x, p), so its
+    ``Vt`` is ``(n, 2n)`` (``procedure2.UnstableEigenfunctions``).  A fitted
+    set carries its monomial basis, a linear set the empty one (``M = 0``),
+    the closed-form example-1 set its one-function dictionary.  :meth:`Phi`
+    and :meth:`Phi_jac` accept batched inputs ``(..., dim)``.
     """
 
     Lambda: np.ndarray  # (n, n) real block eigenmatrix
-    Vt: np.ndarray  # (n, n) linear parts (rows)
+    Vt: np.ndarray  # (n, dim) linear parts (rows)
     Theta: np.ndarray  # (n, M) nonlinear coefficients
     basis: object  # the dictionary Gamma, M functions
-    box: np.ndarray  # (n, 2)
+    box: np.ndarray  # (dim, 2)
     blocks: tuple  # (offset, size) of each block of Lambda, in row order
     block_residuals: np.ndarray  # train RMS per block
     heldout_residuals: np.ndarray
@@ -477,15 +456,62 @@ class EigenfunctionSet:
         return self.Vt.shape[0]
 
     def Phi(self, x: npt.ArrayLike) -> np.ndarray:
-        """``Phi(x)``: (..., n) -> (..., n)."""
+        """``Phi(z)``: (..., dim) -> (..., n)."""
         X = np.asarray(x, dtype=float)
         return X @ self.Vt.T + self.basis.eval(X) @ self.Theta.T
 
     def Phi_jac(self, x: npt.ArrayLike) -> Tuple[np.ndarray, np.ndarray]:
-        """``Phi(x)`` and ``dPhi/dx`` (..., n, n) from one dictionary pass."""
+        """``Phi(z)`` and ``dPhi/dz`` (..., n, dim) from one dictionary pass."""
         X = np.asarray(x, dtype=float)
         G, dG = self.basis.eval_and_jacobian(X)
         return X @ self.Vt.T + G @ self.Theta.T, self.Vt + self.Theta @ dG
+
+
+def fit_eigenfunction_set(
+    F, E: npt.ArrayLike, basis: BasisSet, samples: SampleSet, Lambda: np.ndarray,
+    Vt: np.ndarray, blocks: Sequence[Tuple[int, int]], heldout_tol: Optional[float],
+    label: str, row_scale: Optional[np.ndarray] = None,
+    kind: Type[EigenfunctionSet] = EigenfunctionSet,
+) -> EigenfunctionSet:
+    """Fit and certify the eigenfunctions whose linear parts are the rows of ``Vt``.
+
+    ``Lambda`` is the real block form with ``Vt E = Lambda Vt``, ``blocks``
+    the ``(offset, size)`` of its blocks.  The field values at the samples
+    are drawn once and :func:`fit_blocks` fits every block in one pass.  A
+    diagonal ``row_scale`` s (default ones) rescales the rows after the fit:
+    ``Vt`` and ``Theta`` by s, ``Lambda`` by ``diag(s) Lambda diag(s)^{-1}``,
+    so ``dPhi/dz . F = Lambda Phi`` holds as stored.  One residual pass over
+    the training and one over a held-out sample (size ``L // 5``, seed
+    derived from the sample seed) give each stored block's PDE residual
+    RMS; the held-out one must not exceed ``heldout_tol`` (default: 10x the
+    training RMS + 1e-9), and ``label`` names the block in the error.
+    Returns a ``kind``.
+    """
+    FX = _field_values(F, samples.points)
+    Thetas, conds = fit_blocks(
+        FX, E, basis, [(Lambda[o : o + r, o : o + r], Vt[o : o + r]) for o, r in blocks], samples
+    )
+    s = np.ones(len(Vt)) if row_scale is None else row_scale
+    Vt = Vt * s[:, None]
+    Theta = np.vstack(Thetas) * s[:, None]
+    Lambda = (s[:, None] * Lambda) / s[None, :]
+    stored = [(Lambda[o : o + r, o : o + r], Vt[o : o + r], Theta[o : o + r]) for o, r in blocks]
+    held = sample_domain(
+        samples.box, max(1, samples.L // 5), _derive_seed(samples.seed, HELDOUT_SEED_XOR)
+    )
+    train = _residual_pass(FX, basis, stored, samples.points)
+    heldout = _residual_pass(F, basis, stored, held.points)
+    for bi in range(len(blocks)):
+        tol = heldout_tol if heldout_tol is not None else 10.0 * train[bi] + 1e-9
+        if heldout[bi] > tol:
+            raise RuntimeError(
+                f"held-out PDE residual {heldout[bi]:.3e} exceeds tolerance {tol:.3e} "
+                f"for {label} {bi} — eigenfunction did not generalize"
+            )
+    return kind(
+        Lambda=Lambda, Vt=Vt, Theta=Theta, basis=basis, box=samples.box, blocks=tuple(blocks),
+        block_residuals=train, heldout_residuals=heldout, cond_J=conds,
+    )
 
 
 def approximate_eigenfunction_set(
@@ -497,36 +523,20 @@ def approximate_eigenfunction_set(
 ) -> EigenfunctionSet:
     """Approximate all principal eigenfunctions of the flow ``zdot = F(z)``.
 
-    For each eigenvalue block of ``E`` (real block form), the linear part
-    comes from the spectral decomposition and the nonlinear part from the
-    projected least-squares solve (:func:`fit_blocks`, one pass over the
-    samples for all blocks).  :func:`certify_blocks` validates each block's
-    PDE residual on a held-out sample of size ``L // 5``: it must not
-    exceed ``heldout_tol`` (default: 10x the training residual + 1e-9
-    absolute floor).
+    The linear parts and the block form come from the spectral
+    decomposition of ``E``; :func:`fit_eigenfunction_set` fits the
+    nonlinear parts of every block in one pass over the samples and
+    certifies each on a held-out sample (``heldout_tol``, default 10x the
+    training residual + 1e-9).
     """
     E_mat = np.asarray(E, dtype=float)
     dec = real_spectral_decomposition(E_mat)
     dim = E_mat.shape[0]
     if basis.dim_in != dim:
         raise ValueError(f"basis dim {basis.dim_in} != system dim {dim}")
-    FX = _field_values(F, samples.points)
-    blocks = [(dec.Lambda[o : o + r, o : o + r], dec.Vt[o : o + r]) for o, r in dec.blocks]
-    Thetas, conds = fit_blocks(FX, E_mat, basis, blocks, samples)
-    train_rms, held_rms = certify_blocks(
-        F, FX, basis, [(S, W, Th) for (S, W), Th in zip(blocks, Thetas)], samples,
-        heldout_tol, "eigenvalue block",
-    )
-    return EigenfunctionSet(
-        Lambda=dec.Lambda,
-        Vt=dec.Vt,
-        Theta=np.vstack(Thetas),
-        basis=basis,
-        box=samples.box,
-        blocks=tuple(dec.blocks),
-        block_residuals=train_rms,
-        heldout_residuals=held_rms,
-        cond_J=conds,
+    return fit_eigenfunction_set(
+        F, E_mat, basis, samples, dec.Lambda, dec.Vt, dec.blocks, heldout_tol,
+        "eigenvalue block",
     )
 
 
@@ -594,7 +604,7 @@ def convergence_study(
     """
     E_mat = np.asarray(E, dtype=float)
     dec = real_spectral_decomposition(E_mat)
-    if not (0 <= block_index < len(dec.blocks)) and block_index != -1:
+    if not 0 <= block_index < len(dec.blocks):
         raise ValueError(f"block_index {block_index} out of range")
     off, size = dec.blocks[block_index]
     block = (dec.Lambda[off : off + size, off : off + size], dec.Vt[off : off + size])

@@ -149,12 +149,17 @@ def procedure1_solve(sys: ControlAffineSystem, eig: EigenfunctionSet) -> HJSolut
 
     Requires a hyperbolic eigenvalue matrix (no eigenvalue of ``Lambda`` on
     the imaginary axis) so the associated Hamiltonian matrix admits a
-    stabilizing solution.  For a set on a monomial dictionary (fitted or
-    linear) the solution collapses its value gradient once into one
-    polynomial; the closed-form example-1 set keeps the contraction.
+    stabilizing solution, and a set on the state: ``Vt`` square, so a
+    route-2 set on z = (x, p) is rejected.  For a set on a monomial
+    dictionary (fitted or linear) the solution collapses its value gradient
+    once into one polynomial; the closed-form example-1 set keeps the
+    contraction.
     """
-    if eig.n != sys.n:
-        raise ValueError(f"eigenfunction set has n={eig.n}, system has n={sys.n}")
+    if eig.Vt.shape != (sys.n, sys.n):
+        raise ValueError(
+            f"procedure 1 needs a square Vt of eigenfunctions on the state (n={sys.n}), "
+            f"got shape {eig.Vt.shape}"
+        )
     lam = np.linalg.eigvals(eig.Lambda)
     if np.any(np.abs(lam.real) < 1e-8 * (1.0 + np.abs(lam))):
         raise ValueError(

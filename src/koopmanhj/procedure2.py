@@ -4,9 +4,12 @@ The canonical equations of the optimal-control Hamiltonian define a flow on
 ``z = (x, p)`` whose linearization ``H0`` is Hamiltonian: eigenvalues come
 in ``+-lambda`` pairs.  The stable Lagrangian submanifold — the graph
 ``p = dV/dx^T`` of the stationary solution — is the joint zero-level set of
-the principal eigenfunctions associated with the *unstable* eigenvalues:
+the principal eigenfunctions associated with the *unstable* eigenvalues.
+They are an :class:`~koopmanhj.galerkin.EigenfunctionSet` on z, fitted by
+the same Galerkin fit as route 1 (``galerkin.fit_eigenfunction_set``), with
+``Vt = Wu_t`` (n, 2n) and ``Theta = U``:
 
-    Psi_u(z) = Wu_t z + U Gamma(z),        Psi_u(x, p*(x)) = 0.
+    Psi_u(z) = Phi(z) = Wu_t z + U Gamma(z),        Psi_u(x, p*(x)) = 0.
 
 With a dictionary at most linear in ``p`` (``Gamma = (Xi1(x), Xi2(x) p)``),
 the zero-level equation is linear in ``p`` and solves in closed form:
@@ -31,11 +34,10 @@ import numpy.typing as npt
 
 from .basis import BasisSet, Procedure2Basis
 from .galerkin import (
+    EigenfunctionSet,
     SampleSet,
     _derive_seed,
-    _field_values,
-    certify_blocks,
-    fit_blocks,
+    fit_eigenfunction_set,
     sample_domain,
 )
 from .spectral import (
@@ -58,7 +60,6 @@ __all__ = [
     "ValueFit",
     "HJSolution2",
     "unstable_eigfns",
-    "psi_u",
     "linear_manifold",
     "nonlinear_manifold",
     "fit_value_Jn",
@@ -69,52 +70,43 @@ __all__ = [
 _FIT_SEED_XOR = 0x8EBC6AF09C88C6E3
 
 
-@dataclass(frozen=True)
-class UnstableEigenfunctions:
-    """Eigenfunctions of the Hamiltonian flow for the unstable spectrum.
+class UnstableEigenfunctions(EigenfunctionSet):
+    """The unstable eigenfunctions of the Hamiltonian flow: an
+    :class:`EigenfunctionSet` on z = (x, p) with no fields of its own.
 
-    ``Psi_u(z) = Wu_t z + U Gamma(z)`` row-wise; rows are normalized to
-    ``||Wu_t row||_2 = 1`` with the first significant entry positive (the
-    zero-level set is invariant under row scaling).  ``Lambda_u`` is the
-    block eigenmatrix in this scaled row basis, so
-    ``dPsi_u/dz . F = Lambda_u Psi_u`` holds as stored.
+    ``Psi_u(z) = Phi(z)``; rows are normalized to ``||Wu_t row||_2 = 1``
+    with the first significant entry positive (the zero-level set is
+    invariant under row scaling), and ``Lambda`` is the block eigenmatrix in
+    this scaled row basis, so ``dPsi_u/dz . F = Lambda Psi_u`` holds as
+    stored.  ``Wu_t``/``U`` are read-only views of ``Vt``/``Theta``, split
+    by the manifold solve into position and momentum columns
+    (``Wu1_t``/``Wu2_t``) and into the ``Xi1`` and ``Xi2 p`` columns
+    (``U11``/``U12``).
     """
 
-    Wu_t: np.ndarray  # (n, 2n)
-    U: np.ndarray  # (n, M)
-    basis: Procedure2Basis
-    Lambda_u: np.ndarray  # (n, n)
-    blocks: tuple
-    residual_rms: np.ndarray  # per-block PDE residual on the training sample
-    heldout_rms: np.ndarray
-    cond_J: np.ndarray
-    box: np.ndarray  # (2n, 2) sampling box on (x, p)
+    @property
+    def Wu_t(self) -> np.ndarray:
+        return self.Vt
 
     @property
-    def n(self) -> int:
-        return self.Wu_t.shape[0]
+    def U(self) -> np.ndarray:
+        return self.Theta
 
     @property
     def Wu1_t(self) -> np.ndarray:
-        return self.Wu_t[:, : self.n]
+        return self.Vt[:, : self.n]
 
     @property
     def Wu2_t(self) -> np.ndarray:
-        return self.Wu_t[:, self.n :]
+        return self.Vt[:, self.n :]
 
     @property
     def U11(self) -> np.ndarray:
-        return self.U[:, : self.basis.N]
+        return self.Theta[:, : self.basis.N]
 
     @property
     def U12(self) -> np.ndarray:
-        return self.U[:, self.basis.N :]
-
-
-def psi_u(eigs: UnstableEigenfunctions, Z: npt.ArrayLike) -> np.ndarray:
-    """Evaluate the stacked unstable eigenfunctions at z = (x, p)."""
-    Z = np.asarray(Z, dtype=float)
-    return Z @ eigs.Wu_t.T + eigs.basis.eval(Z) @ eigs.U.T
+        return self.Theta[:, self.basis.N :]
 
 
 def unstable_eigfns(
@@ -125,14 +117,13 @@ def unstable_eigfns(
 ) -> UnstableEigenfunctions:
     """Approximate the unstable principal eigenfunctions of the lifted flow.
 
-    Linear parts come from the left-unstable subspace of ``H0``; nonlinear
-    coefficients from the projected least-squares solve against the full
-    nonlinear field, the same fit as route 1: one pass over the samples
-    assembles every block (``galerkin.fit_blocks``).  After the row
-    normalization, a held-out sample (size L // 5, derived seed) validates
-    each block's PDE residual against ``heldout_tol`` (default 10x training
-    + 1e-9; ``galerkin.certify_blocks``).  The momentum block
-    ``Wu2_t`` must be invertible for the downstream manifold solve.
+    Linear parts and the block form come from the left-unstable subspace of
+    ``H0``; :func:`~koopmanhj.galerkin.fit_eigenfunction_set`, the fit of
+    route 1, fits the nonlinear coefficients of every block in one pass
+    against the full nonlinear field, applies the row normalization after
+    the fit and certifies each block on a held-out sample (``heldout_tol``,
+    default 10x training + 1e-9).  The momentum block ``Wu2_t`` must then
+    pass the complementarity check for the downstream manifold solve.
     """
     n = ham.base.n
     if basis.n != n:
@@ -140,41 +131,20 @@ def unstable_eigfns(
     if samples.dim != 2 * n:
         raise ValueError(f"samples have dim {samples.dim}, expected 2n={2 * n}")
     sub = unstable_left_subspace(ham.H0)
-    FX = _field_values(ham.F, samples.points)
-    blocks = [(sub.Lambda_u[o : o + r, o : o + r], sub.D_full[o : o + r]) for o, r in sub.blocks]
-    Thetas, conds = fit_blocks(FX, ham.H0, basis, blocks, samples)
     Wu = sub.D_full
-
-    # Per-row normalization: unit linear part, first significant entry
-    # positive.  This is a diagonal row scaling s, so the block eigenmatrix
-    # transforms by the similarity diag(s) Lambda_u diag(s)^{-1}.
+    # Per-row normalization: unit linear part, first significant entry positive.
     scale = np.ones(n)
     for i in range(n):
         nrm = float(np.linalg.norm(Wu[i]))
         if nrm == 0.0:
             raise RuntimeError(f"unstable eigenfunction row {i} has zero linear part")
         scale[i] = -1.0 / nrm if Wu[i, _lead_index(Wu[i])] < 0 else 1.0 / nrm
-    Wu = Wu * scale[:, None]
-    U = np.vstack(Thetas) * scale[:, None]
-    Lambda_u = (scale[:, None] * sub.Lambda_u) / scale[None, :]
-
-    train, heldout = certify_blocks(
-        ham.F, FX, basis,
-        [(Lambda_u[o : o + r, o : o + r], Wu[o : o + r], U[o : o + r]) for o, r in sub.blocks],
-        samples, heldout_tol, "unstable block",
+    eigs = fit_eigenfunction_set(
+        ham.F, ham.H0, basis, samples, sub.Lambda_u, Wu, sub.blocks, heldout_tol,
+        "unstable block", row_scale=scale, kind=UnstableEigenfunctions,
     )
-    _certify_complementarity(Wu[:, n:])
-    return UnstableEigenfunctions(
-        Wu_t=Wu,
-        U=U,
-        basis=basis,
-        Lambda_u=Lambda_u,
-        blocks=tuple(sub.blocks),
-        residual_rms=train,
-        heldout_rms=heldout,
-        cond_J=conds,
-        box=samples.box,
-    )
+    _certify_complementarity(eigs.Wu2_t)
+    return eigs
 
 
 def linear_manifold(eigs: UnstableEigenfunctions) -> np.ndarray:

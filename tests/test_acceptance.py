@@ -24,7 +24,7 @@ from koopmanhj.procedure1 import (
     verify_generating_function,
     verify_nominal_integrability,
 )
-from koopmanhj.procedure2 import default_phase_box, procedure2_solve, psi_u
+from koopmanhj.procedure2 import default_phase_box, procedure2_solve
 from koopmanhj.simulate import (
     closed_loop,
     integrate_rk4,
@@ -217,7 +217,7 @@ def test_ac6_manifold_exactness_and_invariance():
     rng = np.random.default_rng(7)
     X = rng.uniform(-0.4, 0.4, size=(100, 2))
     Z = np.column_stack([X, np.array([sol.p_star(x) for x in X])])
-    membership = float(np.max(np.abs(psi_u(sol.eigs, Z))))
+    membership = float(np.max(np.abs(sol.eigs.Phi(Z))))
 
     ham = hamiltonian_vector_field(sys_)
     drift = 0.0

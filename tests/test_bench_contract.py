@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from koopmanhj.basis import monomial_basis, procedure2_basis
-from koopmanhj.galerkin import approximate_eigenfunction_set, sample_domain
+from koopmanhj.galerkin import EigenfunctionSet, approximate_eigenfunction_set, sample_domain
 from koopmanhj.procedure1 import procedure1_solve
 from koopmanhj.procedure2 import default_phase_box, procedure2_solve
 from koopmanhj.systems import builtin_example1, linearize
@@ -100,6 +100,7 @@ def test_traced_route2_basis_counts_each_jacobian_row_once():
         for owner, attr, orig in reversed(undo):
             setattr(owner, attr, orig)
     assert tracer.layer_metrics()["basis.jacobian.points"] == 2 * L + L // 5
+    assert tracer.stats["procedure2.unstable_eigfns"][0] == 1
 
 
 @pytest.fixture(scope="module")
@@ -118,10 +119,16 @@ def solutions():
 def test_solutions_carry_what_the_worker_captures(solutions, tmp_path):
     """``save_captured`` reads ``riccati_embedding``, ``eig.Vt/Theta/Lambda``
     and ``L`` of route 1, ``Jl``, ``eigs.Wu_t/U/n`` and ``p_star`` of route
-    2, and tells the routes apart by ``riccati_embedding``."""
+    2, and tells the routes apart by ``riccati_embedding``.  Route 2's
+    ``eigs`` is an ``EigenfunctionSet`` on z = (x, p) whose ``Wu_t``/``U``
+    are its ``Vt``/``Theta``."""
     sol1, sol2 = solutions
     assert hasattr(sol1, "riccati_embedding")
     assert not hasattr(sol2, "riccati_embedding")
+    assert isinstance(sol2.eigs, EigenfunctionSet)
+    assert sol2.eigs.n == 2
+    assert sol2.eigs.Wu_t is sol2.eigs.Vt and sol2.eigs.Wu_t.shape == (2, 4)
+    assert sol2.eigs.U is sol2.eigs.Theta
 
     out = tmp_path / "op1"
     out.mkdir()

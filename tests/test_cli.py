@@ -203,6 +203,17 @@ class TestConverge:
         assert all(float(r["error"]) > 0 for r in rows)
         assert "log-log slope" in (out / "report.txt").read_text()
 
+    def test_out_of_range_block_is_a_configuration_error(self, tmp_path, capsys):
+        """Example 1 has two eigenvalue blocks, so ``eig_block: 2`` is a
+        configuration error (exit 1), not a numerical failure."""
+        cfg = dump_cfg(tmp_path, example1_cfg(
+            tmp_path / "conv", eig_block=2, converge={"L_list": [50, 100], "trials": 2},
+        ))
+        assert main(["converge", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "'eig_block' is 2" in err and "2 eigenvalue blocks" in err
+
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):

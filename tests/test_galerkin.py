@@ -291,10 +291,11 @@ class TestConvergenceStudy:
         lin = linearize(sys_)
         basis = monomial_basis(2, 2, 3)
         box = np.array([[-1.0, 1.0], [-1.0, 1.0]])
-        with pytest.raises(ValueError, match="block_index"):
-            convergence_study(
-                sys_.f, lin.A, basis, box, [100, 200], 2, 0, block_index=5
-            )
+        for block_index in (5, 2, -1):
+            with pytest.raises(ValueError, match="block_index"):
+                convergence_study(
+                    sys_.f, lin.A, basis, box, [100, 200], 2, 0, block_index=block_index
+                )
 
 
 def spiral_f(X):

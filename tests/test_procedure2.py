@@ -13,12 +13,17 @@ Closed-form anchors:
   ``x``.  Taylor expansion gives ``V'(x) = (sqrt(2)-1) x + 2 c x^3 + ...``
   with ``c = (2 - sqrt(2))/4``.
 """
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
 
+from koopmanhj import galerkin
 from koopmanhj.basis import monomial_basis, procedure2_basis, value_basis_xi3
 from koopmanhj.galerkin import (
     HELDOUT_SEED_XOR,
+    EigenfunctionSet,
     SampleSet,
     _derive_seed,
     assemble_galerkin,
@@ -26,6 +31,7 @@ from koopmanhj.galerkin import (
     sample_domain,
     solve_coefficients,
 )
+from koopmanhj.procedure1 import procedure1_solve
 from koopmanhj.procedure2 import (
     UnstableEigenfunctions,
     default_phase_box,
@@ -33,7 +39,6 @@ from koopmanhj.procedure2 import (
     linear_manifold,
     nonlinear_manifold,
     procedure2_solve,
-    psi_u,
     unstable_eigfns,
 )
 from koopmanhj.spectral import solve_riccati, unstable_left_subspace
@@ -136,7 +141,7 @@ class TestLinearCoefficient:
         _, sol = example1_p2
         assert all(size == 1 for _, size in sol.eigs.blocks)
         np.testing.assert_allclose(
-            np.sort(np.diag(sol.eigs.Lambda_u)), LAMBDA_U_EXAMPLE1, atol=1e-7
+            np.sort(np.diag(sol.eigs.Lambda)), LAMBDA_U_EXAMPLE1, atol=1e-7
         )
 
     def test_linear_system_has_no_nonlinear_content(self):
@@ -156,7 +161,7 @@ class TestLinearCoefficient:
         sol = procedure2_solve(
             sys_, procedure2_basis(2, 3, 2), sample_domain(box, 2000, 3)
         )
-        assert np.max(np.abs(sol.eigs.U)) < 1e-8
+        assert np.max(np.abs(sol.eigs.Theta)) < 1e-8
         lin = linearize(sys_)
         P_r = solve_riccati(lin.A, lin.R0, lin.Q0).P
         np.testing.assert_allclose(sol.Jl, P_r, atol=1e-8)
@@ -172,7 +177,7 @@ class TestZeroLevelSet:
         rng = np.random.default_rng(7)
         X = rng.uniform(-0.4, 0.4, size=(100, 2))
         Z = np.column_stack([X, np.array([sol.p_star(x) for x in X])])
-        vals = psi_u(sol.eigs, Z)
+        vals = sol.eigs.Phi(Z)
         assert np.max(np.abs(vals)) < 1e-8
 
     def test_control_consistent_with_manifold_momentum(self, example1_p2):
@@ -369,13 +374,13 @@ class TestFailureModes:
     @staticmethod
     def _scalar_eigs(basis, U):
         return UnstableEigenfunctions(
-            Wu_t=np.array([[0.0, 1.0]]),
-            U=U,
+            Lambda=np.array([[1.0]]),
+            Vt=np.array([[0.0, 1.0]]),
+            Theta=U,
             basis=basis,
-            Lambda_u=np.array([[1.0]]),
             blocks=((0, 1),),
-            residual_rms=np.zeros(1),
-            heldout_rms=np.zeros(1),
+            block_residuals=np.zeros(1),
+            heldout_residuals=np.zeros(1),
             cond_J=np.ones(1),
             box=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
         )
@@ -435,13 +440,13 @@ class TestPhaseBox:
     def test_linear_manifold_shares_the_guard(self):
         basis = procedure2_basis(1, 2, 2)
         eigs = UnstableEigenfunctions(
-            Wu_t=np.array([[1.0, 0.0]]),
-            U=np.zeros((1, basis.M)),
+            Lambda=np.array([[1.0]]),
+            Vt=np.array([[1.0, 0.0]]),
+            Theta=np.zeros((1, basis.M)),
             basis=basis,
-            Lambda_u=np.array([[1.0]]),
             blocks=((0, 1),),
-            residual_rms=np.zeros(1),
-            heldout_rms=np.zeros(1),
+            block_residuals=np.zeros(1),
+            heldout_residuals=np.zeros(1),
             cond_J=np.ones(1),
             box=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
         )
@@ -485,19 +490,19 @@ class TestOnePassUnstableFit:
             / np.linalg.norm(row)
             for row in sub.D_full
         ])
-        assert np.array_equal(eigs.Wu_t, sub.D_full * scale[:, None])
-        assert np.array_equal(eigs.U, np.vstack(U) * scale[:, None])
+        assert np.array_equal(eigs.Vt, sub.D_full * scale[:, None])
+        assert np.array_equal(eigs.Theta, np.vstack(U) * scale[:, None])
         assert np.array_equal(eigs.cond_J, np.array(conds))
         held = sample_domain(
             samples.box, samples.L // 5, _derive_seed(samples.seed, HELDOUT_SEED_XOR)
         )
         for bi, (off, size) in enumerate(sub.blocks):
             rows = slice(off, off + size)
-            block = (eigs.Lambda_u[rows, rows], eigs.Wu_t[rows], eigs.U[rows])
-            assert eigs.residual_rms[bi] == pde_residual_rms(
+            block = (eigs.Lambda[rows, rows], eigs.Vt[rows], eigs.Theta[rows])
+            assert eigs.block_residuals[bi] == pde_residual_rms(
                 ham.F, basis, *block, samples.points
             )
-            assert eigs.heldout_rms[bi] == pde_residual_rms(
+            assert eigs.heldout_residuals[bi] == pde_residual_rms(
                 ham.F, basis, *block, held.points
             )
 
@@ -508,3 +513,59 @@ class TestOnePassUnstableFit:
         eigs = unstable_eigfns(ham, counting, samples)
         assert len(eigs.blocks) == ham.base.n
         assert counting.jacobian_rows == 2 * samples.L + samples.L // 5
+
+
+class TestOneEigenfunctionSetType:
+    """Route 2's unstable eigenfunctions are an :class:`EigenfunctionSet` on
+    z = (x, p), fitted by the one fit of both routes."""
+
+    def test_unstable_set_is_a_field_less_eigenfunction_set(self, example1_p2):
+        _, sol = example1_p2
+        assert isinstance(sol.eigs, EigenfunctionSet)
+        assert dataclasses.fields(UnstableEigenfunctions) == dataclasses.fields(EigenfunctionSet)
+        assert sol.eigs.Vt.shape == (2, 4)
+        assert sol.eigs.Theta.shape == (2, sol.eigs.basis.M)
+        assert sol.eigs.box.shape == (4, 2)
+
+    def test_phi_is_the_zero_level_formula(self, example1_p2):
+        """``Phi`` and ``Phi_jac`` on z give exactly ``Wu_t z + U Gamma(z)``
+        and ``Vt + Theta dGamma/dz``."""
+        _, sol = example1_p2
+        eigs = sol.eigs
+        rng = np.random.default_rng(3)
+        Z = rng.uniform(eigs.box[:, 0], eigs.box[:, 1], size=(50, 4))
+        direct = Z @ eigs.Wu_t.T + eigs.basis.eval(Z) @ eigs.U.T
+        assert np.array_equal(eigs.Phi(Z), direct)
+        Phi, jac = eigs.Phi_jac(Z)
+        assert np.array_equal(Phi, direct)
+        assert np.array_equal(jac, eigs.Vt + eigs.Theta @ eigs.basis.jacobian(Z))
+
+    def test_each_route_calls_the_shared_fit_once(self, monkeypatch):
+        """A route-1 and a route-2 fit each go through
+        ``galerkin.fit_eigenfunction_set`` once, wherever it is bound."""
+        calls = []
+        orig = galerkin.fit_eigenfunction_set
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("kind", EigenfunctionSet))
+            return orig(*args, **kwargs)
+
+        for mod in [m for k, m in sys.modules.items() if k.startswith("koopmanhj")]:
+            if getattr(mod, "fit_eigenfunction_set", None) is orig:
+                monkeypatch.setattr(mod, "fit_eigenfunction_set", counted)
+
+        sys_ = builtin_example1(1.0)
+        eig = galerkin.approximate_eigenfunction_set(
+            sys_.f, linearize(sys_).A, monomial_basis(2, 2, 3), sample_domain(EX1_BOX, 400, 1)
+        )
+        assert calls == [EigenfunctionSet]
+        assert type(eig) is EigenfunctionSet
+        ham, basis, samples = _one_pass_case("cubic")
+        eigs = unstable_eigfns(ham, basis, samples)
+        assert calls == [EigenfunctionSet, UnstableEigenfunctions]
+        assert type(eigs) is UnstableEigenfunctions
+
+    def test_procedure1_rejects_a_route2_set(self, example1_p2):
+        sys_, sol = example1_p2
+        with pytest.raises(ValueError, match=r"square Vt .*\(n=2\), got shape \(2, 4\)"):
+            procedure1_solve(sys_, sol.eigs)

@@ -25,7 +25,6 @@ from koopmanhj.procedure2 import (
     linear_manifold,
     nonlinear_manifold,
     procedure2_solve,
-    psi_u,
     unstable_eigfns,
 )
 from koopmanhj.simulate import _rk4, closed_loop
@@ -308,10 +307,10 @@ class TestZeroLevelSolve:
         @given(_in_box(box))
         def check(X):
             Z = np.concatenate([X, sol.p_star(X)], axis=-1)
-            # scale: the largest term of Psi_u = Wu_t z + U Gamma(z)
-            scale = np.max(np.abs(Z) @ np.abs(eigs.Wu_t).T
-                           + np.abs(eigs.basis.eval(Z)) @ np.abs(eigs.U).T)
-            assert np.max(np.abs(psi_u(eigs, Z))) <= 1e-12 * scale
+            # scale: the largest term of Psi_u = Vt z + Theta Gamma(z)
+            scale = np.max(np.abs(Z) @ np.abs(eigs.Vt).T
+                           + np.abs(eigs.basis.eval(Z)) @ np.abs(eigs.Theta).T)
+            assert np.max(np.abs(eigs.Phi(Z))) <= 1e-12 * scale
 
         check()
 
@@ -410,9 +409,9 @@ class TestSingularPointInBatch:
         U = np.zeros((1, basis.M))
         U[0, basis.N] = -2.0  # G2(x) = 1 - 2x vanishes at x = 0.5
         eigs = UnstableEigenfunctions(
-            Wu_t=np.array([[0.0, 1.0]]), U=U, basis=basis, Lambda_u=np.array([[1.0]]),
-            blocks=((0, 1),), residual_rms=np.zeros(1), heldout_rms=np.zeros(1),
-            cond_J=np.ones(1), box=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
+            Lambda=np.array([[1.0]]), Vt=np.array([[0.0, 1.0]]), Theta=U, basis=basis,
+            box=np.array([[-1.0, 1.0], [-1.0, 1.0]]), blocks=((0, 1),),
+            block_residuals=np.zeros(1), heldout_residuals=np.zeros(1), cond_J=np.ones(1),
         )
         X = np.array([[0.1], [-0.3], [0.5], [0.2]])
         with pytest.raises(RuntimeError, match=r"G2 singular at x=\[0.5\]"):
@@ -555,7 +554,7 @@ def _fitted_residual_case(name):
         box = default_phase_box(sys_, 0.4 * np.array([[-1.0, 1.0], [-1.0, 1.0]]), margin=1.0)
         basis = procedure2_basis(2, 3, 2)
         eigs = unstable_eigfns(ham, basis, sample_domain(box, 1500, 4))
-        blocks = [(eigs.Lambda_u[o : o + r, o : o + r], eigs.Wu_t[o : o + r], eigs.U[o : o + r])
+        blocks = [(eigs.Lambda[o : o + r, o : o + r], eigs.Vt[o : o + r], eigs.Theta[o : o + r])
                   for o, r in eigs.blocks]
         return ham.F, basis, blocks, box
     if name == "example1":
