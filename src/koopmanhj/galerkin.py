@@ -149,12 +149,16 @@ def _draw(box: np.ndarray, L: int, seed: int, rows: int) -> Iterator[np.ndarray]
     ``rows`` rows.
 
     The blocks continue one PCG64 stream, ``numpy.random.default_rng(seed)``,
-    which draws row by row, so every ``rows`` gives the same points.
+    which draws row by row, so every ``rows`` gives the same points.  Each
+    point is ``lo + (hi - lo) * u`` with ``u = rng.random()``, the formula of
+    ``rng.uniform(lo, hi)`` and its bits, without its per-call checks of the
+    bounds.
     """
     rng = np.random.default_rng(seed)
-    lo, hi = box[:, 0].copy(), box[:, 1].copy()
+    lo = box[:, 0].copy()
+    width = box[:, 1] - lo
     for start in range(0, L, rows):
-        yield rng.uniform(lo, hi, size=(min(rows, L - start), box.shape[0]))
+        yield lo + width * rng.random((min(rows, L - start), box.shape[0]))
 
 
 def sample_domain(box: npt.ArrayLike, L: int, seed: int) -> SampleSet:

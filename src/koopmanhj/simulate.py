@@ -3,14 +3,17 @@
 Everything here is deliberately deterministic: classical RK4 with a fixed
 step, the feedback evaluated at every stage point, and the running cost
 ``integral of q(x) + 0.5 u^T D u`` accumulated by the trapezoid rule on the
-step grid.  Identical inputs produce identical output bytes.
+step grid.  Identical inputs produce identical output bytes, also where
+:func:`compare_controllers` runs its rollouts side by side in forked
+worker processes (one per usable CPU; in-process without ``fork``).
 """
 
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -302,6 +305,54 @@ class ComparisonRow:
     diagnostic: str
 
 
+# The cells of the table while its pool runs.  The workers are forked with it
+# set and inherit it, so a cell reaches them as its index alone and no
+# controller or system map is ever pickled.
+_CELLS: List[tuple] = []
+
+
+def _rollout(cell: tuple) -> Tuple[Optional[Trajectory], str]:
+    """One cell's :func:`closed_loop` run: its trajectory, or ``None`` and the error text."""
+    sys_, ctrl, x0, dt, T = cell
+    try:
+        return closed_loop(sys_, ctrl, x0, dt=dt, T=T), ""
+    except Exception as exc:  # noqa: BLE001 — table must not abort
+        return None, str(exc)
+
+
+def _forked_rollout(index: int) -> Tuple[Optional[Trajectory], str]:
+    """A pool worker's run of cell ``index`` of the ``_CELLS`` it inherited."""
+    return _rollout(_CELLS[index])
+
+
+def _end_with_parent() -> None:
+    """Pool worker initializer: exit once the process that forked the worker
+    is gone, so that a killed table leaves no worker behind."""
+    import multiprocessing
+    import threading
+
+    parent = multiprocessing.parent_process()
+
+    def exit_after_parent() -> None:
+        parent.join()
+        os._exit(1)
+
+    threading.Thread(target=exit_after_parent, daemon=True).start()
+
+
+def _pool_workers(cells: int) -> int:
+    """Worker processes for ``cells`` rollouts: one per usable CPU, or 1
+    (run in-process) where the platform cannot fork or tell its CPUs."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = min(cells, len(affinity(0))) if affinity is not None else 1
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return 1
+    return workers
+
+
 def compare_controllers(
     sys: ControlAffineSystem,
     controllers: Sequence[Tuple[str, Callable[[np.ndarray], np.ndarray]]],
@@ -314,14 +365,53 @@ def compare_controllers(
 
     Failures stay in their own cell as diagnostics; the table always has one
     row per (controller, x0) pair, in input order.  ``on_trajectory`` (if
-    given) receives each completed rollout as ``(name, ic_index, traj)``.
+    given) receives each completed rollout as ``(name, ic_index, traj)``,
+    in table order and in the calling process.
+
+    The cells run concurrently in ``min(cells, len(os.sched_getaffinity(0)))``
+    forked worker processes.  Each cell is the same deterministic
+    :func:`closed_loop` call, so rows, trajectories and written files are
+    the bytes of a one-by-one run.  With one worker, or where the platform
+    has no ``fork`` start method or no CPU affinity, the cells run one after
+    another in the calling process.
     """
-    rows: List[ComparisonRow] = []
+    keys: List[Tuple[str, int, np.ndarray]] = []
+    cells = []
     for name, ctrl in controllers:
         for i, x0 in enumerate(x0_list):
             x0a = np.asarray(x0, dtype=float).ravel()
+            keys.append((name, i, x0a))
+            cells.append((sys, ctrl, x0a, dt, T))
+    workers = _pool_workers(len(cells))
+    if workers <= 1:
+        return _tabulate(keys, map(_rollout, cells), on_trajectory)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    _CELLS[:] = cells
+    try:
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, context, initializer=_end_with_parent) as pool:
             try:
-                traj = closed_loop(sys, ctrl, x0a, dt=dt, T=T)
+                return _tabulate(keys, pool.map(_forked_rollout, range(len(cells))), on_trajectory)
+            except BaseException:  # an interrupt: start no further cell
+                pool.shutdown(cancel_futures=True)
+                raise
+    finally:
+        _CELLS.clear()
+
+
+def _tabulate(
+    keys: Sequence[Tuple[str, int, np.ndarray]],
+    outcomes: Iterable[Tuple[Optional[Trajectory], str]],
+    on_trajectory: Optional[Callable[[str, int, Trajectory], None]],
+) -> List[ComparisonRow]:
+    """One row per cell outcome, in table order; each trajectory is handed to
+    ``on_trajectory`` first, and an exception there fails its cell."""
+    rows: List[ComparisonRow] = []
+    for (name, i, x0a), (traj, error) in zip(keys, outcomes):
+        if traj is not None:
+            try:
                 if on_trajectory is not None:
                     on_trajectory(name, i, traj)
                 rows.append(
@@ -336,19 +426,21 @@ def compare_controllers(
                         diagnostic=traj.diagnostic or "",
                     )
                 )
+                continue
             except Exception as exc:  # noqa: BLE001 — table must not abort
-                rows.append(
-                    ComparisonRow(
-                        controller=name,
-                        ic_index=i,
-                        x0=x0a,
-                        converged=False,
-                        diverged=True,
-                        running_cost=float("nan"),
-                        max_abs_state=float("nan"),
-                        diagnostic=f"rollout failed: {exc}",
-                    )
-                )
+                error = str(exc)
+        rows.append(
+            ComparisonRow(
+                controller=name,
+                ic_index=i,
+                x0=x0a,
+                converged=False,
+                diverged=True,
+                running_cost=float("nan"),
+                max_abs_state=float("nan"),
+                diagnostic=f"rollout failed: {error}",
+            )
+        )
     return rows
 
 

@@ -5,6 +5,7 @@ confirm the installed entry points.  Exit code contract: 0 success,
 1 configuration/usage error, 2 numerical failure.
 """
 import csv
+import os
 import subprocess
 import sys
 
@@ -176,6 +177,31 @@ class TestSimulate:
         assert list(traj[0]) == ["t", "x1", "x2", "u1", "cumulative_cost"]
         assert len(traj) == 201
         assert float(traj[0]["cumulative_cost"]) == 0.0
+
+    def test_same_bytes_pooled_and_on_one_cpu(self, tmp_path, monkeypatch):
+        """The rollouts run in forked workers with two usable CPUs and in
+        the calling process with one; every file but the resolved config
+        (which names its own output directory) has the same bytes."""
+        files = {}
+        for cpus in ({0, 1}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            out = tmp_path / f"cpus{len(cpus)}"
+            cfg = dump_cfg(tmp_path, example1_cfg(
+                out,
+                integrator={"dt": 0.01, "T": 3.0},
+                simulate={
+                    "controllers": [
+                        "procedure1", "lqr", {"name": "static", "gain": [[1.0, 0.5]]},
+                    ],
+                    "ics": [[0.2, 0.1], [-0.5, 0.4], [0.3, -0.6]],
+                },
+            ), f"c{len(cpus)}.yaml")
+            assert main(["simulate", "--config", cfg]) == 0
+            files[len(cpus)] = {
+                p.name: p.read_bytes() for p in out.iterdir() if p.name != "resolved_config.yaml"
+            }
+        assert len(files[1]) == 1 + 1 + 9  # comparison, report, 3 x 3 trajectories
+        assert files[2] == files[1]
 
     def test_missing_initial_conditions(self, tmp_path, capsys):
         out = tmp_path / "noic"

@@ -12,6 +12,7 @@ from koopmanhj.basis import BasisSet, monomial_basis, procedure2_basis
 from koopmanhj.galerkin import (
     CHUNK,
     SampleStream,
+    _draw,
     _residual_pass,
     approximate_eigenfunction_set,
     fit_blocks,
@@ -581,6 +582,20 @@ class TestStreamedSamples:
         assert [len(c) for c in chunks[:-1]] == [CHUNK] * (len(chunks) - 1)
         assert 1 <= len(chunks[-1]) <= CHUNK
         assert np.array_equal(np.concatenate(chunks), sample_domain(box, L, seed).points)
+
+    @SETTINGS
+    @given(_boxes(), STREAM_LENGTHS, SEEDS, st.sampled_from([1, 7, CHUNK, 4 * CHUNK]),
+           st.sampled_from([1.0, 1e-3, 1e6]))
+    def test_draw_equals_generator_uniform(self, box, L, seed, rows, scale):
+        """``lo + (hi - lo) * random()`` gives the bits of ``Generator.uniform``
+        on the same stream, block by block."""
+        box = scale * box
+        rng = np.random.default_rng(seed)
+        blocks = list(_draw(box, L, seed, rows))
+        assert sum(map(len, blocks)) == L
+        for got in blocks:
+            want = rng.uniform(box[:, 0], box[:, 1], size=got.shape)
+            assert np.array_equal(got, want)
 
     @settings(max_examples=5, deadline=None)
     @given(SEEDS)

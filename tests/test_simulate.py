@@ -6,10 +6,17 @@ the undamped oscillator, the closed-form regulator cost-to-go
 bounds for the accumulated running cost.
 """
 import csv
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from koopmanhj import simulate
 from koopmanhj.basis import monomial_basis
 from koopmanhj.galerkin import (
     approximate_eigenfunction_set,
@@ -284,6 +291,165 @@ class TestControllerComparison:
                 np.testing.assert_array_equal(trajs[i].inputs, alone.inputs)
                 assert rows[i].running_cost == alone.running_cost
                 assert alone.inputs[0] == pytest.approx(ctrl(np.array(x0, dtype=float)))
+
+
+def _pid_controller(x):
+    """Zero input until ``x1 < 0.5``, then an error naming the process."""
+    if x[0] < 0.5:
+        raise RuntimeError(f"pid {os.getpid()}")
+    return np.zeros(1)
+
+
+class TestConcurrentTable:
+    """The cells of a table run in forked workers, one per usable CPU."""
+
+    X0S = [[1.0, 0.0], [0.8, -0.3], [0.1, 0.0, 0.0]]  # the last has the wrong dimension
+
+    def _table(self, controllers, x0s=None):
+        trajs = {}
+        rows = compare_controllers(
+            _linear_system()[0], controllers, self.X0S if x0s is None else x0s,
+            dt=1e-2, T=3.0,
+            on_trajectory=lambda name, i, traj: trajs.__setitem__((name, i), traj),
+        )
+        return rows, trajs
+
+    def test_pooled_table_equals_the_per_cell_rollouts(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        sys_, _, _ = _linear_system()
+        K, _ = lqr_controller(linearize(sys_))
+
+        def truncating(x):
+            if x[0] < 0.5:
+                raise RuntimeError("lookup table exhausted")
+            return np.zeros(1)
+
+        controllers = [("lqr", linear_controller(K)), ("truncating", truncating)]
+        rows, trajs = self._table(controllers)
+        assert [(r.controller, r.ic_index) for r in rows] == [
+            (name, i) for name, _ in controllers for i in range(3)
+        ]
+        assert sorted(trajs) == [(name, i) for name, _ in controllers for i in range(2)]
+        assert multiprocessing.active_children() == []
+        for row in rows:
+            ctrl = dict(controllers)[row.controller]
+            x0 = self.X0S[row.ic_index]
+            np.testing.assert_array_equal(row.x0, x0)
+            if row.ic_index == 2:
+                with pytest.raises(ValueError) as info:
+                    closed_loop(sys_, ctrl, x0, dt=1e-2, T=3.0)
+                assert row.diagnostic == f"rollout failed: {info.value}"
+                assert row.diverged and not row.converged
+                assert np.isnan(row.running_cost) and np.isnan(row.max_abs_state)
+                continue
+            alone = closed_loop(sys_, ctrl, x0, dt=1e-2, T=3.0)
+            got = trajs[row.controller, row.ic_index]
+            for attr in ("times", "states", "inputs", "cumulative_costs"):
+                np.testing.assert_array_equal(getattr(got, attr), getattr(alone, attr))
+            for attr in ("running_cost", "converged", "diverged", "diagnostic", "t_fail"):
+                assert getattr(got, attr) == getattr(alone, attr)
+            if alone.final_input is None:
+                assert got.final_input is None
+            else:
+                np.testing.assert_array_equal(got.final_input, alone.final_input)
+            assert row.diagnostic == (alone.diagnostic or "")
+            assert row.running_cost == alone.running_cost
+            assert row.max_abs_state == np.max(np.abs(alone.states))
+        assert "lookup table exhausted" in rows[3].diagnostic
+
+    def test_pooled_cells_run_in_worker_processes(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        rows, _ = self._table([("pid", _pid_controller)], self.X0S[:2])
+        pids = {int(r.diagnostic.rsplit(" ", 1)[1]) for r in rows}
+        assert os.getpid() not in pids
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus, x0s", [({0}, X0S[:2]), ({0, 1}, X0S[:1])])
+    def test_one_cpu_or_one_cell_runs_in_the_calling_process(self, monkeypatch, cpus, x0s):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        rows, _ = self._table([("pid", _pid_controller)], x0s)
+        assert len(rows) == len(x0s)
+        for r in rows:
+            assert r.diagnostic.endswith(f"pid {os.getpid()}")
+
+    def test_an_interrupt_starts_no_further_cell(self, monkeypatch, tmp_path):
+        """An interrupt in the calling process cancels the cells not yet
+        started and joins the pool before it propagates."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+        def slow(x):
+            if x[1] == 0.0:  # only the first stage of a cell is at x0 = (k, 0)
+                (tmp_path / f"{x[0]:g}").touch()
+            time.sleep(1e-3)
+            return np.ones(1)
+
+        def interrupt(name, i, traj):
+            raise KeyboardInterrupt
+
+        x0s = [[float(k), 0.0] for k in range(40)]
+        with pytest.raises(KeyboardInterrupt):
+            compare_controllers(_linear_system()[0], [("slow", slow)], x0s,
+                                dt=1e-2, T=1.0, on_trajectory=interrupt)
+        assert multiprocessing.active_children() == []
+        assert 1 <= len(os.listdir(tmp_path)) < len(x0s)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+    def test_workers_exit_when_the_table_process_is_killed(self, tmp_path):
+        """A table process killed mid-run leaves no worker running."""
+        script = f"""
+import os, time
+import numpy as np
+from koopmanhj.simulate import compare_controllers
+from koopmanhj.systems import control_affine_system
+
+def slow(x):
+    open(os.path.join({str(tmp_path)!r}, str(os.getpid())), "w").close()
+    time.sleep(0.01)
+    return np.zeros(1)
+
+sys_ = control_affine_system(1, 1, f=lambda x: -x, g=lambda x: np.array([[1.0]]),
+                             D=np.eye(1), q=lambda x: 0.5 * float(x @ x))
+os.sched_getaffinity = lambda pid: {{0, 1}}
+compare_controllers(sys_, [("slow", slow)], [[1.0]] * 4, dt=0.1, T=100.0)
+"""
+        src = str(Path(simulate.__file__).resolve().parents[1])
+        proc = subprocess.Popen([sys.executable, "-c", script],
+                                env=dict(os.environ, PYTHONPATH=src))
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(os.listdir(tmp_path)) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            workers = [int(name) for name in os.listdir(tmp_path)]
+            assert len(workers) == 2 and proc.pid not in workers
+        finally:
+            proc.kill()
+            proc.wait()
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 30.0
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, workers))
+
+    def test_a_failing_callback_fails_its_cell_only(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+        def save(name, i, traj):
+            if i == 1:
+                raise OSError("disk full")
+
+        rows = compare_controllers(
+            _linear_system()[0], [("z", lambda x: np.zeros(1))], self.X0S[:2],
+            dt=1e-2, T=1.0, on_trajectory=save,
+        )
+        assert [r.diagnostic for r in rows] == ["", "rollout failed: disk full"]
+        assert multiprocessing.active_children() == []
 
 
 def test_route1_rollout_with_the_collapsed_gradient():
