@@ -5,10 +5,13 @@ runs the corresponding pipeline, and writes its outputs (CSV tables plus a
 human-readable ``report.txt`` and the echoed ``resolved_config.yaml``) into
 the configured output directory.  All outputs are deterministic functions of
 the resolved configuration, so reruns produce byte-identical files.
+
+Every numeric table goes through :func:`_write_csv` to the one writer,
+:func:`~koopmanhj.simulate.write_table_csv` (17 significant digits, ``\\r\\n``
+line ends).  ``cmd_solve`` is one body for both routes.
 """
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 from typing import Callable, List, Sequence, Tuple
 
@@ -24,12 +27,12 @@ from .galerkin import (
 from .procedure1 import procedure1_solve
 from .procedure2 import default_phase_box, procedure2_solve
 from .simulate import (
-    _fmt,
     compare_controllers,
     linear_controller,
     lqr_controller,
     pendulum_ic_cloud,
     write_comparison_csv,
+    write_table_csv,
     write_trajectory_csv,
 )
 from .spectral import real_spectral_decomposition
@@ -45,12 +48,9 @@ def _ensure_out(cfg: RunConfig) -> Path:
     return out
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
+def _write_csv(path: Path, header: Sequence[str], table: np.ndarray) -> None:
+    """Every subcommand table; ``bench/tracing.py`` wraps this name (path first)."""
+    write_table_csv(path, header, table)
 
 
 def _grid_points(box: np.ndarray, points_per_dim: int) -> np.ndarray:
@@ -76,14 +76,19 @@ def _matrix_lines(name: str, M: np.ndarray) -> List[str]:
 
 
 def _block_eigenvalues(Lambda: np.ndarray, blocks) -> List[Tuple[float, float]]:
-    """(real, imag) per eigenfunction row, ordered as the rows are stored."""
+    """(real, imag) per eigenfunction row, ordered as the rows are stored.
+
+    A pair's block is ``[[a, -b], [b, a]]`` up to a diagonal row scaling
+    (route 2 stores ``diag(s) Lambda diag(s)^-1``), which leaves
+    ``sqrt(-Lambda[o, o+1] Lambda[o+1, o]) = b`` unchanged.
+    """
     pairs: List[Tuple[float, float]] = []
     for off, size in blocks:
         if size == 1:
             pairs.append((float(Lambda[off, off]), 0.0))
         else:
             a = float(Lambda[off, off])
-            b = float(Lambda[off + 1, off])
+            b = float(np.sqrt(-Lambda[off, off + 1] * Lambda[off + 1, off]))
             pairs.append((a, b))
             pairs.append((a, -b))
     return pairs
@@ -130,24 +135,13 @@ def cmd_eigfun(cfg: RunConfig) -> None:
         + [f"theta_{j + 1}" for j in range(M)]
         + ["train_rms", "heldout_rms", "cond_J"]
     )
-    eigvals = _block_eigenvalues(eig.Lambda, eig.blocks)
-    rows = []
-    idx = 0
-    for bi, (off, size) in enumerate(eig.blocks):
-        for k in range(size):
-            i = off + k
-            rows.append(
-                [idx, bi, eigvals[idx][0], eigvals[idx][1]]
-                + list(eig.Vt[i])
-                + list(eig.Theta[i])
-                + [
-                    float(eig.block_residuals[bi]),
-                    float(eig.heldout_residuals[bi]),
-                    float(eig.cond_J[bi]),
-                ]
-            )
-            idx += 1
-    _write_csv(out / "eigenfunctions.csv", header, rows)
+    block_of = np.repeat(np.arange(len(eig.blocks)), [size for _, size in eig.blocks])
+    table = np.column_stack([
+        np.arange(n), block_of, np.array(_block_eigenvalues(eig.Lambda, eig.blocks)),
+        eig.Vt, eig.Theta, eig.block_residuals[block_of], eig.heldout_residuals[block_of],
+        eig.cond_J[block_of],
+    ])
+    _write_csv(out / "eigenfunctions.csv", header, table)
 
     lines = [
         "eigenfunction approximation report",
@@ -194,62 +188,40 @@ def cmd_solve(cfg: RunConfig) -> None:
 
     if cfg.procedure == 1:
         sol = _solve_procedure1(cfg, sys_, lin)
+        eig, name, grad = sol.eig, "psi", sol.grad_value
         values = sol.value(grid)
-        controls = sol.control(grid).reshape(len(grid), p)
-        residuals = hj_residual(sys_, sol.grad_value, grid)
-
         P_emb = sol.riccati_embedding
-        ric_res = (
-            sol.eig.Lambda.T @ sol.L
-            + sol.L @ sol.eig.Lambda
-            - sol.L @ sol.R1 @ sol.L
-            + sol.Q1
-        )
         K_lin = np.linalg.solve(lin.D, lin.B.T @ P_emb)
-        listing, block_lines = _eigenfunction_lines(sol.eig, "psi")
-        lines = [
+        # each underline is one '=' longer than its title: shipped reports keep these bytes
+        title = [
             "stationary solution report (eigenfunction-coordinate quadratic form)",
             "=====================================================================",
-            f"system: {cfg.system_kind} (state dimension {n})",
+        ]
+        setup = [
             f"basis: monomial degrees {cfg.basis['deg_min']}..{cfg.basis['deg_max']}",
             f"samples: L={cfg.L}, seed={cfg.seed}",
             "",
             "eigenvalues (real, imag):",
         ]
-        lines += listing + [""]
-        lines += _matrix_lines("cost matrix L (eigenfunction coordinates)", sol.L)
-        lines += _matrix_lines("quadratic-order value matrix P_r = Vt^T L Vt", P_emb)
-        lines += _matrix_lines("linear feedback gain K = D^-1 B^T P_r", K_lin)
-        lines += [
-            "",
-            f"Riccati residual |Lam^T L + L Lam - L R1 L + Q1|_F = "
-            f"{np.linalg.norm(ric_res):.6g}",
-            "per-block PDE residuals (RMS):",
-        ]
-        lines += block_lines
-        lines += [
-            "",
-            f"evaluation grid: {cfg.points_per_dim} points per dimension "
-            f"({len(grid)} total)",
-            f"max |stationary residual| on grid: {np.max(np.abs(residuals)):.6g}",
-            "",
-            "files: value_grid.csv, hj_residual.csv, resolved_config.yaml",
-        ]
+        solution = (
+            _matrix_lines("cost matrix L (eigenfunction coordinates)", sol.L)
+            + _matrix_lines("quadratic-order value matrix P_r = Vt^T L Vt", P_emb)
+            + _matrix_lines("linear feedback gain K = D^-1 B^T P_r", K_lin)
+            + [
+                "",
+                f"Riccati residual |Lam^T L + L Lam - L R1 L + Q1|_F = "
+                f"{sol.riccati.residual:.6g}",
+            ]
+        )
+        fit_lines = []
     else:
         sol = _build_p2(cfg, sys_)
-        has_fit = sol.value_fit is not None
-        values = (
-            sol.value(grid) if has_fit
-            else 0.5 * np.einsum("ki,ij,kj->k", grid, sol.Jl, grid)
-        )
-        controls = sol.control(grid).reshape(len(grid), p)
-        residuals = hj_residual(sys_, sol.p_star, grid)
-
-        listing, block_lines = _eigenfunction_lines(sol.eigs, "Psi")
-        lines = [
+        eig, name, grad = sol.eigs, "Psi", sol.p_star
+        title = [
             "stationary solution report (zero-level set of unstable eigenfunctions)",
             "=======================================================================",
-            f"system: {cfg.system_kind} (state dimension {n})",
+        ]
+        setup = [
             f"basis: state degree {cfg.basis['d1']}, "
             f"momentum-linear degree {cfg.basis['d2']}",
             f"samples: L={cfg.L}, seed={cfg.seed}, "
@@ -257,31 +229,33 @@ def cmd_solve(cfg: RunConfig) -> None:
             "",
             "unstable eigenvalues (real, imag):",
         ]
-        lines += listing + [""]
-        lines += _matrix_lines("linear manifold coefficient Jl (symmetrized)", sol.Jl)
-        lines += [
+        solution = _matrix_lines("linear manifold coefficient Jl (symmetrized)", sol.Jl) + [
             f"Jl asymmetry |Jl_raw - Jl_raw^T|_F / max(1, |Jl_raw|_F): "
             f"{sol.jl_asymmetry:.6g}",
             "",
-            "per-block PDE residuals (RMS):",
         ]
-        lines += block_lines
-        if has_fit:
-            vf = sol.value_fit
-            lines += [""]
-            lines += _matrix_lines("value coefficient matrix Jn", vf.Jn)
-            lines += [
+        vf = sol.value_fit
+        if vf is not None:
+            values = sol.value(grid)
+            fit_lines = [""] + _matrix_lines("value coefficient matrix Jn", vf.Jn) + [
                 f"value fit: rank={vf.rank}, gradient residual RMS="
                 f"{vf.fit_residual:.6g}, PSD-projected residual RMS="
                 f"{vf.fit_residual_psd:.6g}",
             ]
         else:
-            lines += [
+            values = 0.5 * np.einsum("ki,ij,kj->k", grid, sol.Jl, grid)
+            fit_lines = [
                 "",
                 "no value basis configured (basis.d3=0): value column is the "
                 "quadratic part x^T Jl x / 2 only",
             ]
-        lines += [
+
+    controls = sol.control(grid).reshape(len(grid), p)
+    residuals = hj_residual(sys_, grad, grid)
+    listing, block_lines = _eigenfunction_lines(eig, name)
+    lines = (
+        title + [f"system: {cfg.system_kind} (state dimension {n})"] + setup + listing + [""]
+        + solution + ["per-block PDE residuals (RMS):"] + block_lines + fit_lines + [
             "",
             f"evaluation grid: {cfg.points_per_dim} points per dimension "
             f"({len(grid)} total)",
@@ -289,20 +263,14 @@ def cmd_solve(cfg: RunConfig) -> None:
             "",
             "files: value_grid.csv, hj_residual.csv, resolved_config.yaml",
         ]
-
-    header_v = [f"x{j + 1}" for j in range(n)] + ["value"] + [
-        f"u{j + 1}" for j in range(p)
-    ]
+    )
+    x_cols = [f"x{j + 1}" for j in range(n)]
     _write_csv(
         out / "value_grid.csv",
-        header_v,
-        (list(grid[i]) + [values[i]] + list(controls[i]) for i in range(len(grid))),
+        x_cols + ["value"] + [f"u{j + 1}" for j in range(p)],
+        np.column_stack([grid, values, controls]),
     )
-    _write_csv(
-        out / "hj_residual.csv",
-        [f"x{j + 1}" for j in range(n)] + ["residual"],
-        (list(grid[i]) + [residuals[i]] for i in range(len(grid))),
-    )
+    _write_csv(out / "hj_residual.csv", x_cols + ["residual"], np.column_stack([grid, residuals]))
     _write_report(out, lines)
 
 
@@ -427,7 +395,7 @@ def cmd_converge(cfg: RunConfig) -> None:
         cfg.seed,
         block_index=cfg.eig_block,
     )
-    _write_csv(out / "convergence.csv", ["L", "trial", "error"], study.rows())
+    _write_csv(out / "convergence.csv", ["L", "trial", "error"], np.array(list(study.rows())))
 
     lines = [
         "sample-count convergence report",

@@ -336,21 +336,14 @@ def assemble_galerkin(
     lambda_block,
     w: npt.ArrayLike,
     samples: SampleSet,
-    E: Optional[npt.ArrayLike] = None,
+    E: npt.ArrayLike,
 ) -> GalerkinProblem:
     """Assemble the projected linear system for one eigenvalue block.
 
     ``w`` must hold left-eigenvector rows of the linearization ``E`` for the
-    given block (``W E = S W`` to 1e-8 relative).  ``E`` defaults to a
-    central-difference Jacobian of ``F`` at the origin; passing it explicitly
-    keeps the forcing ``F_n = F - Ez`` exact.
+    given block (``W E = S W`` to 1e-8 relative); the forcing is
+    ``F_n = F - Ez``.
     """
-    if E is None:
-        if not callable(F):
-            raise ValueError("E must be given explicitly when F is precomputed values")
-        from .systems import _fd_jacobian
-
-        E = _fd_jacobian(F, np.zeros(basis.dim_in))
     prob = _assemble_pass(F, np.asarray(E, dtype=float), basis, [(lambda_block, w)], samples)[0]
     _check_cond(prob.cond_J)
     return prob

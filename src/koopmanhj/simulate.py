@@ -31,6 +31,7 @@ __all__ = [
     "linear_controller",
     "compare_controllers",
     "pendulum_ic_cloud",
+    "write_table_csv",
     "write_trajectory_csv",
     "write_comparison_csv",
 ]
@@ -305,12 +306,6 @@ class ComparisonRow:
     diagnostic: str
 
 
-# The cells of the table while its pool runs.  The workers are forked with it
-# set and inherit it, so a cell reaches them as its index alone and no
-# controller or system map is ever pickled.
-_CELLS: List[tuple] = []
-
-
 def _rollout(cell: tuple) -> Tuple[Optional[Trajectory], str]:
     """One cell's :func:`closed_loop` run: its trajectory, or ``None`` and the error text."""
     sys_, ctrl, x0, dt, T = cell
@@ -320,17 +315,20 @@ def _rollout(cell: tuple) -> Tuple[Optional[Trajectory], str]:
         return None, str(exc)
 
 
-def _forked_rollout(index: int) -> Tuple[Optional[Trajectory], str]:
-    """A pool worker's run of cell ``index`` of the ``_CELLS`` it inherited."""
-    return _rollout(_CELLS[index])
+# The cells of the table, in a pool worker only (set by ``_start_worker``).
+_WORKER_CELLS: Sequence[tuple] = ()
 
 
-def _end_with_parent() -> None:
-    """Pool worker initializer: exit once the process that forked the worker
-    is gone, so that a killed table leaves no worker behind."""
+def _start_worker(cells: Sequence[tuple]) -> None:
+    """Pool worker initializer: keep the table's cells, and exit once the
+    process that forked the worker is gone, so that a killed table leaves no
+    worker behind.  A forked worker inherits ``cells`` with the process
+    arguments, so no controller or system map is ever pickled."""
     import multiprocessing
     import threading
 
+    global _WORKER_CELLS
+    _WORKER_CELLS = cells
     parent = multiprocessing.parent_process()
 
     def exit_after_parent() -> None:
@@ -338,6 +336,11 @@ def _end_with_parent() -> None:
         os._exit(1)
 
     threading.Thread(target=exit_after_parent, daemon=True).start()
+
+
+def _forked_rollout(index: int) -> Tuple[Optional[Trajectory], str]:
+    """A pool worker's run of cell ``index`` of the cells it was started with."""
+    return _rollout(_WORKER_CELLS[index])
 
 
 def _pool_workers(cells: int) -> int:
@@ -388,17 +391,15 @@ def compare_controllers(
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    _CELLS[:] = cells
-    try:
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, context, initializer=_end_with_parent) as pool:
-            try:
-                return _tabulate(keys, pool.map(_forked_rollout, range(len(cells))), on_trajectory)
-            except BaseException:  # an interrupt: start no further cell
-                pool.shutdown(cancel_futures=True)
-                raise
-    finally:
-        _CELLS.clear()
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(
+        workers, context, initializer=_start_worker, initargs=(cells,)
+    ) as pool:
+        try:
+            return _tabulate(keys, pool.map(_forked_rollout, range(len(cells))), on_trajectory)
+        except BaseException:  # an interrupt: start no further cell
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _tabulate(
@@ -469,13 +470,37 @@ def _fmt(x: float) -> str:
 _CSV_CHUNK = 512  # rows formatted per write; bounds the memory of a file's text
 
 
+def _write_rows(fh, columns: Sequence[np.ndarray], cells: Sequence[str]) -> None:
+    """Write the rows of the 2-D ``columns`` blocks side by side in one row
+    format, ``_CSV_CHUNK`` rows at a time; the blocks have equal row counts.
+
+    ``cells`` holds one format per CSV cell: ``"%.17g"`` takes the next
+    column, ``""`` is an empty cell.  Rows end in ``\\r\\n``.
+    """
+    row_format = ",".join(cells) + "\r\n"
+    for start in range(0, len(columns[0]), _CSV_CHUNK):
+        block = np.concatenate([c[start : start + _CSV_CHUNK] for c in columns], axis=1)
+        fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
+
+
+def write_table_csv(path, header: Sequence[str], table: npt.ArrayLike) -> None:
+    """A header row and one row per row of the 2-D ``table``; 17 significant digits.
+
+    The bytes are those of ``csv.writer`` with the default dialect (comma
+    separated, ``\\r\\n`` line ends) writing ``_fmt`` of every number: the
+    header names hold no comma, quote or line break, so no cell needs
+    quoting.
+    """
+    table = np.asarray(table, dtype=float)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        _write_rows(fh, [table], ["%.17g"] * table.shape[1])
+
+
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     """Columns: t, x1..xn, u1..up, cumulative_cost; 17 significant digits.
 
-    The bytes are those of ``csv.writer`` with the default dialect (comma
-    separated, ``\\r\\n`` line ends; a missing value is an empty cell): every
-    row holds numbers only, so no cell needs quoting.  Rows are formatted
-    ``_CSV_CHUNK`` at a time with one ``%.17g`` row format.
+    Written like :func:`write_table_csv`; a missing value is an empty cell.
     """
     n = traj.states.shape[1]
     p = traj.inputs.shape[1]
@@ -496,19 +521,15 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
         for lo, hi, U, with_u in blocks:
             cells = ["%.17g"] * (1 + n) + (["%.17g"] if with_u else [""]) * p
             cells += ["%.17g"] if has_cost else [""]
-            row_format = ",".join(cells) + "\r\n"
-            for start in range(lo, hi, _CSV_CHUNK):
-                stop = min(start + _CSV_CHUNK, hi)
-                cols = [traj.times[start:stop, None], traj.states[start:stop]]
-                if with_u and p:
-                    cols.append(
-                        U[start:stop] if U is not None
-                        else np.broadcast_to(traj.final_input, (stop - start, p))
-                    )
-                if has_cost:
-                    cols.append(traj.cumulative_costs[start:stop, None])
-                values = np.concatenate(cols, axis=1)
-                fh.write((row_format * (stop - start)) % tuple(values.ravel().tolist()))
+            cols = [traj.times[lo:hi, None], traj.states[lo:hi]]
+            if with_u and p:
+                cols.append(
+                    U[lo:hi] if U is not None
+                    else np.broadcast_to(traj.final_input, (hi - lo, p))
+                )
+            if has_cost:
+                cols.append(traj.cumulative_costs[lo:hi, None])
+            _write_rows(fh, cols, cells)
 
 
 def write_comparison_csv(rows: Sequence[ComparisonRow], path: str) -> None:

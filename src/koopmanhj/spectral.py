@@ -150,7 +150,7 @@ def _real_block_rows(
     """
     m = eigvals.shape[0]
     used = np.zeros(m, dtype=bool)
-    entries: list[tuple[float, float, str, int, int]] = []  # (a, b, kind, i, j)
+    entries: list[tuple[float, float, str, int]] = []  # (a, b, kind, row)
     order = np.argsort(eigvals)  # numpy sorts complex lexicographically (real, imag)
     for k in order:
         if used[k]:
@@ -159,7 +159,7 @@ def _real_block_rows(
         scale = 1.0 + abs(lam)
         if abs(lam.imag) <= tol * scale:
             used[k] = True
-            entries.append((float(lam.real), 0.0, "real", int(k), -1))
+            entries.append((float(lam.real), 0.0, "real", int(k)))
             continue
         # find the best conjugate partner among unused entries
         cand = np.flatnonzero(~used)
@@ -175,7 +175,7 @@ def _real_block_rows(
         b = float(abs(eigvals[k].imag - eigvals[j].imag) / 2.0)
         # keep the representative with positive imaginary part
         kp = k if eigvals[k].imag > 0 else j
-        entries.append((a, b, "pair", int(kp), -1))
+        entries.append((a, b, "pair", int(kp)))
     # real parts within tol (1 + |lambda|) of a group's first tie; a tie orders by b
     entries.sort(key=lambda e: e[0])
     keys, first = [], None
@@ -190,7 +190,7 @@ def _real_block_rows(
     Vt = np.zeros((n_total, left_rows.shape[1]))
     blocks: list[tuple[int, int]] = []
     o = 0
-    for a, b, kind, k, _ in entries:
+    for a, b, kind, k in entries:
         if kind == "real":
             Lambda[o, o] = a
             Vt[o] = _normalize_real_row(np.real(left_rows[k]))

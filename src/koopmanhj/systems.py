@@ -243,14 +243,25 @@ def feedback(sys: ControlAffineSystem, x: npt.ArrayLike, p: npt.ArrayLike) -> np
     return -(gTp @ sys.D_inv.T)
 
 
-def hamiltonian_value(sys: ControlAffineSystem, x: npt.ArrayLike, p: npt.ArrayLike) -> float:
-    """H(x, p) = f(x)^T p - 0.5 p^T R(x) p + q(x)."""
+def hamiltonian_value(sys: ControlAffineSystem, x: npt.ArrayLike, p: npt.ArrayLike):
+    """H(x, p) = f(x)^T p - 0.5 p^T R(x) p + q(x) for states and momenta ``(..., n)``.
+
+    The result has shape ``(...)``, a float for one state.
+    """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    if x.shape != (sys.n,) or p.shape != (sys.n,):
-        raise ValueError(f"expected two vectors of length {sys.n}, got {x.shape}, {p.shape}")
+    if x.shape[-1:] != (sys.n,) or p.shape != x.shape:
+        raise ValueError(
+            f"expected states and momenta of length {sys.n} and equal shape, "
+            f"got {x.shape}, {p.shape}"
+        )
     fx = np.asarray(sys.f(x), dtype=float)
-    return float(fx @ p - 0.5 * p @ sys.R(x) @ p + sys.q(x))
+    H = (
+        np.einsum("...i,...i->...", p, fx)
+        - 0.5 * np.einsum("...i,...ij,...j->...", p, sys.R(x), p)
+        + sys.q(x)
+    )
+    return float(H) if x.ndim == 1 else H
 
 
 def hamiltonian_vector_field(sys: ControlAffineSystem) -> HamiltonianSystemModel:
@@ -293,14 +304,7 @@ def hj_residual(
     quality measure for approximate solutions.
     """
     x = np.asarray(x, dtype=float)
-    px = np.asarray(V_grad(x), dtype=float)
-    fx = np.asarray(sys.f(x), dtype=float)
-    res = (
-        np.einsum("...i,...i->...", px, fx)
-        - 0.5 * np.einsum("...i,...ij,...j->...", px, sys.R(x), px)
-        + sys.q(x)
-    )
-    return float(res) if x.ndim == 1 else res
+    return hamiltonian_value(sys, x, V_grad(x))
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,10 @@ confirm the installed entry points.  Exit code contract: 0 success,
 """
 import csv
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +151,136 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:")
         assert "grid" in err
+
+
+class TestRoute2Eigenvalues:
+    def test_complex_unstable_pair_is_reported_as_fitted(self, tmp_path):
+        """The undamped oscillator with a cubic spring has a complex pair of
+        unstable Hamiltonian eigenvalues; route 2 stores its block row-scaled,
+        and the report must still list the pair of the linearization."""
+        out = tmp_path / "osc"
+        cfg = dump_cfg(tmp_path, {
+            "schema_version": 1,
+            "system": {
+                "kind": "polynomial",
+                "f_terms": [[[1.0, [0, 1]]], [[-1.0, [1, 0]], [0.1, [3, 0]]]],
+                "g_matrix": [[0.0], [1.0]],
+                "D": [[1.0]],
+                "Q0": [[1.0, 0.0], [0.0, 1.0]],
+            },
+            "box": [[-0.3, 0.3], [-0.3, 0.3]],
+            "basis": {"d1": 3, "d2": 2},
+            "samples": {"L": 3000, "seed": 1},
+            "procedure": 2,
+            "momentum_margin": 1.0,
+            "grid_points_per_dim": 5,
+            "out": str(out),
+        })
+        assert main(["solve", "--config", cfg]) == 0
+        listed = [
+            tuple(float(v) for v in line.split(": ", 1)[1].strip("()").split(", "))
+            for line in (out / "report.txt").read_text().splitlines()
+            if line.startswith("  Psi_")
+        ]
+        A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        H0 = np.block([[A, -np.diag([0.0, 1.0])], [-np.eye(2), -A.T]])
+        lam = max(np.linalg.eigvals(H0), key=lambda z: (z.real, z.imag))
+        assert lam.imag > 0
+        assert listed == [
+            pytest.approx((lam.real, lam.imag), rel=1e-8),
+            pytest.approx((lam.real, -lam.imag), rel=1e-8),
+        ]
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED = {
+    "example1_eigfun": "eigfun",
+    "example1_solve1": "solve",
+    "example1_solve2": "solve",
+    "cubic_solve2": "solve",
+    "example1_converge": "converge",
+}
+
+
+@pytest.fixture(scope="module")
+def shipped_runs(tmp_path_factory):
+    """The shipped configs that run in seconds, each run twice."""
+    root = tmp_path_factory.mktemp("shipped")
+    for run in ("a", "b"):
+        for name, command in SHIPPED.items():
+            argv = [command, "--config", str(CONFIGS / f"{name}.yaml"),
+                    "--out", str(root / run / name)]
+            assert main(argv) == 0, name
+    return root
+
+
+def _line_key(line):
+    """A report line without its values: the text before its first ':' or
+    ' = ', else the whole line; a matrix row, numbers only, is '  ['."""
+    if line.startswith("  ["):
+        return "  ["
+    return re.split(r":| = ", line, maxsplit=1)[0]
+
+
+class TestShippedConfigs:
+    def test_reruns_write_identical_bytes(self, shipped_runs):
+        """Every file of a rerun has the bytes of the first run; the resolved
+        config differs only in the ``out:`` line that names its directory."""
+        for name in SHIPPED:
+            first, again = shipped_runs / "a" / name, shipped_runs / "b" / name
+            files = sorted(p.name for p in first.iterdir())
+            assert files == sorted(p.name for p in again.iterdir())
+            assert "report.txt" in files and "resolved_config.yaml" in files
+            for fname in files:
+                a, b = (first / fname).read_bytes(), (again / fname).read_bytes()
+                if fname == "resolved_config.yaml":
+                    a, b = ([line for line in x.splitlines() if not line.startswith(b"out:")]
+                            for x in (a, b))
+                assert a == b, (name, fname)
+
+    ROUTE1 = [
+        "stationary solution report (eigenfunction-coordinate quadratic form)",
+        "=====================================================================",
+        "system", "basis", "samples", "",
+        "eigenvalues (real, imag)", "  psi_1", "  psi_2", "",
+        "cost matrix L (eigenfunction coordinates)", "  [", "  [",
+        "quadratic-order value matrix P_r", "  [", "  [",
+        "linear feedback gain K", "  [", "",
+        "Riccati residual |Lam^T L + L Lam - L R1 L + Q1|_F",
+        "per-block PDE residuals (RMS)", "  block 0", "  block 1", "",
+        "evaluation grid", "max |stationary residual| on grid", "", "files",
+    ]
+    ROUTE2_HEAD = [
+        "stationary solution report (zero-level set of unstable eigenfunctions)",
+        "=======================================================================",
+        "system", "basis", "samples", "",
+        "unstable eigenvalues (real, imag)",
+    ]
+    ROUTE2_TAIL = ["", "evaluation grid", "max |stationary residual| on grid", "", "files"]
+    JL_ASYMMETRY = "Jl asymmetry |Jl_raw - Jl_raw^T|_F / max(1, |Jl_raw|_F)"
+    EXPECTED = {
+        "example1_solve1": ROUTE1,
+        "example1_solve2": ROUTE2_HEAD + [
+            "  Psi_1", "  Psi_2", "",
+            "linear manifold coefficient Jl (symmetrized)", "  [", "  [", JL_ASYMMETRY, "",
+            "per-block PDE residuals (RMS)", "  block 0", "  block 1", "",
+            "no value basis configured (basis.d3=0)",
+        ] + ROUTE2_TAIL,
+        "cubic_solve2": ROUTE2_HEAD + [
+            "  Psi_1", "",
+            "linear manifold coefficient Jl (symmetrized)", "  [", JL_ASYMMETRY, "",
+            "per-block PDE residuals (RMS)", "  block 0", "",
+            "value coefficient matrix Jn", "  [", "value fit",
+        ] + ROUTE2_TAIL,
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED))
+    def test_solve_report_line_order(self, shipped_runs, name):
+        """Route 1, and route 2 without (example 1) and with (the cubic) a
+        value basis."""
+        text = (shipped_runs / "a" / name / "report.txt").read_text()
+        assert text.endswith("\n")
+        assert [_line_key(line) for line in text.splitlines()] == self.EXPECTED[name]
 
 
 class TestSimulate:

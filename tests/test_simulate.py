@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopmanhj import simulate
 from koopmanhj.basis import monomial_basis
@@ -33,6 +35,7 @@ from koopmanhj.simulate import (
     lqr_controller,
     pendulum_ic_cloud,
     write_comparison_csv,
+    write_table_csv,
     write_trajectory_csv,
 )
 from koopmanhj.spectral import solve_riccati
@@ -573,3 +576,54 @@ class TestCsvExport:
             self._csv_writer_reference(traj, str(ref))
             write_trajectory_csv(traj, str(out))
             assert out.read_bytes() == ref.read_bytes(), name
+
+
+# Cells of a numeric table: integers (exact in a float), the IEEE special
+# values, subnormals, the largest magnitudes and any other float.
+_TABLE_CELLS = st.one_of(
+    st.integers(-(2**53), 2**53),
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"),
+                     5e-324, -2.5e-310, 1e308, -1e308, 1.7976931348623157e308]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+@st.composite
+def _tables(draw):
+    cols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(_TABLE_CELLS, min_size=cols, max_size=cols), max_size=30))
+    header = draw(st.lists(st.text("abcxyz_019", min_size=1, max_size=6),
+                           min_size=cols, max_size=cols))
+    return header, rows
+
+
+class TestTableCsv:
+    """The one numeric-table writer against the ``csv.writer`` rows it replaced."""
+
+    @staticmethod
+    def _csv_writer_reference(path, header, rows):
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            for row in rows:
+                w.writerow([simulate._fmt(c) for c in row])
+
+    @settings(max_examples=200, deadline=None)
+    @given(_tables())
+    def test_bytes_equal_the_csv_writer_rows(self, tmp_path_factory, table):
+        header, rows = table
+        tmp = tmp_path_factory.mktemp("table")
+        self._csv_writer_reference(tmp / "ref.csv", header, rows)
+        write_table_csv(tmp / "out.csv", header, np.array(rows, dtype=float).reshape(-1, len(header)))
+        assert (tmp / "out.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
+
+    def test_tables_longer_than_one_chunk(self, tmp_path):
+        rng = np.random.default_rng(8)
+        table = rng.standard_normal((3 * simulate._CSV_CHUNK + 7, 3)) * 10.0 ** rng.integers(
+            -320, 308, size=(1, 3)
+        )
+        table[5, 0], table[600, 1], table[-1, 2] = np.nan, -np.inf, -0.0
+        header = ["a", "b", "c"]
+        self._csv_writer_reference(tmp_path / "ref.csv", header, table.tolist())
+        write_table_csv(tmp_path / "out.csv", header, table)
+        assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

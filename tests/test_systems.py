@@ -130,6 +130,59 @@ class TestHamiltonianLift:
             hamiltonian_value(sys_, np.zeros(2), np.zeros(3))
 
 
+def _user_system():
+    """A system built from maps of one state, lifted to batches row by row."""
+    return control_affine_system(
+        2, 1,
+        f=lambda x: np.array([x[1], -np.sin(x[0]) - 0.3 * x[1]]),
+        g=lambda x: np.array([[0.0], [1.0 + 0.5 * x[0] ** 2]]),
+        D=np.eye(1) * 0.7,
+        q=lambda x: 0.5 * float(x @ x),
+    )
+
+
+class TestHamiltonianValueBatch:
+    """H(x, p) on a batch is the per-row value, and the stationary residual
+    is H at the value gradient, both bit for bit."""
+
+    SYSTEMS = {
+        "example1": lambda: builtin_example1(0.5),
+        "pendulum": lambda: builtin_pendulum(9.81),
+        "user": _user_system,
+    }
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_batch_equals_per_row_calls(self, name):
+        sys_ = self.SYSTEMS[name]()
+        rng = np.random.default_rng(3)
+        X = rng.uniform(-2.0, 2.0, size=(40, sys_.n))
+        P = rng.uniform(-3.0, 3.0, size=(40, sys_.n))
+        H = hamiltonian_value(sys_, X, P)
+        assert H.shape == (40,)
+        one = [hamiltonian_value(sys_, x, p) for x, p in zip(X, P)]
+        assert all(isinstance(h, float) for h in one)
+        assert np.array_equal(H, one)
+        H3 = hamiltonian_value(sys_, X.reshape(4, 10, -1), P.reshape(4, 10, -1))
+        assert np.array_equal(H3, H.reshape(4, 10))
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_hj_residual_is_the_hamiltonian_at_the_gradient(self, name):
+        sys_ = self.SYSTEMS[name]()
+        M = np.arange(1.0, 1.0 + sys_.n**2).reshape(sys_.n, sys_.n) / sys_.n**2
+
+        def V_grad(X):
+            return X @ M.T + 0.1 * X**3
+
+        X = np.random.default_rng(4).uniform(-1.5, 1.5, size=(30, sys_.n))
+        assert np.array_equal(hj_residual(sys_, V_grad, X), hamiltonian_value(sys_, X, V_grad(X)))
+        assert hj_residual(sys_, V_grad, X[0]) == hamiltonian_value(sys_, X[0], V_grad(X[0]))
+
+    def test_batches_of_unequal_shape_are_rejected(self):
+        sys_ = builtin_example1()
+        with pytest.raises(ValueError, match="length"):
+            hamiltonian_value(sys_, np.zeros((3, 2)), np.zeros((2, 2)))
+
+
 class TestHJResidual:
     def test_zero_for_exact_lq_value(self):
         """On a linear system the Riccati quadratic form solves the
