@@ -188,8 +188,7 @@ def cmd_solve(cfg: RunConfig) -> None:
 
     if cfg.procedure == 1:
         sol = _solve_procedure1(cfg, sys_, lin)
-        eig, name, grad = sol.eig, "psi", sol.grad_value
-        values = sol.value(grid)
+        eig, name, grad, value = sol.eig, "psi", sol.grad_value, sol.value
         P_emb = sol.riccati_embedding
         K_lin = np.linalg.solve(lin.D, lin.B.T @ P_emb)
         # each underline is one '=' longer than its title: shipped reports keep these bytes
@@ -236,20 +235,21 @@ def cmd_solve(cfg: RunConfig) -> None:
         ]
         vf = sol.value_fit
         if vf is not None:
-            values = sol.value(grid)
+            value = sol.value
             fit_lines = [""] + _matrix_lines("value coefficient matrix Jn", vf.Jn) + [
                 f"value fit: rank={vf.rank}, gradient residual RMS="
                 f"{vf.fit_residual:.6g}, PSD-projected residual RMS="
                 f"{vf.fit_residual_psd:.6g}",
             ]
         else:
-            values = 0.5 * np.einsum("ki,ij,kj->k", grid, sol.Jl, grid)
+            value = sol.quadratic_value
             fit_lines = [
                 "",
                 "no value basis configured (basis.d3=0): value column is the "
                 "quadratic part x^T Jl x / 2 only",
             ]
 
+    values = value(grid)
     controls = sol.control(grid).reshape(len(grid), p)
     residuals = hj_residual(sys_, grad, grid)
     listing, block_lines = _eigenfunction_lines(eig, name)

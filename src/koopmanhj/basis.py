@@ -110,13 +110,15 @@ class MonomialTable:
 
     def eval(self, pw: np.ndarray) -> np.ndarray:
         """Monomial values from a power table: (..., M)."""
-        return pw[..., self.eval_index].prod(axis=-1)
+        # one state (a rollout stage) gathers without the slower Ellipsis path
+        gathered = pw[self.eval_index] if pw.ndim == 1 else pw[..., self.eval_index]
+        return np.multiply.reduce(gathered, axis=-1)
 
     def jacobian(self, pw: np.ndarray) -> np.ndarray:
         """Monomial jacobian from a power table: (..., M, n)."""
         lead = pw.shape[:-1]
         out = np.zeros(lead + (self.M * self.n,))
-        vals = pw[..., self.jac_index].prod(axis=-1)  # (..., U)
+        vals = np.multiply.reduce(pw[..., self.jac_index], axis=-1)  # (..., U)
         out[..., self.jac_pos] = self.jac_coef * vals[..., self.jac_row]
         return out.reshape(lead + (self.M, self.n))
 
@@ -291,7 +293,10 @@ class Procedure2Basis(BasisSet):
         """``Xi1(x)`` (..., N) and the monomials ``m_j(x)`` (..., K) of the
         second block, from one power table of ``x``."""
         pw = self._table.powers(np.asarray(x, dtype=float))
-        return pw[..., self._xi1_index].prod(axis=-1), pw[..., self._xi2_index].prod(axis=-1)
+        return (
+            np.multiply.reduce(pw[..., self._xi1_index], axis=-1),
+            np.multiply.reduce(pw[..., self._xi2_index], axis=-1),
+        )
 
     def xi1(self, x: npt.ArrayLike) -> np.ndarray:
         """Xi1(x): shape (..., N)."""

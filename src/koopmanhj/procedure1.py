@@ -39,7 +39,7 @@ from .basis import BasisSet, MonomialTable, quadratic_form_gradient
 from .galerkin import EigenfunctionSet, SampleSet, _derive_seed, sample_domain
 from .simulate import _rk4
 from .spectral import RiccatiSolution, block_exp, solve_riccati
-from .systems import ControlAffineSystem, Linearization, feedback, linearize
+from .systems import ControlAffineSystem, Linearization, feedback, feedback_of, linearize
 
 __all__ = [
     "HJSolution1",
@@ -117,6 +117,7 @@ class HJSolution1:
         LPhi = Phi @ self.L.T  # L symmetric; (..., n)
         return (LPhi[..., None, :] @ jac)[..., 0, :]
 
+    @feedback_of("grad_value")
     def control(self, x: npt.ArrayLike) -> np.ndarray:
         X = np.asarray(x, dtype=float)
         return feedback(self.sys, X, self.grad_value(X))

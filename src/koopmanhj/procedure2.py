@@ -51,6 +51,7 @@ from .systems import (
     ControlAffineSystem,
     HamiltonianSystemModel,
     feedback,
+    feedback_of,
     hamiltonian_vector_field,
     linearize,
 )
@@ -318,6 +319,7 @@ class HJSolution2:
     def p_star(self, x: npt.ArrayLike) -> np.ndarray:
         return nonlinear_manifold(self.eigs, x)
 
+    @feedback_of("p_star")
     def control(self, x: npt.ArrayLike) -> np.ndarray:
         return feedback(self.sys, x, self.p_star(x))
 
@@ -328,10 +330,20 @@ class HJSolution2:
         """
         if self.value_fit is None:
             raise RuntimeError("no value fit available: solve with a value basis")
+        return self._value(x, self.value_fit)
+
+    def quadratic_value(self, x: npt.ArrayLike):
+        """The quadratic part 0.5 x^T Jl x of the value: all of it that a
+        solve without a value basis determines.  Shapes as :meth:`value`."""
+        return self._value(x, None)
+
+    def _value(self, x: npt.ArrayLike, fit: Optional[ValueFit]):
         x = np.asarray(x, dtype=float)
-        v = self.value_fit.xi3.eval(x)
-        V = 0.5 * (np.einsum("...i,ij,...j->...", x, self.Jl, x)
-                   + np.einsum("...i,ij,...j->...", v, self.value_fit.Jn, v))
+        V = np.einsum("...i,ij,...j->...", x, self.Jl, x)
+        if fit is not None:
+            v = fit.xi3.eval(x)
+            V = V + np.einsum("...i,ij,...j->...", v, fit.Jn, v)
+        V = 0.5 * V
         return float(V) if x.ndim == 1 else V
 
 

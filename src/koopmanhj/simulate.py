@@ -6,6 +6,10 @@ step, the feedback evaluated at every stage point, and the running cost
 step grid.  Identical inputs produce identical output bytes, also where
 :func:`compare_controllers` runs its rollouts side by side in forked
 worker processes (one per usable CPU; in-process without ``fork``).
+
+The plant of a rollout is the system's ``f`` and ``g``; a custom system
+provides these two maps.  Each stage evaluates both once, and a route-1 or
+route-2 feedback reuses the stage's ``g(x)`` (:func:`closed_loop`).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .spectral import solve_riccati
-from .systems import ControlAffineSystem, Linearization
+from .systems import ControlAffineSystem, Linearization, feedback
 
 __all__ = [
     "CONVERGENCE_THRESHOLD",
@@ -147,13 +151,14 @@ def _rk4(
             break
         if p:
             inputs[k] = u
-        ok = admissible(xn)
-        if not ok.all():
-            kept[going & ~ok] = k
-            going &= ok
-            if not going.any():
-                break
-            xn = np.where(going[..., None], xn, x)
+        if admissible is not _finite_rows or not np.isfinite(xn).all():
+            ok = admissible(xn)
+            if not ok.all():
+                kept[going & ~ok] = k
+                going &= ok
+                if not going.any():
+                    break
+                xn = np.where(going[..., None], xn, x)
         states[k + 1] = x = xn
     return _Rollout(states=states, inputs=inputs, kept=kept, error=error)
 
@@ -206,28 +211,28 @@ def closed_loop(
 ) -> Trajectory:
     """Roll out ``xdot = f(x) + g(x) u`` with ``u = controller(x)``.
 
-    The feedback is evaluated at every RK4 stage point.  Running cost is
-    the trapezoid rule over the node values ``q(x_k) + 0.5 u_k^T D u_k``
-    (node input = feedback at the node).  A controller exception or a
-    non-finite state truncates the rollout with a diagnostic.
+    The feedback is evaluated at every RK4 stage point, and must give
+    exactly ``p`` entries (any shape that ravels to ``(p,)``).  Each stage
+    evaluates the plant maps ``f`` and ``g`` once, from one call where the
+    system has :attr:`~koopmanhj.systems.ControlAffineSystem.f_and_g` (the
+    built-in pendulum).  A custom system provides ``f`` and ``g`` only.  A
+    route-1 or route-2 feedback bound to a solution for ``sys``
+    (``control`` marked by :func:`~koopmanhj.systems.feedback_of`) takes
+    the stage's ``g(x)``; any other controller is called as
+    ``controller(x)``.  Both give the bits of ``f(x) + g(x) controller(x)``.
+
+    Running cost is the trapezoid rule over the node values
+    ``q(x_k) + 0.5 u_k^T D u_k`` (node input = feedback at the node).  A
+    controller exception or a non-finite state truncates the rollout with a
+    diagnostic.
     """
     K = _steps(dt, T)
     x = np.asarray(x0, dtype=float).ravel()
     if x.size != sys.n:
         raise ValueError(f"x0 has dimension {x.size}, system has n={sys.n}")
-    f, g, p = sys.f, sys.g, sys.p
-
-    def control(xs: np.ndarray) -> np.ndarray:
-        u = controller(xs)
-        if type(u) is not np.ndarray or u.shape != (p,):
-            u = np.asarray(u, dtype=float).ravel()
-        return u
-
-    def field(xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        u = control(xs)
-        return f(xs) + g(xs) @ u, u
-
-    run = _rk4(field, x, dt, K, p=p)
+    p = sys.p
+    control = _checked_control(controller, p)
+    run = _rk4(_stage_field(sys, controller, control), x, dt, K, p=p)
     kept = int(run.kept)
     states = run.states[: kept + 1]
     nodes = np.full((kept + 1, p), np.nan)  # the feedback at each kept node
@@ -270,6 +275,68 @@ def closed_loop(
         cumulative_costs=cumulative,
         final_input=final_input,
     )
+
+
+def _checked_control(
+    controller: Callable[[np.ndarray], np.ndarray], p: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """``controller`` with its output raveled to ``(p,)``; any other size raises."""
+
+    def control(xs: np.ndarray) -> np.ndarray:
+        u = controller(xs)
+        if type(u) is not np.ndarray or u.shape != (p,):
+            shape = np.shape(u)
+            u = np.asarray(u, dtype=float).ravel()
+            if u.size != p:
+                raise ValueError(f"controller returned shape {shape}, expected {p} entries")
+        return u
+
+    return control
+
+
+def _stage_field(
+    sys: ControlAffineSystem,
+    controller: Callable[[np.ndarray], np.ndarray],
+    control: Callable[[np.ndarray], np.ndarray],
+) -> _Field:
+    """The closed-loop field ``x -> (f(x) + g(x) u, u)`` of one RK4 stage.
+
+    ``control`` is ``controller`` with its output checked.  A feedback
+    marked by :func:`~koopmanhj.systems.feedback_of` and bound to a solution
+    for ``sys`` is evaluated here from the stage's ``g(x)``.  The maps run in
+    the order in which ``controller(x)`` and the field would call them, so
+    where two of them would raise, the same error is reported.
+    """
+    f, g = sys.f, sys.g
+    shared = sys.f_and_g
+    owner = getattr(controller, "__self__", None)
+    name = getattr(controller, "feedback_momentum", None)
+    if name is None or getattr(owner, "sys", None) is not sys:
+        plant = shared or (lambda xs: (f(xs), g(xs)))
+
+        def field(xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            u = control(xs)
+            fx, gx = plant(xs)
+            return fx + gx @ u, u
+
+        return field
+
+    # u = -D^{-1} g(x)^T p(x): the feedback calls g before the field calls f
+    momentum = getattr(owner, name)
+
+    def g_then_f(xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        gx = g(xs)
+        return f(xs), gx
+
+    plant = shared or g_then_f
+
+    def hj_field(xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        px = momentum(xs)
+        fx, gx = plant(xs)
+        u = feedback(sys, xs, px, gx)
+        return fx + gx @ u, u
+
+    return hj_field
 
 
 def lqr_controller(lin: Linearization) -> Tuple[np.ndarray, np.ndarray]:

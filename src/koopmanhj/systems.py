@@ -27,7 +27,7 @@ with the single-state return shape.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -40,6 +40,7 @@ __all__ = [
     "HamiltonianSystemModel",
     "control_affine_system",
     "feedback",
+    "feedback_of",
     "linearize",
     "hamiltonian_value",
     "hamiltonian_vector_field",
@@ -104,6 +105,12 @@ class ControlAffineSystem:
     ``grad_q(0) = 0``, ``hess_q0`` symmetric, and the shape of
     ``jacobian_g(0)``.  :func:`control_affine_system` builds one from maps
     of a single state.
+
+    The plant of a closed loop is ``f`` and ``g``: a custom system provides
+    these two maps, and each RK4 stage calls both once.  Where ``f`` and
+    ``g`` are methods of one model that also has ``f_and_g`` (the built-in
+    pendulum), :attr:`f_and_g` is that method, and a stage evaluates the
+    plant once.
     """
 
     n: int
@@ -151,6 +158,15 @@ class ControlAffineSystem:
             raise ValueError(
                 f"jacobian_g(0) shape {jg0} != ({self.n}, {self.p}, {self.n})"
             )
+
+    @property
+    def f_and_g(self) -> Optional[Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]]:
+        """The map ``x -> (f(x), g(x))`` of a model that evaluates both at
+        once, or None where ``f`` and ``g`` are separate maps."""
+        model = getattr(self.f, "__self__", None)
+        if model is None or getattr(self.g, "__self__", None) is not model:
+            return None
+        return getattr(model, "f_and_g", None)
 
     def R(self, x: npt.ArrayLike) -> np.ndarray:
         """State-dependent control-energy matrix ``g(x) D^{-1} g(x)^T``: (..., n, n)."""
@@ -236,11 +252,38 @@ def linearize(sys: ControlAffineSystem) -> Linearization:
     return Linearization(A=A, B=B, R0=R0, Q0=sys.hess_q0.copy(), D=sys.D.copy())
 
 
-def feedback(sys: ControlAffineSystem, x: npt.ArrayLike, p: npt.ArrayLike) -> np.ndarray:
-    """Feedback ``u = -D^{-1} g(x)^T p`` for states and momenta ``(..., n)``: (..., p)."""
-    gx = np.asarray(sys.g(np.asarray(x, dtype=float)), dtype=float)
+def feedback(
+    sys: ControlAffineSystem,
+    x: npt.ArrayLike,
+    p: npt.ArrayLike,
+    gx: Optional[npt.ArrayLike] = None,
+) -> np.ndarray:
+    """Feedback ``u = -D^{-1} g(x)^T p`` for states and momenta ``(..., n)``: (..., p).
+
+    ``gx`` is ``g(x)`` where the caller has evaluated it already (a
+    closed-loop stage); otherwise ``sys.g`` is called.
+    """
+    if gx is None:
+        gx = sys.g(np.asarray(x, dtype=float))
+    gx = np.asarray(gx, dtype=float)
     gTp = (np.asarray(p, dtype=float)[..., None, :] @ gx)[..., 0, :]
     return -(gTp @ sys.D_inv.T)
+
+
+def feedback_of(momentum: str):
+    """Mark a solution's ``control(x)`` as ``feedback(self.sys, x, self.<momentum>(x))``.
+
+    The closed loop (:func:`koopmanhj.simulate.closed_loop`) recognises a
+    marked ``control`` bound to a solution for its own system.  It then
+    evaluates the momentum and the feedback itself, from the ``g(x)`` its
+    stage evaluates anyway, with the operands and order of ``control``.
+    """
+
+    def mark(control):
+        control.feedback_momentum = momentum
+        return control
+
+    return mark
 
 
 def hamiltonian_value(sys: ControlAffineSystem, x: npt.ArrayLike, p: npt.ArrayLike):
@@ -410,6 +453,98 @@ def pendulum_mass_matrix(theta: float) -> np.ndarray:
     )
 
 
+class _CartPole:
+    """The cart-pole maps of :func:`builtin_pendulum`.
+
+    Every map starts from :meth:`_terms`: the coordinates, ``cos`` and
+    ``sin`` of ``theta - pi`` and the checked mass-matrix determinant, so
+    :meth:`f_and_g` gives the drift and the input map from one evaluation.
+    """
+
+    def __init__(self, g_gravity: float) -> None:
+        self.Mc, self.m, self.b, self.l = _PEND_M, _PEND_m, _PEND_b, _PEND_l
+        self.ml = _PEND_m * _PEND_l
+        self.Il2 = _PEND_I + _PEND_m * _PEND_l * _PEND_l
+        self.mg = _PEND_m * g_gravity
+
+    def _terms(self, x: np.ndarray):
+        """Points, ``psi``, ``vartheta``, ``c``, ``s`` and the mass-matrix
+        determinant, which must be nonsingular at every row."""
+        x = np.asarray(x, dtype=float)
+        th, ps, vt = _coords(x)
+        shifted = th - np.pi
+        c, s = np.cos(shifted), np.sin(shifted)
+        det = (self.ml * c) ** 2 - (self.Mc + self.m) * self.Il2
+        bad = abs(det) < 1e-12
+        if bad.any() if bad.ndim else bad:
+            theta = float(np.asarray(th)[bad].flat[0]) if bad.ndim else float(th)
+            raise RuntimeError(f"mass matrix singular at theta={theta!r}")
+        return x, ps, vt, c, s, det
+
+    def _f(self, x, ps, vt, c, s, det) -> np.ndarray:
+        ml, Il2, Mm = self.ml, self.Il2, self.Mc + self.m
+        r1 = -self.b * vt + ml * ps * ps * s
+        r2 = -self.mg * self.l * s
+        # inverse of [[ml c, Mc+m], [Il2, ml c]] applied to (r1, r2)
+        out = np.empty(x.shape)
+        out[..., 0] = ps
+        out[..., 1] = (ml * c * r1 - Mm * r2) / det
+        out[..., 2] = (-Il2 * r1 + ml * c * r2) / det
+        return out
+
+    def _g(self, x, c, det) -> np.ndarray:
+        out = np.zeros(x.shape[:-1] + (3, 1))
+        out[..., 1, 0] = self.ml * c / det
+        out[..., 2, 0] = -self.Il2 / det
+        return out
+
+    def f(self, x: np.ndarray) -> np.ndarray:
+        x, ps, vt, c, s, det = self._terms(x)
+        return self._f(x, ps, vt, c, s, det)
+
+    def g(self, x: np.ndarray) -> np.ndarray:
+        x, _, _, c, _, det = self._terms(x)
+        return self._g(x, c, det)
+
+    def f_and_g(self, x: np.ndarray):
+        """``(f(x), g(x))`` from one evaluation of the shared terms."""
+        x, ps, vt, c, s, det = self._terms(x)
+        return self._f(x, ps, vt, c, s, det), self._g(x, c, det)
+
+    def jacobian_f(self, x: np.ndarray) -> np.ndarray:
+        x, ps, vt, c, s, det = self._terms(x)
+        ml, Il2, Mm = self.ml, self.Il2, self.Mc + self.m
+        b = self.b
+        r1 = -b * vt + ml * ps * ps * s
+        r2 = -self.mg * self.l * s
+        acc1 = (ml * c * r1 - Mm * r2) / det
+        acc2 = (-Il2 * r1 + ml * c * r2) / det
+        # theta-derivatives: d(cos(th - pi)) = -s, d(sin(th - pi)) = c
+        ddet = -2.0 * ml * ml * c * s
+        dr1 = ml * ps * ps * c
+        dr2 = -self.mg * self.l * c
+        J = np.zeros(x.shape[:-1] + (3, 3))
+        J[..., 0, 1] = 1.0
+        J[..., 1, 0] = (-ml * s * r1 + ml * c * dr1 - Mm * dr2 - acc1 * ddet) / det
+        J[..., 2, 0] = (-ml * s * r2 - Il2 * dr1 + ml * c * dr2 - acc2 * ddet) / det
+        # r1 is the only right-hand side entry that depends on psi and vartheta
+        dr1_dps = 2 * ml * ps * s
+        J[..., 1, 1] = ml * c * dr1_dps / det
+        J[..., 2, 1] = -Il2 * dr1_dps / det
+        J[..., 1, 2] = ml * c * -b / det
+        J[..., 2, 2] = -Il2 * -b / det
+        return J
+
+    def jacobian_g(self, x: np.ndarray) -> np.ndarray:
+        x, _, _, c, s, det = self._terms(x)
+        ml, Il2 = self.ml, self.Il2
+        ddet = -2.0 * ml * ml * c * s
+        out = np.zeros(x.shape[:-1] + (3, 1, 3))
+        out[..., 1, 0, 0] = ml * (-s * det - c * ddet) / (det * det)
+        out[..., 2, 0, 0] = Il2 * ddet / (det * det)
+        return out
+
+
 def builtin_pendulum(g_gravity: float) -> ControlAffineSystem:
     """Inverted pendulum on a cart, reduced to (theta, theta_dot, cart_vel).
 
@@ -425,82 +560,13 @@ def builtin_pendulum(g_gravity: float) -> ControlAffineSystem:
     solved in closed form (adjugate over determinant) at every evaluation;
     a state whose mass matrix is singular raises a ``RuntimeError`` naming
     its ``theta``.  Cost: ``q(x) = x^T x`` and control weight ``D = 2`` (so
-    the control term is ``0.5 * 2 * u^2 = u^2``).
+    the control term is ``0.5 * 2 * u^2 = u^2``).  ``f``, ``g`` and their
+    jacobians are methods of one model, so a closed-loop stage evaluates
+    ``f`` and ``g`` together (:attr:`ControlAffineSystem.f_and_g`).
     """
     if g_gravity <= 0:
         raise ValueError(f"g_gravity must be positive, got {g_gravity}")
-    Mc, m, b, l, I = _PEND_M, _PEND_m, _PEND_b, _PEND_l, _PEND_I
-    ml = m * l
-    Il2 = I + m * l * l
-
-    def _mass_det(th, c):
-        """Mass-matrix determinant at ``c = cos(theta - pi)``, checked per row."""
-        det = (ml * c) ** 2 - (Mc + m) * Il2
-        bad = abs(det) < 1e-12
-        if bad.any() if bad.ndim else bad:
-            theta = float(np.asarray(th)[bad].flat[0]) if bad.ndim else float(th)
-            raise RuntimeError(f"mass matrix singular at theta={theta!r}")
-        return det
-
-    def f(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        th, ps, vt = _coords(x)
-        c, s = np.cos(th - np.pi), np.sin(th - np.pi)
-        det = _mass_det(th, c)
-        r1 = -b * vt + ml * ps * ps * s
-        r2 = -m * g_gravity * l * s
-        # inverse of [[ml c, Mc+m], [Il2, ml c]] applied to (r1, r2)
-        out = np.empty(x.shape)
-        out[..., 0] = ps
-        out[..., 1] = (ml * c * r1 - (Mc + m) * r2) / det
-        out[..., 2] = (-Il2 * r1 + ml * c * r2) / det
-        return out
-
-    def g(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        th = x[..., 0]
-        c = np.cos(th - np.pi)
-        det = _mass_det(th, c)
-        out = np.zeros(x.shape[:-1] + (3, 1))
-        out[..., 1, 0] = ml * c / det
-        out[..., 2, 0] = -Il2 / det
-        return out
-
-    def jacobian_f(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        th, ps, vt = _coords(x)
-        c, s = np.cos(th - np.pi), np.sin(th - np.pi)
-        det = _mass_det(th, c)
-        r1 = -b * vt + ml * ps * ps * s
-        r2 = -m * g_gravity * l * s
-        acc1 = (ml * c * r1 - (Mc + m) * r2) / det
-        acc2 = (-Il2 * r1 + ml * c * r2) / det
-        # theta-derivatives: d(cos(th - pi)) = -s, d(sin(th - pi)) = c
-        ddet = -2.0 * ml * ml * c * s
-        dr1 = ml * ps * ps * c
-        dr2 = -m * g_gravity * l * c
-        J = np.zeros(x.shape[:-1] + (3, 3))
-        J[..., 0, 1] = 1.0
-        J[..., 1, 0] = (-ml * s * r1 + ml * c * dr1 - (Mc + m) * dr2 - acc1 * ddet) / det
-        J[..., 2, 0] = (-ml * s * r2 - Il2 * dr1 + ml * c * dr2 - acc2 * ddet) / det
-        # r1 is the only right-hand side entry that depends on psi and vartheta
-        dr1_dps = 2 * ml * ps * s
-        J[..., 1, 1] = ml * c * dr1_dps / det
-        J[..., 2, 1] = -Il2 * dr1_dps / det
-        J[..., 1, 2] = ml * c * -b / det
-        J[..., 2, 2] = -Il2 * -b / det
-        return J
-
-    def jacobian_g(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        th = x[..., 0]
-        c, s = np.cos(th - np.pi), np.sin(th - np.pi)
-        det = _mass_det(th, c)
-        ddet = -2.0 * ml * ml * c * s
-        out = np.zeros(x.shape[:-1] + (3, 1, 3))
-        out[..., 1, 0, 0] = ml * (-s * det - c * ddet) / (det * det)
-        out[..., 2, 0, 0] = Il2 * ddet / (det * det)
-        return out
+    model = _CartPole(g_gravity)
 
     def q(x: np.ndarray):
         x = np.asarray(x, dtype=float)
@@ -510,8 +576,8 @@ def builtin_pendulum(g_gravity: float) -> ControlAffineSystem:
         return 2.0 * np.asarray(x, dtype=float)
 
     return ControlAffineSystem(
-        n=3, p=1, f=f, g=g, D=np.array([[2.0]]), q=q,
-        jacobian_f=jacobian_f, jacobian_g=jacobian_g, grad_q=grad_q,
+        n=3, p=1, f=model.f, g=model.g, D=np.array([[2.0]]), q=q,
+        jacobian_f=model.jacobian_f, jacobian_g=model.jacobian_g, grad_q=grad_q,
         hess_q0=2.0 * np.eye(3),
     )
 

@@ -6,6 +6,7 @@ the undamped oscillator, the closed-form regulator cost-to-go
 bounds for the accumulated running cost.
 """
 import csv
+import dataclasses
 import multiprocessing
 import os
 import subprocess
@@ -19,13 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koopmanhj import simulate
-from koopmanhj.basis import monomial_basis
+from koopmanhj.basis import monomial_basis, procedure2_basis
 from koopmanhj.galerkin import (
     approximate_eigenfunction_set,
     linear_eigenfunction_set,
     sample_domain,
 )
 from koopmanhj.procedure1 import example1_eigenfunction_set, procedure1_solve
+from koopmanhj.procedure2 import default_phase_box, procedure2_solve
 from koopmanhj.simulate import (
     Trajectory,
     closed_loop,
@@ -294,6 +296,199 @@ class TestControllerComparison:
                 np.testing.assert_array_equal(trajs[i].inputs, alone.inputs)
                 assert rows[i].running_cost == alone.running_cost
                 assert alone.inputs[0] == pytest.approx(ctrl(np.array(x0, dtype=float)))
+
+
+def _single_state_system():
+    """A nonlinear system from maps of one state, with a state-dependent
+    input map, and a route-1 solution on its linear eigenfunctions."""
+    A = np.array([[-0.5, 1.0], [0.3, 0.8]])
+    sys_ = control_affine_system(
+        2, 1,
+        f=lambda x: A @ x + np.array([0.0, -x[0] ** 3]),
+        g=lambda x: np.array([[1.0 + 0.5 * np.sin(x[1])], [0.5]]),
+        D=np.array([[1.5]]),
+        q=lambda x: 0.5 * float(x @ x),
+        jacobian_f=lambda x: A + np.array([[0.0, 0.0], [-3.0 * x[0] ** 2, 0.0]]),
+        grad_q=lambda x: np.asarray(x, dtype=float),
+        hess_q0=np.eye(2),
+    )
+    return sys_, procedure1_solve(sys_, linear_eigenfunction_set(A, np.array([[-1.0, 1.0]] * 2)))
+
+
+@pytest.fixture(scope="module")
+def stage_cases():
+    """(system, box, {controller name: controller}) per system: the pendulum
+    with route 1 and LQR, example 1 with routes 1 and 2 and LQR, and a
+    system built from maps of one state with route 1 and LQR."""
+    pend = builtin_pendulum(9.81)
+    pend_box = np.array([[-0.5, 0.5], [-1.0, 1.0], [-1.0, 1.0]])
+    pend_eig = approximate_eigenfunction_set(
+        pend.f, linearize(pend).A, monomial_basis(3, 2, 2), sample_domain(pend_box, 3000, 5)
+    )
+    ex1 = builtin_example1(1.0)
+    ex1_box = np.array([[-0.4, 0.4], [-0.4, 0.4]])
+    ex1_eig = approximate_eigenfunction_set(
+        ex1.f, linearize(ex1).A, monomial_basis(2, 2, 3), sample_domain(ex1_box, 2000, 3)
+    )
+    phase_box = default_phase_box(ex1, ex1_box, margin=1.0)
+    ex1_p2 = procedure2_solve(ex1, procedure2_basis(2, 3, 2), sample_domain(phase_box, 2000, 0))
+    user, user_p1 = _single_state_system()
+
+    def lqr(sys_):
+        return linear_controller(lqr_controller(linearize(sys_))[0])
+
+    return {
+        "pendulum": (pend, pend_box, {
+            "route1": procedure1_solve(pend, pend_eig).control, "lqr": lqr(pend)}),
+        "example1": (ex1, ex1_box, {
+            "route1": procedure1_solve(ex1, ex1_eig).control,
+            "route2": ex1_p2.control, "lqr": lqr(ex1)}),
+        "single_state_maps": (user, np.array([[-0.5, 0.5]] * 2), {
+            "route1": user_p1.control, "lqr": lqr(user)}),
+    }
+
+
+def _reference_rollout(sys_, controller, x0, dt, K):
+    """States and stage-1 inputs of RK4 on the stage ``f(x) + g(x) u``,
+    ``u = controller(x)``, with every map called as written."""
+    def stage(x):
+        u = np.asarray(controller(x), dtype=float).ravel()
+        return sys_.f(x) + sys_.g(x) @ u, u
+
+    x = np.array(x0, dtype=float)
+    states, inputs = [x], []
+    for _ in range(K):
+        k1, u = stage(x)
+        k2, _ = stage(x + 0.5 * dt * k1)
+        k3, _ = stage(x + 0.5 * dt * k2)
+        k4, _ = stage(x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(x)
+        inputs.append(u)
+    return np.array(states), np.array(inputs)
+
+
+class _CountingMaps:
+    """Wrap a system's ``f`` and ``g`` with call counters."""
+
+    def __init__(self, sys_):
+        self.calls = {"f": 0, "g": 0}
+
+        def counted(name, fn):
+            def call(x):
+                self.calls[name] += 1
+                return fn(x)
+            return call
+
+        self.sys = dataclasses.replace(
+            sys_, f=counted("f", sys_.f), g=counted("g", sys_.g)
+        )
+
+
+class TestOnePlantEvaluationPerStage:
+    """Each RK4 stage evaluates the plant once, an HJ feedback reuses the
+    stage's g(x), and every rollout keeps the bits of ``f(x) + g(x) u``."""
+
+    DT, K = 1e-2, 25
+
+    @pytest.mark.parametrize("case, name", [
+        ("pendulum", "route1"), ("pendulum", "lqr"),
+        ("example1", "route1"), ("example1", "route2"), ("example1", "lqr"),
+        ("single_state_maps", "route1"), ("single_state_maps", "lqr"),
+    ])
+    @settings(max_examples=6, deadline=None)
+    @given(unit=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+    def test_rollouts_equal_the_reference_stage(self, stage_cases, case, name, unit):
+        sys_, box, controllers = stage_cases[case]
+        ctrl = controllers[name]
+        x0 = box[:, 0] + (box[:, 1] - box[:, 0]) * np.array(unit[: sys_.n])
+        states, inputs = _reference_rollout(sys_, ctrl, x0, self.DT, self.K)
+        runs = [closed_loop(sys_, c, x0, dt=self.DT, T=self.K * self.DT)
+                for c in (ctrl, lambda x: ctrl(x))]
+        for traj in runs:
+            assert traj.diagnostic is None
+            np.testing.assert_array_equal(traj.states, states)
+            np.testing.assert_array_equal(traj.inputs, inputs)
+        for attr in ("cumulative_costs", "final_input"):
+            np.testing.assert_array_equal(getattr(runs[0], attr), getattr(runs[1], attr))
+
+    @pytest.mark.parametrize("route", ["route1", "route2"])
+    def test_hj_feedback_evaluates_g_once_per_stage(self, stage_cases, route):
+        """K steps call g 4K times, plus once for the final node's feedback."""
+        sys_, box, controllers = stage_cases["example1"]
+        counting = _CountingMaps(sys_)
+        sol = dataclasses.replace(controllers[route].__self__, sys=counting.sys)
+        counting.calls.update(f=0, g=0)
+        traj = closed_loop(counting.sys, sol.control, box[:, 1], dt=self.DT, T=self.K * self.DT)
+        assert traj.diagnostic is None
+        assert counting.calls == {"f": 4 * self.K, "g": 4 * self.K + 1}
+
+    def test_pendulum_stages_evaluate_the_shared_plant(self, stage_cases, monkeypatch):
+        sys_, box, controllers = stage_cases["pendulum"]
+        model = sys_.f.__self__
+        calls = []
+        shared = model.f_and_g
+        monkeypatch.setattr(model, "f_and_g", lambda x: calls.append(1) or shared(x))
+        for name in ("route1", "lqr"):
+            calls.clear()
+            closed_loop(sys_, controllers[name], box[:, 1] / 4, dt=self.DT, T=self.K * self.DT)
+            assert len(calls) == 4 * self.K
+
+    def test_wrong_length_controller_output_truncates(self):
+        sys_, _, _ = _linear_system()
+        traj = closed_loop(sys_, lambda x: np.zeros((1, 2)), [1.0, 0.0], dt=1e-2, T=1.0)
+        assert traj.diverged and traj.t_fail == 0.0
+        assert traj.diagnostic == (
+            "controller failed at t=0: controller returned shape (1, 2), expected 1 entries"
+        )
+
+    def test_wrong_length_at_the_final_node(self):
+        """The final node's feedback is checked as well: call 4K + 1 fails."""
+        sys_, _, _ = _linear_system()
+        calls = []
+
+        def ctrl(x):
+            calls.append(1)
+            return [0.0] if len(calls) <= 4 * 100 else [0.0, 0.0]
+
+        traj = closed_loop(sys_, ctrl, [1.0, 0.0], dt=1e-2, T=1.0)
+        assert traj.diagnostic == (
+            "controller failed at t=1: controller returned shape (2,), expected 1 entries"
+        )
+        assert traj.t_fail == 100 * 1e-2 and traj.final_input is None
+        assert traj.states.shape == (101, 2) and not traj.converged
+
+    @pytest.mark.parametrize("fails", [
+        ("momentum",), ("g",), ("f",), ("momentum", "g"), ("momentum", "f"),
+        ("g", "f"), ("momentum", "g", "f"),
+    ])
+    def test_failures_report_what_the_generic_path_reports(self, fails):
+        """Where the momentum and plant maps raise for 0.1 < x1 < 0.5, the
+        marked feedback reports the error, time and node costs of the same
+        feedback called as ``controller(x)``."""
+        def raising(name, fn):
+            def call(x):
+                if name in fails and 0.1 < np.asarray(x)[..., 0].min() < 0.5:
+                    raise RuntimeError(f"{name} failed")
+                return fn(x)
+            return call
+
+        base, A, _ = _linear_system()
+        sys_ = dataclasses.replace(base, f=raising("f", base.f), g=raising("g", base.g))
+        sol = procedure1_solve(sys_, linear_eigenfunction_set(A, np.array([[-1.0, 1.0]] * 2)))
+        object.__setattr__(sol, "grad_value", raising("momentum", sol.grad_value))
+        marked = closed_loop(sys_, sol.control, [1.0, 0.2], dt=1e-2, T=3.0)
+        generic = closed_loop(sys_, lambda x: sol.control(x), [1.0, 0.2], dt=1e-2, T=3.0)
+        assert marked.diagnostic.endswith(f"{fails[0]} failed")
+        assert marked.diagnostic == generic.diagnostic
+        assert marked.t_fail == generic.t_fail
+        np.testing.assert_array_equal(marked.cumulative_costs, generic.cumulative_costs)
+        # a controller that calls neither map: the field calls f, then g
+        plain = closed_loop(sys_, lambda x: np.zeros(1), [1.0, 0.2], dt=1e-2, T=3.0)
+        first = next((m for m in ("f", "g") if m in fails), None)
+        assert plain.diagnostic == (
+            None if first is None else f"controller failed at t={plain.t_fail:.6g}: {first} failed"
+        )
 
 
 def _pid_controller(x):

@@ -1,6 +1,10 @@
 """Tests for the system models, linearization, and Hamiltonian lift."""
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopmanhj.systems import (
     builtin_example1,
@@ -238,6 +242,109 @@ class TestPendulum:
     def test_rejects_nonpositive_gravity(self):
         with pytest.raises(ValueError, match="g_gravity"):
             builtin_pendulum(-1.0)
+
+
+def _reference_pendulum_maps(g_gravity):
+    """The pendulum's f, g, jacobian_f and jacobian_g as separate formulas,
+    each computing its own cos/sin and determinant: the reference for the
+    model whose maps share one evaluation of those terms."""
+    Mc, m, b, l, I = 0.5, 0.2, 0.1, 0.3, 0.006
+    ml = m * l
+    Il2 = I + m * l * l
+
+    def coords(x):
+        return x.T if x.ndim <= 2 else np.moveaxis(x, -1, 0)
+
+    def f(x):
+        th, ps, vt = coords(x)
+        c, s = np.cos(th - np.pi), np.sin(th - np.pi)
+        det = (ml * c) ** 2 - (Mc + m) * Il2
+        r1 = -b * vt + ml * ps * ps * s
+        r2 = -m * g_gravity * l * s
+        out = np.empty(x.shape)
+        out[..., 0] = ps
+        out[..., 1] = (ml * c * r1 - (Mc + m) * r2) / det
+        out[..., 2] = (-Il2 * r1 + ml * c * r2) / det
+        return out
+
+    def g(x):
+        th = x[..., 0]
+        c = np.cos(th - np.pi)
+        det = (ml * c) ** 2 - (Mc + m) * Il2
+        out = np.zeros(x.shape[:-1] + (3, 1))
+        out[..., 1, 0] = ml * c / det
+        out[..., 2, 0] = -Il2 / det
+        return out
+
+    def jacobian_f(x):
+        th, ps, vt = coords(x)
+        c, s = np.cos(th - np.pi), np.sin(th - np.pi)
+        det = (ml * c) ** 2 - (Mc + m) * Il2
+        r1 = -b * vt + ml * ps * ps * s
+        r2 = -m * g_gravity * l * s
+        acc1 = (ml * c * r1 - (Mc + m) * r2) / det
+        acc2 = (-Il2 * r1 + ml * c * r2) / det
+        ddet = -2.0 * ml * ml * c * s
+        dr1 = ml * ps * ps * c
+        dr2 = -m * g_gravity * l * c
+        J = np.zeros(x.shape[:-1] + (3, 3))
+        J[..., 0, 1] = 1.0
+        J[..., 1, 0] = (-ml * s * r1 + ml * c * dr1 - (Mc + m) * dr2 - acc1 * ddet) / det
+        J[..., 2, 0] = (-ml * s * r2 - Il2 * dr1 + ml * c * dr2 - acc2 * ddet) / det
+        dr1_dps = 2 * ml * ps * s
+        J[..., 1, 1] = ml * c * dr1_dps / det
+        J[..., 2, 1] = -Il2 * dr1_dps / det
+        J[..., 1, 2] = ml * c * -b / det
+        J[..., 2, 2] = -Il2 * -b / det
+        return J
+
+    def jacobian_g(x):
+        th = x[..., 0]
+        c, s = np.cos(th - np.pi), np.sin(th - np.pi)
+        det = (ml * c) ** 2 - (Mc + m) * Il2
+        ddet = -2.0 * ml * ml * c * s
+        out = np.zeros(x.shape[:-1] + (3, 1, 3))
+        out[..., 1, 0, 0] = ml * (-s * det - c * ddet) / (det * det)
+        out[..., 2, 0, 0] = Il2 * ddet / (det * det)
+        return out
+
+    return {"f": f, "g": g, "jacobian_f": jacobian_f, "jacobian_g": jacobian_g}
+
+
+class TestPendulumSharedTerms:
+    """The pendulum's maps share one evaluation of cos, sin and the mass
+    determinant; each equals its own separate formula bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        gravity=st.floats(0.5, 30.0),
+        lead=st.sampled_from([(), (1,), (7,), (2, 5)]),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 10.0, 1e3]),
+    )
+    def test_maps_equal_the_separate_formulas(self, gravity, lead, seed, scale):
+        sys_ = builtin_pendulum(gravity)
+        ref = _reference_pendulum_maps(gravity)
+        x = np.random.default_rng(seed).uniform(-scale, scale, size=lead + (3,))
+        for name, fn in ref.items():
+            got, want = getattr(sys_, name)(x), fn(x)
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+        fx, gx = sys_.f_and_g(x)
+        np.testing.assert_array_equal(fx, ref["f"](x))
+        np.testing.assert_array_equal(gx, ref["g"](x))
+
+    def test_one_shared_map_only_for_the_model_maps(self):
+        sys_ = builtin_pendulum(9.81)
+        assert sys_.f_and_g is not None
+        assert dataclasses.replace(sys_, g=lambda x: sys_.g(x)).f_and_g is None
+        assert builtin_example1().f_and_g is None
+        assert _user_system().f_and_g is None
+
+    def test_nonfinite_angles_give_nonfinite_maps_without_raising(self):
+        sys_ = builtin_pendulum(9.81)
+        fx, gx = sys_.f_and_g(np.array([np.nan, 0.0, 0.0]))
+        assert np.isnan(fx[1:]).all() and np.isnan(gx[1:, 0]).all()
 
 
 class TestPolynomialSystem:
