@@ -4,7 +4,9 @@ Each ``cmd_*`` function takes a fully resolved :class:`~koopmanhj.config.RunConf
 runs the corresponding pipeline, and writes its outputs (CSV tables plus a
 human-readable ``report.txt`` and the echoed ``resolved_config.yaml``) into
 the configured output directory.  All outputs are deterministic functions of
-the resolved configuration, so reruns produce byte-identical files.
+the resolved configuration, so reruns produce byte-identical files.  Each
+builds the system, and makes the checks that need it, before it creates the
+output directory, so a configuration error leaves none.
 
 Every numeric table goes through :func:`_write_csv` to the one writer,
 :func:`~koopmanhj.simulate.write_table_csv` (17 significant digits, ``\\r\\n``
@@ -42,10 +44,7 @@ _MAX_GRID_POINTS = 1_000_000
 
 
 def _ensure_out(cfg: RunConfig) -> Path:
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_resolved(cfg, out)
-    return out
+    return write_resolved(cfg, cfg.out).parent
 
 
 def _write_csv(path: Path, header: Sequence[str], table: np.ndarray) -> None:
@@ -60,7 +59,7 @@ def _grid_points(box: np.ndarray, points_per_dim: int) -> np.ndarray:
         raise ConfigError(
             f"evaluation grid has {total} points "
             f"({points_per_dim} per dimension in {n} dimensions); "
-            f"limit is {_MAX_GRID_POINTS} — reduce grid.points_per_dim"
+            f"limit is {_MAX_GRID_POINTS} — reduce grid_points_per_dim"
         )
     axes = [np.linspace(box[i, 0], box[i, 1], points_per_dim) for i in range(n)]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -121,11 +120,11 @@ def _write_report(out: Path, lines: Sequence[str]) -> None:
 # ----------------------------------------------------------------------
 
 def cmd_eigfun(cfg: RunConfig) -> None:
-    out = _ensure_out(cfg)
     sys_ = build_system(cfg)
+    out = _ensure_out(cfg)
     lin = linearize(sys_)
     basis = monomial_basis(sys_.n, cfg.basis["deg_min"], cfg.basis["deg_max"])
-    samples = sample_domain(cfg.box, cfg.L, cfg.seed)
+    samples = sample_domain(cfg.box, cfg.samples["L"], cfg.samples["seed"])
     eig = approximate_eigenfunction_set(sys_.f, lin.A, basis, samples)
 
     n, M = sys_.n, basis.M
@@ -146,10 +145,10 @@ def cmd_eigfun(cfg: RunConfig) -> None:
     lines = [
         "eigenfunction approximation report",
         "==================================",
-        f"system: {cfg.system_kind} (state dimension {n})",
+        f"system: {cfg.system['kind']} (state dimension {n})",
         f"basis: monomial degrees {cfg.basis['deg_min']}..{cfg.basis['deg_max']}"
         f" ({M} functions)",
-        f"samples: L={cfg.L}, seed={cfg.seed}",
+        f"samples: L={cfg.samples['L']}, seed={cfg.samples['seed']}",
         "",
         "eigenvalues (real, imag):",
     ]
@@ -166,25 +165,25 @@ def cmd_eigfun(cfg: RunConfig) -> None:
 
 def _solve_procedure1(cfg: RunConfig, sys_, lin):
     basis = monomial_basis(sys_.n, cfg.basis["deg_min"], cfg.basis["deg_max"])
-    samples = sample_domain(cfg.box, cfg.L, cfg.seed)
+    samples = sample_domain(cfg.box, cfg.samples["L"], cfg.samples["seed"])
     return procedure1_solve(sys_, approximate_eigenfunction_set(sys_.f, lin.A, basis, samples))
 
 
 def _build_p2(cfg: RunConfig, sys_):
     basis2 = procedure2_basis(sys_.n, cfg.basis["d1"], cfg.basis["d2"])
     phase_box = default_phase_box(sys_, cfg.box, margin=cfg.momentum_margin)
-    samples = sample_domain(phase_box, cfg.L, cfg.seed)
+    samples = sample_domain(phase_box, cfg.samples["L"], cfg.samples["seed"])
     d3 = cfg.basis["d3"]
     xi3 = value_basis_xi3(sys_.n, d3) if d3 >= 2 else None
     return procedure2_solve(sys_, basis2, samples, xi3=xi3)
 
 
 def cmd_solve(cfg: RunConfig) -> None:
-    out = _ensure_out(cfg)
     sys_ = build_system(cfg)
+    grid = _grid_points(cfg.box, cfg.grid_points_per_dim)
+    out = _ensure_out(cfg)
     lin = linearize(sys_)
     n, p = sys_.n, sys_.p
-    grid = _grid_points(cfg.box, cfg.points_per_dim)
 
     if cfg.procedure == 1:
         sol = _solve_procedure1(cfg, sys_, lin)
@@ -198,7 +197,7 @@ def cmd_solve(cfg: RunConfig) -> None:
         ]
         setup = [
             f"basis: monomial degrees {cfg.basis['deg_min']}..{cfg.basis['deg_max']}",
-            f"samples: L={cfg.L}, seed={cfg.seed}",
+            f"samples: L={cfg.samples['L']}, seed={cfg.samples['seed']}",
             "",
             "eigenvalues (real, imag):",
         ]
@@ -223,7 +222,7 @@ def cmd_solve(cfg: RunConfig) -> None:
         setup = [
             f"basis: state degree {cfg.basis['d1']}, "
             f"momentum-linear degree {cfg.basis['d2']}",
-            f"samples: L={cfg.L}, seed={cfg.seed}, "
+            f"samples: L={cfg.samples['L']}, seed={cfg.samples['seed']}, "
             f"momentum margin={cfg.momentum_margin:g}",
             "",
             "unstable eigenvalues (real, imag):",
@@ -254,10 +253,10 @@ def cmd_solve(cfg: RunConfig) -> None:
     residuals = hj_residual(sys_, grad, grid)
     listing, block_lines = _eigenfunction_lines(eig, name)
     lines = (
-        title + [f"system: {cfg.system_kind} (state dimension {n})"] + setup + listing + [""]
+        title + [f"system: {cfg.system['kind']} (state dimension {n})"] + setup + listing + [""]
         + solution + ["per-block PDE residuals (RMS):"] + block_lines + fit_lines + [
             "",
-            f"evaluation grid: {cfg.points_per_dim} points per dimension "
+            f"evaluation grid: {cfg.grid_points_per_dim} points per dimension "
             f"({len(grid)} total)",
             f"max |stationary residual| on grid: {np.max(np.abs(residuals)):.6g}",
             "",
@@ -286,7 +285,7 @@ def _build_controllers(
     cfg: RunConfig, sys_, lin
 ) -> List[Tuple[str, Callable[[np.ndarray], np.ndarray]]]:
     named: List[Tuple[str, Callable[[np.ndarray], np.ndarray]]] = []
-    for spec in cfg.controllers:
+    for spec in cfg.simulate["controllers"]:
         if isinstance(spec, str):
             if spec == "lqr":
                 K, _ = lqr_controller(lin)
@@ -306,25 +305,19 @@ def _build_controllers(
 
 
 def cmd_simulate(cfg: RunConfig) -> None:
-    out = _ensure_out(cfg)
     sys_ = build_system(cfg)
-    lin = linearize(sys_)
-    named = _build_controllers(cfg, sys_, lin)
-
-    if cfg.ics is not None:
-        ics = np.asarray(cfg.ics, dtype=float)
-    elif cfg.cloud is not None:
-        ics = pendulum_ic_cloud(
-            center=cfg.cloud["center"],
-            count=cfg.cloud["count"],
-            seed=cfg.cloud["seed"],
-            rel_width=cfg.cloud["rel_width"],
-        )
+    if "ics" in cfg.simulate:
+        ics = cfg.simulate["ics"]
+    elif "pendulum_cloud" in cfg.simulate:
+        ics = pendulum_ic_cloud(**cfg.simulate["pendulum_cloud"])
     else:
         raise ConfigError(
             "simulate requires initial conditions: set simulate.ics or "
             "simulate.pendulum_cloud"
         )
+    out = _ensure_out(cfg)
+    lin = linearize(sys_)
+    named = _build_controllers(cfg, sys_, lin)
 
     traj_files: List[str] = []
 
@@ -334,15 +327,17 @@ def cmd_simulate(cfg: RunConfig) -> None:
         traj_files.append(fname)
 
     rows = compare_controllers(
-        sys_, named, list(ics), dt=cfg.dt, T=cfg.T, on_trajectory=_save
+        sys_, named, list(ics), dt=cfg.integrator["dt"], T=cfg.integrator["T"],
+        on_trajectory=_save,
     )
     write_comparison_csv(rows, str(out / "comparison.csv"))
 
     lines = [
         "closed-loop comparison report",
         "=============================",
-        f"system: {cfg.system_kind} (state dimension {sys_.n})",
-        f"rollouts: dt={cfg.dt:g}, T={cfg.T:g}, {len(ics)} initial conditions",
+        f"system: {cfg.system['kind']} (state dimension {sys_.n})",
+        f"rollouts: dt={cfg.integrator['dt']:g}, T={cfg.integrator['T']:g}, "
+        f"{len(ics)} initial conditions",
         "",
     ]
     for name, _ in named:
@@ -375,7 +370,6 @@ def cmd_simulate(cfg: RunConfig) -> None:
 # ----------------------------------------------------------------------
 
 def cmd_converge(cfg: RunConfig) -> None:
-    out = _ensure_out(cfg)
     sys_ = build_system(cfg)
     lin = linearize(sys_)
     n_blocks = len(real_spectral_decomposition(lin.A).blocks)
@@ -384,15 +378,16 @@ def cmd_converge(cfg: RunConfig) -> None:
             f"'eig_block' is {cfg.eig_block}, but the drift linearization has "
             f"{n_blocks} eigenvalue blocks (valid: 0..{n_blocks - 1})"
         )
+    out = _ensure_out(cfg)
     basis = monomial_basis(sys_.n, cfg.basis["deg_min"], cfg.basis["deg_max"])
     study = convergence_study(
         sys_.f,
         lin.A,
         basis,
         cfg.box,
-        cfg.converge_L,
-        cfg.converge_trials,
-        cfg.seed,
+        cfg.converge["L_list"],
+        cfg.converge["trials"],
+        cfg.samples["seed"],
         block_index=cfg.eig_block,
     )
     _write_csv(out / "convergence.csv", ["L", "trial", "error"], np.array(list(study.rows())))
@@ -400,10 +395,10 @@ def cmd_converge(cfg: RunConfig) -> None:
     lines = [
         "sample-count convergence report",
         "===============================",
-        f"system: {cfg.system_kind} (state dimension {sys_.n})",
+        f"system: {cfg.system['kind']} (state dimension {sys_.n})",
         f"basis: monomial degrees {cfg.basis['deg_min']}..{cfg.basis['deg_max']}",
         f"eigenvalue block index: {cfg.eig_block}",
-        f"trials per sample count: {study.trials}, seed={cfg.seed}",
+        f"trials per sample count: {study.trials}, seed={cfg.samples['seed']}",
         "",
         "normalized eigenfunction error vs sample count:",
     ]

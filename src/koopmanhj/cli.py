@@ -18,6 +18,7 @@ before numpy is first imported.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -69,36 +70,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _apply_threads(argv: List[str]) -> None:
-    """Pin BLAS threads before numpy is imported anywhere."""
-    import os
-
-    threads = 1
-    for i, a in enumerate(argv):
-        if a == "--threads" and i + 1 < len(argv):
-            try:
-                threads = int(argv[i + 1])
-            except ValueError:
-                pass  # the real parser reports this properly
-        elif a.startswith("--threads="):
-            try:
-                threads = int(a.split("=", 1)[1])
-            except ValueError:
-                pass
-    if threads < 1:
-        threads = 1
-    for var in _THREAD_ENV_VARS:
-        os.environ[var] = str(threads)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    _apply_threads(argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    for var in _THREAD_ENV_VARS:
+        os.environ[var] = str(max(1, args.threads))
 
     from . import _commands
     from .config import ConfigError, load_config

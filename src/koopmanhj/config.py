@@ -8,9 +8,9 @@ re-runnable record of the experiment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 import yaml
@@ -26,7 +26,8 @@ __all__ = ["ConfigError", "RunConfig", "load_config", "build_system", "write_res
 
 SCHEMA_VERSION = 1
 
-_DEFAULT_CONVERGE_L = [100, 1000, 10000]
+_SYSTEM_KINDS = ("example1", "pendulum", "polynomial")
+_CONTROLLER_NAMES = ("procedure1", "procedure2", "lqr")
 
 
 class ConfigError(Exception):
@@ -35,26 +36,27 @@ class ConfigError(Exception):
 
 @dataclass
 class RunConfig:
-    """Fully materialized run configuration (all defaults filled in)."""
+    """The resolved YAML tree: one field per top-level key, in the order
+    ``resolved_config.yaml`` lists them.
+
+    Each section is a dict under its YAML key names, with every default
+    filled in; matrices (``box``, ``system`` ``g_matrix``/``D``/``Q0``,
+    ``simulate["ics"]``) are float arrays, and ``simulate`` holds ``ics``
+    and ``pendulum_cloud`` only where the file sets them.
+    """
 
     schema_version: int
-    system_kind: str
-    system_params: Dict[str, Any]
+    system: Dict[str, Any]
     box: np.ndarray  # (n, 2)
-    basis: Dict[str, int]  # deg_min, deg_max, d1, d2, d3
-    L: int
-    seed: int
-    dt: float
-    T: float
+    basis: Dict[str, int]
+    samples: Dict[str, int]
+    integrator: Dict[str, float]
     procedure: int
     eig_block: int
     momentum_margin: float
-    points_per_dim: int
-    converge_L: List[int]
-    converge_trials: int
-    controllers: List[Union[str, Dict[str, Any]]]
-    ics: Optional[np.ndarray]
-    cloud: Optional[Dict[str, Any]]
+    grid_points_per_dim: int
+    converge: Dict[str, Any]
+    simulate: Dict[str, Any]
     out: str
 
 
@@ -68,17 +70,24 @@ def _as_mapping(obj: Any, name: str) -> Dict[str, Any]:
     return obj
 
 
-def _take(section: Dict[str, Any], name: str, key: str, default: Any,
-          kind: type, allow_none: bool = False) -> Any:
-    val = section.pop(key, default)
-    if val is None and allow_none:
-        return None
-    if kind is float and isinstance(val, int) and not isinstance(val, bool):
+def _section(raw: Dict[str, Any], name: str) -> Dict[str, Any]:
+    return _as_mapping(raw.pop(name, {}) or {}, name)
+
+
+def _take(section: Optional[Dict[str, Any]], path: str, default: Any, kind: type = int,
+          ok: Optional[Callable[[Any], bool]] = None, need: str = "") -> Any:
+    """Read one scalar: pop the last key of the dotted ``path`` from
+    ``section`` (with ``section=None``, check ``default`` itself: a list
+    entry).  An int is accepted as a float, a bool never as a number, and
+    a float must be finite; ``ok`` is the range predicate and ``need`` says
+    it in the error."""
+    val = default if section is None else section.pop(path.rpartition(".")[2], default)
+    if kind is float and type(val) is int:
         val = float(val)
-    _require(
-        isinstance(val, kind) and not isinstance(val, bool) or kind is bool,
-        f"'{name}.{key}' must be {kind.__name__}, got {type(val).__name__}",
-    )
+    _require(isinstance(val, kind) and not isinstance(val, bool),
+             f"'{path}' must be {kind.__name__}, got {type(val).__name__}")
+    _require(kind is not float or np.isfinite(val), f"'{path}' must be finite, got {val!r}")
+    _require(ok is None or ok(val), f"'{path}' must be {need}, got {val!r}")
     return val
 
 
@@ -86,17 +95,102 @@ def _no_extras(section: Dict[str, Any], name: str) -> None:
     _require(not section, f"unknown key(s) in '{name}': {sorted(section)}")
 
 
-def _parse_matrix(obj: Any, name: str) -> np.ndarray:
+def _parse_array(obj: Any, name: str, matrix: bool = True) -> np.ndarray:
+    """``obj`` as a finite float array: a matrix (list of rows) unless
+    ``matrix`` is false."""
     try:
         arr = np.asarray(obj, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"'{name}' is not a numeric array: {exc}") from None
-    _require(arr.ndim == 2, f"'{name}' must be a matrix (list of rows)")
+    _require(not matrix or arr.ndim == 2, f"'{name}' must be a matrix (list of rows)")
+    _require(bool(np.isfinite(arr).all()), f"'{name}' must have finite entries")
     return arr
 
 
-_SYSTEM_KINDS = ("example1", "pendulum", "polynomial")
-_CONTROLLER_NAMES = ("procedure1", "procedure2", "lqr")
+def _system(sec: Dict[str, Any]) -> Tuple[Dict[str, Any], int, int]:
+    """The ``system`` section, and the state and input dimensions it sets."""
+    system: Dict[str, Any] = {"kind": _take(sec, "system.kind", None, str,
+                                            lambda v: v in _SYSTEM_KINDS,
+                                            f"one of {_SYSTEM_KINDS}")}
+    if system["kind"] == "example1":
+        n, p = 2, 1
+        system["control_weight"] = _take(sec, "system.control_weight", 1.0, float,
+                                         lambda v: v > 0, "positive")
+    elif system["kind"] == "pendulum":
+        n, p = 3, 1
+        system["g_gravity"] = _take(sec, "system.g_gravity", 9.81, float)
+    else:
+        f_terms = sec.pop("f_terms", None)
+        _require(isinstance(f_terms, list) and f_terms,
+                 "'system.f_terms' must be a non-empty list (one list per coordinate)")
+        n = len(f_terms)
+        system["f_terms"] = []
+        for i, row in enumerate(f_terms):
+            where = f"system.f_terms[{i}]"
+            _require(isinstance(row, list),
+                     f"'{where}' must be a list of [coeff, exponents] pairs")
+            for t in row:
+                _require(
+                    isinstance(t, list) and len(t) == 2 and isinstance(t[1], list)
+                    and len(t[1]) == n,
+                    f"'{where}' entries must be [coeff, [e1..e{n}]]",
+                )
+            system["f_terms"].append([
+                [_take(None, where, c, float), [_take(None, where, e) for e in expo]]
+                for c, expo in row
+            ])
+        g_matrix = _parse_array(sec.pop("g_matrix", None), "system.g_matrix")
+        _require(g_matrix.shape[0] == n,
+                 f"'system.g_matrix' must have {n} rows, got {g_matrix.shape[0]}")
+        p = g_matrix.shape[1]
+        system["g_matrix"] = g_matrix
+        system["D"] = _parse_array(sec.pop("D", None), "system.D")
+        system["Q0"] = _parse_array(sec.pop("Q0", None), "system.Q0")
+        _require(system["Q0"].shape == (n, n), f"'system.Q0' must be {n}x{n}")
+    _no_extras(sec, "system")
+    return system, n, p
+
+
+def _simulate(sec: Dict[str, Any], n: int, p: int) -> Dict[str, Any]:
+    simulate: Dict[str, Any] = {"controllers": sec.pop("controllers", ["procedure1", "lqr"])}
+    _require(isinstance(simulate["controllers"], list) and simulate["controllers"],
+             "'simulate.controllers' must be a non-empty list")
+    for i, c in enumerate(simulate["controllers"]):
+        where = f"simulate.controllers[{i}]"
+        if isinstance(c, str):
+            _require(c in _CONTROLLER_NAMES,
+                     f"unknown controller {c!r}; use one of {_CONTROLLER_NAMES} "
+                     f"or a {{name, gain}} mapping")
+        else:
+            c = _as_mapping(c, where)
+            _require("name" in c and "gain" in c,
+                     f"custom controller '{where}' needs 'name' and 'gain' (p x n matrix)")
+            _no_extras({k: v for k, v in c.items() if k not in ("name", "gain")}, where)
+            shape = _parse_array(c["gain"], f"{where}.gain").shape
+            _require(shape == (p, n), f"'{where}.gain' must be p x n = {p} x {n} "
+                                      f"(rows x columns), got {shape[0]} x {shape[1]}")
+    ics = sec.pop("ics", None)
+    if ics is not None:
+        simulate["ics"] = _parse_array(ics, "simulate.ics")
+        _require(simulate["ics"].shape[1] == n, f"'simulate.ics' rows must have {n} entries")
+    cloud = sec.pop("pendulum_cloud", None)
+    if cloud is not None:
+        csec = _as_mapping(cloud, "simulate.pendulum_cloud")
+        center = _parse_array(csec.pop("center", [0.7, -4.2, 6.2]),
+                              "simulate.pendulum_cloud.center", matrix=False).ravel()
+        _require(center.size == n, f"'simulate.pendulum_cloud.center' must have {n} entries")
+        simulate["pendulum_cloud"] = {
+            "center": center.tolist(),
+            "count": _take(csec, "simulate.pendulum_cloud.count", 10, int,
+                           lambda v: v >= 1, "positive"),
+            "seed": _take(csec, "simulate.pendulum_cloud.seed", 2024, int,
+                          lambda v: v >= 0, "non-negative"),
+            "rel_width": _take(csec, "simulate.pendulum_cloud.rel_width", 0.1, float,
+                               lambda v: v >= 0, "non-negative"),
+        }
+        _no_extras(csec, "simulate.pendulum_cloud")
+    _no_extras(sec, "simulate")
+    return simulate
 
 
 def load_config(
@@ -107,239 +201,99 @@ def load_config(
     """Parse and validate a YAML run configuration.
 
     ``seed_override``/``out_override`` implement the corresponding
-    command-line flags.  All validation happens here; commands may assume
-    a well-formed configuration afterwards.
+    command-line flags and are checked as the keys they replace.  The
+    system's own invariants (a positive definite ``D``, a drift vanishing
+    at the origin) are checked by :func:`build_system`.
     """
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {p}")
+    if not Path(path).is_file():
+        raise ConfigError(f"config file not found: {path}")
     try:
-        raw = yaml.safe_load(p.read_text())
+        raw = _as_mapping(yaml.safe_load(Path(path).read_text()), "config")
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from None
-    raw = _as_mapping(raw, "config")
 
-    version = raw.pop("schema_version", None)
-    _require(version == SCHEMA_VERSION,
-             f"'schema_version' must be {SCHEMA_VERSION}, got {version!r}")
+    schema_version = _take(raw, "schema_version", None, int,
+                           lambda v: v == SCHEMA_VERSION, str(SCHEMA_VERSION))
+    system, n, p = _system(_as_mapping(raw.pop("system", None), "system"))
 
-    # --- system ---
-    sys_sec = _as_mapping(raw.pop("system", None), "system")
-    kind = sys_sec.pop("kind", None)
-    _require(kind in _SYSTEM_KINDS,
-             f"'system.kind' must be one of {_SYSTEM_KINDS}, got {kind!r}")
-    params: Dict[str, Any] = {}
-    if kind == "example1":
-        params["control_weight"] = _take(sys_sec, "system", "control_weight", 1.0, float)
-        _require(params["control_weight"] > 0, "'system.control_weight' must be positive")
-        n = 2
-    elif kind == "pendulum":
-        params["g_gravity"] = _take(sys_sec, "system", "g_gravity", 9.81, float)
-        n = 3
-    else:  # polynomial
-        f_terms = sys_sec.pop("f_terms", None)
-        _require(isinstance(f_terms, list) and f_terms,
-                 "'system.f_terms' must be a non-empty list (one list per coordinate)")
-        n = len(f_terms)
-        terms: List[List[Any]] = []
-        for i, row in enumerate(f_terms):
-            _require(isinstance(row, list),
-                     f"'system.f_terms[{i}]' must be a list of [coeff, exponents] pairs")
-            coord = []
-            for t in row:
-                _require(
-                    isinstance(t, list) and len(t) == 2 and isinstance(t[1], list)
-                    and len(t[1]) == n,
-                    f"'system.f_terms[{i}]' entries must be [coeff, [e1..e{n}]]",
-                )
-                coord.append((float(t[0]), tuple(int(e) for e in t[1])))
-            terms.append(coord)
-        g_matrix = _parse_matrix(sys_sec.pop("g_matrix", None), "system.g_matrix")
-        _require(g_matrix.shape[0] == n,
-                 f"'system.g_matrix' must have {n} rows, got {g_matrix.shape[0]}")
-        D = _parse_matrix(sys_sec.pop("D", None), "system.D")
-        Q0 = _parse_matrix(sys_sec.pop("Q0", None), "system.Q0")
-        _require(Q0.shape == (n, n), f"'system.Q0' must be {n}x{n}")
-        params.update(f_terms=terms, g_matrix=g_matrix, D=D, Q0=Q0)
-    _no_extras(sys_sec, "system")
-
-    # --- box ---
-    box = _parse_matrix(raw.pop("box", None), "box")
+    box = _parse_array(raw.pop("box", None), "box")
     _require(box.shape == (n, 2), f"'box' must be {n} rows of [lo, hi]")
     _require(bool(np.all(box[:, 0] < box[:, 1])), "'box' rows must satisfy lo < hi")
 
-    # --- basis ---
-    basis_sec = _as_mapping(raw.pop("basis", {}) or {}, "basis")
+    sec = _section(raw, "basis")
     basis = {
-        "deg_min": _take(basis_sec, "basis", "deg_min", 2, int),
-        "deg_max": _take(basis_sec, "basis", "deg_max", 5, int),
-        "d1": _take(basis_sec, "basis", "d1", 5, int),
-        "d2": _take(basis_sec, "basis", "d2", 3, int),
-        "d3": _take(basis_sec, "basis", "d3", 0, int),
+        "deg_min": _take(sec, "basis.deg_min", 2, int, lambda v: v >= 2, "at least 2"),
+        "deg_max": _take(sec, "basis.deg_max", 5),
+        "d1": _take(sec, "basis.d1", 5, int, lambda v: v >= 2, "at least 2"),
+        "d2": _take(sec, "basis.d2", 3, int, lambda v: v >= 1, "at least 1"),
+        "d3": _take(sec, "basis.d3", 0, int, lambda v: v == 0 or v >= 2,
+                    "0 (no value fit) or at least 2"),
     }
-    _no_extras(basis_sec, "basis")
-    _require(2 <= basis["deg_min"] <= basis["deg_max"],
+    _no_extras(sec, "basis")
+    _require(basis["deg_min"] <= basis["deg_max"],
              "'basis' degrees must satisfy 2 <= deg_min <= deg_max")
-    _require(basis["d1"] >= 2, "'basis.d1' must be at least 2")
-    _require(basis["d2"] >= 1, "'basis.d2' must be at least 1")
-    _require(basis["d3"] == 0 or basis["d3"] >= 2,
-             "'basis.d3' must be 0 (no value fit) or at least 2")
 
-    # --- samples ---
-    samp_sec = _as_mapping(raw.pop("samples", {}) or {}, "samples")
-    L = _take(samp_sec, "samples", "L", 10000, int)
-    seed = _take(samp_sec, "samples", "seed", 0, int)
-    _no_extras(samp_sec, "samples")
-    _require(L >= 1, "'samples.L' must be positive")
+    sec = _section(raw, "samples")
     if seed_override is not None:
-        seed = int(seed_override)
+        sec["seed"] = seed_override
+    samples = {
+        "L": _take(sec, "samples.L", 10000, int, lambda v: v >= 1, "positive"),
+        "seed": _take(sec, "samples.seed", 0, int, lambda v: v >= 0, "non-negative"),
+    }
+    _no_extras(sec, "samples")
 
-    # --- integrator ---
-    integ_sec = _as_mapping(raw.pop("integrator", {}) or {}, "integrator")
-    dt = _take(integ_sec, "integrator", "dt", 1e-3, float)
-    T = _take(integ_sec, "integrator", "T", 20.0, float)
-    _no_extras(integ_sec, "integrator")
-    _require(dt > 0, "'integrator.dt' must be positive")
-    _require(T >= dt, "'integrator.T' must be at least dt")
+    sec = _section(raw, "integrator")
+    dt = _take(sec, "integrator.dt", 1e-3, float, lambda v: v > 0, "positive")
+    integrator = {"dt": dt,
+                  "T": _take(sec, "integrator.T", 20.0, float, lambda v: v >= dt, "at least dt")}
+    _no_extras(sec, "integrator")
 
-    # --- scalars ---
-    procedure = raw.pop("procedure", 1)
-    _require(procedure in (1, 2), f"'procedure' must be 1 or 2, got {procedure!r}")
-    eig_block = raw.pop("eig_block", 0)
-    _require(isinstance(eig_block, int) and eig_block >= 0,
-             "'eig_block' must be a non-negative integer")
-    momentum_margin = raw.pop("momentum_margin", 2.0)
-    _require(isinstance(momentum_margin, (int, float)) and momentum_margin > 0,
-             "'momentum_margin' must be positive")
-    points_per_dim = raw.pop("grid_points_per_dim", 50 if n <= 2 else 5)
-    _require(isinstance(points_per_dim, int) and points_per_dim >= 2,
-             "'grid_points_per_dim' must be an integer >= 2")
+    procedure = _take(raw, "procedure", 1, int, lambda v: v in (1, 2), "1 or 2")
+    eig_block = _take(raw, "eig_block", 0, int, lambda v: v >= 0, "non-negative")
+    momentum_margin = _take(raw, "momentum_margin", 2.0, float, lambda v: v > 0, "positive")
+    grid_points_per_dim = _take(raw, "grid_points_per_dim", 50 if n <= 2 else 5, int,
+                                lambda v: v >= 2, "at least 2")
 
-    # --- converge ---
-    conv_sec = _as_mapping(raw.pop("converge", {}) or {}, "converge")
-    L_list = conv_sec.pop("L_list", list(_DEFAULT_CONVERGE_L))
-    _require(
-        isinstance(L_list, list) and len(L_list) >= 2
-        and all(isinstance(v, int) and v >= 1 for v in L_list),
-        "'converge.L_list' must be a list of at least two positive integers",
-    )
-    trials = _take(conv_sec, "converge", "trials", 20, int)
-    _no_extras(conv_sec, "converge")
-    _require(trials >= 1, "'converge.trials' must be positive")
+    sec = _section(raw, "converge")
+    L_list = sec.pop("L_list", [100, 1000, 10000])
+    _require(isinstance(L_list, list) and len(L_list) >= 2,
+             "'converge.L_list' must be a list of at least two positive integers")
+    converge = {
+        "L_list": [_take(None, f"converge.L_list[{i}]", v, int, lambda v: v >= 1, "positive")
+                   for i, v in enumerate(L_list)],
+        "trials": _take(sec, "converge.trials", 20, int, lambda v: v >= 1, "positive"),
+    }
+    _no_extras(sec, "converge")
 
-    # --- simulate ---
-    sim_sec = _as_mapping(raw.pop("simulate", {}) or {}, "simulate")
-    controllers = sim_sec.pop("controllers", ["procedure1", "lqr"])
-    _require(isinstance(controllers, list) and controllers,
-             "'simulate.controllers' must be a non-empty list")
-    for c in controllers:
-        if isinstance(c, str):
-            _require(c in _CONTROLLER_NAMES,
-                     f"unknown controller {c!r}; use one of {_CONTROLLER_NAMES} "
-                     f"or a {{name, gain}} mapping")
-        else:
-            c = _as_mapping(c, "simulate.controllers[]")
-            _require("name" in c and "gain" in c,
-                     "custom controller needs 'name' and 'gain' (p x n matrix)")
-            gain = _parse_matrix(c["gain"], "simulate.controllers[].gain")
-            _require(gain.shape[1] == n,
-                     f"controller gain must have {n} columns")
-    ics_raw = sim_sec.pop("ics", None)
-    ics: Optional[np.ndarray] = None
-    if ics_raw is not None:
-        ics = _parse_matrix(ics_raw, "simulate.ics")
-        _require(ics.shape[1] == n, f"'simulate.ics' rows must have {n} entries")
-    cloud_raw = sim_sec.pop("pendulum_cloud", None)
-    cloud: Optional[Dict[str, Any]] = None
-    if cloud_raw is not None:
-        cloud_sec = _as_mapping(cloud_raw, "simulate.pendulum_cloud")
-        cloud = {
-            "center": [
-                float(v)
-                for v in np.asarray(
-                    cloud_sec.pop("center", [0.7, -4.2, 6.2]), dtype=float
-                ).ravel()
-            ],
-            "count": _take(cloud_sec, "simulate.pendulum_cloud", "count", 10, int),
-            "seed": _take(cloud_sec, "simulate.pendulum_cloud", "seed", 2024, int),
-            "rel_width": _take(
-                cloud_sec, "simulate.pendulum_cloud", "rel_width", 0.1, float
-            ),
-        }
-        _no_extras(cloud_sec, "simulate.pendulum_cloud")
-        _require(len(cloud["center"]) == n,
-                 f"'simulate.pendulum_cloud.center' must have {n} entries")
-        _require(cloud["count"] >= 1, "'simulate.pendulum_cloud.count' must be positive")
-    _no_extras(sim_sec, "simulate")
+    simulate = _simulate(_section(raw, "simulate"), n, p)
 
-    out = raw.pop("out", "out")
-    _require(isinstance(out, str) and out, "'out' must be a non-empty path string")
     if out_override is not None:
-        out = out_override
+        raw["out"] = out_override
+    out = _take(raw, "out", "out", str, bool, "a non-empty path string")
     _no_extras(raw, "config")
 
-    return RunConfig(
-        schema_version=SCHEMA_VERSION,
-        system_kind=kind,
-        system_params=params,
-        box=box,
-        basis=basis,
-        L=L,
-        seed=seed,
-        dt=dt,
-        T=T,
-        procedure=procedure,
-        eig_block=eig_block,
-        momentum_margin=float(momentum_margin),
-        points_per_dim=points_per_dim,
-        converge_L=list(L_list),
-        converge_trials=trials,
-        controllers=controllers,
-        ics=ics,
-        cloud=cloud,
-        out=out,
-    )
+    return RunConfig(schema_version, system, box, basis, samples, integrator, procedure,
+                     eig_block, momentum_margin, grid_points_per_dim, converge, simulate, out)
 
 
 def build_system(cfg: RunConfig) -> ControlAffineSystem:
-    """Instantiate the configured system."""
-    if cfg.system_kind == "example1":
-        return builtin_example1(control_weight=cfg.system_params["control_weight"])
-    if cfg.system_kind == "pendulum":
-        return builtin_pendulum(g_gravity=cfg.system_params["g_gravity"])
-    p = cfg.system_params
-    return polynomial_system(p["f_terms"], p["g_matrix"], p["D"], p["Q0"])
+    """Instantiate the configured system; an invariant it violates (say, a
+    ``D`` that is not positive definite) is a :class:`ConfigError`."""
+    s = cfg.system
+    try:
+        if s["kind"] == "example1":
+            return builtin_example1(control_weight=s["control_weight"])
+        if s["kind"] == "pendulum":
+            return builtin_pendulum(g_gravity=s["g_gravity"])
+        return polynomial_system(s["f_terms"], s["g_matrix"], s["D"], s["Q0"])
+    except ValueError as exc:
+        raise ConfigError(f"invalid 'system' ({s['kind']}): {exc}") from None
 
 
-def _resolved_dict(cfg: RunConfig) -> Dict[str, Any]:
-    system: Dict[str, Any] = {"kind": cfg.system_kind}
-    for k, v in cfg.system_params.items():
-        if isinstance(v, np.ndarray):
-            system[k] = v.tolist()
-        elif k == "f_terms":
-            system[k] = [[[c, list(e)] for c, e in row] for row in v]
-        else:
-            system[k] = v
-    simulate: Dict[str, Any] = {"controllers": cfg.controllers}
-    if cfg.ics is not None:
-        simulate["ics"] = cfg.ics.tolist()
-    if cfg.cloud is not None:
-        simulate["pendulum_cloud"] = cfg.cloud
-    return {
-        "schema_version": cfg.schema_version,
-        "system": system,
-        "box": cfg.box.tolist(),
-        "basis": dict(cfg.basis),
-        "samples": {"L": cfg.L, "seed": cfg.seed},
-        "integrator": {"dt": cfg.dt, "T": cfg.T},
-        "procedure": cfg.procedure,
-        "eig_block": cfg.eig_block,
-        "momentum_margin": cfg.momentum_margin,
-        "grid_points_per_dim": cfg.points_per_dim,
-        "converge": {"L_list": cfg.converge_L, "trials": cfg.converge_trials},
-        "simulate": simulate,
-        "out": cfg.out,
-    }
+def _plain(val: Any) -> Any:
+    if isinstance(val, dict):
+        return {k: _plain(v) for k, v in val.items()}
+    return val.tolist() if isinstance(val, np.ndarray) else val
 
 
 def write_resolved(cfg: RunConfig, out_dir: Union[str, Path]) -> Path:
@@ -347,7 +301,6 @@ def write_resolved(cfg: RunConfig, out_dir: Union[str, Path]) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "resolved_config.yaml"
-    path.write_text(
-        yaml.safe_dump(_resolved_dict(cfg), sort_keys=False, default_flow_style=None)
-    )
+    tree = {f.name: _plain(getattr(cfg, f.name)) for f in fields(cfg)}
+    path.write_text(yaml.safe_dump(tree, sort_keys=False, default_flow_style=None))
     return path

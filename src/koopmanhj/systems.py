@@ -135,11 +135,11 @@ class ControlAffineSystem:
                 f"drift must vanish at the origin: |f(0)| = {np.max(np.abs(f0)):.3e}"
             )
         if self.D.shape != (self.p, self.p):
-            raise ValueError(f"control weight shape {self.D.shape} != ({self.p}, {self.p})")
+            raise ValueError(f"control weight D shape {self.D.shape} != ({self.p}, {self.p})")
         if np.linalg.norm(self.D - self.D.T) > 1e-12 * (1 + np.linalg.norm(self.D)):
-            raise ValueError("control weight must be symmetric")
+            raise ValueError("control weight D must be symmetric")
         if np.min(np.linalg.eigvalsh(self.D)) <= 0:
-            raise ValueError("control weight must be positive definite")
+            raise ValueError("control weight D must be positive definite")
         object.__setattr__(self, "D_inv", np.linalg.inv(self.D))
         if abs(float(self.q(zero))) > _EQ_TOL:
             raise ValueError(f"state cost must vanish at the origin: q(0) = {self.q(zero)!r}")
@@ -609,12 +609,12 @@ def polynomial_system(
         ei = np.array([tuple(int(v) for v in t[1]) for t in terms], dtype=np.int64).reshape(
             len(terms), n
         )
+        if np.any(ei < 0):
+            raise ValueError(f"negative exponent in f_terms[{i}]")
         if np.any(ei.sum(axis=1) < 1):
             raise ValueError(
-                f"drift coordinate {i} has a constant term; the origin must be an equilibrium"
+                f"f_terms[{i}] has a constant term; the origin must be an equilibrium"
             )
-        if np.any(ei < 0):
-            raise ValueError(f"negative exponent in drift coordinate {i}")
         coeffs.append(ci)
         expos.append(ei)
     Q0 = np.asarray(Q0, dtype=float)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import yaml
 
-from koopmanhj.cli import main
+from koopmanhj.cli import _THREAD_ENV_VARS, main
 
 
 def dump_cfg(tmp_path, cfg, name="cfg.yaml"):
@@ -415,6 +415,53 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:")
         assert "complementarity" in err
+
+
+_CUBIC = {"kind": "polynomial", "f_terms": [[[-1.0, [1]]]], "g_matrix": [[1.0]],
+          "D": [[1.0]], "Q0": [[1.0]]}
+
+
+@pytest.mark.parametrize("sub, overrides, key", [
+    ("solve", {"system": {**_CUBIC, "f_terms": [[[-1.0, [1.5]]]]}, "box": [[-1, 1]]},
+     "system.f_terms[0]"),
+    ("solve", {"system": {**_CUBIC, "f_terms": [[["a", [1]]]]}, "box": [[-1, 1]]},
+     "system.f_terms[0]"),
+    ("solve", {"system": {**_CUBIC, "f_terms": [[[-1.0, [1]], [0.5, [0]]]]},
+               "box": [[-1, 1]]}, "f_terms[0]"),
+    ("solve", {"system": {**_CUBIC, "D": [[1.0, 0.0], [0.0, 1.0]]}, "box": [[-1, 1]]},
+     "control weight D"),
+    ("solve", {"system": {**_CUBIC, "D": [[-1.0]]}, "box": [[-1, 1]]}, "control weight D"),
+    ("simulate", {"system": {"kind": "pendulum", "g_gravity": -1},
+                  "box": [[-3, 3], [-5, 5], [-5, 5]], "simulate": {"pendulum_cloud": {}}},
+     "g_gravity"),
+    ("solve", {"procedure": True}, "procedure"),
+    ("solve", {"procedure": 1.0}, "procedure"),
+    ("converge", {"eig_block": True}, "eig_block"),
+    ("solve", {"momentum_margin": True}, "momentum_margin"),
+    ("converge", {"converge": {"L_list": [True, 100]}}, "converge.L_list[0]"),
+    ("simulate", {"simulate": {"controllers": [{"name": "k", "gain": [[1, 0], [0, 1]]}],
+                               "ics": [[0.1, 0.1]]}}, "simulate.controllers[0].gain"),
+    ("simulate", {"simulate": {"pendulum_cloud": {"center": ["a", 0.0]}}},
+     "simulate.pendulum_cloud.center"),
+])
+def test_invalid_config_exits_1_without_output(tmp_path, capsys, sub, overrides, key):
+    out = tmp_path / "o"
+    cfg = dump_cfg(tmp_path, example1_cfg(out, **overrides))
+    assert main([sub, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, threads", [
+    ([], "1"), (["--thr", "4"], "4"), (["--threads=3"], "3"), (["--threads", "0"], "1"),
+])
+def test_blas_threads_follow_the_parsed_flag(tmp_path, monkeypatch, flags, threads):
+    for var in _THREAD_ENV_VARS:
+        monkeypatch.setenv(var, "unset")  # restored after the test
+    assert main(["eigfun", "--config", str(tmp_path / "none.yaml"), *flags]) == 1
+    assert {os.environ[var] for var in _THREAD_ENV_VARS} == {threads}
 
 
 class TestEntryPoints:
