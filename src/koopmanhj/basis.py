@@ -98,8 +98,19 @@ class MonomialTable:
         """Integer powers of every coordinate: (..., n) -> (..., n * (degree + 1)).
 
         Entry ``j * (degree + 1) + k`` holds ``Z[..., j] ** k``, built by
-        repeated multiplication (``x ** 0 = 1``, also at ``x = 0``).
+        repeated multiplication (``x ** 0 = 1``, also at ``x = 0``).  One
+        state ``(n,)`` multiplies floats in the same order and builds one
+        array.
         """
+        if Z.ndim == 1 and self.degree:
+            flat = []
+            for z in Z.tolist():
+                flat += (1.0, z)
+                zk = z
+                for _ in range(2, self.degree + 1):
+                    zk = zk * z
+                    flat.append(zk)
+            return np.array(flat)
         pw = np.empty(Z.shape + (self.degree + 1,))
         pw[..., 0] = 1.0
         if self.degree >= 1:

@@ -26,6 +26,7 @@ with the single-state return shape.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -72,10 +73,21 @@ def _fd_jacobian(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.
 def _coords(x: np.ndarray):
     """The n coordinates of points ``(..., n)``, each of shape ``(...)``.
 
-    One state unpacks into numpy scalars, which keeps the single-state maps
-    (called four times per RK4 step) free of per-call array overhead.
+    One state ``(n,)`` unpacks into Python floats, so a single-state map
+    (called four times per RK4 step) runs on float arithmetic rather than
+    on numpy scalars, with the bits a batch row gets from the same
+    operations.
     """
-    return x.T if x.ndim <= 2 else np.moveaxis(x, -1, 0)
+    if x.ndim == 1:
+        return x.tolist()
+    return x.T if x.ndim == 2 else np.moveaxis(x, -1, 0)
+
+
+def _cos_sin(t: float) -> Tuple[float, float]:
+    """``cos t`` and ``sin t`` of one float: nan where ``t`` is not finite, as numpy's."""
+    if math.isfinite(t):
+        return math.cos(t), math.sin(t)
+    return math.nan, math.nan
 
 
 def _rowwise(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
@@ -266,7 +278,8 @@ def feedback(
     if gx is None:
         gx = sys.g(np.asarray(x, dtype=float))
     gx = np.asarray(gx, dtype=float)
-    gTp = (np.asarray(p, dtype=float)[..., None, :] @ gx)[..., 0, :]
+    p = np.asarray(p, dtype=float)
+    gTp = (p[None, :] @ gx)[0] if p.ndim == 1 else (p[..., None, :] @ gx)[..., 0, :]
     return -(gTp @ sys.D_inv.T)
 
 
@@ -469,15 +482,17 @@ class _CartPole:
 
     def _terms(self, x: np.ndarray):
         """Points, ``psi``, ``vartheta``, ``c``, ``s`` and the mass-matrix
-        determinant, which must be nonsingular at every row."""
+        determinant, which must be nonsingular at every row.  The terms of
+        one state ``(n,)`` are floats (:func:`_coords`)."""
         x = np.asarray(x, dtype=float)
         th, ps, vt = _coords(x)
+        one = x.ndim == 1
         shifted = th - np.pi
-        c, s = np.cos(shifted), np.sin(shifted)
+        c, s = _cos_sin(shifted) if one else (np.cos(shifted), np.sin(shifted))
         det = (self.ml * c) ** 2 - (self.Mc + self.m) * self.Il2
         bad = abs(det) < 1e-12
-        if bad.any() if bad.ndim else bad:
-            theta = float(np.asarray(th)[bad].flat[0]) if bad.ndim else float(th)
+        if bad if one else bad.any():
+            theta = th if one else float(th[bad].flat[0])
             raise RuntimeError(f"mass matrix singular at theta={theta!r}")
         return x, ps, vt, c, s, det
 
@@ -486,13 +501,19 @@ class _CartPole:
         r1 = -self.b * vt + ml * ps * ps * s
         r2 = -self.mg * self.l * s
         # inverse of [[ml c, Mc+m], [Il2, ml c]] applied to (r1, r2)
+        acc1 = (ml * c * r1 - Mm * r2) / det
+        acc2 = (-Il2 * r1 + ml * c * r2) / det
+        if x.ndim == 1:
+            return np.array([ps, acc1, acc2])
         out = np.empty(x.shape)
         out[..., 0] = ps
-        out[..., 1] = (ml * c * r1 - Mm * r2) / det
-        out[..., 2] = (-Il2 * r1 + ml * c * r2) / det
+        out[..., 1] = acc1
+        out[..., 2] = acc2
         return out
 
     def _g(self, x, c, det) -> np.ndarray:
+        if x.ndim == 1:
+            return np.array([0.0, self.ml * c / det, -self.Il2 / det])[:, None]
         out = np.zeros(x.shape[:-1] + (3, 1))
         out[..., 1, 0] = self.ml * c / det
         out[..., 2, 0] = -self.Il2 / det
