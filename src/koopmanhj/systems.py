@@ -428,7 +428,8 @@ def builtin_example1(control_weight: float = 1.0) -> ControlAffineSystem:
 
     def q(x: np.ndarray):
         x1, x2 = _coords(np.asarray(x, dtype=float))
-        return 0.5 * ((x1 - 2 * x2) ** 2 + (x1 + np.sin(x2)) ** 2)
+        a, b = x1 - 2 * x2, x1 + np.sin(x2)
+        return 0.5 * (a * a + b * b)
 
     def grad_q(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -489,7 +490,10 @@ class _CartPole:
         one = x.ndim == 1
         shifted = th - np.pi
         c, s = _cos_sin(shifted) if one else (np.cos(shifted), np.sin(shifted))
-        det = (self.ml * c) ** 2 - (self.Mc + self.m) * self.Il2
+        mlc = self.ml * c
+        # a product, not ** 2: on a float that is C pow, which can differ in
+        # the last bit from the multiply numpy makes of an array's square
+        det = mlc * mlc - (self.Mc + self.m) * self.Il2
         bad = abs(det) < 1e-12
         if bad if one else bad.any():
             theta = th if one else float(th[bad].flat[0])

@@ -3,8 +3,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from bitwise import assert_same_bits, state_rows
 
 from koopmanhj.systems import (
     builtin_example1,
@@ -12,11 +14,13 @@ from koopmanhj.systems import (
     control_affine_system,
     hamiltonian_value,
     hamiltonian_vector_field,
+    feedback,
     hj_residual,
     linearize,
     pendulum_mass_matrix,
     polynomial_system,
 )
+from koopmanhj.basis import MonomialTable
 from koopmanhj.spectral import solve_riccati
 
 
@@ -258,7 +262,7 @@ def _reference_pendulum_maps(g_gravity):
     def f(x):
         th, ps, vt = coords(x)
         c, s = np.cos(th - np.pi), np.sin(th - np.pi)
-        det = (ml * c) ** 2 - (Mc + m) * Il2
+        det = (ml * c) * (ml * c) - (Mc + m) * Il2
         r1 = -b * vt + ml * ps * ps * s
         r2 = -m * g_gravity * l * s
         out = np.empty(x.shape)
@@ -270,7 +274,7 @@ def _reference_pendulum_maps(g_gravity):
     def g(x):
         th = x[..., 0]
         c = np.cos(th - np.pi)
-        det = (ml * c) ** 2 - (Mc + m) * Il2
+        det = (ml * c) * (ml * c) - (Mc + m) * Il2
         out = np.zeros(x.shape[:-1] + (3, 1))
         out[..., 1, 0] = ml * c / det
         out[..., 2, 0] = -Il2 / det
@@ -279,7 +283,7 @@ def _reference_pendulum_maps(g_gravity):
     def jacobian_f(x):
         th, ps, vt = coords(x)
         c, s = np.cos(th - np.pi), np.sin(th - np.pi)
-        det = (ml * c) ** 2 - (Mc + m) * Il2
+        det = (ml * c) * (ml * c) - (Mc + m) * Il2
         r1 = -b * vt + ml * ps * ps * s
         r2 = -m * g_gravity * l * s
         acc1 = (ml * c * r1 - (Mc + m) * r2) / det
@@ -301,7 +305,7 @@ def _reference_pendulum_maps(g_gravity):
     def jacobian_g(x):
         th = x[..., 0]
         c, s = np.cos(th - np.pi), np.sin(th - np.pi)
-        det = (ml * c) ** 2 - (Mc + m) * Il2
+        det = (ml * c) * (ml * c) - (Mc + m) * Il2
         ddet = -2.0 * ml * ml * c * s
         out = np.zeros(x.shape[:-1] + (3, 1, 3))
         out[..., 1, 0, 0] = ml * (-s * det - c * ddet) / (det * det)
@@ -345,6 +349,92 @@ class TestPendulumSharedTerms:
         sys_ = builtin_pendulum(9.81)
         fx, gx = sys_.f_and_g(np.array([np.nan, 0.0, 0.0]))
         assert np.isnan(fx[1:]).all() and np.isnan(gx[1:, 0]).all()
+
+
+class TestOneStateEqualsBatchRow:
+    """A map of one state ``(n,)``, the float path of an RK4 stage, gives the
+    bits of that state's row in a batch ``(k, n)``."""
+
+    @staticmethod
+    def _check(maps, X):
+        with np.errstate(all="ignore"):
+            for fn in maps:
+                rows = fn(X)
+                for k, x in enumerate(X):
+                    assert_same_bits(fn(x), rows[k])
+
+    @settings(max_examples=60, deadline=None)
+    @given(X=state_rows(3))
+    @example(X=np.array([[-2.9770948811633966, -1.2616784167566841, -5.937537833718748]]))
+    def test_pendulum_maps(self, X):
+        """The pinned state is one where ``(m l c) ** 2`` of a float (C
+        ``pow``) and of an array (a product) differ in the last bit."""
+        sys_ = builtin_pendulum(9.81)
+        self._check([
+            sys_.f, sys_.g, sys_.q, sys_.grad_q, sys_.jacobian_f, sys_.jacobian_g,
+            lambda x: sys_.f_and_g(x)[0], lambda x: sys_.f_and_g(x)[1],
+        ], X)
+
+    @settings(max_examples=40, deadline=None)
+    @given(X=state_rows(2))
+    @example(X=np.array([[0.9514173310348322, -0.6484999842675832]]))
+    def test_example1_maps(self, X):
+        """The pinned state is one where ``q`` differed as a ``** 2``."""
+        sys_ = builtin_example1(0.5)
+        self._check([sys_.f, sys_.g, sys_.q, sys_.grad_q, sys_.jacobian_f], X)
+
+    @pytest.mark.parametrize("make", [lambda: builtin_pendulum(9.81), builtin_example1])
+    def test_feedback_with_and_without_gx(self, make):
+        sys_ = make()
+
+        @settings(max_examples=40, deadline=None)
+        @given(st.data())
+        def check(data):
+            X = data.draw(state_rows(sys_.n))
+            P = data.draw(state_rows(sys_.n, rows=len(X)))
+            with np.errstate(all="ignore"):
+                G = sys_.g(X)
+                rows, rows_gx = feedback(sys_, X, P), feedback(sys_, X, P, G)
+                for k, x in enumerate(X):
+                    assert_same_bits(feedback(sys_, x, P[k]), rows[k])
+                    assert_same_bits(feedback(sys_, x, P[k], sys_.g(x)), rows_gx[k])
+                    assert_same_bits(feedback(sys_, x, P[k], G[k]), rows_gx[k])
+
+        check()
+
+    @pytest.mark.parametrize("terms", [
+        [[(-1.0, (1,)), (1.0, (3,))]],
+        [[(-1.0, (1, 0)), (2.0, (0, 1)), (1.0, (1, 1))],
+         [(-2.0, (1, 0)), (-1.0, (0, 1)), (1.0, (2, 0)), (-1.0, (0, 3))]],
+        [[(-1.0, (1, 0, 0)), (1.0, (3, 1, 0))], [(2.0, (0, 2, 1))],
+         [(-0.5, (1, 1, 1)), (0.25, (0, 0, 5))]],
+    ])
+    def test_polynomial_drift_is_the_batch_monomial_row_contracted(self, terms):
+        """One state's monomials are the bits of its batch row.  The drift
+        contracts them with the coefficients by a matrix product, which is
+        a vector-matrix product for one state and a matrix-matrix product
+        for a batch; the two can round differently (the second system), so
+        the drift of one state is its batch row of monomials contracted as
+        one state."""
+        n = len(terms)
+        sys_ = polynomial_system(terms, np.ones((n, 1)), [[1.0]], np.eye(n))
+        expo = np.array([e for row in terms for _, e in row])
+        C = np.zeros((n, len(expo)))
+        start = 0
+        for i, row in enumerate(terms):
+            C[i, start:start + len(row)] = [c for c, _ in row]
+            start += len(row)
+        table = MonomialTable(expo, int(expo.max()))
+
+        @settings(max_examples=40, deadline=None)
+        @given(state_rows(n))
+        def check(X):
+            with np.errstate(all="ignore"):
+                rows = table.eval(table.powers(X))
+                for k, x in enumerate(X):
+                    assert_same_bits(sys_.f(x), rows[k] @ C.T)
+
+        check()
 
 
 class TestPolynomialSystem:
