@@ -631,9 +631,11 @@ def polynomial_system(
     expos: list[np.ndarray] = []
     for i, terms in enumerate(f_terms):
         ci = np.array([float(t[0]) for t in terms])
-        ei = np.array([tuple(int(v) for v in t[1]) for t in terms], dtype=np.int64).reshape(
-            len(terms), n
-        )
+        for t in terms:
+            for v in t[1]:
+                if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                    raise ValueError(f"f_terms[{i}] has a non-integer exponent {v!r}")
+        ei = np.array([tuple(t[1]) for t in terms], dtype=np.int64).reshape(len(terms), n)
         if np.any(ei < 0):
             raise ValueError(f"negative exponent in f_terms[{i}]")
         if np.any(ei.sum(axis=1) < 1):

@@ -467,6 +467,18 @@ class TestPolynomialSystem:
             sys_.jacobian_f(x), [[-1.0, 0.0], [-1.0, 2.0]], atol=1e-14
         )
 
+    @pytest.mark.parametrize("exponents", [(1.5,), (True,), (2.0,), (np.True_,)])
+    def test_non_integer_exponent_rejected(self, exponents):
+        """An exponent is an int (Python or numpy), never truncated."""
+        with pytest.raises(ValueError, match=r"f_terms\[1\] has a non-integer exponent"):
+            polynomial_system([[(-1.0, (1, 0))], [(-1.0, (0,) + exponents)]],
+                              [[1.0], [0.0]], [[1.0]], np.eye(2))
+
+    def test_numpy_integer_exponents_accepted(self):
+        sys_ = polynomial_system([[(-1.0, (np.int64(1),)), (1.0, (np.int32(3),))]],
+                                 [[1.0]], [[1.0]], [[1.0]])
+        assert sys_.f(np.array([0.5]))[0] == -0.5 + 0.125
+
     def test_constant_term_rejected(self):
         with pytest.raises(ValueError):
             polynomial_system([[(1.0, (0,))]], [[1.0]], [[1.0]], [[1.0]])
