@@ -114,8 +114,7 @@ def _system(sec: Dict[str, Any]) -> Tuple[Dict[str, Any], int, int]:
                                             f"one of {_SYSTEM_KINDS}")}
     if system["kind"] == "example1":
         n, p = 2, 1
-        system["control_weight"] = _take(sec, "system.control_weight", 1.0, float,
-                                         lambda v: v > 0, "positive")
+        system["control_weight"] = _take(sec, "system.control_weight", 1.0, float)
     elif system["kind"] == "pendulum":
         n, p = 3, 1
         system["g_gravity"] = _take(sec, "system.g_gravity", 9.81, float)
@@ -146,7 +145,6 @@ def _system(sec: Dict[str, Any]) -> Tuple[Dict[str, Any], int, int]:
         system["g_matrix"] = g_matrix
         system["D"] = _parse_array(sec.pop("D", None), "system.D")
         system["Q0"] = _parse_array(sec.pop("Q0", None), "system.Q0")
-        _require(system["Q0"].shape == (n, n), f"'system.Q0' must be {n}x{n}")
     _no_extras(sec, "system")
     return system, n, p
 

@@ -431,6 +431,9 @@ _CUBIC = {"kind": "polynomial", "f_terms": [[[-1.0, [1]]]], "g_matrix": [[1.0]],
     ("solve", {"system": {**_CUBIC, "D": [[1.0, 0.0], [0.0, 1.0]]}, "box": [[-1, 1]]},
      "control weight D"),
     ("solve", {"system": {**_CUBIC, "D": [[-1.0]]}, "box": [[-1, 1]]}, "control weight D"),
+    ("solve", {"system": {**_CUBIC, "Q0": [[1.0, 0.0]]}, "box": [[-1, 1]]}, "Q0 shape"),
+    ("simulate", {"system": {"kind": "example1", "control_weight": -1.0},
+                  "simulate": {"ics": [[0.1, 0.1]]}}, "control_weight"),
     ("simulate", {"system": {"kind": "pendulum", "g_gravity": -1},
                   "box": [[-3, 3], [-5, 5], [-5, 5]], "simulate": {"pendulum_cloud": {}}},
      "g_gravity"),

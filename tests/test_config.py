@@ -104,7 +104,6 @@ class TestPolynomialSystems:
         (lambda s: s.pop("f_terms"), "f_terms"),
         (lambda s: s.update(f_terms=[[[1.0, [1, 0]]]]), "f_terms"),
         (lambda s: s.update(g_matrix=[[1.0], [2.0]]), "g_matrix"),
-        (lambda s: s.update(Q0=[[1.0, 0.0]]), "Q0"),
         (lambda s: s.update(f_terms=[[[-1.0, [1.5]]]]), r"'system\.f_terms\[0\]' must be int"),
         (lambda s: s.update(f_terms=[[[-1.0, [True]]]]), r"'system\.f_terms\[0\]' must be int"),
         (lambda s: s.update(f_terms=[[["a", [1]]]]), r"'system\.f_terms\[0\]' must be float"),
@@ -123,6 +122,10 @@ class TestPolynomialSystems:
 
     @pytest.mark.parametrize("system, box, msg", [
         ({"kind": "pendulum", "g_gravity": -1.0}, [[-3, 3], [-5, 5], [-5, 5]], "g_gravity"),
+        ({"kind": "example1", "control_weight": -1.0}, [[-1, 1], [-1, 1]],
+         "control_weight must be positive"),
+        ({"kind": "polynomial", "f_terms": [[[-1.0, [1]]]], "g_matrix": [[1.0]],
+          "D": [[1.0]], "Q0": [[1.0, 0.0]]}, [[-1, 1]], r"Q0 shape \(1, 2\) != \(1, 1\)"),
         ({"kind": "polynomial", "f_terms": [[[-1.0, [1]]]], "g_matrix": [[1.0]],
           "D": [[1.0, 0.0], [0.0, 1.0]], "Q0": [[1.0]]}, [[-1, 1]], "control weight D shape"),
         ({"kind": "polynomial", "f_terms": [[[-1.0, [1]]]], "g_matrix": [[1.0]],
@@ -156,8 +159,6 @@ class TestValidation:
         (lambda c: c.pop("schema_version"), "schema_version"),
         (lambda c: c.update(system={"kind": "rocket"}), "system.kind"),
         (lambda c: c.update(system={"kind": "example1", "mass": 1}), "unknown key"),
-        (lambda c: c.update(system={"kind": "example1", "control_weight": -1.0}),
-         "control_weight"),
         (lambda c: c.update(typo=1), "unknown key"),
         (lambda c: c.update(box=[[-1, 1]]), "box"),
         (lambda c: c.update(box=[[1, -1], [-1, 1]]), "lo < hi"),
