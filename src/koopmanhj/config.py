@@ -200,8 +200,9 @@ def load_config(
 
     ``seed_override``/``out_override`` implement the corresponding
     command-line flags and are checked as the keys they replace.  The
-    system's own invariants (a positive definite ``D``, a drift vanishing
-    at the origin) are checked by :func:`build_system`.
+    system's own invariants (a positive ``control_weight``, a positive
+    definite ``D``, an n x n ``Q0``, a drift vanishing at the origin) are
+    checked by :func:`build_system`.
     """
     if not Path(path).is_file():
         raise ConfigError(f"config file not found: {path}")

@@ -617,10 +617,10 @@ def polynomial_system(
 
     ``f_terms[i]`` lists ``(coefficient, exponents)`` pairs for coordinate i
     of the drift, e.g. ``[(-1.0, (1,)), (1.0, (3,))]`` for ``-x + x^3``.
-    Every term must have total degree >= 1 so the origin stays an
-    equilibrium.  The cost is ``q(x) = 0.5 x^T Q0 x``.  The drift is one
-    monomial table (every term of every coordinate) times a coefficient
-    matrix.
+    Exponents are ints (Python or numpy, not bool), and every term must
+    have total degree >= 1 so the origin stays an equilibrium.  The cost
+    is ``q(x) = 0.5 x^T Q0 x``.  The drift is one monomial table (every
+    term of every coordinate) times a coefficient matrix.
     """
     g_mat = np.atleast_2d(np.asarray(g_matrix, dtype=float))
     n = g_mat.shape[0]

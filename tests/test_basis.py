@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bitwise import assert_same_bits, state_rows
 from koopmanhj.basis import (
     BasisSet,
     MonomialTable,
@@ -219,6 +222,22 @@ class TestMonomialTable:
         want = np.zeros(Z.shape[:1] + expo.shape)
         want[:, rows, cols] = expo[rows, cols] * pw[:, dec + offsets].prod(axis=-1)
         assert np.array_equal(table.jacobian(pw), want)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 4), degree=st.integers(0, 6), data=st.data())
+    def test_one_state_equals_batch_row(self, n, degree, data):
+        """``powers`` and ``eval`` of one state ``(n,)`` (float products,
+        an RK4 stage) give the bits of that state's row in a batch."""
+        table = MonomialTable(monomial_exponents(n, 0, degree), degree)
+        Z = data.draw(state_rows(n))
+        with np.errstate(all="ignore"):
+            pw = table.powers(Z)
+            vals = table.eval(pw)
+            for k, z in enumerate(Z):
+                one = table.powers(z)
+                assert_same_bits(one, pw[k])
+                assert_same_bits(table.eval(one), vals[k])
 
 
 class TestQuadraticFormGradient:
