@@ -85,6 +85,7 @@ class MonomialTable:
         offsets = np.arange(n) * (degree + 1)
         self.M, self.n, self.degree = M, n, degree
         self.eval_index = expo + offsets  # (M, n) into the power table
+        self._eval_cols = self.eval_index.T.copy()  # (n, M), for one state
         rows, cols = np.nonzero(expo)
         dec = expo[rows].copy()
         dec[np.arange(rows.size), cols] -= 1
@@ -121,9 +122,11 @@ class MonomialTable:
 
     def eval(self, pw: np.ndarray) -> np.ndarray:
         """Monomial values from a power table: (..., M)."""
-        # one state (a rollout stage) gathers without the slower Ellipsis path
-        gathered = pw[self.eval_index] if pw.ndim == 1 else pw[..., self.eval_index]
-        return np.multiply.reduce(gathered, axis=-1)
+        if pw.ndim == 1:
+            # one state (a rollout stage): n rows of M factors, multiplied row
+            # after row, the order of a batch's reduce over each monomial
+            return np.multiply.reduce(pw[self._eval_cols], axis=0)
+        return np.multiply.reduce(pw[..., self.eval_index], axis=-1)
 
     def jacobian(self, pw: np.ndarray) -> np.ndarray:
         """Monomial jacobian from a power table: (..., M, n)."""
