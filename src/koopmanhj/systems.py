@@ -278,8 +278,7 @@ def feedback(
     if gx is None:
         gx = sys.g(np.asarray(x, dtype=float))
     gx = np.asarray(gx, dtype=float)
-    p = np.asarray(p, dtype=float)
-    gTp = (p[None, :] @ gx)[0] if p.ndim == 1 else (p[..., None, :] @ gx)[..., 0, :]
+    gTp = (np.asarray(p, dtype=float)[..., None, :] @ gx)[..., 0, :]
     return -(gTp @ sys.D_inv.T)
 
 

@@ -223,7 +223,6 @@ class TestMonomialTable:
         want[:, rows, cols] = expo[rows, cols] * pw[:, dec + offsets].prod(axis=-1)
         assert np.array_equal(table.jacobian(pw), want)
 
-
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 4), degree=st.integers(0, 6), data=st.data())
     def test_one_state_equals_batch_row(self, n, degree, data):

@@ -1,5 +1,6 @@
 """Tests for the system models, linearization, and Hamiltonian lift."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from koopmanhj.systems import (
     pendulum_mass_matrix,
     polynomial_system,
 )
-from koopmanhj.basis import MonomialTable
 from koopmanhj.spectral import solve_riccati
 
 
@@ -395,6 +395,7 @@ class TestOneStateEqualsBatchRow:
             with np.errstate(all="ignore"):
                 G = sys_.g(X)
                 rows, rows_gx = feedback(sys_, X, P), feedback(sys_, X, P, G)
+                assert feedback(sys_, X, P[0], G).shape == rows.shape  # p broadcasts
                 for k, x in enumerate(X):
                     assert_same_bits(feedback(sys_, x, P[k]), rows[k])
                     assert_same_bits(feedback(sys_, x, P[k], sys_.g(x)), rows_gx[k])
@@ -409,30 +410,27 @@ class TestOneStateEqualsBatchRow:
         [[(-1.0, (1, 0, 0)), (1.0, (3, 1, 0))], [(2.0, (0, 2, 1))],
          [(-0.5, (1, 1, 1)), (0.25, (0, 0, 5))]],
     ])
-    def test_polynomial_drift_is_the_batch_monomial_row_contracted(self, terms):
-        """One state's monomials are the bits of its batch row.  The drift
-        contracts them with the coefficients by a matrix product, which is
-        a vector-matrix product for one state and a matrix-matrix product
-        for a batch; the two can round differently (the second system), so
-        the drift of one state is its batch row of monomials contracted as
-        one state."""
+    def test_polynomial_drift_one_state_and_batch_row(self, terms):
+        """One state's drift and its batch row are both the sum of the terms
+        to rounding: within 1e-14 of the sum of the terms' magnitudes.  The
+        one-state contraction is a vector-matrix product and the batch one
+        a matrix product, which may round their sums differently."""
         n = len(terms)
         sys_ = polynomial_system(terms, np.ones((n, 1)), [[1.0]], np.eye(n))
-        expo = np.array([e for row in terms for _, e in row])
-        C = np.zeros((n, len(expo)))
-        start = 0
-        for i, row in enumerate(terms):
-            C[i, start:start + len(row)] = [c for c, _ in row]
-            start += len(row)
-        table = MonomialTable(expo, int(expo.max()))
+        row = st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)
 
         @settings(max_examples=40, deadline=None)
-        @given(state_rows(n))
-        def check(X):
-            with np.errstate(all="ignore"):
-                rows = table.eval(table.powers(X))
-                for k, x in enumerate(X):
-                    assert_same_bits(sys_.f(x), rows[k] @ C.T)
+        @given(st.lists(row, min_size=1, max_size=6))
+        def check(rows):
+            X = np.array(rows)
+            F = sys_.f(X)
+            for k, x in enumerate(rows):
+                parts = [[c * math.prod(v**e for v, e in zip(x, ex)) for c, ex in r]
+                         for r in terms]
+                want = np.array([math.fsum(t) for t in parts])
+                tol = 1e-14 * np.array([math.fsum(map(abs, t)) for t in parts]) + 1e-300
+                assert np.all(np.abs(sys_.f(X[k]) - want) <= tol)
+                assert np.all(np.abs(F[k] - want) <= tol)
 
         check()
 
