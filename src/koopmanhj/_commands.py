@@ -306,6 +306,11 @@ def _build_controllers(
 
 def cmd_simulate(cfg: RunConfig) -> None:
     sys_ = build_system(cfg)
+    if "ics" in cfg.simulate and "pendulum_cloud" in cfg.simulate:
+        raise ConfigError(
+            "simulate takes exactly one of simulate.ics and simulate.pendulum_cloud; "
+            "both are set"
+        )
     if "ics" in cfg.simulate:
         ics = cfg.simulate["ics"]
     elif "pendulum_cloud" in cfg.simulate:

@@ -137,24 +137,6 @@ class MonomialTable:
         return out.reshape(lead + (self.M, self.n))
 
 
-def _row_keys(rows: np.ndarray, base: int) -> np.ndarray:
-    """One int64 key per row of digits ``0..base - 1``; equal rows, equal keys.
-
-    The digits are packed in base ``base``.  Whenever the next digit could
-    overflow int64, the keys so far are first replaced by their dense ranks
-    (below the number of rows), so the packing never wraps around.
-    """
-    key = np.zeros(rows.shape[0], dtype=np.int64)
-    span = 1  # every key lies in [0, span)
-    for col in rows.T:
-        if span * base > np.iinfo(np.int64).max:
-            key = np.unique(key, return_inverse=True)[1].reshape(-1)
-            span = rows.shape[0]
-        key = key * base + col
-        span *= base
-    return key
-
-
 def quadratic_form_gradient(
     exponents: npt.ArrayLike, S: npt.ArrayLike
 ) -> tuple[MonomialTable, np.ndarray]:
@@ -167,8 +149,8 @@ def quadratic_form_gradient(
     terms) and the ``(n, T)`` coefficient matrix ``C``, so that the gradient
     at ``x`` is ``table.eval(table.powers(x)) @ C.T``.  Every pair and
     derivative is collected by one ``bincount`` in a fixed order.  The
-    products ``E_a + E_b - e_j`` are matched to table rows by
-    :func:`_row_keys`, exact for any ``n`` and degree.
+    products ``E_a + E_b - e_j`` are matched to table rows by one
+    ``np.unique`` over whole rows, exact for any ``n`` and degree.
     """
     E = np.asarray(exponents, dtype=np.int64)
     S = np.asarray(S, dtype=float)
@@ -185,9 +167,9 @@ def quadratic_form_gradient(
     dec = E[b].copy()
     dec[np.arange(b.size), j] -= 1
     gamma = (E[:, None, :] + dec[None, :, :]).reshape(-1, n)  # product exponents
-    keys = _row_keys(np.vstack([out, gamma]), top + 1)  # every exponent is <= top
-    order = np.argsort(keys[:T])
-    term = order[np.searchsorted(keys[:T][order], keys[T:])].reshape(P, b.size)
+    # every product is a table row, so the table rows are the unique rows
+    rank = np.unique(np.vstack([out, gamma]), axis=0, return_inverse=True)[1].reshape(-1)
+    term = np.argsort(rank[:T])[rank[T:]].reshape(P, b.size)
     coef = S[b, :].T * E[b, j]  # (P, b.size): S_ba E_bj
     pos = j[None, :] * T + term
     C = np.bincount(pos.ravel(), weights=coef.ravel(), minlength=n * T)

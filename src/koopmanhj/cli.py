@@ -22,7 +22,7 @@ import os
 import sys
 from typing import List, Optional
 
-__all__ = ["main", "cmd_eigfun", "cmd_solve", "cmd_simulate", "cmd_converge"]
+__all__ = ["main"]
 
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -97,14 +97,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 0
-
-
-def __getattr__(name: str):
-    if name in ("cmd_eigfun", "cmd_solve", "cmd_simulate", "cmd_converge"):
-        from . import _commands
-
-        return getattr(_commands, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":

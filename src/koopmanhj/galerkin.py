@@ -47,7 +47,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .basis import BasisSet
-from .spectral import real_spectral_decomposition
+from .spectral import real_spectral_decomposition, well_conditioned
 
 __all__ = [
     "SampleSet",
@@ -239,8 +239,6 @@ class GalerkinProblem:
 
     For an r-row block (r = 1 real, r = 2 complex pair) the system matrix is
     ``(r M) x (r M)`` and ``b`` stacks the per-row forcing projections.
-    After :func:`solve_coefficients`, ``Theta`` holds the (r, M) coefficient
-    rows and ``solve_residual`` the achieved ``||J vec(Theta) + b||``.
     """
 
     J: np.ndarray
@@ -250,13 +248,11 @@ class GalerkinProblem:
     basis: BasisSet
     cond_J: float
     L: int
-    Theta: Optional[np.ndarray] = None
-    solve_residual: Optional[float] = None
 
 
 def _check_cond(cond_J: float) -> None:
-    """The ``cond(J) < 1e12`` certificate of a projection system."""
-    if not np.isfinite(cond_J) or cond_J >= 1e12:
+    """The conditioning certificate (:func:`well_conditioned`) of a projection system."""
+    if not well_conditioned(cond_J):
         raise RuntimeError(
             f"Gram matrix numerically singular (cond {cond_J:.3e}); "
             "basis functions are not independent on this sample"
@@ -352,7 +348,7 @@ def assemble_galerkin(
 def solve_coefficients(prob: GalerkinProblem) -> np.ndarray:
     """Solve ``J Theta = -b`` by pivoted LU; returns Theta as (r, M) rows.
 
-    The achieved residual is recorded on the problem and certified against
+    The achieved residual ``||J vec(Theta) + b||`` is certified against
     ``1e-8 ||b||``.
     """
     _check_cond(prob.cond_J)
@@ -364,11 +360,7 @@ def solve_coefficients(prob: GalerkinProblem) -> np.ndarray:
             f"projection system solve failed its residual certificate: "
             f"{residual:.3e} > {bound:.3e}"
         )
-    r = prob.lambda_block.shape[0]
-    Theta = theta_vec.reshape(r, prob.basis.M)
-    prob.Theta = Theta
-    prob.solve_residual = residual
-    return Theta
+    return theta_vec.reshape(prob.lambda_block.shape[0], prob.basis.M)
 
 
 def fit_blocks(

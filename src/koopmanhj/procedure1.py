@@ -38,7 +38,9 @@ import numpy.typing as npt
 from .basis import BasisSet, MonomialTable, quadratic_form_gradient
 from .galerkin import EigenfunctionSet, SampleSet, _derive_seed, sample_domain
 from .simulate import _rk4
-from .spectral import RiccatiSolution, block_exp, solve_riccati
+from .spectral import (
+    RiccatiSolution, block_exp, near_imaginary_axis, solve_riccati, well_conditioned,
+)
 from .systems import ControlAffineSystem, Linearization, feedback, feedback_of, linearize
 
 __all__ = [
@@ -67,7 +69,7 @@ def compute_R1_Q1(lin: Linearization, Vt: npt.ArrayLike) -> tuple[np.ndarray, np
     """
     Vt = np.asarray(Vt, dtype=float)
     cond = np.linalg.cond(Vt)
-    if not np.isfinite(cond) or cond >= 1e12:
+    if not well_conditioned(cond):
         raise ValueError(f"Vt singular (condition number {cond:.2e})")
     R1 = Vt @ lin.R0 @ Vt.T
     Q1 = np.linalg.solve(Vt.T, np.linalg.solve(Vt.T, lin.Q0.T).T)
@@ -161,8 +163,7 @@ def procedure1_solve(sys: ControlAffineSystem, eig: EigenfunctionSet) -> HJSolut
             f"procedure 1 needs a square Vt of eigenfunctions on the state (n={sys.n}), "
             f"got shape {eig.Vt.shape}"
         )
-    lam = np.linalg.eigvals(eig.Lambda)
-    if np.any(np.abs(lam.real) < 1e-8 * (1.0 + np.abs(lam))):
+    if np.any(near_imaginary_axis(np.linalg.eigvals(eig.Lambda))):
         raise ValueError(
             "hyperbolicity violated: eigenvalue of Lambda on the imaginary axis"
         )

@@ -46,6 +46,7 @@ from .spectral import (
     _lead_index,
     solve_riccati,
     unstable_left_subspace,
+    well_conditioned,
 )
 from .systems import (
     ControlAffineSystem,
@@ -165,7 +166,8 @@ def _solve_manifold(eigs: UnstableEigenfunctions, x: np.ndarray) -> tuple[np.nda
     ``Xi1(x)`` and the monomials ``m_j(x)`` of ``Xi2`` come from one power
     table, and ``G2 = Wu2_t + sum_j m_j(x) U12_j`` with ``U12_j`` the
     ``(n, n)`` column block of ``m_j``.  Every point must have a finite
-    ``G2`` and ``Psi_u(x, 0)`` and pass the ``cond(G2) < 1e12`` certificate;
+    ``G2`` and ``Psi_u(x, 0)`` and pass the conditioning certificate
+    (:func:`well_conditioned`) of ``G2``;
     the first point that fails is named in the error.
     """
     n = eigs.n
@@ -180,7 +182,7 @@ def _solve_manifold(eigs: UnstableEigenfunctions, x: np.ndarray) -> tuple[np.nda
         if bad.size:
             raise RuntimeError(f"manifold {name} not finite at x={pts[bad[0]].tolist()}")
     cond = np.atleast_1d(np.linalg.cond(G2))
-    bad = np.flatnonzero(~(np.isfinite(cond) & (cond < 1e12)))
+    bad = np.flatnonzero(~well_conditioned(cond))
     if bad.size:
         k = bad[0]
         raise RuntimeError(

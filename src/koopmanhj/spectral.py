@@ -41,10 +41,37 @@ __all__ = [
     "lagrangian_subspace",
     "solve_riccati",
     "block_exp",
+    "hamiltonian_matrix",
+    "well_conditioned",
+    "near_imaginary_axis",
 ]
 
 _DEFECTIVE_MSG = "defective matrix unsupported"
 _COND_LIMIT = 1e12
+_TOL = 1e-8  # relative eigenvalue tolerance: hyperbolicity, pairing, ties, rank
+
+
+def well_conditioned(cond: npt.ArrayLike) -> np.ndarray:
+    """The conditioning certificate, elementwise: ``cond`` is finite and
+    below ``1e12``.  Every matrix this package inverts (an eigenvector
+    matrix, a momentum block, a projection system, the control weight, the
+    manifold's ``G2``) must pass it."""
+    cond = np.asarray(cond)
+    return np.isfinite(cond) & (cond < _COND_LIMIT)
+
+
+def near_imaginary_axis(eigvals: npt.ArrayLike) -> np.ndarray:
+    """The hyperbolicity test, elementwise: ``|Re lambda| < 1e-8 (1 + |lambda|)``.
+
+    A spectrum is hyperbolic where no eigenvalue is near the axis.
+    """
+    lam = np.asarray(eigvals)
+    return np.abs(lam.real) < _TOL * (1.0 + np.abs(lam))
+
+
+def hamiltonian_matrix(A: np.ndarray, R: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The Hamiltonian matrix ``[[A, -R], [-Q, -A^T]]``."""
+    return np.block([[A, -R], [-Q, -A.T]])
 
 
 @dataclass(frozen=True)
@@ -135,7 +162,7 @@ def _left_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _real_block_rows(
-    eigvals: np.ndarray, left_rows: np.ndarray, tol: float
+    eigvals: np.ndarray, left_rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]:
     """Assemble real block rows from a complex left eigen-decomposition.
 
@@ -143,7 +170,7 @@ def _real_block_rows(
     left_rows[k]``.  Conjugate pairs are merged into 2x2 real blocks; blocks
     are ordered by ascending real part, then ascending imaginary part (real
     eigenvalues sort as imaginary part zero, pairs by their +b member).
-    Real parts that agree within ``tol (1 + |lambda|)`` count as equal, so
+    Real parts that agree within ``1e-8 (1 + |lambda|)`` count as equal, so
     the order does not depend on round-off: a group starts at its smallest
     real part and takes every later one within that distance of it.
     Returns (Lambda, Vt, blocks).
@@ -157,7 +184,7 @@ def _real_block_rows(
             continue
         lam = eigvals[k]
         scale = 1.0 + abs(lam)
-        if abs(lam.imag) <= tol * scale:
+        if abs(lam.imag) <= _TOL * scale:
             used[k] = True
             entries.append((float(lam.real), 0.0, "real", int(k)))
             continue
@@ -176,11 +203,11 @@ def _real_block_rows(
         # keep the representative with positive imaginary part
         kp = k if eigvals[k].imag > 0 else j
         entries.append((a, b, "pair", int(kp)))
-    # real parts within tol (1 + |lambda|) of a group's first tie; a tie orders by b
+    # real parts within 1e-8 (1 + |lambda|) of a group's first tie; a tie orders by b
     entries.sort(key=lambda e: e[0])
     keys, first = [], None
     for a, b, *_ in entries:
-        if first is None or a - first > tol * (1.0 + abs(complex(a, b))):
+        if first is None or a - first > _TOL * (1.0 + abs(complex(a, b))):
             first = a
         keys.append((first, b))
     entries = [e for _, e in sorted(zip(keys, entries), key=lambda ke: ke[0])]
@@ -206,7 +233,7 @@ def _real_block_rows(
     return Lambda, Vt, tuple(blocks)
 
 
-def real_spectral_decomposition(A: npt.ArrayLike, tol: float = 1e-8) -> RealSpectralDecomposition:
+def real_spectral_decomposition(A: npt.ArrayLike) -> RealSpectralDecomposition:
     """Real block eigen-decomposition ``Vt @ A = Lambda @ Vt``.
 
     Block ordering is deterministic: ascending real part, then ascending
@@ -220,21 +247,21 @@ def real_spectral_decomposition(A: npt.ArrayLike, tol: float = 1e-8) -> RealSpec
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     eigvals, left_rows = _left_eig(A)
     sv = np.linalg.svd(left_rows, compute_uv=False)
-    if sv[-1] <= tol * sv[0]:
+    if sv[-1] <= _TOL * sv[0]:
         raise ValueError(
             f"{_DEFECTIVE_MSG}: eigenvector matrix rank-deficient "
             f"(singular value ratio {sv[-1] / sv[0]:.2e})"
         )
-    Lambda, Vt, blocks = _real_block_rows(eigvals, left_rows, tol)
+    Lambda, Vt, blocks = _real_block_rows(eigvals, left_rows)
     cond_V = float(np.linalg.cond(Vt))
-    if not np.isfinite(cond_V) or cond_V >= _COND_LIMIT:
+    if not well_conditioned(cond_V):
         raise ValueError(
             f"{_DEFECTIVE_MSG}: eigenvector matrix condition number {cond_V:.2e}"
         )
     return RealSpectralDecomposition(Lambda=Lambda, Vt=Vt, cond_V=cond_V, blocks=blocks)
 
 
-def unstable_left_subspace(H: npt.ArrayLike, tol: float = 1e-8) -> UnstableSubspace:
+def unstable_left_subspace(H: npt.ArrayLike) -> UnstableSubspace:
     """Left-unstable invariant subspace of a 2n x 2n Hamiltonian matrix.
 
     Every eigenvalue must be bounded away from the imaginary axis
@@ -250,9 +277,8 @@ def unstable_left_subspace(H: npt.ArrayLike, tol: float = 1e-8) -> UnstableSubsp
         raise ValueError(f"expected a 2n x 2n matrix, got shape {H.shape}")
     n = m // 2
     eigvals, left_rows = _left_eig(H)
-    scale = 1.0 + np.abs(eigvals)
-    if np.any(np.abs(eigvals.real) < tol * scale):
-        worst = eigvals[int(np.argmin(np.abs(eigvals.real) / scale))]
+    if np.any(near_imaginary_axis(eigvals)):
+        worst = eigvals[int(np.argmin(np.abs(eigvals.real) / (1.0 + np.abs(eigvals))))]
         raise ValueError(
             f"hyperbolicity violated: eigenvalue {worst} too close to the imaginary axis"
         )
@@ -262,7 +288,7 @@ def unstable_left_subspace(H: npt.ArrayLike, tol: float = 1e-8) -> UnstableSubsp
             f"not a Hamiltonian spectrum: {int(np.count_nonzero(unstable))} unstable "
             f"eigenvalues, expected {n}"
         )
-    Lambda_u, D_full, blocks = _real_block_rows(eigvals[unstable], left_rows[unstable], tol)
+    Lambda_u, D_full, blocks = _real_block_rows(eigvals[unstable], left_rows[unstable])
     return UnstableSubspace(
         D_full=D_full,
         D1=D_full[:, :n],
@@ -277,7 +303,7 @@ def _certify_complementarity(D2: np.ndarray) -> None:
     basis ``(D1 | D2)`` has ``cond(D2) < 1e12``, so the rows are a graph
     over the positions."""
     cond = np.linalg.cond(D2)
-    if not np.isfinite(cond) or cond >= _COND_LIMIT:
+    if not well_conditioned(cond):
         raise RuntimeError(
             f"complementarity condition fails: momentum block numerically singular "
             f"(condition number {cond:.2e})"
@@ -326,8 +352,7 @@ def solve_riccati(A: npt.ArrayLike, R: npt.ArrayLike, Q: npt.ArrayLike) -> Ricca
         raise ValueError(
             f"dimension mismatch: A {A.shape}, R {R.shape}, Q {Q.shape}"
         )
-    H = np.block([[A, -R], [-Q, -A.T]])
-    sub = unstable_left_subspace(H)
+    sub = unstable_left_subspace(hamiltonian_matrix(A, R, Q))
     P = lagrangian_subspace(sub)
     residual = float(np.linalg.norm(A.T @ P + P @ A - P @ R @ P + Q))
     limit = 1e-8 * (1.0 + np.linalg.norm(Q))

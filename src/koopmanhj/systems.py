@@ -34,6 +34,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .basis import MonomialTable
+from .spectral import hamiltonian_matrix, well_conditioned
 
 __all__ = [
     "ControlAffineSystem",
@@ -49,7 +50,6 @@ __all__ = [
     "builtin_example1",
     "builtin_pendulum",
     "polynomial_system",
-    "pendulum_mass_matrix",
 ]
 
 _EQ_TOL = 1e-12
@@ -254,8 +254,7 @@ def control_affine_system(
 
 def linearize(sys: ControlAffineSystem) -> Linearization:
     """Origin linearization: A = df/dx(0), B = g(0), R0 = B D^{-1} B^T, Q0."""
-    cond = np.linalg.cond(sys.D)
-    if not np.isfinite(cond) or cond >= 1e12:
+    if not well_conditioned(np.linalg.cond(sys.D)):
         raise ValueError("control weight not invertible")
     A = np.asarray(sys.jacobian_f(np.zeros(sys.n)), dtype=float).reshape(sys.n, sys.n)
     B = np.asarray(sys.g(np.zeros(sys.n)), dtype=float).reshape(sys.n, sys.p)
@@ -323,18 +322,19 @@ def hamiltonian_vector_field(sys: ControlAffineSystem) -> HamiltonianSystemModel
     """Canonical equations of H as a vector field on z = (x, p).
 
     The momentum equation needs ``d(p^T R(x) p)/dx``; by the product rule
-    its j-th entry is ``2 p^T (dg/dx_j) D^{-1} g^T p``, computed from the
-    system's ``jacobian_g`` (identically zero for a constant input map).
+    its j-th entry is ``2 p^T (dg/dx_j) w`` with ``w = D^{-1} g^T p``, the
+    negated :func:`feedback` at ``(x, p)``, computed from the system's
+    ``jacobian_g`` (identically zero for a constant input map).
     """
     n = sys.n
     lin = linearize(sys)
-    H0 = np.block([[lin.A, -lin.R0], [-lin.Q0, -lin.A.T]])
+    H0 = hamiltonian_matrix(lin.A, lin.R0, lin.Q0)
 
     def F(z: npt.ArrayLike) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         x, p = z[..., :n], z[..., n:]
         gx = np.asarray(sys.g(x), dtype=float)  # (..., n, m)
-        w = (p[..., None, :] @ gx)[..., 0, :] @ sys.D_inv.T  # D^{-1} g^T p
+        w = -feedback(sys, x, p, gx)  # D^{-1} g^T p
         xdot = np.asarray(sys.f(x), dtype=float) - (gx @ w[..., None])[..., 0]
         Jf = np.asarray(sys.jacobian_f(x), dtype=float)
         Jg = np.asarray(sys.jacobian_g(x), dtype=float)
@@ -453,25 +453,14 @@ _PEND_l = 0.3   # pole half-length
 _PEND_I = 0.006  # pole inertia
 
 
-def pendulum_mass_matrix(theta: float) -> np.ndarray:
-    """Configuration-dependent mass matrix of the cart-pole, reduced form.
-
-    The state convention puts the unstable upright equilibrium at the
-    origin, so the matrix is evaluated with ``cos(theta - pi)``.
-    """
-    c = np.cos(theta - np.pi)
-    ml = _PEND_m * _PEND_l
-    return np.array(
-        [[ml * c, _PEND_M + _PEND_m], [_PEND_I + _PEND_m * _PEND_l**2, ml * c]]
-    )
-
-
 class _CartPole:
     """The cart-pole maps of :func:`builtin_pendulum`.
 
     Every map starts from :meth:`_terms`: the coordinates, ``cos`` and
     ``sin`` of ``theta - pi`` and the checked mass-matrix determinant, so
     :meth:`f_and_g` gives the drift and the input map from one evaluation.
+    :meth:`_f` is the one site of the mass-matrix system's right-hand side
+    and accelerations, which :meth:`jacobian_f` differentiates.
     """
 
     def __init__(self, g_gravity: float) -> None:
@@ -499,20 +488,24 @@ class _CartPole:
             raise RuntimeError(f"mass matrix singular at theta={theta!r}")
         return x, ps, vt, c, s, det
 
-    def _f(self, x, ps, vt, c, s, det) -> np.ndarray:
+    def _f(self, x, ps, vt, c, s, det):
+        """The drift and ``(r1, r2, acc1, acc2)``: the right-hand side of
+        ``M(theta) (psi_dot, vartheta_dot)^T = (r1, r2)^T`` at ``u = 0``
+        and the accelerations that solve it."""
         ml, Il2, Mm = self.ml, self.Il2, self.Mc + self.m
         r1 = -self.b * vt + ml * ps * ps * s
         r2 = -self.mg * self.l * s
         # inverse of [[ml c, Mc+m], [Il2, ml c]] applied to (r1, r2)
         acc1 = (ml * c * r1 - Mm * r2) / det
         acc2 = (-Il2 * r1 + ml * c * r2) / det
+        rhs = (r1, r2, acc1, acc2)
         if x.ndim == 1:
-            return np.array([ps, acc1, acc2])
+            return np.array([ps, acc1, acc2]), rhs
         out = np.empty(x.shape)
         out[..., 0] = ps
         out[..., 1] = acc1
         out[..., 2] = acc2
-        return out
+        return out, rhs
 
     def _g(self, x, c, det) -> np.ndarray:
         if x.ndim == 1:
@@ -524,7 +517,7 @@ class _CartPole:
 
     def f(self, x: np.ndarray) -> np.ndarray:
         x, ps, vt, c, s, det = self._terms(x)
-        return self._f(x, ps, vt, c, s, det)
+        return self._f(x, ps, vt, c, s, det)[0]
 
     def g(self, x: np.ndarray) -> np.ndarray:
         x, _, _, c, _, det = self._terms(x)
@@ -533,16 +526,13 @@ class _CartPole:
     def f_and_g(self, x: np.ndarray):
         """``(f(x), g(x))`` from one evaluation of the shared terms."""
         x, ps, vt, c, s, det = self._terms(x)
-        return self._f(x, ps, vt, c, s, det), self._g(x, c, det)
+        return self._f(x, ps, vt, c, s, det)[0], self._g(x, c, det)
 
     def jacobian_f(self, x: np.ndarray) -> np.ndarray:
         x, ps, vt, c, s, det = self._terms(x)
         ml, Il2, Mm = self.ml, self.Il2, self.Mc + self.m
         b = self.b
-        r1 = -b * vt + ml * ps * ps * s
-        r2 = -self.mg * self.l * s
-        acc1 = (ml * c * r1 - Mm * r2) / det
-        acc2 = (-Il2 * r1 + ml * c * r2) / det
+        r1, r2, acc1, acc2 = self._f(x, ps, vt, c, s, det)[1]
         # theta-derivatives: d(cos(th - pi)) = -s, d(sin(th - pi)) = c
         ddet = -2.0 * ml * ml * c * s
         dr1 = ml * ps * ps * c

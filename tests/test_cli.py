@@ -446,6 +446,8 @@ _CUBIC = {"kind": "polynomial", "f_terms": [[[-1.0, [1]]]], "g_matrix": [[1.0]],
                                "ics": [[0.1, 0.1]]}}, "simulate.controllers[0].gain"),
     ("simulate", {"simulate": {"pendulum_cloud": {"center": ["a", 0.0]}}},
      "simulate.pendulum_cloud.center"),
+    ("simulate", {"simulate": {"ics": [[0.1, 0.1]], "pendulum_cloud": {"center": [0.1, 0.1]}}},
+     "simulate.ics and simulate.pendulum_cloud; both are set"),
 ])
 def test_invalid_config_exits_1_without_output(tmp_path, capsys, sub, overrides, key):
     out = tmp_path / "o"

@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 from koopmanhj.spectral import (
     block_exp,
     lagrangian_subspace,
+    near_imaginary_axis,
     real_spectral_decomposition,
     solve_riccati,
     unstable_left_subspace,
+    well_conditioned,
 )
 from koopmanhj.systems import builtin_example1, linearize
 
@@ -134,6 +136,34 @@ class TestUnstableSubspace:
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError, match="2n x 2n"):
             unstable_left_subspace(np.zeros((3, 3)))
+
+
+class TestCertificatePredicates:
+    def test_conditioning_limit_is_strict(self):
+        assert not well_conditioned(1e12)
+        assert well_conditioned(np.nextafter(1e12, 0))
+
+    @pytest.mark.parametrize("cond", [np.nan, np.inf, -np.inf])
+    def test_conditioning_rejects_non_finite(self, cond):
+        assert not well_conditioned(cond)
+
+    def test_conditioning_is_elementwise(self):
+        cond = np.array([[1.0, 1e12], [np.nan, 5e11]])
+        assert np.array_equal(well_conditioned(cond), [[True, False], [False, True]])
+
+    @pytest.mark.parametrize("imag", [0.0, 3.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_hyperbolicity_boundary(self, imag, sign):
+        # the real part r with r == 1e-8 (1 + |r + i imag|) exactly
+        bound = lambda r: 1e-8 * (1.0 + np.abs(np.complex128(complex(r, imag))))  # noqa: E731
+        r = bound(0.0)
+        for _ in range(8):
+            r = bound(r)
+        assert r == bound(r)
+        lam = np.array([complex(sign * r, imag), complex(sign * np.nextafter(r, 0), imag)])
+        assert np.array_equal(near_imaginary_axis(lam), [False, True])
+        if imag == 0.0:
+            assert np.array_equal(near_imaginary_axis(lam.real), [False, True])
 
 
 class TestLagrangianSubspace:
