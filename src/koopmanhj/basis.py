@@ -16,8 +16,9 @@ every dictionary — and everything computed from it — reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 import numpy.typing as npt
@@ -26,6 +27,7 @@ __all__ = [
     "BasisSet",
     "MonomialTable",
     "Procedure2Basis",
+    "compile_polynomial",
     "monomial_basis",
     "monomial_exponents",
     "procedure2_basis",
@@ -84,6 +86,7 @@ class MonomialTable:
             raise ValueError(f"exponent {int(expo.max())} exceeds table degree {degree}")
         offsets = np.arange(n) * (degree + 1)
         self.M, self.n, self.degree = M, n, degree
+        self.exponents = expo
         self.eval_index = expo + offsets  # (M, n) into the power table
         self._eval_cols = self.eval_index.T.copy()  # (n, M), for one state
         rows, cols = np.nonzero(expo)
@@ -135,6 +138,49 @@ class MonomialTable:
         vals = np.multiply.reduce(pw[..., self.jac_index], axis=-1)  # (..., U)
         out[..., self.jac_pos] = self.jac_coef * vals[..., self.jac_row]
         return out.reshape(lead + (self.M, self.n))
+
+
+_SUM_TERMS = 100  # terms per line of a compiled sum; the compiler nests one level per term
+
+
+def compile_polynomial(table: MonomialTable, C: npt.ArrayLike) -> Callable[[list], tuple]:
+    """One state's ``table.eval(table.powers(x)) @ C.T`` as straight-line float code.
+
+    The returned function takes the ``n`` coordinates of one state as
+    floats (``x.tolist()``) and returns the ``K`` outputs of a ``(K, M)``
+    matrix ``C`` as a tuple of floats.  Each power is the power table's
+    repeated product and each monomial the product of its factors from left
+    to right in coordinate order, so the monomials have the bits of
+    :meth:`MonomialTable.eval` (a factor ``x ** 0 = 1.0`` is left out,
+    which is exact).  Each output is the left-to-right sum ``c0*m0 + c1*m1
+    + ...`` over every column, zero coefficients included, so a non-finite
+    monomial gives nan where the matrix product does; BLAS may round the
+    sum differently.  The source is built from integer exponents and the
+    ``repr`` of each coefficient only, which round-trips exactly (``inf``
+    and ``nan`` are bound names).
+    """
+    expo = table.exponents
+    M, n = expo.shape
+    C = np.asarray(C, dtype=float)
+    if C.ndim != 2 or C.shape[1] != M:
+        raise ValueError(f"coefficient matrix shape {C.shape} != (K, {M})")
+    xs = [f"x{j}" for j in range(n)]
+    lines = ["def polynomial(xs):", f"    {', '.join(xs)}, = xs"]
+    for j in range(n):
+        for k in range(2, int(expo[:, j].max(initial=0)) + 1):
+            lines.append(f"    x{j}_{k} = {xs[j] if k == 2 else f'x{j}_{k - 1}'} * x{j}")
+    for r, row in enumerate(expo.tolist()):
+        factors = [xs[j] if a == 1 else f"x{j}_{a}" for j, a in enumerate(row) if a]
+        lines.append(f"    m{r} = {' * '.join(factors) or '1.0'}")
+    for i, row in enumerate(C.tolist()):
+        terms = [f"{c!r} * m{r}" for r, c in enumerate(row)] or ["0.0"]
+        for start in range(0, len(terms), _SUM_TERMS):
+            head = [f"o{i}"] if start else []
+            lines.append(f"    o{i} = {' + '.join(head + terms[start : start + _SUM_TERMS])}")
+    lines.append(f"    return ({''.join(f'o{i}, ' for i in range(len(C)))})")
+    namespace = {"inf": math.inf, "nan": math.nan}
+    exec("\n".join(lines), namespace)  # the package's one exec: ints and float reprs
+    return namespace["polynomial"]
 
 
 def quadratic_form_gradient(

@@ -30,12 +30,12 @@ Phi(x)`` solves the evolution equation ``H0(x, dW/dx^T) + dW/dt = 0``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
 
-from .basis import BasisSet, MonomialTable, quadratic_form_gradient
+from .basis import BasisSet, MonomialTable, compile_polynomial, quadratic_form_gradient
 from .galerkin import EigenfunctionSet, SampleSet, _derive_seed, sample_domain
 from .simulate import _rk4
 from .spectral import (
@@ -90,7 +90,9 @@ class HJSolution1:
     the value gradient collapsed into one polynomial, a monomial table and
     its ``(n, T)`` coefficient matrix (:func:`_collapse_gradient`);
     otherwise None, and the gradient is the contraction
-    ``(dPhi/dx)^T L Phi``.
+    ``(dPhi/dx)^T L Phi``.  The polynomial of one state runs as
+    straight-line float code (:func:`~koopmanhj.basis.compile_polynomial`),
+    compiled on the first one-state call and kept on the solution.
     """
 
     eig: EigenfunctionSet
@@ -102,6 +104,9 @@ class HJSolution1:
     grad_poly: Optional[Tuple[MonomialTable, np.ndarray]] = field(
         init=False, repr=False, compare=False
     )
+    _grad_code: Optional[Callable[[list], tuple]] = field(
+        init=False, default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "grad_poly", _collapse_gradient(self.eig, self.L))
@@ -111,13 +116,35 @@ class HJSolution1:
         return 0.5 * np.einsum("...i,ij,...j->...", Phi, self.L, Phi)
 
     def grad_value(self, x: npt.ArrayLike) -> np.ndarray:
+        """The momentum ``dV/dx^T`` at states ``(..., n)``.
+
+        With ``grad_poly``, one state runs :meth:`grad_value_floats` and a
+        batch the table form ``table.eval(table.powers(X)) @ Cp.T``; the two
+        sum the same terms in a different order, so they agree to rounding.
+        """
         X = np.asarray(x, dtype=float)
-        if self.grad_poly is not None:
-            table, Cp = self.grad_poly
-            return table.eval(table.powers(X)) @ Cp.T
-        Phi, jac = self.eig.Phi_jac(X)
-        LPhi = Phi @ self.L.T  # L symmetric; (..., n)
-        return (LPhi[..., None, :] @ jac)[..., 0, :]
+        if self.grad_poly is None:
+            Phi, jac = self.eig.Phi_jac(X)
+            LPhi = Phi @ self.L.T  # L symmetric; (..., n)
+            return (LPhi[..., None, :] @ jac)[..., 0, :]
+        if X.ndim == 1:
+            return np.array(self.grad_value_floats(X.tolist()))
+        table, Cp = self.grad_poly
+        return table.eval(table.powers(X)) @ Cp.T
+
+    def grad_value_floats(self, xs: List[float]) -> Sequence[float]:
+        """The momentum of one state given as ``n`` floats, as ``n`` floats.
+
+        A closed-loop float stage calls this in place of :meth:`grad_value`
+        (:func:`~koopmanhj.systems.feedback_of`).
+        """
+        code = self._grad_code
+        if code is None:
+            if self.grad_poly is None:
+                return self.grad_value(np.array(xs, dtype=float)).tolist()
+            code = compile_polynomial(*self.grad_poly)
+            object.__setattr__(self, "_grad_code", code)
+        return code(xs)
 
     @feedback_of("grad_value")
     def control(self, x: npt.ArrayLike) -> np.ndarray:

@@ -9,7 +9,10 @@ worker processes (one per usable CPU; in-process without ``fork``).
 
 The plant of a rollout is the system's ``f`` and ``g``; a custom system
 provides these two maps.  Each stage evaluates both once, and a route-1 or
-route-2 feedback reuses the stage's ``g(x)`` (:func:`closed_loop`).
+route-2 feedback reuses the stage's ``g(x)`` (:func:`closed_loop`).  A
+one-input system whose model gives one state's plant on floats (the
+built-in pendulum) runs each stage on Python floats, with the bits of the
+array stage (:func:`_float_stage`).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .spectral import solve_riccati
-from .systems import ControlAffineSystem, Linearization, feedback
+from .systems import ControlAffineSystem, Linearization, _feedback_terms, feedback
 
 __all__ = [
     "CONVERGENCE_THRESHOLD",
@@ -213,13 +216,15 @@ def closed_loop(
 
     The feedback is evaluated at every RK4 stage point, and must give
     exactly ``p`` entries (any shape that ravels to ``(p,)``).  Each stage
-    evaluates the plant maps ``f`` and ``g`` once, from one call where the
-    system has :attr:`~koopmanhj.systems.ControlAffineSystem.f_and_g` (the
-    built-in pendulum).  A custom system provides ``f`` and ``g`` only.  A
-    route-1 or route-2 feedback bound to a solution for ``sys``
-    (``control`` marked by :func:`~koopmanhj.systems.feedback_of`) takes
-    the stage's ``g(x)``; any other controller is called as
-    ``controller(x)``.  Both give the bits of ``f(x) + g(x) controller(x)``.
+    evaluates the plant maps ``f`` and ``g`` once: on floats, from one call,
+    where the system has one input and
+    :attr:`~koopmanhj.systems.ControlAffineSystem.f_and_g_floats` (the
+    built-in pendulum), else as the two maps on the state's array.  A
+    custom system provides ``f`` and ``g`` only.  A route-1 or route-2
+    feedback bound to a solution for ``sys`` (``control`` marked by
+    :func:`~koopmanhj.systems.feedback_of`) takes the stage's ``g(x)``;
+    any other controller is called as ``controller(x)``.  Both give the
+    bits of ``f(x) + g(x) controller(x)``.
 
     Running cost is the trapezoid rule over the node values
     ``q(x_k) + 0.5 u_k^T D u_k`` (node input = feedback at the node).  A
@@ -303,38 +308,82 @@ def _stage_field(
 
     ``control`` is ``controller`` with its output checked.  A feedback
     marked by :func:`~koopmanhj.systems.feedback_of` and bound to a solution
-    for ``sys`` is evaluated here from the stage's ``g(x)``.  The maps run in
-    the order in which ``controller(x)`` and the field would call them, so
-    where two of them would raise, the same error is reported.
+    for ``sys`` is evaluated here as the momentum, then
+    :func:`~koopmanhj.systems.feedback` from the stage's ``g(x)``.  The maps
+    run in the order in which ``controller(x)`` and the field would call
+    them, so where two of them would raise, the same error is reported.
+
+    Where the system has :attr:`~koopmanhj.systems.ControlAffineSystem.f_and_g_floats`
+    and one input, the stage runs on floats (:func:`_float_stage`);
+    otherwise it calls ``f`` and ``g`` on the state's array.
     """
-    f, g = sys.f, sys.g
-    shared = sys.f_and_g
     owner = getattr(controller, "__self__", None)
     name = getattr(controller, "feedback_momentum", None)
     if name is None or getattr(owner, "sys", None) is not sys:
-        plant = shared or (lambda xs: (f(xs), g(xs)))
+        owner = name = None
+    plant = sys.f_and_g_floats
+    if plant is not None and sys.p == 1:
+        return _float_stage(sys, plant, control, owner, name)
+    f, g = sys.f, sys.g
+    if name is None:
 
         def field(xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             u = control(xs)
-            fx, gx = plant(xs)
-            return fx + gx @ u, u
+            return f(xs) + g(xs) @ u, u
 
         return field
 
     # u = -D^{-1} g(x)^T p(x): the feedback calls g before the field calls f
     momentum = getattr(owner, name)
 
-    def g_then_f(xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        gx = g(xs)
-        return f(xs), gx
-
-    plant = shared or g_then_f
-
     def hj_field(xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         px = momentum(xs)
-        fx, gx = plant(xs)
+        gx = g(xs)
+        fx = f(xs)
         u = feedback(sys, xs, px, gx)
         return fx + gx @ u, u
+
+    return hj_field
+
+
+def _float_stage(
+    sys: ControlAffineSystem,
+    plant: Callable[[list], Tuple[tuple, tuple]],
+    control: Callable[[np.ndarray], np.ndarray],
+    owner: object,
+    name: Optional[str],
+) -> _Field:
+    """The stage of a one-input system with a float plant entry: the state
+    is unpacked once (``x.tolist()``), and the stage builds one array for
+    ``xdot`` and one for ``u``.
+
+    ``xdot_i = f_i + (g_i u + 0.0)``: the sum over the one input taken from
+    +0.0 as numpy's ``g(x) @ u`` takes it, so the field has the bits of
+    ``f(x) + g(x) @ u``.  A marked feedback takes the momentum as floats
+    (``<momentum>_floats`` of its solution where it has one, else the
+    momentum's array) and ``u`` from :func:`~koopmanhj.systems.feedback`'s
+    float terms; any other controller gives ``u = control(x)``.
+    """
+    if name is None:
+
+        def field(xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            u = control(xs)
+            fx, gx = plant(xs.tolist())
+            (u0,) = u.tolist()
+            return np.array([f + (g * u0 + 0.0) for f, (g,) in zip(fx, gx)]), u
+
+        return field
+
+    D_inv = sys.D_inv.tolist()
+    momentum = getattr(owner, name)
+    momentum_floats = getattr(owner, name + "_floats", None)
+
+    def hj_field(xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        xl = xs.tolist()
+        px = momentum(xs).tolist() if momentum_floats is None else momentum_floats(xl)
+        fx, gx = plant(xl)
+        (u0,) = _feedback_terms(D_inv, gx, px)
+        return np.array([f + (g * u0 + 0.0) for f, (g,) in zip(fx, gx)]), np.array([u0])
 
     return hj_field
 

@@ -120,9 +120,10 @@ class ControlAffineSystem:
 
     The plant of a closed loop is ``f`` and ``g``: a custom system provides
     these two maps, and each RK4 stage calls both once.  Where ``f`` and
-    ``g`` are methods of one model that also has ``f_and_g`` (the built-in
-    pendulum), :attr:`f_and_g` is that method, and a stage evaluates the
-    plant once.
+    ``g`` are methods of one model (the built-in pendulum), that model may
+    also give both at once: :attr:`f_and_g` for states ``(..., n)``, and
+    :attr:`f_and_g_floats` for one state as floats, which a one-state
+    stage calls once.
     """
 
     n: int
@@ -171,14 +172,26 @@ class ControlAffineSystem:
                 f"jacobian_g(0) shape {jg0} != ({self.n}, {self.p}, {self.n})"
             )
 
+    def _model_map(self, name: str) -> Optional[Callable]:
+        """Method ``name`` of the model whose methods ``f`` and ``g`` are,
+        or None where they are separate maps (or have been wrapped)."""
+        model = getattr(self.f, "__self__", None)
+        if model is None or getattr(self.g, "__self__", None) is not model:
+            return None
+        return getattr(model, name, None)
+
     @property
     def f_and_g(self) -> Optional[Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]]:
         """The map ``x -> (f(x), g(x))`` of a model that evaluates both at
         once, or None where ``f`` and ``g`` are separate maps."""
-        model = getattr(self.f, "__self__", None)
-        if model is None or getattr(self.g, "__self__", None) is not model:
-            return None
-        return getattr(model, "f_and_g", None)
+        return self._model_map("f_and_g")
+
+    @property
+    def f_and_g_floats(self) -> Optional[Callable[[list], Tuple[tuple, tuple]]]:
+        """The map of one state's ``n`` floats (``x.tolist()``) to ``f(x)``
+        as ``n`` floats and ``g(x)`` as ``n`` rows of ``p`` floats, with the
+        bits of ``f`` and ``g``; None as for :attr:`f_and_g`."""
+        return self._model_map("f_and_g_floats")
 
     def R(self, x: npt.ArrayLike) -> np.ndarray:
         """State-dependent control-energy matrix ``g(x) D^{-1} g(x)^T``: (..., n, n)."""
@@ -272,13 +285,46 @@ def feedback(
     """Feedback ``u = -D^{-1} g(x)^T p`` for states and momenta ``(..., n)``: (..., p).
 
     ``gx`` is ``g(x)`` where the caller has evaluated it already (a
-    closed-loop stage); otherwise ``sys.g`` is called.
+    closed-loop stage); otherwise ``sys.g`` is called.  The entries are
+    the sums of :func:`_feedback_terms`: one state runs them on floats and
+    a batch runs the same operations on arrays, so one state has the bits
+    of its batch row.
     """
     if gx is None:
         gx = sys.g(np.asarray(x, dtype=float))
     gx = np.asarray(gx, dtype=float)
-    gTp = (np.asarray(p, dtype=float)[..., None, :] @ gx)[..., 0, :]
-    return -(gTp @ sys.D_inv.T)
+    p = np.asarray(p, dtype=float)
+    D_inv = sys.D_inv.tolist()
+    if gx.ndim == 2 and p.ndim == 1:
+        return np.array(_feedback_terms(D_inv, gx.tolist(), p.tolist()))
+    n, m = gx.shape[-2:]
+    g = [[gx[..., i, k] for k in range(m)] for i in range(n)]
+    return np.stack(_feedback_terms(D_inv, g, [p[..., i] for i in range(n)]), axis=-1)
+
+
+def _feedback_terms(D_inv: list, g, p) -> list:
+    """The ``p`` entries of ``-D^{-1} g^T p`` from ``D_inv[j][k]``, ``g[i][k]``
+    and ``p[i]``, floats or arrays.
+
+    ``g^T p`` and then ``D^{-1} (g^T p)`` are sums of products taken left
+    to right from +0.0, as a BLAS product accumulates them.  Where every
+    product is exact (an input map of zeros and ones, as in example 1 and
+    the cubic, and one input) they have the bits of the matrix products;
+    elsewhere BLAS's fused multiply-adds may round differently.
+    """
+    gTp = []
+    for k in range(len(D_inv)):
+        s = 0.0
+        for i, p_i in enumerate(p):
+            s = s + g[i][k] * p_i
+        gTp.append(s)
+    u = []
+    for row in D_inv:
+        s = 0.0
+        for d, v in zip(row, gTp):
+            s = s + d * v
+        u.append(-s)
+    return u
 
 
 def feedback_of(momentum: str):
@@ -288,6 +334,9 @@ def feedback_of(momentum: str):
     marked ``control`` bound to a solution for its own system.  It then
     evaluates the momentum and the feedback itself, from the ``g(x)`` its
     stage evaluates anyway, with the operands and order of ``control``.
+    A float stage calls the solution's ``<momentum>_floats`` where it has
+    one (the momentum of one state given and returned as ``n`` floats),
+    and ``<momentum>`` otherwise.
     """
 
     def mark(control):
@@ -456,11 +505,15 @@ _PEND_I = 0.006  # pole inertia
 class _CartPole:
     """The cart-pole maps of :func:`builtin_pendulum`.
 
-    Every map starts from :meth:`_terms`: the coordinates, ``cos`` and
-    ``sin`` of ``theta - pi`` and the checked mass-matrix determinant, so
-    :meth:`f_and_g` gives the drift and the input map from one evaluation.
-    :meth:`_f` is the one site of the mass-matrix system's right-hand side
-    and accelerations, which :meth:`jacobian_f` differentiates.
+    :meth:`_angle` gives ``cos`` and ``sin`` of ``theta - pi`` and the
+    checked mass-matrix determinant.  :meth:`_dynamics` is the one site of
+    the mass-matrix system's right-hand side and accelerations, which
+    :meth:`jacobian_f` differentiates, and :meth:`_input_map` the one site
+    of ``g``'s entries.  All three run on the floats of one state and on
+    the arrays of a batch.
+    :meth:`f_and_g_floats` gives one state's drift and input map as float
+    tuples (the one-state closed-loop stage), and the one-state branches of
+    :meth:`f`, :meth:`g` and :meth:`f_and_g` pack its result into arrays.
     """
 
     def __init__(self, g_gravity: float) -> None:
@@ -469,13 +522,10 @@ class _CartPole:
         self.Il2 = _PEND_I + _PEND_m * _PEND_l * _PEND_l
         self.mg = _PEND_m * g_gravity
 
-    def _terms(self, x: np.ndarray):
-        """Points, ``psi``, ``vartheta``, ``c``, ``s`` and the mass-matrix
-        determinant, which must be nonsingular at every row.  The terms of
-        one state ``(n,)`` are floats (:func:`_coords`)."""
-        x = np.asarray(x, dtype=float)
-        th, ps, vt = _coords(x)
-        one = x.ndim == 1
+    def _angle(self, th, one: bool):
+        """``c``, ``s`` and the mass-matrix determinant at angles ``th``: a
+        float where ``one``, else an array.  The matrix must be nonsingular
+        at every angle."""
         shifted = th - np.pi
         c, s = _cos_sin(shifted) if one else (np.cos(shifted), np.sin(shifted))
         mlc = self.ml * c
@@ -486,11 +536,18 @@ class _CartPole:
         if bad if one else bad.any():
             theta = th if one else float(th[bad].flat[0])
             raise RuntimeError(f"mass matrix singular at theta={theta!r}")
-        return x, ps, vt, c, s, det
+        return c, s, det
 
-    def _f(self, x, ps, vt, c, s, det):
-        """The drift and ``(r1, r2, acc1, acc2)``: the right-hand side of
-        ``M(theta) (psi_dot, vartheta_dot)^T = (r1, r2)^T`` at ``u = 0``
+    def _terms(self, x: np.ndarray):
+        """Points ``(..., 3)`` with ``psi``, ``vartheta`` and :meth:`_angle`'s
+        terms; the terms of one state ``(3,)`` are floats (:func:`_coords`)."""
+        x = np.asarray(x, dtype=float)
+        th, ps, vt = _coords(x)
+        return (x, ps, vt) + self._angle(th, x.ndim == 1)
+
+    def _dynamics(self, ps, vt, c, s, det):
+        """``(r1, r2, acc1, acc2)``: the right-hand side of
+        ``M(theta) (psi_dot, vartheta_dot)^T = (r1 + u, r2)^T`` at ``u = 0``
         and the accelerations that solve it."""
         ml, Il2, Mm = self.ml, self.Il2, self.Mc + self.m
         r1 = -self.b * vt + ml * ps * ps * s
@@ -498,41 +555,61 @@ class _CartPole:
         # inverse of [[ml c, Mc+m], [Il2, ml c]] applied to (r1, r2)
         acc1 = (ml * c * r1 - Mm * r2) / det
         acc2 = (-Il2 * r1 + ml * c * r2) / det
-        rhs = (r1, r2, acc1, acc2)
-        if x.ndim == 1:
-            return np.array([ps, acc1, acc2]), rhs
+        return r1, r2, acc1, acc2
+
+    def _input_map(self, c, det):
+        """The nonzero entries of ``g``: the accelerations per unit ``u``."""
+        return self.ml * c / det, -self.Il2 / det
+
+    def f_and_g_floats(self, xs):
+        """``f(x)`` and ``g(x)`` of one state given as its 3 floats:
+        ``(psi, acc1, acc2)`` and ``((0.0,), (b1,), (b2,))``."""
+        th, ps, vt = xs
+        c, s, det = self._angle(th, True)
+        _, _, acc1, acc2 = self._dynamics(ps, vt, c, s, det)
+        b1, b2 = self._input_map(c, det)
+        return (ps, acc1, acc2), ((0.0,), (b1,), (b2,))
+
+    def _f(self, x, ps, vt, c, s, det) -> np.ndarray:
+        _, _, acc1, acc2 = self._dynamics(ps, vt, c, s, det)
         out = np.empty(x.shape)
         out[..., 0] = ps
         out[..., 1] = acc1
         out[..., 2] = acc2
-        return out, rhs
+        return out
 
     def _g(self, x, c, det) -> np.ndarray:
-        if x.ndim == 1:
-            return np.array([0.0, self.ml * c / det, -self.Il2 / det])[:, None]
         out = np.zeros(x.shape[:-1] + (3, 1))
-        out[..., 1, 0] = self.ml * c / det
-        out[..., 2, 0] = -self.Il2 / det
+        out[..., 1, 0], out[..., 2, 0] = self._input_map(c, det)
         return out
 
     def f(self, x: np.ndarray) -> np.ndarray:
-        x, ps, vt, c, s, det = self._terms(x)
-        return self._f(x, ps, vt, c, s, det)[0]
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return np.array(self.f_and_g_floats(x.tolist())[0])
+        return self._f(*self._terms(x))
 
     def g(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return np.array(self.f_and_g_floats(x.tolist())[1])
         x, _, _, c, _, det = self._terms(x)
         return self._g(x, c, det)
 
     def f_and_g(self, x: np.ndarray):
         """``(f(x), g(x))`` from one evaluation of the shared terms."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            fx, gx = self.f_and_g_floats(x.tolist())
+            return np.array(fx), np.array(gx)
         x, ps, vt, c, s, det = self._terms(x)
-        return self._f(x, ps, vt, c, s, det)[0], self._g(x, c, det)
+        return self._f(x, ps, vt, c, s, det), self._g(x, c, det)
 
     def jacobian_f(self, x: np.ndarray) -> np.ndarray:
         x, ps, vt, c, s, det = self._terms(x)
         ml, Il2, Mm = self.ml, self.Il2, self.Mc + self.m
         b = self.b
-        r1, r2, acc1, acc2 = self._f(x, ps, vt, c, s, det)[1]
+        r1, r2, acc1, acc2 = self._dynamics(ps, vt, c, s, det)
         # theta-derivatives: d(cos(th - pi)) = -s, d(sin(th - pi)) = c
         ddet = -2.0 * ml * ml * c * s
         dr1 = ml * ps * ps * c
@@ -575,8 +652,9 @@ def builtin_pendulum(g_gravity: float) -> ControlAffineSystem:
     a state whose mass matrix is singular raises a ``RuntimeError`` naming
     its ``theta``.  Cost: ``q(x) = x^T x`` and control weight ``D = 2`` (so
     the control term is ``0.5 * 2 * u^2 = u^2``).  ``f``, ``g`` and their
-    jacobians are methods of one model, so a closed-loop stage evaluates
-    ``f`` and ``g`` together (:attr:`ControlAffineSystem.f_and_g`).
+    jacobians are methods of one model, so a one-state closed-loop stage
+    evaluates ``f`` and ``g`` together on floats
+    (:attr:`ControlAffineSystem.f_and_g_floats`).
     """
     if g_gravity <= 0:
         raise ValueError(f"g_gravity must be positive, got {g_gravity}")

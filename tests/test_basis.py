@@ -1,5 +1,7 @@
 """Tests for the monomial dictionaries and their analytic jacobians."""
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitwise import assert_same_bits, state_rows
+import koopmanhj
 from koopmanhj.basis import (
     BasisSet,
     MonomialTable,
     Procedure2Basis,
+    compile_polynomial,
     monomial_basis,
     monomial_exponents,
     procedure2_basis,
@@ -237,6 +241,59 @@ class TestMonomialTable:
                 one = table.powers(z)
                 assert_same_bits(one, pw[k])
                 assert_same_bits(table.eval(one), vals[k])
+
+
+class TestCompiledPolynomial:
+    """``compile_polynomial``: one state's table form as straight-line float code."""
+
+    @pytest.mark.parametrize("n, degree", [(1, 6), (2, 5), (3, 3)])
+    def test_monomials_equal_the_table(self, n, degree):
+        """With ``C`` the identity, output ``j`` is monomial ``j`` plus zeros,
+        so on states whose monomials are nonzero and finite it has the bits
+        of the table's product of powers."""
+        table = MonomialTable(monomial_exponents(n, 0, degree), degree)
+        monomials = compile_polynomial(table, np.eye(table.M))
+        coord = st.floats(1e-3, 10.0).flatmap(lambda v: st.sampled_from([v, -v]))
+
+        @settings(max_examples=60, deadline=None)
+        @given(st.lists(coord, min_size=n, max_size=n))
+        def check(z):
+            got = monomials(z)
+            assert all(type(v) is float for v in got)
+            assert_same_bits(np.array(got), table.eval(table.powers(np.array(z))))
+
+        check()
+
+    def test_outputs_are_the_coefficient_sums(self):
+        """Output ``i`` is ``C[i, 0] m0 + C[i, 1] m1 + ...`` summed left to
+        right, every coefficient exact: a sparse odd ``C`` checks the
+        order, ``-0.0``, an extreme magnitude and the bound names ``inf``
+        and ``nan``."""
+        table = MonomialTable(monomial_exponents(2, 1, 2), 2)  # x1, x2, x1^2, x1 x2, x2^2
+        C = np.array([
+            [0.1, -0.0, 1e-300, math.pi, -2.5],
+            [np.inf, 0.0, 0.0, 0.0, 0.0],
+            [np.nan, 1.0, 0.0, 0.0, 0.0],
+        ])
+        x1, x2 = 0.3, -1.7
+        m = [x1, x2, x1 * x1, x1 * x2, x2 * x2]
+        got = compile_polynomial(table, C)([x1, x2])
+        want = 0.1 * m[0] + -0.0 * m[1] + 1e-300 * m[2] + math.pi * m[3] + -2.5 * m[4]
+        assert got[0] == want
+        assert got[1] == math.inf and math.isnan(got[2])
+        assert compile_polynomial(MonomialTable(np.zeros((0, 2), dtype=int), 0),
+                                  np.zeros((2, 0)))([1.0, 2.0]) == (0.0, 0.0)
+        with pytest.raises(ValueError, match="coefficient matrix shape"):
+            compile_polynomial(table, C[:, :4])
+
+    def test_the_package_has_one_exec_site(self):
+        """``compile_polynomial`` is the package's one ``exec``."""
+        src = Path(koopmanhj.__file__).parent
+        sites = [
+            path.name for path in sorted(src.rglob("*.py"))
+            for line in path.read_text().splitlines() if re.search(r"\bexec\(", line)
+        ]
+        assert sites == ["basis.py"]
 
 
 class TestQuadraticFormGradient:

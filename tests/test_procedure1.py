@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from bitwise import state_rows
 from koopmanhj import procedure1
 from koopmanhj.basis import monomial_basis
 from koopmanhj.galerkin import (
@@ -429,6 +430,39 @@ class TestCollapsedGradient:
         with pytest.raises(TypeError):
             HJSolution1(eig=sol.eig, sys=sol.sys, L=sol.L, R1=sol.R1, Q1=sol.Q1,
                         riccati=sol.riccati, grad_poly=None)
+
+    @pytest.mark.parametrize("name", sorted(COLLAPSE_CASES))
+    def test_one_state_runs_the_compiled_polynomial(self, collapsed, name):
+        """One state's gradient sums the table form's terms in another
+        order: within 1e-12 of the sum of the terms' magnitudes on the box.
+        It is compiled on the first one-state call, not by the solve, and
+        kept on the solution."""
+        sol = dataclasses.replace(collapsed[name])
+        assert sol._grad_code is None
+        table, Cp = sol.grad_poly
+        X = sample_domain(COLLAPSE_CASES[name][1], 2000, 13).points
+        mono = table.eval(table.powers(X))
+        got = np.array([sol.grad_value(x) for x in X])
+        code = sol._grad_code
+        assert code is not None
+        assert np.all(np.abs(got - mono @ Cp.T) <= 1e-12 * (np.abs(mono) @ np.abs(Cp).T))
+        assert sol.grad_value_floats(X[0].tolist()) == tuple(got[0])
+        assert sol._grad_code is code
+
+    @pytest.mark.parametrize("name", sorted(COLLAPSE_CASES))
+    def test_one_state_is_nan_where_the_table_form_is(self, collapsed, name):
+        sol = collapsed[name]
+        table, Cp = sol.grad_poly
+
+        @settings(max_examples=60, deadline=None)
+        @given(state_rows(sol.eig.n))
+        def check(X):
+            with np.errstate(all="ignore"):
+                want = table.eval(table.powers(X)) @ Cp.T
+                for k, x in enumerate(X):
+                    np.testing.assert_array_equal(np.isnan(sol.grad_value(x)), np.isnan(want[k]))
+
+        check()
 
     def test_sets_without_a_monomial_basis_keep_the_contraction(self):
         sys_ = builtin_example1(1.0)

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bitwise import assert_same_bits, state_rows
 from koopmanhj import simulate
 from koopmanhj.basis import monomial_basis, procedure2_basis
 from koopmanhj.galerkin import (
@@ -42,6 +43,7 @@ from koopmanhj.simulate import (
 )
 from koopmanhj.spectral import solve_riccati
 from koopmanhj.systems import (
+    ControlAffineSystem,
     builtin_example1,
     builtin_pendulum,
     control_affine_system,
@@ -424,15 +426,35 @@ class TestOnePlantEvaluationPerStage:
         assert counting.calls == {"f": 4 * self.K, "g": 4 * self.K + 1}
 
     def test_pendulum_stages_evaluate_the_shared_plant(self, stage_cases, monkeypatch):
+        """Each stage calls the model's float entry once, as the system
+        exposes it; the final node's feedback calls ``g`` instead."""
         sys_, box, controllers = stage_cases["pendulum"]
-        model = sys_.f.__self__
         calls = []
-        shared = model.f_and_g
-        monkeypatch.setattr(model, "f_and_g", lambda x: calls.append(1) or shared(x))
+        entry = sys_.f_and_g_floats
+        monkeypatch.setattr(
+            ControlAffineSystem, "f_and_g_floats",
+            property(lambda s: lambda xs: calls.append(1) or entry(xs)),
+        )
         for name in ("route1", "lqr"):
             calls.clear()
             closed_loop(sys_, controllers[name], box[:, 1] / 4, dt=self.DT, T=self.K * self.DT)
             assert len(calls) == 4 * self.K
+
+    @settings(max_examples=60, deadline=None)
+    @given(X=state_rows(3))
+    def test_float_stage_has_the_bits_of_the_array_stage(self, stage_cases, X):
+        """The pendulum's float stage gives ``u = controller(x)`` and
+        ``f(x) + g(x) @ u`` bit for bit, signed zeros, nan and infinities
+        included."""
+        sys_, _, controllers = stage_cases["pendulum"]
+        with np.errstate(all="ignore"):
+            for ctrl in controllers.values():
+                field = simulate._stage_field(sys_, ctrl, simulate._checked_control(ctrl, 1))
+                for x in X:
+                    xdot, u = field(x)
+                    want = ctrl(x)
+                    assert_same_bits(u, want)
+                    assert_same_bits(xdot, sys_.f(x) + sys_.g(x) @ want)
 
     def test_wrong_length_controller_output_truncates(self):
         sys_, _, _ = _linear_system()

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bitwise import assert_same_bits, state_rows
 
+from koopmanhj import systems
 from koopmanhj.systems import (
     builtin_example1,
     builtin_pendulum,
@@ -338,15 +339,90 @@ class TestPendulumSharedTerms:
 
     def test_one_shared_map_only_for_the_model_maps(self):
         sys_ = builtin_pendulum(9.81)
-        assert sys_.f_and_g is not None
-        assert dataclasses.replace(sys_, g=lambda x: sys_.g(x)).f_and_g is None
-        assert builtin_example1().f_and_g is None
-        assert _user_system().f_and_g is None
+        wrapped = dataclasses.replace(sys_, g=lambda x: sys_.g(x))
+        for attr in ("f_and_g", "f_and_g_floats"):
+            assert getattr(sys_, attr) is not None
+            assert getattr(wrapped, attr) is None
+            assert getattr(builtin_example1(), attr) is None
+            assert getattr(_user_system(), attr) is None
 
     def test_nonfinite_angles_give_nonfinite_maps_without_raising(self):
         sys_ = builtin_pendulum(9.81)
         fx, gx = sys_.f_and_g(np.array([np.nan, 0.0, 0.0]))
         assert np.isnan(fx[1:]).all() and np.isnan(gx[1:, 0]).all()
+
+
+class TestPendulumFloatEntry:
+    """``f_and_g_floats``, the one-state stage's plant, against the maps."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(X=state_rows(3))
+    def test_equals_f_and_g(self, X):
+        sys_ = builtin_pendulum(9.81)
+        with np.errstate(all="ignore"):
+            F, G = sys_.f(X), sys_.g(X)
+            for k, x in enumerate(X):
+                fx, gx = sys_.f_and_g_floats(x.tolist())
+                assert all(type(v) is float for v in fx + sum(gx, ()))
+                assert_same_bits(np.array(fx), F[k])
+                assert_same_bits(np.array(gx), G[k])
+                assert_same_bits(np.array(fx), sys_.f(x))
+                assert_same_bits(np.array(gx), sys_.g(x))
+
+    def test_names_the_singular_angle(self, monkeypatch):
+        """The inertia of ``test_pendulum_names_the_singular_angle``
+        (``tests/test_properties.py``) makes ``M(3 pi / 4)`` singular."""
+        ml2 = (systems._PEND_m * systems._PEND_l) ** 2
+        inertia = ml2 / (2 * (systems._PEND_M + systems._PEND_m)) - (
+            systems._PEND_m * systems._PEND_l ** 2
+        )
+        monkeypatch.setattr(systems, "_PEND_I", inertia)
+        sys_ = builtin_pendulum(9.81)
+        x = [3 * np.pi / 4, 1.0, 0.0]
+        with pytest.raises(RuntimeError, match=r"singular at theta=2\.35619") as raised:
+            sys_.f_and_g_floats(x)
+        with pytest.raises(RuntimeError) as batch:
+            sys_.f(np.array([x]))
+        assert str(raised.value) == str(batch.value)
+
+
+def _cubic():
+    return polynomial_system([[(-1.0, (1,)), (1.0, (3,))]], [[1.0]], [[0.8]], [[1.0]])
+
+
+def _matmul_feedback(sys_, P, G):
+    """The matrix-product form ``-((p^T g) D^{-1}^T)`` that ``feedback`` replaced."""
+    return -((P[..., None, :] @ G)[..., 0, :] @ sys_.D_inv.T)
+
+
+class TestFeedbackOrder:
+    """``feedback`` sums left to right from +0.0: the bits of the matrix
+    products where ``g`` holds zeros and ones, their value to rounding
+    elsewhere."""
+
+    @pytest.mark.parametrize("make", [lambda: builtin_example1(0.5), _cubic])
+    def test_batch_equals_the_matrix_products(self, make):
+        sys_ = make()
+
+        @settings(max_examples=60, deadline=None)
+        @given(st.data())
+        def check(data):
+            X = data.draw(state_rows(sys_.n))
+            P = data.draw(state_rows(sys_.n, rows=len(X)))
+            with np.errstate(all="ignore"):
+                G = sys_.g(X)
+                assert_same_bits(feedback(sys_, X, P, G), _matmul_feedback(sys_, P, G))
+
+        check()
+
+    def test_pendulum_within_rounding(self):
+        sys_ = builtin_pendulum(9.81)
+        rng = np.random.default_rng(22)
+        X = rng.uniform([-3.0, -5.0, -5.0], [3.0, 5.0, 5.0], size=(2000, 3))
+        P = rng.uniform(-1.0, 1.0, size=(2000, 3))
+        G = sys_.g(X)
+        u, want = feedback(sys_, X, P, G), _matmul_feedback(sys_, P, G)
+        assert np.all(np.abs(u - want) <= 1e-15 * (1.0 + np.abs(want)))
 
 
 class TestOneStateEqualsBatchRow:
