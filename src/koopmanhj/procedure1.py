@@ -30,7 +30,7 @@ Phi(x)`` solves the evolution equation ``H0(x, dW/dx^T) + dW/dt = 0``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -118,7 +118,8 @@ class HJSolution1:
     def grad_value(self, x: npt.ArrayLike) -> np.ndarray:
         """The momentum ``dV/dx^T`` at states ``(..., n)``.
 
-        With ``grad_poly``, one state runs :meth:`grad_value_floats` and a
+        With ``grad_poly``, one state runs the polynomial as straight-line
+        float code (compiled on the first one-state call and kept) and a
         batch the table form ``table.eval(table.powers(X)) @ Cp.T``; the two
         sum the same terms in a different order, so they agree to rounding.
         """
@@ -128,23 +129,13 @@ class HJSolution1:
             LPhi = Phi @ self.L.T  # L symmetric; (..., n)
             return (LPhi[..., None, :] @ jac)[..., 0, :]
         if X.ndim == 1:
-            return np.array(self.grad_value_floats(X.tolist()))
+            code = self._grad_code
+            if code is None:
+                code = compile_polynomial(*self.grad_poly)
+                object.__setattr__(self, "_grad_code", code)
+            return np.array(code(X.tolist()))
         table, Cp = self.grad_poly
         return table.eval(table.powers(X)) @ Cp.T
-
-    def grad_value_floats(self, xs: List[float]) -> Sequence[float]:
-        """The momentum of one state given as ``n`` floats, as ``n`` floats.
-
-        A closed-loop float stage calls this in place of :meth:`grad_value`
-        (:func:`~koopmanhj.systems.feedback_of`).
-        """
-        code = self._grad_code
-        if code is None:
-            if self.grad_poly is None:
-                return self.grad_value(np.array(xs, dtype=float)).tolist()
-            code = compile_polynomial(*self.grad_poly)
-            object.__setattr__(self, "_grad_code", code)
-        return code(xs)
 
     @feedback_of("grad_value")
     def control(self, x: npt.ArrayLike) -> np.ndarray:

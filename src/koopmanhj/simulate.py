@@ -359,10 +359,9 @@ def _float_stage(
 
     ``xdot_i = f_i + (g_i u + 0.0)``: the sum over the one input taken from
     +0.0 as numpy's ``g(x) @ u`` takes it, so the field has the bits of
-    ``f(x) + g(x) @ u``.  A marked feedback takes the momentum as floats
-    (``<momentum>_floats`` of its solution where it has one, else the
-    momentum's array) and ``u`` from :func:`~koopmanhj.systems.feedback`'s
-    float terms; any other controller gives ``u = control(x)``.
+    ``f(x) + g(x) @ u``.  A marked feedback takes the momentum's floats
+    and ``u`` from :func:`~koopmanhj.systems.feedback`'s float terms; any
+    other controller gives ``u = control(x)``.
     """
     if name is None:
 
@@ -376,12 +375,10 @@ def _float_stage(
 
     D_inv = sys.D_inv.tolist()
     momentum = getattr(owner, name)
-    momentum_floats = getattr(owner, name + "_floats", None)
 
     def hj_field(xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        xl = xs.tolist()
-        px = momentum(xs).tolist() if momentum_floats is None else momentum_floats(xl)
-        fx, gx = plant(xl)
+        px = momentum(xs).tolist()
+        fx, gx = plant(xs.tolist())
         (u0,) = _feedback_terms(D_inv, gx, px)
         return np.array([f + (g * u0 + 0.0) for f, (g,) in zip(fx, gx)]), np.array([u0])
 

@@ -120,10 +120,9 @@ class ControlAffineSystem:
 
     The plant of a closed loop is ``f`` and ``g``: a custom system provides
     these two maps, and each RK4 stage calls both once.  Where ``f`` and
-    ``g`` are methods of one model (the built-in pendulum), that model may
-    also give both at once: :attr:`f_and_g` for states ``(..., n)``, and
-    :attr:`f_and_g_floats` for one state as floats, which a one-state
-    stage calls once.
+    ``g`` are methods of one model that also gives one state's ``f`` and
+    ``g`` as floats (the built-in pendulum), :attr:`f_and_g_floats` is that
+    method, and a one-state stage calls it once.
     """
 
     n: int
@@ -172,26 +171,16 @@ class ControlAffineSystem:
                 f"jacobian_g(0) shape {jg0} != ({self.n}, {self.p}, {self.n})"
             )
 
-    def _model_map(self, name: str) -> Optional[Callable]:
-        """Method ``name`` of the model whose methods ``f`` and ``g`` are,
-        or None where they are separate maps (or have been wrapped)."""
-        model = getattr(self.f, "__self__", None)
-        if model is None or getattr(self.g, "__self__", None) is not model:
-            return None
-        return getattr(model, name, None)
-
-    @property
-    def f_and_g(self) -> Optional[Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]]:
-        """The map ``x -> (f(x), g(x))`` of a model that evaluates both at
-        once, or None where ``f`` and ``g`` are separate maps."""
-        return self._model_map("f_and_g")
-
     @property
     def f_and_g_floats(self) -> Optional[Callable[[list], Tuple[tuple, tuple]]]:
         """The map of one state's ``n`` floats (``x.tolist()``) to ``f(x)``
         as ``n`` floats and ``g(x)`` as ``n`` rows of ``p`` floats, with the
-        bits of ``f`` and ``g``; None as for :attr:`f_and_g`."""
-        return self._model_map("f_and_g_floats")
+        bits of ``f`` and ``g``, of a model whose methods ``f`` and ``g``
+        are; None where they are separate maps (or have been wrapped)."""
+        model = getattr(self.f, "__self__", None)
+        if model is None or getattr(self.g, "__self__", None) is not model:
+            return None
+        return getattr(model, "f_and_g_floats", None)
 
     def R(self, x: npt.ArrayLike) -> np.ndarray:
         """State-dependent control-energy matrix ``g(x) D^{-1} g(x)^T``: (..., n, n)."""
@@ -334,9 +323,6 @@ def feedback_of(momentum: str):
     marked ``control`` bound to a solution for its own system.  It then
     evaluates the momentum and the feedback itself, from the ``g(x)`` its
     stage evaluates anyway, with the operands and order of ``control``.
-    A float stage calls the solution's ``<momentum>_floats`` where it has
-    one (the momentum of one state given and returned as ``n`` floats),
-    and ``<momentum>`` otherwise.
     """
 
     def mark(control):
@@ -513,7 +499,7 @@ class _CartPole:
     the arrays of a batch.
     :meth:`f_and_g_floats` gives one state's drift and input map as float
     tuples (the one-state closed-loop stage), and the one-state branches of
-    :meth:`f`, :meth:`g` and :meth:`f_and_g` pack its result into arrays.
+    :meth:`f` and :meth:`g` pack its result into arrays.
     """
 
     def __init__(self, g_gravity: float) -> None:
@@ -570,7 +556,11 @@ class _CartPole:
         b1, b2 = self._input_map(c, det)
         return (ps, acc1, acc2), ((0.0,), (b1,), (b2,))
 
-    def _f(self, x, ps, vt, c, s, det) -> np.ndarray:
+    def f(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return np.array(self.f_and_g_floats(x.tolist())[0])
+        x, ps, vt, c, s, det = self._terms(x)
         _, _, acc1, acc2 = self._dynamics(ps, vt, c, s, det)
         out = np.empty(x.shape)
         out[..., 0] = ps
@@ -578,32 +568,14 @@ class _CartPole:
         out[..., 2] = acc2
         return out
 
-    def _g(self, x, c, det) -> np.ndarray:
-        out = np.zeros(x.shape[:-1] + (3, 1))
-        out[..., 1, 0], out[..., 2, 0] = self._input_map(c, det)
-        return out
-
-    def f(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return np.array(self.f_and_g_floats(x.tolist())[0])
-        return self._f(*self._terms(x))
-
     def g(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             return np.array(self.f_and_g_floats(x.tolist())[1])
         x, _, _, c, _, det = self._terms(x)
-        return self._g(x, c, det)
-
-    def f_and_g(self, x: np.ndarray):
-        """``(f(x), g(x))`` from one evaluation of the shared terms."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            fx, gx = self.f_and_g_floats(x.tolist())
-            return np.array(fx), np.array(gx)
-        x, ps, vt, c, s, det = self._terms(x)
-        return self._f(x, ps, vt, c, s, det), self._g(x, c, det)
+        out = np.zeros(x.shape[:-1] + (3, 1))
+        out[..., 1, 0], out[..., 2, 0] = self._input_map(c, det)
+        return out
 
     def jacobian_f(self, x: np.ndarray) -> np.ndarray:
         x, ps, vt, c, s, det = self._terms(x)

@@ -333,22 +333,19 @@ class TestPendulumSharedTerms:
             got, want = getattr(sys_, name)(x), fn(x)
             assert got.shape == want.shape
             np.testing.assert_array_equal(got, want)
-        fx, gx = sys_.f_and_g(x)
-        np.testing.assert_array_equal(fx, ref["f"](x))
-        np.testing.assert_array_equal(gx, ref["g"](x))
 
     def test_one_shared_map_only_for_the_model_maps(self):
         sys_ = builtin_pendulum(9.81)
         wrapped = dataclasses.replace(sys_, g=lambda x: sys_.g(x))
-        for attr in ("f_and_g", "f_and_g_floats"):
-            assert getattr(sys_, attr) is not None
-            assert getattr(wrapped, attr) is None
-            assert getattr(builtin_example1(), attr) is None
-            assert getattr(_user_system(), attr) is None
+        assert sys_.f_and_g_floats is not None
+        assert wrapped.f_and_g_floats is None
+        assert builtin_example1().f_and_g_floats is None
+        assert _user_system().f_and_g_floats is None
 
     def test_nonfinite_angles_give_nonfinite_maps_without_raising(self):
         sys_ = builtin_pendulum(9.81)
-        fx, gx = sys_.f_and_g(np.array([np.nan, 0.0, 0.0]))
+        x = np.array([np.nan, 0.0, 0.0])
+        fx, gx = sys_.f(x), sys_.g(x)
         assert np.isnan(fx[1:]).all() and np.isnan(gx[1:, 0]).all()
 
 
@@ -446,7 +443,6 @@ class TestOneStateEqualsBatchRow:
         sys_ = builtin_pendulum(9.81)
         self._check([
             sys_.f, sys_.g, sys_.q, sys_.grad_q, sys_.jacobian_f, sys_.jacobian_g,
-            lambda x: sys_.f_and_g(x)[0], lambda x: sys_.f_and_g(x)[1],
         ], X)
 
     @settings(max_examples=40, deadline=None)

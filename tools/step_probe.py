@@ -3,13 +3,13 @@
 Usage (from the repository root):
 
     python3 tools/step_probe.py configs/pendulum_simulate.yaml [--src DIR ...]
-        [--runs N] [--seconds T] [--ic K]
+        [--runs N]
 
 Builds the config's system and controllers from the ``koopmanhj`` package
 under ``--src`` (default: this repository's ``src``), then times
-``closed_loop`` from initial condition ``K`` over ``T`` seconds of
-simulated time, once per controller per run, the controllers interleaved
-within each run.  BLAS runs on one thread.  A short untimed rollout per
+``closed_loop`` from the config's first initial condition over
+``SECONDS`` of simulated time, once per controller per run, the
+controllers interleaved within each run.  BLAS runs on one thread.  A short untimed rollout per
 controller comes first, so one-time work (such as compiling a gradient)
 stays out of the figures.
 
@@ -31,9 +31,11 @@ from pathlib import Path
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 ROOT = Path(__file__).resolve().parent.parent
+IC = 0  # index of the initial condition every rollout starts from
+SECONDS = 2.0  # simulated time per rollout
 
 
-def _time_controllers(config: str, seconds: float, ic: int, runs: int) -> dict:
+def _time_controllers(config: str, runs: int) -> dict:
     """Per controller, the microseconds per step of each of ``runs`` rollouts."""
     import numpy as np
 
@@ -46,10 +48,10 @@ def _time_controllers(config: str, seconds: float, ic: int, runs: int) -> dict:
     sys_ = build_system(cfg)
     sim = cfg.simulate
     ics = sim["ics"] if "ics" in sim else pendulum_ic_cloud(**sim["pendulum_cloud"])
-    x0 = np.asarray(ics[ic], dtype=float)
+    x0 = np.asarray(ics[IC], dtype=float)
     named = _build_controllers(cfg, sys_, linearize(sys_))
     dt = cfg.integrator["dt"]
-    steps = int(round(seconds / dt))
+    steps = int(round(SECONDS / dt))
     for _, ctrl in named:  # untimed: one-time work stays out of the figures
         closed_loop(sys_, ctrl, x0, dt=dt, T=10 * dt)
     out = {name: [] for name, _ in named}
@@ -73,8 +75,6 @@ def main(argv=None) -> int:
     ap.add_argument("config")
     ap.add_argument("--src", action="append", help="package tree (repeatable)")
     ap.add_argument("--runs", type=int, default=7)
-    ap.add_argument("--seconds", type=float, default=2.0, help="simulated time per rollout")
-    ap.add_argument("--ic", type=int, default=0, help="initial condition index")
     ap.add_argument("--raw", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     trees = [str(Path(s).resolve()) for s in (args.src or [ROOT / "src"])]
@@ -84,7 +84,7 @@ def main(argv=None) -> int:
         for var in THREAD_VARS:
             os.environ[var] = "1"
         sys.path.insert(0, trees[0])
-        timed = _time_controllers(config, args.seconds, args.ic, args.runs)
+        timed = _time_controllers(config, args.runs)
         if args.raw:
             print(json.dumps(timed))
             return 0
@@ -95,16 +95,14 @@ def main(argv=None) -> int:
         for _ in range(args.runs):
             for tree in trees:
                 proc = subprocess.run(
-                    [sys.executable, __file__, config, "--src", tree, "--runs", "1",
-                     "--seconds", str(args.seconds), "--ic", str(args.ic), "--raw"],
+                    [sys.executable, __file__, config, "--src", tree, "--runs", "1", "--raw"],
                     env=env, stdout=subprocess.PIPE, check=True, text=True,
                 )
                 timed = json.loads(proc.stdout.strip().splitlines()[-1])
                 for name, v in timed["us_per_step"].items():
                     samples[tree].setdefault(name, []).extend(v)
         result = {tree: _summary(s) for tree, s in samples.items()}
-    print(json.dumps({"config": config, "seconds": args.seconds, "ic": args.ic,
-                      "trees": result}))
+    print(json.dumps({"config": config, "seconds": SECONDS, "ic": IC, "trees": result}))
     return 0
 
 
