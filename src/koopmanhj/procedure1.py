@@ -92,7 +92,7 @@ class HJSolution1:
     otherwise None, and the gradient is the contraction
     ``(dPhi/dx)^T L Phi``.  The polynomial of one state runs as
     straight-line float code (:func:`~koopmanhj.basis.compile_polynomial`),
-    compiled on the first one-state call and kept on the solution.
+    compiled on first use and kept on the solution (:meth:`gradient_code`).
     """
 
     eig: EigenfunctionSet
@@ -118,10 +118,11 @@ class HJSolution1:
     def grad_value(self, x: npt.ArrayLike) -> np.ndarray:
         """The momentum ``dV/dx^T`` at states ``(..., n)``.
 
-        With ``grad_poly``, one state runs the polynomial as straight-line
-        float code (compiled on the first one-state call and kept) and a
-        batch the table form ``table.eval(table.powers(X)) @ Cp.T``; the two
-        sum the same terms in a different order, so they agree to rounding.
+        With ``grad_poly``, one state packs the floats of
+        :meth:`gradient_code`, the code a one-state closed-loop stage calls
+        on the state's floats directly, and a batch runs the table form
+        ``table.eval(table.powers(X)) @ Cp.T``; the two sum the same terms
+        in a different order, so they agree to rounding.
         """
         X = np.asarray(x, dtype=float)
         if self.grad_poly is None:
@@ -129,15 +130,22 @@ class HJSolution1:
             LPhi = Phi @ self.L.T  # L symmetric; (..., n)
             return (LPhi[..., None, :] @ jac)[..., 0, :]
         if X.ndim == 1:
-            code = self._grad_code
-            if code is None:
-                code = compile_polynomial(*self.grad_poly)
-                object.__setattr__(self, "_grad_code", code)
-            return np.array(code(X.tolist()))
+            return np.array(self.gradient_code()(X.tolist()))
         table, Cp = self.grad_poly
         return table.eval(table.powers(X)) @ Cp.T
 
-    @feedback_of("grad_value")
+    def gradient_code(self) -> Optional[Callable[[list], tuple]]:
+        """The collapsed gradient of one state as straight-line float code:
+        its ``n`` floats (``x.tolist()``) to ``n`` floats, the values of
+        :meth:`grad_value`; compiled on the first call and kept.  None
+        without ``grad_poly``."""
+        code = self._grad_code
+        if code is None and self.grad_poly is not None:
+            code = compile_polynomial(*self.grad_poly)
+            object.__setattr__(self, "_grad_code", code)
+        return code
+
+    @feedback_of("grad_value", floats="gradient_code")
     def control(self, x: npt.ArrayLike) -> np.ndarray:
         X = np.asarray(x, dtype=float)
         return feedback(self.sys, X, self.grad_value(X))

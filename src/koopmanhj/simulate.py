@@ -11,13 +11,15 @@ The plant of a rollout is the system's ``f`` and ``g``; a custom system
 provides these two maps.  Each stage evaluates both once, and a route-1 or
 route-2 feedback reuses the stage's ``g(x)`` (:func:`closed_loop`).  A
 one-input system whose model gives one state's plant on floats (the
-built-in pendulum) runs each stage on Python floats, with the bits of the
-array stage (:func:`_float_stage`).
+built-in pendulum) keeps a one-state rollout on Python floats through the
+whole RK4 step, stages included, with the bits of the array step
+(:func:`_rk4`, :func:`_float_stage`).
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
@@ -102,6 +104,31 @@ def _rk4_step(
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), u
 
 
+def _float_step(
+    field: Callable[[list], Tuple[list, Sequence[float]]], x: list, dt: float
+) -> Tuple[list, Sequence[float]]:
+    """:func:`_rk4_step` on the ``n`` floats of one state: the same
+    operations in the same order, so ``x_{k+1}`` and ``u`` have its bits."""
+    k1, u = field(x)
+    h = 0.5 * dt
+    k2, _ = field([a + h * b for a, b in zip(x, k1)])
+    k3, _ = field([a + h * b for a, b in zip(x, k2)])
+    k4, _ = field([a + dt * b for a, b in zip(x, k3)])
+    c = dt / 6.0
+    return [
+        a + c * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+        for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
+    ], u
+
+
+def _array_finite(x: np.ndarray) -> bool:
+    return np.isfinite(x).all()
+
+
+def _floats_finite(x: list) -> bool:
+    return all(map(math.isfinite, x))
+
+
 @dataclass(frozen=True)
 class _Rollout:
     """Raw output of :func:`_rk4`.
@@ -127,6 +154,7 @@ def _rk4(
     K: int,
     p: int = 0,
     admissible: Callable[[np.ndarray], np.ndarray] = _finite_rows,
+    floats: bool = False,
 ) -> _Rollout:
     """The one RK4 loop: ``K`` fixed steps of one state ``(n,)`` or of rows ``(B, n)``.
 
@@ -137,6 +165,12 @@ def _rk4(
     non-finite stage derivative).  A row whose ``x_{k+1}`` is not admissible
     stops there and the other rows go on; a stopped row is held at its last
     state.  A step that raises stops every row still going.
+
+    With ``floats`` (one state only) the state is a list of its ``n``
+    floats through the whole step: ``field`` takes and returns float
+    sequences, :func:`_float_step` combines the stages with the bits of
+    :func:`_rk4_step`, and the default test is ``math.isfinite`` on each
+    coordinate.  Each step is still written into ``states`` and ``inputs``.
     """
     x = np.array(x0, dtype=float)
     states = np.empty((K + 1,) + x.shape)
@@ -145,17 +179,20 @@ def _rk4(
     kept = np.full(x.shape[:-1], K)
     going = np.ones(x.shape[:-1], dtype=bool)
     error: Optional[Exception] = None
+    step, finite = _rk4_step, _array_finite
+    if floats:
+        step, finite, x = _float_step, _floats_finite, x.tolist()
     for k in range(K):
         try:
-            xn, u = _rk4_step(field, x, dt)
+            xn, u = step(field, x, dt)
         except Exception as exc:  # noqa: BLE001 — truncation is the contract
             kept[going] = k
             error = exc
             break
         if p:
             inputs[k] = u
-        if admissible is not _finite_rows or not np.isfinite(xn).all():
-            ok = admissible(xn)
+        if admissible is not _finite_rows or not finite(xn):
+            ok = admissible(np.asarray(xn))
             if not ok.all():
                 kept[going & ~ok] = k
                 going &= ok
@@ -219,12 +256,14 @@ def closed_loop(
     evaluates the plant maps ``f`` and ``g`` once: on floats, from one call,
     where the system has one input and
     :attr:`~koopmanhj.systems.ControlAffineSystem.f_and_g_floats` (the
-    built-in pendulum), else as the two maps on the state's array.  A
-    custom system provides ``f`` and ``g`` only.  A route-1 or route-2
-    feedback bound to a solution for ``sys`` (``control`` marked by
-    :func:`~koopmanhj.systems.feedback_of`) takes the stage's ``g(x)``;
-    any other controller is called as ``controller(x)``.  Both give the
-    bits of ``f(x) + g(x) controller(x)``.
+    built-in pendulum), else as the two maps on the state's array.  On
+    floats the whole RK4 step runs on the state's floats (``_rk4``'s
+    ``floats``).  A custom system provides ``f`` and ``g`` only.  A
+    route-1 or route-2 feedback bound to a solution for ``sys``
+    (``control`` marked by :func:`~koopmanhj.systems.feedback_of`) takes
+    the stage's ``g(x)``, and on floats a momentum the mark names on
+    floats; any other controller is called as ``controller(x)`` on an
+    array.  All give the bits of ``f(x) + g(x) controller(x)``.
 
     Running cost is the trapezoid rule over the node values
     ``q(x_k) + 0.5 u_k^T D u_k`` (node input = feedback at the node).  A
@@ -237,7 +276,8 @@ def closed_loop(
         raise ValueError(f"x0 has dimension {x.size}, system has n={sys.n}")
     p = sys.p
     control = _checked_control(controller, p)
-    run = _rk4(_stage_field(sys, controller, control), x, dt, K, p=p)
+    field, floats = _stage_field(sys, controller, control)
+    run = _rk4(field, x, dt, K, p=p, floats=floats)
     kept = int(run.kept)
     states = run.states[: kept + 1]
     nodes = np.full((kept + 1, p), np.nan)  # the feedback at each kept node
@@ -303,8 +343,9 @@ def _stage_field(
     sys: ControlAffineSystem,
     controller: Callable[[np.ndarray], np.ndarray],
     control: Callable[[np.ndarray], np.ndarray],
-) -> _Field:
-    """The closed-loop field ``x -> (f(x) + g(x) u, u)`` of one RK4 stage.
+) -> Tuple[_Field, bool]:
+    """The closed-loop field ``x -> (f(x) + g(x) u, u)`` of one RK4 stage,
+    and whether it runs on floats (``_rk4``'s ``floats``).
 
     ``control`` is ``controller`` with its output checked.  A feedback
     marked by :func:`~koopmanhj.systems.feedback_of` and bound to a solution
@@ -323,7 +364,14 @@ def _stage_field(
         owner = name = None
     plant = sys.f_and_g_floats
     if plant is not None and sys.p == 1:
-        return _float_stage(sys, plant, control, owner, name)
+        momentum = None
+        if name is not None:
+            floats = getattr(controller, "feedback_floats", None)
+            momentum = getattr(owner, floats)() if floats else None
+            if momentum is None:
+                array_momentum = getattr(owner, name)
+                momentum = lambda xs: array_momentum(np.array(xs)).tolist()  # noqa: E731
+        return _float_stage(sys, plant, control, momentum), True
     f, g = sys.f, sys.g
     if name is None:
 
@@ -331,7 +379,7 @@ def _stage_field(
             u = control(xs)
             return f(xs) + g(xs) @ u, u
 
-        return field
+        return field, False
 
     # u = -D^{-1} g(x)^T p(x): the feedback calls g before the field calls f
     momentum = getattr(owner, name)
@@ -343,44 +391,44 @@ def _stage_field(
         u = feedback(sys, xs, px, gx)
         return fx + gx @ u, u
 
-    return hj_field
+    return hj_field, False
 
 
 def _float_stage(
     sys: ControlAffineSystem,
     plant: Callable[[list], Tuple[tuple, tuple]],
     control: Callable[[np.ndarray], np.ndarray],
-    owner: object,
-    name: Optional[str],
-) -> _Field:
-    """The stage of a one-input system with a float plant entry: the state
-    is unpacked once (``x.tolist()``), and the stage builds one array for
-    ``xdot`` and one for ``u``.
+    momentum: Optional[Callable[[list], Sequence[float]]],
+) -> Callable[[list], Tuple[list, Sequence[float]]]:
+    """The stage of a one-input system with a float plant entry, on floats
+    in and out: the state's ``n`` floats to ``xdot`` and ``u`` as float
+    sequences.
 
     ``xdot_i = f_i + (g_i u + 0.0)``: the sum over the one input taken from
     +0.0 as numpy's ``g(x) @ u`` takes it, so the field has the bits of
-    ``f(x) + g(x) @ u``.  A marked feedback takes the momentum's floats
-    and ``u`` from :func:`~koopmanhj.systems.feedback`'s float terms; any
-    other controller gives ``u = control(x)``.
+    ``f(x) + g(x) @ u``.  A marked feedback passes its ``momentum`` on
+    floats, and ``u`` comes from :func:`~koopmanhj.systems.feedback`'s
+    float terms; any other controller gives ``u = control(np.array(x))``,
+    so a linear law keeps the bits of its matrix product.
     """
-    if name is None:
+    if momentum is None:
 
-        def field(xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            u = control(xs)
-            fx, gx = plant(xs.tolist())
-            (u0,) = u.tolist()
-            return np.array([f + (g * u0 + 0.0) for f, (g,) in zip(fx, gx)]), u
+        def field(xs: list) -> Tuple[list, list]:
+            u = control(np.array(xs)).tolist()
+            fx, gx = plant(xs)
+            (u0,) = u
+            return [f + (g * u0 + 0.0) for f, (g,) in zip(fx, gx)], u
 
         return field
 
     D_inv = sys.D_inv.tolist()
-    momentum = getattr(owner, name)
 
-    def hj_field(xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        px = momentum(xs).tolist()
-        fx, gx = plant(xs.tolist())
-        (u0,) = _feedback_terms(D_inv, gx, px)
-        return np.array([f + (g * u0 + 0.0) for f, (g,) in zip(fx, gx)]), np.array([u0])
+    def hj_field(xs: list) -> Tuple[list, list]:
+        px = momentum(xs)
+        fx, gx = plant(xs)
+        u = _feedback_terms(D_inv, gx, px)
+        (u0,) = u
+        return [f + (g * u0 + 0.0) for f, (g,) in zip(fx, gx)], u
 
     return hj_field
 

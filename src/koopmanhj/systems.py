@@ -316,17 +316,21 @@ def _feedback_terms(D_inv: list, g, p) -> list:
     return u
 
 
-def feedback_of(momentum: str):
+def feedback_of(momentum: str, floats: Optional[str] = None):
     """Mark a solution's ``control(x)`` as ``feedback(self.sys, x, self.<momentum>(x))``.
 
     The closed loop (:func:`koopmanhj.simulate.closed_loop`) recognises a
     marked ``control`` bound to a solution for its own system.  It then
     evaluates the momentum and the feedback itself, from the ``g(x)`` its
     stage evaluates anyway, with the operands and order of ``control``.
+    ``floats``, where given, names a method of the solution that returns
+    the momentum of one state as a map of its ``n`` floats to ``n`` floats,
+    with the bits of ``<momentum>``, or None where it has no such map.
     """
 
     def mark(control):
         control.feedback_momentum = momentum
+        control.feedback_floats = floats
         return control
 
     return mark

@@ -443,15 +443,19 @@ class TestOnePlantEvaluationPerStage:
     @settings(max_examples=60, deadline=None)
     @given(X=state_rows(3))
     def test_float_stage_has_the_bits_of_the_array_stage(self, stage_cases, X):
-        """The pendulum's float stage gives ``u = controller(x)`` and
+        """The pendulum's float stage, called as the kernel calls it with
+        the state's floats, gives ``u = controller(x)`` and
         ``f(x) + g(x) @ u`` bit for bit, signed zeros, nan and infinities
         included."""
         sys_, _, controllers = stage_cases["pendulum"]
         with np.errstate(all="ignore"):
             for ctrl in controllers.values():
-                field = simulate._stage_field(sys_, ctrl, simulate._checked_control(ctrl, 1))
+                field, floats = simulate._stage_field(
+                    sys_, ctrl, simulate._checked_control(ctrl, 1)
+                )
+                assert floats
                 for x in X:
-                    xdot, u = field(x)
+                    xdot, u = field(x.tolist())
                     want = ctrl(x)
                     assert_same_bits(u, want)
                     assert_same_bits(xdot, sys_.f(x) + sys_.g(x) @ want)
@@ -511,6 +515,177 @@ class TestOnePlantEvaluationPerStage:
         assert plain.diagnostic == (
             None if first is None else f"controller failed at t={plain.t_fail:.6g}: {first} failed"
         )
+
+
+def _decay(x0, x1, x2):
+    return (-x0, -2.0 * x1, 0.5 * x2 - x0), (x0 + x1,)
+
+
+def _coupled(x0, x1, x2):
+    return (x1 * x2, -x0 + 0.25 * x2, x0 * x1 - x2), (x0 - 3.0 * x2,)
+
+
+def _constant(x0, x1, x2):
+    return (1.0, -0.0, 1e300), (0.0,)
+
+
+def _square(x0, x1, x2):
+    return (x0 * x0, x1 * x1, 1.0), (x2,)
+
+
+def _bit_twins(rhs):
+    """The array field and the float field of one right-hand side."""
+    def array_field(x):
+        xdot, u = rhs(*x)
+        return np.array(xdot, dtype=float), np.array(u, dtype=float)
+
+    def float_field(xs):
+        xdot, u = rhs(*xs)
+        return list(xdot), list(u)
+
+    return array_field, float_field
+
+
+class TestFloatStep:
+    """One state's RK4 step on floats has the bits of the array step, and a
+    rollout on the float stage has the bits of the array stage."""
+
+    FIELDS = [_decay, _coupled, _constant, _square]
+
+    @settings(max_examples=60, deadline=None)
+    @given(X=state_rows(3), dt=st.sampled_from([1e-3, 0.25, 1e3]))
+    def test_float_step_has_the_bits_of_the_array_step(self, X, dt):
+        with np.errstate(all="ignore"):
+            for rhs in self.FIELDS:
+                array_field, float_field = _bit_twins(rhs)
+                for x in X:
+                    want, want_u = simulate._rk4_step(array_field, x, dt)
+                    got, got_u = simulate._float_step(float_field, x.tolist(), dt)
+                    assert_same_bits(got, want)
+                    assert_same_bits(got_u, want_u)
+
+    @settings(max_examples=40, deadline=None)
+    @given(X=state_rows(3), dt=st.sampled_from([1e-3, 0.25, 1e3]))
+    def test_float_kernel_stops_where_the_array_kernel_stops(self, X, dt):
+        """``_rk4`` on floats keeps the steps, states and inputs of the array
+        kernel: a non-finite ``x_{k+1}`` (an infinity or a nan) stops both."""
+        K = 4
+        with np.errstate(all="ignore"):
+            for rhs in self.FIELDS:
+                array_field, float_field = _bit_twins(rhs)
+                for x in X:
+                    want = simulate._rk4(array_field, x, dt, K, p=1)
+                    got = simulate._rk4(float_field, x, dt, K, p=1, floats=True)
+                    kept = int(want.kept)
+                    assert int(got.kept) == kept and got.error is want.error is None
+                    assert_same_bits(got.states[: kept + 1], want.states[: kept + 1])
+                    assert_same_bits(got.inputs[: kept + 1], want.inputs[: kept + 1])
+
+    DT = 1e-2
+
+    @pytest.fixture(scope="class")
+    def pendulum_paths(self, stage_cases):
+        """The pendulum (float stage) and the same plant with ``f`` and ``g``
+        wrapped (array stage), the route-1 solution and LQR."""
+        pend, _, controllers = stage_cases["pendulum"]
+        wrapped = dataclasses.replace(pend, f=lambda x: pend.f(x), g=lambda x: pend.g(x))
+        assert pend.f_and_g_floats is not None and wrapped.f_and_g_floats is None
+        sol = controllers["route1"].__self__
+        return pend, wrapped, sol, controllers["lqr"]
+
+    @staticmethod
+    def _faulty(fn, at, fault):
+        """``fn`` with call ``at`` (1-based) replaced: ``raise`` raises, ``huge``
+        returns 1e308 in every entry, ``long`` and ``short`` return one entry
+        more or less."""
+        calls = [0]
+
+        def call(x):
+            calls[0] += 1
+            out = fn(x)
+            if calls[0] == at:
+                if fault == "raise":
+                    raise RuntimeError(f"call {at} failed")
+                n = len(out)
+                size = {"huge": n, "long": n + 1, "short": n - 1}[fault]
+                vals = [1e308] * n if fault == "huge" else (list(out) * 2)[:size]
+                out = np.array(vals) if isinstance(out, np.ndarray) else tuple(vals)
+            return out
+
+        return call
+
+    def _rollouts(self, paths, name, x0, K, at=None, fault=None):
+        """The float-stage and the array-stage rollout of controller ``name``."""
+        pend, wrapped, sol, lqr = paths
+        runs = []
+        for sys_ in (pend, wrapped):
+            if name == "route1":
+                # the marked feedback: both stages reach the compiled gradient
+                s = dataclasses.replace(sol, sys=sys_)
+                code = s.gradient_code()
+                if fault is not None:
+                    object.__setattr__(s, "_grad_code", self._faulty(code, at, fault))
+                ctrl = s.control
+            elif name == "route1_contraction":
+                # no collapsed gradient: the float stage packs grad_value's array
+                s = dataclasses.replace(sol, sys=sys_)
+                object.__setattr__(s, "grad_poly", None)
+                assert s.gradient_code() is None
+                if fault is not None:
+                    object.__setattr__(s, "grad_value", self._faulty(s.grad_value, at, fault))
+                ctrl = s.control
+            else:
+                law = lqr if name == "lqr" else (
+                    lambda x: lqr(x) + 0.1 * np.sin(x[:1]) * x[:1]
+                )
+                ctrl = law if fault is None else self._faulty(law, at, fault)
+            runs.append(closed_loop(sys_, ctrl, x0, dt=self.DT, T=K * self.DT))
+        return runs
+
+    @staticmethod
+    def _assert_same_trajectory(got, want):
+        for f in dataclasses.fields(Trajectory):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(b, (np.ndarray, float)):
+                assert_same_bits(a, b)
+            else:
+                assert a == b, f.name
+
+    CONTROLLERS = ["route1", "route1_contraction", "lqr", "lambda"]
+
+    @pytest.mark.parametrize("name", CONTROLLERS)
+    def test_converging_rollout(self, pendulum_paths, name):
+        got, want = self._rollouts(pendulum_paths, name, [0.1, -0.2, 0.15], 1000)
+        assert want.converged
+        self._assert_same_trajectory(got, want)
+
+    @pytest.mark.parametrize("name", CONTROLLERS)
+    @pytest.mark.parametrize("at", [1, 3, 4 * 7 + 2, 4 * 40 + 1])
+    def test_controller_raising_at_a_stage(self, pendulum_paths, name, at):
+        got, want = self._rollouts(pendulum_paths, name, [0.3, -0.5, 0.4], 40, at, "raise")
+        assert want.diagnostic.endswith(f"call {at} failed")
+        self._assert_same_trajectory(got, want)
+
+    @pytest.mark.parametrize("name", CONTROLLERS)
+    @pytest.mark.parametrize("at", [1, 4 * 5 + 1, 4 * 5 + 3])
+    def test_huge_output_makes_the_next_state_nonfinite(self, pendulum_paths, name, at):
+        with np.errstate(all="ignore"):
+            got, want = self._rollouts(pendulum_paths, name, [0.3, -0.5, 0.4], 40, at, "huge")
+        assert want.diagnostic == "diverged"
+        self._assert_same_trajectory(got, want)
+
+    @pytest.mark.parametrize("name", CONTROLLERS)
+    @pytest.mark.parametrize("at", [2, 4 * 9 + 1, 4 * 40 + 1])
+    def test_wrong_length_output(self, pendulum_paths, name, at):
+        """An unmarked controller's wrong-length ``u`` raises, during the
+        steps and at the final node (call 4K + 1).  The marked feedback
+        forms ``u`` itself, so for route 1 the momentum is one entry short."""
+        marked = name.startswith("route1")
+        fault = "short" if marked else "long"
+        got, want = self._rollouts(pendulum_paths, name, [0.3, -0.5, 0.4], 40, at, fault)
+        if not marked:
+            assert "expected 1 entries" in want.diagnostic
+        self._assert_same_trajectory(got, want)
 
 
 def _pid_controller(x):

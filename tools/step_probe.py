@@ -16,11 +16,15 @@ stays out of the figures.
 With several ``--src`` trees, each run starts one fresh process per tree,
 the trees in turn, so that the trees share the host's load.  The last line
 of standard output is one JSON object: per tree and controller, the
-minimum and the median microseconds per step over the runs.
+minimum and the median microseconds per step over the runs, and the
+sha256 of the rollout's ``states`` then ``inputs`` bytes.  With several
+trees, each controller's ``same_as_first`` says whether its digest equals
+the first tree's, that is, whether the trees roll out the same bits.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -35,8 +39,14 @@ IC = 0  # index of the initial condition every rollout starts from
 SECONDS = 2.0  # simulated time per rollout
 
 
+def _digest(traj) -> str:
+    """sha256 of a rollout's ``states`` and then its ``inputs``, as float64 bytes."""
+    return hashlib.sha256(traj.states.tobytes() + traj.inputs.tobytes()).hexdigest()
+
+
 def _time_controllers(config: str, runs: int) -> dict:
-    """Per controller, the microseconds per step of each of ``runs`` rollouts."""
+    """Per controller, the microseconds per step of each of ``runs`` rollouts
+    and the digest of each rollout."""
     import numpy as np
 
     from koopmanhj._commands import _build_controllers
@@ -55,19 +65,27 @@ def _time_controllers(config: str, runs: int) -> dict:
     for _, ctrl in named:  # untimed: one-time work stays out of the figures
         closed_loop(sys_, ctrl, x0, dt=dt, T=10 * dt)
     out = {name: [] for name, _ in named}
+    digests = {name: [] for name, _ in named}
     for _ in range(runs):
         for name, ctrl in named:
             start = time.perf_counter()
-            closed_loop(sys_, ctrl, x0, dt=dt, T=steps * dt)
+            traj = closed_loop(sys_, ctrl, x0, dt=dt, T=steps * dt)
             out[name].append((time.perf_counter() - start) / steps * 1e6)
-    return {"steps": steps, "us_per_step": out}
+            digests[name].append(_digest(traj))
+    return {"steps": steps, "us_per_step": out, "sha256": digests}
 
 
-def _summary(samples: dict) -> dict:
-    return {
-        name: {"min": min(v), "median": statistics.median(v), "runs": len(v)}
-        for name, v in samples.items()
-    }
+def _summary(samples: dict, digests: dict) -> dict:
+    """Min and median per controller, and its digest: one string where
+    every run gave the same bits, else the list of distinct digests."""
+    out = {}
+    for name, v in samples.items():
+        distinct = sorted(set(digests[name]))
+        out[name] = {
+            "min": min(v), "median": statistics.median(v), "runs": len(v),
+            "sha256": distinct[0] if len(distinct) == 1 else distinct,
+        }
+    return out
 
 
 def main(argv=None) -> int:
@@ -88,9 +106,10 @@ def main(argv=None) -> int:
         if args.raw:
             print(json.dumps(timed))
             return 0
-        result = {trees[0]: _summary(timed["us_per_step"])}
+        result = {trees[0]: _summary(timed["us_per_step"], timed["sha256"])}
     else:
         samples = {tree: {} for tree in trees}
+        digests = {tree: {} for tree in trees}
         env = dict(os.environ, **{v: "1" for v in THREAD_VARS})
         for _ in range(args.runs):
             for tree in trees:
@@ -101,7 +120,12 @@ def main(argv=None) -> int:
                 timed = json.loads(proc.stdout.strip().splitlines()[-1])
                 for name, v in timed["us_per_step"].items():
                     samples[tree].setdefault(name, []).extend(v)
-        result = {tree: _summary(s) for tree, s in samples.items()}
+                    digests[tree].setdefault(name, []).extend(timed["sha256"][name])
+        result = {tree: _summary(samples[tree], digests[tree]) for tree in trees}
+        first = result[trees[0]]
+        for tree in trees:
+            for name, row in result[tree].items():
+                row["same_as_first"] = row["sha256"] == first[name]["sha256"]
     print(json.dumps({"config": config, "seconds": SECONDS, "ic": IC, "trees": result}))
     return 0
 
