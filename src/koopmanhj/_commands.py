@@ -35,7 +35,6 @@ from .simulate import (
     pendulum_ic_cloud,
     write_comparison_csv,
     write_table_csv,
-    write_trajectory_csv,
 )
 from .spectral import real_spectral_decomposition
 from .systems import hj_residual, linearize
@@ -324,16 +323,11 @@ def cmd_simulate(cfg: RunConfig) -> None:
     lin = linearize(sys_)
     named = _build_controllers(cfg, sys_, lin)
 
-    traj_files: List[str] = []
-
-    def _save(name: str, i: int, traj) -> None:
-        fname = f"traj_{_safe_name(name)}_ic{i}.csv"
-        write_trajectory_csv(traj, str(out / fname))
-        traj_files.append(fname)
-
+    traj_files: List[Tuple[str, int]] = []  # the cells whose file was written
     rows = compare_controllers(
         sys_, named, list(ics), dt=cfg.integrator["dt"], T=cfg.integrator["T"],
-        on_trajectory=_save,
+        on_trajectory=lambda name, i, traj: traj_files.append((name, i)),
+        trajectory_csv=lambda name, i: str(out / f"traj_{_safe_name(name)}_ic{i}.csv"),
     )
     write_comparison_csv(rows, str(out / "comparison.csv"))
 

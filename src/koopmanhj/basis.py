@@ -178,9 +178,19 @@ def compile_polynomial(table: MonomialTable, C: npt.ArrayLike) -> Callable[[list
             head = [f"o{i}"] if start else []
             lines.append(f"    o{i} = {' + '.join(head + terms[start : start + _SUM_TERMS])}")
     lines.append(f"    return ({''.join(f'o{i}, ' for i in range(len(C)))})")
-    namespace = {"inf": math.inf, "nan": math.nan}
-    exec("\n".join(lines), namespace)  # the package's one exec: ints and float reprs
-    return namespace["polynomial"]
+    return _compile_function("\n".join(lines), "polynomial")
+
+
+def _compile_function(source: str, name: str, **names: object) -> Callable:
+    """The function ``name`` defined by the generated ``source``.
+
+    The package's one ``exec``.  Callers generate ``source`` from
+    identifiers, integers and the ``repr`` of floats only; ``inf``, ``nan``
+    and the keyword ``names`` are bound in its namespace.
+    """
+    namespace = {"inf": math.inf, "nan": math.nan, **names}
+    exec(source, namespace)  # the package's one exec: ints and float reprs
+    return namespace[name]
 
 
 def quadratic_form_gradient(

@@ -11,14 +11,18 @@ The plant of a rollout is the system's ``f`` and ``g``; a custom system
 provides these two maps.  Each stage evaluates both once, and a route-1 or
 route-2 feedback reuses the stage's ``g(x)`` (:func:`closed_loop`).  A
 one-input system whose model gives one state's plant on floats (the
-built-in pendulum) keeps a one-state rollout on Python floats through the
-whole RK4 step, stages included, with the bits of the array step
-(:func:`_rk4`, :func:`_float_stage`).
+built-in pendulum) runs a one-state rollout in one compiled loop that holds
+the state in float locals through every RK4 step, generated once per state
+dimension and feedback law (:func:`_float_rk4`).  It has the bits of the
+array loop (:func:`_rk4`), which runs batches and every other rollout.
+:func:`compare_controllers` writes each trajectory CSV in the process that
+computed the trajectory.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -27,8 +31,9 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 import numpy.typing as npt
 
+from .basis import _compile_function
 from .spectral import solve_riccati
-from .systems import ControlAffineSystem, Linearization, _feedback_terms, feedback
+from .systems import ControlAffineSystem, Linearization, _momentum_length_error, feedback
 
 __all__ = [
     "CONVERGENCE_THRESHOLD",
@@ -104,34 +109,9 @@ def _rk4_step(
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), u
 
 
-def _float_step(
-    field: Callable[[list], Tuple[list, Sequence[float]]], x: list, dt: float
-) -> Tuple[list, Sequence[float]]:
-    """:func:`_rk4_step` on the ``n`` floats of one state: the same
-    operations in the same order, so ``x_{k+1}`` and ``u`` have its bits."""
-    k1, u = field(x)
-    h = 0.5 * dt
-    k2, _ = field([a + h * b for a, b in zip(x, k1)])
-    k3, _ = field([a + h * b for a, b in zip(x, k2)])
-    k4, _ = field([a + dt * b for a, b in zip(x, k3)])
-    c = dt / 6.0
-    return [
-        a + c * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-        for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
-    ], u
-
-
-def _array_finite(x: np.ndarray) -> bool:
-    return np.isfinite(x).all()
-
-
-def _floats_finite(x: list) -> bool:
-    return all(map(math.isfinite, x))
-
-
 @dataclass(frozen=True)
 class _Rollout:
-    """Raw output of :func:`_rk4`.
+    """Raw output of :func:`_rk4` and :func:`_float_rk4`.
 
     ``kept`` (shape ``x0.shape[:-1]``: 0-d for one state, ``(B,)`` for rows)
     counts the steps of each row: ``K``, or the step ``k`` at which the row
@@ -139,6 +119,7 @@ class _Rollout:
     raised ``error``.  ``states`` (``(K+1,) + x0.shape``) holds each row up
     to index ``kept``; ``inputs`` its stage-1 feedback up to ``kept``
     inclusive when it stopped as inadmissible, up to ``kept - 1`` otherwise.
+    :func:`_float_rk4`'s arrays end with those rows.
     """
 
     states: np.ndarray
@@ -154,9 +135,8 @@ def _rk4(
     K: int,
     p: int = 0,
     admissible: Callable[[np.ndarray], np.ndarray] = _finite_rows,
-    floats: bool = False,
 ) -> _Rollout:
-    """The one RK4 loop: ``K`` fixed steps of one state ``(n,)`` or of rows ``(B, n)``.
+    """The array RK4 loop: ``K`` fixed steps of one state ``(n,)`` or of rows ``(B, n)``.
 
     ``field(x)`` returns ``(xdot, u)`` for states of the shape of ``x``, where
     ``u`` (``(..., p)``; ``None`` when ``p == 0``) is the feedback at ``x``;
@@ -166,11 +146,9 @@ def _rk4(
     stops there and the other rows go on; a stopped row is held at its last
     state.  A step that raises stops every row still going.
 
-    With ``floats`` (one state only) the state is a list of its ``n``
-    floats through the whole step: ``field`` takes and returns float
-    sequences, :func:`_float_step` combines the stages with the bits of
-    :func:`_rk4_step`, and the default test is ``math.isfinite`` on each
-    coordinate.  Each step is still written into ``states`` and ``inputs``.
+    This is the loop of batches, of a custom ``admissible`` and of every
+    closed loop without a float plant; one state's closed loop on a float
+    plant runs :func:`_float_rk4`, which has its bits.
     """
     x = np.array(x0, dtype=float)
     states = np.empty((K + 1,) + x.shape)
@@ -179,20 +157,17 @@ def _rk4(
     kept = np.full(x.shape[:-1], K)
     going = np.ones(x.shape[:-1], dtype=bool)
     error: Optional[Exception] = None
-    step, finite = _rk4_step, _array_finite
-    if floats:
-        step, finite, x = _float_step, _floats_finite, x.tolist()
     for k in range(K):
         try:
-            xn, u = step(field, x, dt)
+            xn, u = _rk4_step(field, x, dt)
         except Exception as exc:  # noqa: BLE001 — truncation is the contract
             kept[going] = k
             error = exc
             break
         if p:
             inputs[k] = u
-        if admissible is not _finite_rows or not finite(xn):
-            ok = admissible(np.asarray(xn))
+        if admissible is not _finite_rows or not np.isfinite(xn).all():
+            ok = admissible(xn)
             if not ok.all():
                 kept[going & ~ok] = k
                 going &= ok
@@ -201,6 +176,130 @@ def _rk4(
                 xn = np.where(going[..., None], xn, x)
         states[k + 1] = x = xn
     return _Rollout(states=states, inputs=inputs, kept=kept, error=error)
+
+
+def _float_loop_source(n: int, law: str) -> str:
+    """Source of ``rollout(x, dt, K, plant, <law>)``: ``K`` RK4 steps of one
+    state of ``n`` floats on a float plant with one input, in straight-line
+    code.
+
+    The state is ``n`` float locals.  Each stage calls ``plant`` (``f`` as
+    ``n`` floats, ``g`` as ``n`` rows of one float) at the stage point as a
+    tuple, and ``xdot_i = f_i + (g_i u + 0.0)``: the sum over the one input
+    taken from +0.0 as numpy's ``g(x) @ u`` takes it, so the field has the
+    bits of ``f(x) + g(x) @ u``.  ``u`` comes from the ``law``:
+
+    * ``"momentum"``: a marked HJ feedback, from the momentum's ``n``
+      floats at the point and ``d = D^{-1}``, with the sums of
+      :func:`~koopmanhj.systems._feedback_terms`; another length raises
+      ``mismatch(n, len)``;
+    * ``"neg_K"``: the linear law, ``neg_K @ buf`` on one ``(n,)`` buffer
+      that holds the point, the gemv of ``neg_K @ x``;
+    * ``"control"``: ``control(array(point))``, the checked controller.
+
+    Stage points and the combination are :func:`_rk4_step`'s operations in
+    its order (``h = 0.5 * dt``; ``x_i + h k_i``; ``x_i + dt k3_i``;
+    ``x_i + (dt / 6.0) (((k1_i + 2.0 k2_i) + 2.0 k3_i) + k4_i)``), and the
+    test of ``x_{k+1}`` is ``isfinite`` on each coordinate.  The function
+    returns the state tuples, the stage-1 inputs, the steps kept and the
+    exception that stopped the rollout, as :class:`_Rollout` counts them.
+    """
+
+    def names(prefix: str, stage: str = "") -> List[str]:
+        return [f"{prefix}{stage}{i}" for i in range(n)]
+
+    def tup(items: Iterable[str]) -> str:  # a tuple display, one item included
+        return "(" + "".join(f"{v}, " for v in items) + ")"
+
+    law_params = {"momentum": "momentum, d", "neg_K": "neg_K", "control": "control"}[law]
+    x, f, g, p = names("x"), names("f"), names("g"), names("p")
+    body: List[str] = []
+
+    def stage(s: int, point: str, ys: List[str]) -> None:
+        u = "u1" if s == 1 else "u"
+        if law == "momentum":
+            body.append(f"m = momentum({point})")
+        elif law == "neg_K":
+            body.extend(f"buf[{i}] = {y}" for i, y in enumerate(ys))
+            body.append(f"{u}, = (neg_K @ buf).tolist()")
+        else:
+            body.append(f"{u}, = control(array({point})).tolist()")
+        body.append(f"{tup(f)}, {tup(f'({gi},)' for gi in g)} = plant({point})")
+        if law == "momentum":  # checked where feedback() checks it: after the plant
+            gTp = " + ".join(f"{gi} * {pi}" for gi, pi in zip(g, p))
+            body.extend([
+                f"if len(m) != {n}:",
+                f"    raise mismatch({n}, len(m))",
+                f"{tup(p)} = m",
+                f"{u} = -(0.0 + d * (0.0 + {gTp}))",
+            ])
+        body.extend(f"{k} = {fi} + ({gi} * {u} + 0.0)"
+                    for k, fi, gi in zip(names("k", f"{s}_"), f, g))
+
+    y = names("y")
+    stage(1, "X", x)
+    for s, scale in ((2, "h"), (3, "h"), (4, "dt")):
+        body.extend(f"{yi} = {xi} + {scale} * {k}"
+                    for yi, xi, k in zip(y, x, names("k", f"{s - 1}_")))
+        body.append(f"Y = {tup(y)}")
+        stage(s, "Y", y)
+    z = names("z")
+    body.extend(
+        f"{zi} = {xi} + c * ((({k1} + 2.0 * {k2}) + 2.0 * {k3}) + {k4})"
+        for zi, xi, k1, k2, k3, k4 in zip(
+            z, x, *(names("k", f"{s}_") for s in range(1, 5))
+        )
+    )
+    body += [
+        "inputs.append(u1)",
+        f"if not ({' and '.join(f'isfinite({zi})' for zi in z)}):",
+        "    return states, inputs, step, None",
+        f"{tup(x)} = X = {tup(z)}",
+        "states.append(X)",
+    ]
+    head = [
+        f"def rollout(x, dt, K, plant, {law_params}):",
+        f"    {tup(x)} = X = tuple(x)",
+        "    h = 0.5 * dt",
+        "    c = dt / 6.0",
+        "    states = [X]",
+        "    inputs = []",
+        "    step = 0",
+    ] + ([f"    buf = empty({n})"] if law == "neg_K" else [])
+    return "\n".join(head + [
+        "    try:",
+        "        for step in range(K):",
+        *(f"            {line}" for line in body),
+        "    except Exception as exc:",
+        "        return states, inputs, step, exc",
+        "    return states, inputs, K, None",
+    ])
+
+
+@functools.lru_cache(maxsize=None)
+def _float_loop(n: int, law: str) -> Callable:
+    """The compiled :func:`_float_loop_source` for ``n`` and ``law``, built
+    once per process and kept (one per dimension and law in use)."""
+    return _compile_function(
+        _float_loop_source(n, law), "rollout", isfinite=math.isfinite,
+        mismatch=_momentum_length_error, array=np.array, empty=np.empty,
+    )
+
+
+def _float_rk4(x0: np.ndarray, dt: float, K: int, law: str, *args) -> _Rollout:
+    """``K`` RK4 steps of the one state ``x0`` ``(n,)`` in the compiled loop
+    of ``law`` (:func:`_float_loop_source`; ``args`` are the plant and the
+    law's parameters).  A step that raises stops the rollout with ``error``,
+    and so does a non-finite ``x_{k+1}``, as in :func:`_rk4`, whose states,
+    inputs and steps kept it has bit for bit.  The states and inputs are
+    collected in lists and become arrays once."""
+    states, inputs, kept, error = _float_loop(x0.size, law)(x0.tolist(), dt, K, *args)
+    return _Rollout(
+        states=np.array(states),
+        inputs=np.array(inputs).reshape(-1, 1),
+        kept=np.array(kept),
+        error=error,
+    )
 
 
 def integrate_rk4(
@@ -253,31 +352,37 @@ def closed_loop(
 
     The feedback is evaluated at every RK4 stage point, and must give
     exactly ``p`` entries (any shape that ravels to ``(p,)``).  Each stage
-    evaluates the plant maps ``f`` and ``g`` once: on floats, from one call,
-    where the system has one input and
-    :attr:`~koopmanhj.systems.ControlAffineSystem.f_and_g_floats` (the
-    built-in pendulum), else as the two maps on the state's array.  On
-    floats the whole RK4 step runs on the state's floats (``_rk4``'s
-    ``floats``).  A custom system provides ``f`` and ``g`` only.  A
-    route-1 or route-2 feedback bound to a solution for ``sys``
-    (``control`` marked by :func:`~koopmanhj.systems.feedback_of`) takes
-    the stage's ``g(x)``, and on floats a momentum the mark names on
-    floats; any other controller is called as ``controller(x)`` on an
+    evaluates the plant maps ``f`` and ``g`` once.  Where the system has
+    one input and :attr:`~koopmanhj.systems.ControlAffineSystem.f_and_g_floats`
+    (the built-in pendulum), the rollout runs in one compiled loop on the
+    state's floats (:func:`_float_rk4`); otherwise the array loop
+    (:func:`_rk4`) calls ``f`` and ``g`` on the state's array.  A custom
+    system provides ``f`` and ``g`` only.  A route-1 or route-2 feedback
+    bound to a solution for ``sys`` (``control`` marked by
+    :func:`~koopmanhj.systems.feedback_of`) takes the stage's ``g(x)``, and
+    on floats a momentum the mark names on floats; on floats a
+    :func:`linear_controller` is applied to a buffer holding the stage
+    point; any other controller is called as ``controller(x)`` on an
     array.  All give the bits of ``f(x) + g(x) controller(x)``.
 
-    Running cost is the trapezoid rule over the node values
+    ``dt`` and ``T`` are taken as Python floats, whatever their scalar
+    type.  Running cost is the trapezoid rule over the node values
     ``q(x_k) + 0.5 u_k^T D u_k`` (node input = feedback at the node).  A
     controller exception or a non-finite state truncates the rollout with a
     diagnostic.
     """
+    dt, T = float(dt), float(T)
     K = _steps(dt, T)
     x = np.asarray(x0, dtype=float).ravel()
     if x.size != sys.n:
         raise ValueError(f"x0 has dimension {x.size}, system has n={sys.n}")
     p = sys.p
     control = _checked_control(controller, p)
-    field, floats = _stage_field(sys, controller, control)
-    run = _rk4(field, x, dt, K, p=p, floats=floats)
+    stage = _float_stage(sys, controller, control)
+    if stage is not None:
+        run = _float_rk4(x, dt, K, *stage)
+    else:
+        run = _rk4(_stage_field(sys, controller, control), x, dt, K, p=p)
     kept = int(run.kept)
     states = run.states[: kept + 1]
     nodes = np.full((kept + 1, p), np.nan)  # the feedback at each kept node
@@ -339,13 +444,58 @@ def _checked_control(
     return control
 
 
+def _marked_momentum(
+    sys: ControlAffineSystem, controller: Callable[[np.ndarray], np.ndarray]
+) -> Optional[Tuple[object, str]]:
+    """The solution and the momentum's name of a feedback marked by
+    :func:`~koopmanhj.systems.feedback_of` and bound to a solution for
+    ``sys``; None for any other controller."""
+    owner = getattr(controller, "__self__", None)
+    name = getattr(controller, "feedback_momentum", None)
+    if name is None or getattr(owner, "sys", None) is not sys:
+        return None
+    return owner, name
+
+
+def _float_stage(
+    sys: ControlAffineSystem,
+    controller: Callable[[np.ndarray], np.ndarray],
+    control: Callable[[np.ndarray], np.ndarray],
+) -> Optional[tuple]:
+    """The law and arguments of :func:`_float_rk4` for a closed loop, or None
+    where the system has no float plant entry or more than one input.
+
+    ``control`` is ``controller`` with its output checked.  A marked
+    feedback passes its momentum on floats: the map its mark names, else
+    its array momentum on the point's array.  A :func:`linear_controller`
+    whose gain has one row of ``n`` passes its ``neg_K``.  Any other
+    controller is called as ``control(np.array(x))``.
+    """
+    plant = sys.f_and_g_floats
+    if plant is None or sys.p != 1:
+        return None
+    marked = _marked_momentum(sys, controller)
+    if marked is not None:
+        owner, name = marked
+        floats = getattr(controller, "feedback_floats", None)
+        momentum = getattr(owner, floats)() if floats else None
+        if momentum is None:
+            array_momentum = getattr(owner, name)
+            momentum = lambda xs: array_momentum(np.array(xs)).tolist()  # noqa: E731
+        return "momentum", plant, momentum, sys.D_inv.item()
+    neg_K = getattr(controller, "neg_K", None)
+    if neg_K is not None and neg_K.shape == (1, sys.n):
+        return "neg_K", plant, neg_K
+    return "control", plant, control
+
+
 def _stage_field(
     sys: ControlAffineSystem,
     controller: Callable[[np.ndarray], np.ndarray],
     control: Callable[[np.ndarray], np.ndarray],
-) -> Tuple[_Field, bool]:
-    """The closed-loop field ``x -> (f(x) + g(x) u, u)`` of one RK4 stage,
-    and whether it runs on floats (``_rk4``'s ``floats``).
+) -> _Field:
+    """The closed-loop field ``x -> (f(x) + g(x) u, u)`` of one stage of
+    the array loop, on the state's array.
 
     ``control`` is ``controller`` with its output checked.  A feedback
     marked by :func:`~koopmanhj.systems.feedback_of` and bound to a solution
@@ -353,36 +503,19 @@ def _stage_field(
     :func:`~koopmanhj.systems.feedback` from the stage's ``g(x)``.  The maps
     run in the order in which ``controller(x)`` and the field would call
     them, so where two of them would raise, the same error is reported.
-
-    Where the system has :attr:`~koopmanhj.systems.ControlAffineSystem.f_and_g_floats`
-    and one input, the stage runs on floats (:func:`_float_stage`);
-    otherwise it calls ``f`` and ``g`` on the state's array.
     """
-    owner = getattr(controller, "__self__", None)
-    name = getattr(controller, "feedback_momentum", None)
-    if name is None or getattr(owner, "sys", None) is not sys:
-        owner = name = None
-    plant = sys.f_and_g_floats
-    if plant is not None and sys.p == 1:
-        momentum = None
-        if name is not None:
-            floats = getattr(controller, "feedback_floats", None)
-            momentum = getattr(owner, floats)() if floats else None
-            if momentum is None:
-                array_momentum = getattr(owner, name)
-                momentum = lambda xs: array_momentum(np.array(xs)).tolist()  # noqa: E731
-        return _float_stage(sys, plant, control, momentum), True
     f, g = sys.f, sys.g
-    if name is None:
+    marked = _marked_momentum(sys, controller)
+    if marked is None:
 
         def field(xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             u = control(xs)
             return f(xs) + g(xs) @ u, u
 
-        return field, False
+        return field
 
     # u = -D^{-1} g(x)^T p(x): the feedback calls g before the field calls f
-    momentum = getattr(owner, name)
+    momentum = getattr(*marked)
 
     def hj_field(xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         px = momentum(xs)
@@ -390,45 +523,6 @@ def _stage_field(
         fx = f(xs)
         u = feedback(sys, xs, px, gx)
         return fx + gx @ u, u
-
-    return hj_field, False
-
-
-def _float_stage(
-    sys: ControlAffineSystem,
-    plant: Callable[[list], Tuple[tuple, tuple]],
-    control: Callable[[np.ndarray], np.ndarray],
-    momentum: Optional[Callable[[list], Sequence[float]]],
-) -> Callable[[list], Tuple[list, Sequence[float]]]:
-    """The stage of a one-input system with a float plant entry, on floats
-    in and out: the state's ``n`` floats to ``xdot`` and ``u`` as float
-    sequences.
-
-    ``xdot_i = f_i + (g_i u + 0.0)``: the sum over the one input taken from
-    +0.0 as numpy's ``g(x) @ u`` takes it, so the field has the bits of
-    ``f(x) + g(x) @ u``.  A marked feedback passes its ``momentum`` on
-    floats, and ``u`` comes from :func:`~koopmanhj.systems.feedback`'s
-    float terms; any other controller gives ``u = control(np.array(x))``,
-    so a linear law keeps the bits of its matrix product.
-    """
-    if momentum is None:
-
-        def field(xs: list) -> Tuple[list, list]:
-            u = control(np.array(xs)).tolist()
-            fx, gx = plant(xs)
-            (u0,) = u
-            return [f + (g * u0 + 0.0) for f, (g,) in zip(fx, gx)], u
-
-        return field
-
-    D_inv = sys.D_inv.tolist()
-
-    def hj_field(xs: list) -> Tuple[list, list]:
-        px = momentum(xs)
-        fx, gx = plant(xs)
-        u = _feedback_terms(D_inv, gx, px)
-        (u0,) = u
-        return [f + (g * u0 + 0.0) for f, (g,) in zip(fx, gx)], u
 
     return hj_field
 
@@ -445,12 +539,22 @@ def lqr_controller(lin: Linearization) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def linear_controller(K: npt.ArrayLike) -> Callable[[np.ndarray], np.ndarray]:
-    """Feedback ``u = -K x`` as a rollout-ready callable."""
+    """Feedback ``u = -K x`` as a rollout-ready callable.
+
+    The callable carries its ``neg_K`` (``-K`` with one row per input): a
+    closed loop on floats (:func:`closed_loop`) computes ``neg_K @ buf``
+    on a buffer that holds the stage point, the product the callable makes.
+    """
     K = np.asarray(K, dtype=float)
     if K.ndim == 1:
         K = K.reshape(1, -1)
     neg_K = -K
-    return lambda x: neg_K @ np.asarray(x, dtype=float).ravel()
+
+    def control(x: npt.ArrayLike) -> np.ndarray:
+        return neg_K @ np.asarray(x, dtype=float).ravel()
+
+    control.neg_K = neg_K
+    return control
 
 
 @dataclass(frozen=True)
@@ -468,10 +572,14 @@ class ComparisonRow:
 
 
 def _rollout(cell: tuple) -> Tuple[Optional[Trajectory], str]:
-    """One cell's :func:`closed_loop` run: its trajectory, or ``None`` and the error text."""
-    sys_, ctrl, x0, dt, T = cell
+    """One cell's :func:`closed_loop` run, and its trajectory CSV where the
+    cell names a path: the trajectory, or ``None`` and the error text."""
+    sys_, ctrl, x0, dt, T, path = cell
     try:
-        return closed_loop(sys_, ctrl, x0, dt=dt, T=T), ""
+        traj = closed_loop(sys_, ctrl, x0, dt=dt, T=T)
+        if path is not None:
+            write_trajectory_csv(traj, path)
+        return traj, ""
     except Exception as exc:  # noqa: BLE001 — table must not abort
         return None, str(exc)
 
@@ -524,13 +632,18 @@ def compare_controllers(
     dt: float = 1e-3,
     T: float = 20.0,
     on_trajectory: Optional[Callable[[str, int, Trajectory], None]] = None,
+    trajectory_csv: Optional[Callable[[str, int], str]] = None,
 ) -> List[ComparisonRow]:
     """Roll out every controller from every initial condition.
 
     Failures stay in their own cell as diagnostics; the table always has one
-    row per (controller, x0) pair, in input order.  ``on_trajectory`` (if
-    given) receives each completed rollout as ``(name, ic_index, traj)``,
-    in table order and in the calling process.
+    row per (controller, x0) pair, in input order.  ``trajectory_csv`` (if
+    given) names the file of each cell, ``trajectory_csv(name, ic_index)``,
+    and the process that runs the cell writes its trajectory there
+    (:func:`write_trajectory_csv`); a write that raises fails its cell.
+    ``on_trajectory`` (if given) receives each completed rollout, its file
+    written, as ``(name, ic_index, traj)``, in table order and in the
+    calling process.
 
     The cells run concurrently in ``min(cells, len(os.sched_getaffinity(0)))``
     forked worker processes.  Each cell is the same deterministic
@@ -545,7 +658,8 @@ def compare_controllers(
         for i, x0 in enumerate(x0_list):
             x0a = np.asarray(x0, dtype=float).ravel()
             keys.append((name, i, x0a))
-            cells.append((sys, ctrl, x0a, dt, T))
+            path = trajectory_csv(name, i) if trajectory_csv is not None else None
+            cells.append((sys, ctrl, x0a, dt, T, path))
     workers = _pool_workers(len(cells))
     if workers <= 1:
         return _tabulate(keys, map(_rollout, cells), on_trajectory)

@@ -277,18 +277,28 @@ def feedback(
     closed-loop stage); otherwise ``sys.g`` is called.  The entries are
     the sums of :func:`_feedback_terms`: one state runs them on floats and
     a batch runs the same operations on arrays, so one state has the bits
-    of its batch row.
+    of its batch row.  A momentum without ``n`` entries per state raises
+    :func:`_momentum_length_error`'s ``ValueError``.
     """
     if gx is None:
         gx = sys.g(np.asarray(x, dtype=float))
     gx = np.asarray(gx, dtype=float)
     p = np.asarray(p, dtype=float)
+    n, m = gx.shape[-2:]
+    if p.shape[-1:] != (n,):
+        raise _momentum_length_error(n, p.shape[-1] if p.ndim else 0)
     D_inv = sys.D_inv.tolist()
     if gx.ndim == 2 and p.ndim == 1:
         return np.array(_feedback_terms(D_inv, gx.tolist(), p.tolist()))
-    n, m = gx.shape[-2:]
     g = [[gx[..., i, k] for k in range(m)] for i in range(n)]
     return np.stack(_feedback_terms(D_inv, g, [p[..., i] for i in range(n)]), axis=-1)
+
+
+def _momentum_length_error(n: int, got: int) -> ValueError:
+    """The error of a momentum with ``got`` entries per state where the
+    feedback needs ``n``: one diagnostic for one state, a batch and every
+    closed-loop stage."""
+    return ValueError(f"momentum has {got} entries per state, expected n={n}")
 
 
 def _feedback_terms(D_inv: list, g, p) -> list:

@@ -44,6 +44,7 @@ from koopmanhj.simulate import (
 from koopmanhj.spectral import solve_riccati
 from koopmanhj.systems import (
     ControlAffineSystem,
+    _feedback_terms,
     builtin_example1,
     builtin_pendulum,
     control_affine_system,
@@ -443,22 +444,30 @@ class TestOnePlantEvaluationPerStage:
     @settings(max_examples=60, deadline=None)
     @given(X=state_rows(3))
     def test_float_stage_has_the_bits_of_the_array_stage(self, stage_cases, X):
-        """The pendulum's float stage, called as the kernel calls it with
-        the state's floats, gives ``u = controller(x)`` and
+        """The pendulum's compiled stage, run for one step from each state,
+        gives ``u = controller(x)`` and the ``x_1`` of the array step on
         ``f(x) + g(x) @ u`` bit for bit, signed zeros, nan and infinities
-        included."""
+        included; a non-finite ``x_1`` stops it as it stops the array loop."""
         sys_, _, controllers = stage_cases["pendulum"]
+
+        def array_stage(ctrl):
+            def field(x):
+                u = ctrl(x)
+                return sys_.f(x) + sys_.g(x) @ u, u
+            return field
+
         with np.errstate(all="ignore"):
-            for ctrl in controllers.values():
-                field, floats = simulate._stage_field(
-                    sys_, ctrl, simulate._checked_control(ctrl, 1)
-                )
-                assert floats
+            for name, ctrl in controllers.items():
+                stage = simulate._float_stage(sys_, ctrl, simulate._checked_control(ctrl, 1))
+                assert stage[0] == {"route1": "momentum", "lqr": "neg_K"}[name]
                 for x in X:
-                    xdot, u = field(x.tolist())
-                    want = ctrl(x)
-                    assert_same_bits(u, want)
-                    assert_same_bits(xdot, sys_.f(x) + sys_.g(x) @ want)
+                    run = simulate._float_rk4(x, self.DT, 1, *stage)
+                    want, want_u = simulate._rk4_step(array_stage(ctrl), x, self.DT)
+                    assert_same_bits(run.inputs[0], want_u)
+                    finite = bool(np.isfinite(want).all())
+                    assert int(run.kept) == int(finite) and run.error is None
+                    if finite:
+                        assert_same_bits(run.states[1], want)
 
     def test_wrong_length_controller_output_truncates(self):
         sys_, _, _ = _linear_system()
@@ -517,69 +526,154 @@ class TestOnePlantEvaluationPerStage:
         )
 
 
-def _decay(x0, x1, x2):
-    return (-x0, -2.0 * x1, 0.5 * x2 - x0), (x0 + x1,)
+# Float plants of n = 1..4 coordinates: f as n floats and g as n rows of one.
+def _decay(xs):
+    n = len(xs)
+    return tuple(-(i + 1.0) * xs[i] + 0.5 * xs[-1] for i in range(n)), ((1.0,),) * n
 
 
-def _coupled(x0, x1, x2):
-    return (x1 * x2, -x0 + 0.25 * x2, x0 * x1 - x2), (x0 - 3.0 * x2,)
+def _coupled(xs):
+    n = len(xs)
+    f = tuple(xs[(i + 1) % n] * xs[(i + 2) % n] - 0.25 * xs[i] for i in range(n))
+    return f, ((xs[0] - 3.0 * xs[-1],),) * n
 
 
-def _constant(x0, x1, x2):
-    return (1.0, -0.0, 1e300), (0.0,)
+def _constant(xs):
+    return (1.0, -0.0, 1e300, -2.5)[: len(xs)], ((0.0,),) * len(xs)
 
 
-def _square(x0, x1, x2):
-    return (x0 * x0, x1 * x1, 1.0), (x2,)
+def _square(xs):
+    return tuple(x * x for x in xs), tuple((x,) for x in reversed(xs))
 
 
-def _bit_twins(rhs):
-    """The array field and the float field of one right-hand side."""
+_NEG_K = np.array([[0.3, -1.2, 2.5, -0.7]])
+_D_INV = 0.5
+
+
+def _law(law, n, plant):
+    """The compiled loop's arguments for ``law`` on ``plant``, and the array
+    stage ``x -> (f(x) + g(x) @ u, u)`` with the same ``u``, computed as the
+    array loop's stage computes it."""
+    if law == "momentum":
+        momentum = lambda xs: tuple(2.0 * x - 1.0 for x in xs)  # noqa: E731
+        args = (plant, momentum, _D_INV)
+
+        def u_of(x, g):
+            return np.array(_feedback_terms([[_D_INV]], [list(r) for r in g],
+                                            list(momentum(tuple(x.tolist())))))
+    elif law == "neg_K":
+        neg_K = _NEG_K[:, :n].copy()
+        args = (plant, neg_K)
+        u_of = lambda x, g: neg_K @ x  # noqa: E731
+    else:
+        control = lambda x: np.array([x[0] - 0.5 * x[-1]])  # noqa: E731
+        args = (plant, control)
+        u_of = lambda x, g: control(x)  # noqa: E731
+
     def array_field(x):
-        xdot, u = rhs(*x)
-        return np.array(xdot, dtype=float), np.array(u, dtype=float)
+        f, g = plant(tuple(x.tolist()))
+        u = u_of(x, g)
+        return np.array(f) + np.array(g) @ u, u
 
-    def float_field(xs):
-        xdot, u = rhs(*xs)
-        return list(xdot), list(u)
+    return args, array_field
 
-    return array_field, float_field
+
+def _raising_at(plant, at):
+    """``plant`` raising at call ``at`` (1-based)."""
+    calls = [0]
+
+    def call(xs):
+        calls[0] += 1
+        if calls[0] == at:
+            raise RuntimeError(f"plant call {at} failed")
+        return plant(xs)
+
+    return call
 
 
 class TestFloatStep:
-    """One state's RK4 step on floats has the bits of the array step, and a
-    rollout on the float stage has the bits of the array stage."""
+    """One state's compiled RK4 loop has the bits of the array loop, and a
+    rollout on the compiled stage has the bits of the array stage."""
 
     FIELDS = [_decay, _coupled, _constant, _square]
+    LAWS = ["momentum", "neg_K", "control"]
 
     @settings(max_examples=60, deadline=None)
     @given(X=state_rows(3), dt=st.sampled_from([1e-3, 0.25, 1e3]))
     def test_float_step_has_the_bits_of_the_array_step(self, X, dt):
+        """One compiled step: the stage-1 ``u`` and a finite ``x_{k+1}`` of
+        :func:`_rk4_step`; a non-finite one keeps no step."""
         with np.errstate(all="ignore"):
-            for rhs in self.FIELDS:
-                array_field, float_field = _bit_twins(rhs)
-                for x in X:
-                    want, want_u = simulate._rk4_step(array_field, x, dt)
-                    got, got_u = simulate._float_step(float_field, x.tolist(), dt)
-                    assert_same_bits(got, want)
-                    assert_same_bits(got_u, want_u)
+            for plant in self.FIELDS:
+                for law in self.LAWS:
+                    args, array_field = _law(law, 3, plant)
+                    for x in X:
+                        want, want_u = simulate._rk4_step(array_field, x, dt)
+                        got = simulate._float_rk4(x, dt, 1, law, *args)
+                        assert_same_bits(got.inputs[0], want_u)
+                        finite = bool(np.isfinite(want).all())
+                        assert int(got.kept) == int(finite) and got.error is None
+                        if finite:
+                            assert_same_bits(got.states[1], want)
 
     @settings(max_examples=40, deadline=None)
-    @given(X=state_rows(3), dt=st.sampled_from([1e-3, 0.25, 1e3]))
-    def test_float_kernel_stops_where_the_array_kernel_stops(self, X, dt):
-        """``_rk4`` on floats keeps the steps, states and inputs of the array
-        kernel: a non-finite ``x_{k+1}`` (an infinity or a nan) stops both."""
-        K = 4
+    @given(X=st.integers(1, 4).flatmap(state_rows), dt=st.sampled_from([1e-3, 0.25, 1e3]),
+           at=st.sampled_from([None, 1, 3, 4 * 2 + 2]))
+    def test_float_kernel_stops_where_the_array_kernel_stops(self, X, dt, at):
+        """The compiled loop keeps the steps, states, inputs and error of
+        the array loop for ``n`` = 1..4 and each law: a non-finite
+        ``x_{k+1}`` (an infinity or a nan) stops both, and so does a stage
+        whose plant raises at call ``at``."""
+        K, n = 4, X.shape[1]
         with np.errstate(all="ignore"):
-            for rhs in self.FIELDS:
-                array_field, float_field = _bit_twins(rhs)
-                for x in X:
-                    want = simulate._rk4(array_field, x, dt, K, p=1)
-                    got = simulate._rk4(float_field, x, dt, K, p=1, floats=True)
-                    kept = int(want.kept)
-                    assert int(got.kept) == kept and got.error is want.error is None
-                    assert_same_bits(got.states[: kept + 1], want.states[: kept + 1])
-                    assert_same_bits(got.inputs[: kept + 1], want.inputs[: kept + 1])
+            for plant in self.FIELDS:
+                for law in self.LAWS:
+                    for x in X:
+                        runs = []
+                        for kernel in ("array", "float"):
+                            faulty = plant if at is None else _raising_at(plant, at)
+                            args, array_field = _law(law, n, faulty)
+                            runs.append(
+                                simulate._rk4(array_field, x, dt, K, p=1) if kernel == "array"
+                                else simulate._float_rk4(x, dt, K, law, *args)
+                            )
+                        want, got = runs
+                        kept = int(want.kept)
+                        assert int(got.kept) == kept
+                        assert repr(got.error) == repr(want.error)
+                        stopped = kept < K and want.error is None
+                        assert got.states.shape == (kept + 1, n)
+                        assert got.inputs.shape == (kept + stopped, 1)
+                        assert_same_bits(got.states, want.states[: kept + 1])
+                        assert_same_bits(got.inputs, want.inputs[: kept + stopped])
+
+    @pytest.mark.parametrize("K", [[0.8, -1.5, 2.0], [[0.8, -1.5, 2.0]]])
+    @settings(max_examples=40, deadline=None)
+    @given(X=state_rows(3))
+    def test_linear_law_keeps_the_bits_of_its_product(self, K, X):
+        """``linear_controller(K)`` on the compiled stage, 1-D or 2-D ``K``:
+        its ``u`` is ``control(np.array(x))`` bit for bit."""
+        sys_ = builtin_pendulum(9.81)
+        ctrl = linear_controller(K)
+        stage = simulate._float_stage(sys_, ctrl, simulate._checked_control(ctrl, 1))
+        assert stage[0] == "neg_K"
+        with np.errstate(all="ignore"):
+            for x in X:
+                run = simulate._float_rk4(x, 1e-2, 1, *stage)
+                assert_same_bits(run.inputs[0], ctrl(np.array(x.tolist())))
+
+    @pytest.mark.parametrize("K", [np.ones((1, 2)), np.ones((2, 3))])
+    def test_a_gain_of_another_shape_is_called_as_a_controller(self, K):
+        """A gain without one row of ``n`` takes the checked call, which
+        reports its error as the array stage does."""
+        sys_ = builtin_pendulum(9.81)
+        ctrl = linear_controller(K)
+        assert simulate._float_stage(sys_, ctrl, simulate._checked_control(ctrl, 1))[0] == "control"
+        wrapped = dataclasses.replace(sys_, f=lambda x: sys_.f(x), g=lambda x: sys_.g(x))
+        got, want = (closed_loop(s, ctrl, [0.3, -0.5, 0.4], dt=1e-2, T=0.1)
+                     for s in (sys_, wrapped))
+        assert got.diagnostic == want.diagnostic is not None
+        assert_same_bits(got.states, want.states)
 
     DT = 1e-2
 
@@ -677,15 +771,39 @@ class TestFloatStep:
     @pytest.mark.parametrize("name", CONTROLLERS)
     @pytest.mark.parametrize("at", [2, 4 * 9 + 1, 4 * 40 + 1])
     def test_wrong_length_output(self, pendulum_paths, name, at):
-        """An unmarked controller's wrong-length ``u`` raises, during the
-        steps and at the final node (call 4K + 1).  The marked feedback
-        forms ``u`` itself, so for route 1 the momentum is one entry short."""
-        marked = name.startswith("route1")
-        fault = "short" if marked else "long"
-        got, want = self._rollouts(pendulum_paths, name, [0.3, -0.5, 0.4], 40, at, fault)
-        if not marked:
-            assert "expected 1 entries" in want.diagnostic
-        self._assert_same_trajectory(got, want)
+        """A short or long output raises, during the steps and at the final
+        node (call 4K + 1): an unmarked controller's ``u``, and for route 1,
+        whose feedback forms ``u`` itself, the momentum, with the diagnostic
+        of :func:`feedback` on both stages."""
+        for fault, size in (("short", 2), ("long", 4)):
+            got, want = self._rollouts(pendulum_paths, name, [0.3, -0.5, 0.4], 40, at, fault)
+            if name.startswith("route1"):
+                assert want.diagnostic.endswith(
+                    f"momentum has {size} entries per state, expected n=3"
+                )
+            else:
+                assert "expected 1 entries" in want.diagnostic
+            self._assert_same_trajectory(got, want)
+
+    def test_a_numpy_step_runs_on_python_floats(self, stage_cases, monkeypatch):
+        """``dt`` and ``T`` of numpy's scalar type give the trajectory of
+        Python floats bit for bit, and every stage point is Python floats."""
+        sys_, _, controllers = stage_cases["pendulum"]
+        entry = sys_.f_and_g_floats
+        types = set()
+
+        def recording(xs):
+            types.update(map(type, xs))
+            return entry(xs)
+
+        monkeypatch.setattr(ControlAffineSystem, "f_and_g_floats", property(lambda s: recording))
+        x0 = [0.3, -0.5, 0.4]
+        for ctrl in controllers.values():
+            want = closed_loop(sys_, ctrl, x0, dt=1e-2, T=2.0)
+            types.clear()
+            got = closed_loop(sys_, ctrl, x0, dt=np.float64(1e-2), T=np.float64(2.0))
+            assert types == {float}
+            self._assert_same_trajectory(got, want)
 
 
 def _pid_controller(x):
@@ -831,6 +949,33 @@ compare_controllers(sys_, [("slow", slow)], [[1.0]] * 4, dt=0.1, T=100.0)
         while any(map(running, workers)) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert not any(map(running, workers))
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+    def test_each_cell_writes_its_trajectory_csv(self, monkeypatch, tmp_path, cpus):
+        """Each cell writes its file where it runs, in the calling process or
+        in a worker, before ``on_trajectory`` sees it; a write that raises
+        fails its own cell only, with the error's text."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+
+        def path(name, i):
+            return str((tmp_path / "missing" if i == 1 else tmp_path) / f"{name}_{i}.csv")
+
+        seen = []
+
+        def check(name, i, traj):
+            write_trajectory_csv(traj, str(tmp_path / "ref.csv"))
+            assert Path(path(name, i)).read_bytes() == (tmp_path / "ref.csv").read_bytes()
+            seen.append(i)
+
+        rows = compare_controllers(
+            _linear_system()[0], [("z", lambda x: -0.5 * x[:1])], self.X0S[:2] + [[0.5, 0.5]],
+            dt=1e-2, T=1.0, on_trajectory=check, trajectory_csv=path,
+        )
+        assert seen == [0, 2]
+        assert [r.diagnostic for r in rows] == [
+            "", f"rollout failed: [Errno 2] No such file or directory: '{path('z', 1)}'", "",
+        ]
+        assert multiprocessing.active_children() == []
 
     def test_a_failing_callback_fails_its_cell_only(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)

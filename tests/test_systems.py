@@ -412,6 +412,20 @@ class TestFeedbackOrder:
 
         check()
 
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_momentum_of_another_length_raises(self, size):
+        """One state and a batch, with or without ``g(x)``: one diagnostic
+        that names the length received and ``n``."""
+        sys_ = builtin_pendulum(9.81)
+        X = np.array([[0.3, -0.5, 0.4], [0.1, 0.2, -0.3]])
+        P = np.ones((2, size))
+        message = f"momentum has {size} entries per state, expected n=3"
+        for x, p in ((X[0], P[0]), (X, P), (X, P[0])):
+            for gx in (None, sys_.g(x)):
+                with pytest.raises(ValueError) as info:
+                    feedback(sys_, x, p, gx)
+                assert str(info.value) == message
+
     def test_pendulum_within_rounding(self):
         sys_ = builtin_pendulum(9.81)
         rng = np.random.default_rng(22)
