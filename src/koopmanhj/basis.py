@@ -88,7 +88,6 @@ class MonomialTable:
         self.M, self.n, self.degree = M, n, degree
         self.exponents = expo
         self.eval_index = expo + offsets  # (M, n) into the power table
-        self._eval_cols = self.eval_index.T.copy()  # (n, M), for one state
         rows, cols = np.nonzero(expo)
         dec = expo[rows].copy()
         dec[np.arange(rows.size), cols] -= 1
@@ -102,19 +101,10 @@ class MonomialTable:
         """Integer powers of every coordinate: (..., n) -> (..., n * (degree + 1)).
 
         Entry ``j * (degree + 1) + k`` holds ``Z[..., j] ** k``, built by
-        repeated multiplication (``x ** 0 = 1``, also at ``x = 0``).  One
-        state ``(n,)`` multiplies floats in the same order and builds one
-        array.
+        repeated multiplication (``x ** 0 = 1``, also at ``x = 0``), for one
+        state ``(n,)`` as for a batch, so a state has the bits of its batch
+        row.
         """
-        if Z.ndim == 1 and self.degree:
-            flat = []
-            for z in Z.tolist():
-                flat += (1.0, z)
-                zk = z
-                for _ in range(2, self.degree + 1):
-                    zk = zk * z
-                    flat.append(zk)
-            return np.array(flat)
         pw = np.empty(Z.shape + (self.degree + 1,))
         pw[..., 0] = 1.0
         if self.degree >= 1:
@@ -124,11 +114,8 @@ class MonomialTable:
         return pw.reshape(Z.shape[:-1] + (-1,))
 
     def eval(self, pw: np.ndarray) -> np.ndarray:
-        """Monomial values from a power table: (..., M)."""
-        if pw.ndim == 1:
-            # one state (a rollout stage): n rows of M factors, multiplied row
-            # after row, the order of a batch's reduce over each monomial
-            return np.multiply.reduce(pw[self._eval_cols], axis=0)
+        """Monomial values from a power table: (..., M), one state's as a
+        batch row's."""
         return np.multiply.reduce(pw[..., self.eval_index], axis=-1)
 
     def jacobian(self, pw: np.ndarray) -> np.ndarray:

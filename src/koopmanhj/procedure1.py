@@ -119,10 +119,12 @@ class HJSolution1:
         """The momentum ``dV/dx^T`` at states ``(..., n)``.
 
         With ``grad_poly``, one state packs the floats of
-        :meth:`gradient_code`, the code a one-state closed-loop stage calls
-        on the state's floats directly, and a batch runs the table form
+        :meth:`gradient_code` and a batch runs the table form
         ``table.eval(table.powers(X)) @ Cp.T``; the two sum the same terms
-        in a different order, so they agree to rounding.
+        in a different order, so they agree to rounding.  One state takes
+        the compiled code so that every one-state momentum of a rollout has
+        its bits: the pendulum's stages call :meth:`gradient_code` directly,
+        and the other stages and the final node's ``control(x)`` call this.
         """
         X = np.asarray(x, dtype=float)
         if self.grad_poly is None:

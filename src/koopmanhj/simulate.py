@@ -8,15 +8,14 @@ step grid.  Identical inputs produce identical output bytes, also where
 worker processes (one per usable CPU; in-process without ``fork``).
 
 The plant of a rollout is the system's ``f`` and ``g``; a custom system
-provides these two maps.  Each stage evaluates both once, and a route-1 or
-route-2 feedback reuses the stage's ``g(x)`` (:func:`closed_loop`).  A
-one-input system whose model gives one state's plant on floats (the
-built-in pendulum) runs a one-state rollout in one compiled loop that holds
-the state in float locals through every RK4 step, generated once per state
-dimension and feedback law (:func:`_float_rk4`).  It has the bits of the
-array loop (:func:`_rk4`), which runs batches and every other rollout.
-:func:`compare_controllers` writes each trajectory CSV in the process that
-computed the trajectory.
+provides these two maps.  A closed loop with one input runs in one compiled
+loop that holds the state in float locals through every RK4 step, generated
+once per state dimension and feedback law (:func:`_float_rk4`); each stage
+evaluates the plant once, and a route-1 or route-2 feedback reuses the
+stage's ``g(x)`` (:func:`closed_loop`).  It has the bits of the array loop
+(:func:`_rk4`), which runs batches, bare fields and closed loops with more
+than one input.  :func:`compare_controllers` writes each trajectory CSV in
+the process that computed the trajectory.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import numpy.typing as npt
 
 from .basis import _compile_function
 from .spectral import solve_riccati
-from .systems import ControlAffineSystem, Linearization, _momentum_length_error, feedback
+from .systems import ControlAffineSystem, Linearization, _momentum_length_error
 
 __all__ = [
     "CONVERGENCE_THRESHOLD",
@@ -111,7 +110,8 @@ def _rk4_step(
 
 @dataclass(frozen=True)
 class _Rollout:
-    """Raw output of :func:`_rk4` and :func:`_float_rk4`.
+    """Raw output of :func:`_rk4` and :func:`_float_rk4` (one state, the
+    closed loops with one input).
 
     ``kept`` (shape ``x0.shape[:-1]``: 0-d for one state, ``(B,)`` for rows)
     counts the steps of each row: ``K``, or the step ``k`` at which the row
@@ -146,9 +146,10 @@ def _rk4(
     stops there and the other rows go on; a stopped row is held at its last
     state.  A step that raises stops every row still going.
 
-    This is the loop of batches, of a custom ``admissible`` and of every
-    closed loop without a float plant; one state's closed loop on a float
-    plant runs :func:`_float_rk4`, which has its bits.
+    This loop runs batches (a custom ``admissible`` included),
+    :func:`integrate_rk4`, the closed loops with more than one input, and
+    the reference the tests hold :func:`_float_rk4` to; a closed loop with
+    one input runs :func:`_float_rk4`, which has its bits.
     """
     x = np.array(x0, dtype=float)
     states = np.empty((K + 1,) + x.shape)
@@ -192,10 +193,13 @@ def _float_loop_source(n: int, law: str) -> str:
     * ``"momentum"``: a marked HJ feedback, from the momentum's ``n``
       floats at the point and ``d = D^{-1}``, with the sums of
       :func:`~koopmanhj.systems._feedback_terms`; another length raises
-      ``mismatch(n, len)``;
+      ``mismatch(n, len)``.  It takes ``g`` from the stage's plant call,
+      which the feedback called as ``control(x)`` would evaluate again;
     * ``"neg_K"``: the linear law, ``neg_K @ buf`` on one ``(n,)`` buffer
-      that holds the point, the gemv of ``neg_K @ x``;
-    * ``"control"``: ``control(array(point))``, the checked controller.
+      that holds the point, the gemv of ``neg_K @ x`` without the array
+      and the checks of a controller call per stage;
+    * ``"control"``: ``control(array(point))``, the checked controller, for
+      every other controller.
 
     Stage points and the combination are :func:`_rk4_step`'s operations in
     its order (``h = 0.5 * dt``; ``x_i + h k_i``; ``x_i + dt k3_i``;
@@ -351,19 +355,21 @@ def closed_loop(
     """Roll out ``xdot = f(x) + g(x) u`` with ``u = controller(x)``.
 
     The feedback is evaluated at every RK4 stage point, and must give
-    exactly ``p`` entries (any shape that ravels to ``(p,)``).  Each stage
-    evaluates the plant maps ``f`` and ``g`` once.  Where the system has
-    one input and :attr:`~koopmanhj.systems.ControlAffineSystem.f_and_g_floats`
-    (the built-in pendulum), the rollout runs in one compiled loop on the
-    state's floats (:func:`_float_rk4`); otherwise the array loop
-    (:func:`_rk4`) calls ``f`` and ``g`` on the state's array.  A custom
-    system provides ``f`` and ``g`` only.  A route-1 or route-2 feedback
-    bound to a solution for ``sys`` (``control`` marked by
-    :func:`~koopmanhj.systems.feedback_of`) takes the stage's ``g(x)``, and
-    on floats a momentum the mark names on floats; on floats a
-    :func:`linear_controller` is applied to a buffer holding the stage
-    point; any other controller is called as ``controller(x)`` on an
-    array.  All give the bits of ``f(x) + g(x) controller(x)``.
+    exactly ``p`` entries (any shape that ravels to ``(p,)``).  A system
+    with one input runs in one compiled loop on the state's floats
+    (:func:`_float_rk4`, :func:`_float_stage`), where each stage evaluates
+    the plant once: from one call where the model gives one state's plant
+    on floats (:attr:`~koopmanhj.systems.ControlAffineSystem.f_and_g_floats`,
+    the built-in pendulum), else by calling ``f`` and ``g`` on the point's
+    array (a custom system provides these two maps only).  There a route-1
+    or route-2 feedback bound to a solution for ``sys`` (``control`` marked
+    by :func:`~koopmanhj.systems.feedback_of`) takes the stage's ``g(x)``,
+    a :func:`linear_controller` is applied to a buffer holding the stage
+    point, and any other controller is called as ``controller(x)`` on an
+    array.  A system with more than one input runs the array loop
+    (:func:`_rk4`) on ``f(x) + g(x) @ controller(x)``, where a marked
+    feedback is called as ``controller(x)`` too and so evaluates ``g`` in
+    its own call.  All give the bits of ``f(x) + g(x) controller(x)``.
 
     ``dt`` and ``T`` are taken as Python floats, whatever their scalar
     type.  Running cost is the trapezoid rule over the node values
@@ -378,11 +384,16 @@ def closed_loop(
         raise ValueError(f"x0 has dimension {x.size}, system has n={sys.n}")
     p = sys.p
     control = _checked_control(controller, p)
-    stage = _float_stage(sys, controller, control)
-    if stage is not None:
-        run = _float_rk4(x, dt, K, *stage)
+    if p == 1:
+        run = _float_rk4(x, dt, K, *_float_stage(sys, controller, control))
     else:
-        run = _rk4(_stage_field(sys, controller, control), x, dt, K, p=p)
+        f, g = sys.f, sys.g
+
+        def field(xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            u = control(xs)
+            return f(xs) + g(xs) @ u, u
+
+        run = _rk4(field, x, dt, K, p=p)
     kept = int(run.kept)
     states = run.states[: kept + 1]
     nodes = np.full((kept + 1, p), np.nan)  # the feedback at each kept node
@@ -461,23 +472,27 @@ def _float_stage(
     sys: ControlAffineSystem,
     controller: Callable[[np.ndarray], np.ndarray],
     control: Callable[[np.ndarray], np.ndarray],
-) -> Optional[tuple]:
-    """The law and arguments of :func:`_float_rk4` for a closed loop, or None
-    where the system has no float plant entry or more than one input.
+) -> tuple:
+    """The law and arguments of :func:`_float_rk4` for a one-input closed loop.
 
-    ``control`` is ``controller`` with its output checked.  A marked
-    feedback passes its momentum on floats: the map its mark names, else
-    its array momentum on the point's array.  A :func:`linear_controller`
-    whose gain has one row of ``n`` passes its ``neg_K``.  Any other
-    controller is called as ``control(np.array(x))``.
+    The plant is the model's float entry where the system has one
+    (:attr:`~koopmanhj.systems.ControlAffineSystem.f_and_g_floats`, the
+    built-in pendulum), else :func:`_array_plant` on the system's ``f`` and
+    ``g``.  ``control`` is ``controller`` with its output checked.  A marked
+    feedback passes its momentum on floats: on a model plant the map its
+    mark names, where it has one; else its array momentum on the point's
+    array, which on the array plant calls the maps that ``controller(x)``
+    calls.  A :func:`linear_controller` whose gain has one row of ``n``
+    passes its ``neg_K``.  Any other controller is called as
+    ``control(np.array(x))``.
     """
-    plant = sys.f_and_g_floats
-    if plant is None or sys.p != 1:
-        return None
     marked = _marked_momentum(sys, controller)
+    plant = sys.f_and_g_floats
+    floats = getattr(controller, "feedback_floats", None)
+    if plant is None:
+        plant, floats = _array_plant(sys, g_first=marked is not None), None
     if marked is not None:
         owner, name = marked
-        floats = getattr(controller, "feedback_floats", None)
         momentum = getattr(owner, floats)() if floats else None
         if momentum is None:
             array_momentum = getattr(owner, name)
@@ -489,42 +504,27 @@ def _float_stage(
     return "control", plant, control
 
 
-def _stage_field(
-    sys: ControlAffineSystem,
-    controller: Callable[[np.ndarray], np.ndarray],
-    control: Callable[[np.ndarray], np.ndarray],
-) -> _Field:
-    """The closed-loop field ``x -> (f(x) + g(x) u, u)`` of one stage of
-    the array loop, on the state's array.
+def _array_plant(sys: ControlAffineSystem, g_first: bool) -> Callable[[tuple], Tuple[list, list]]:
+    """One state's plant for :func:`_float_rk4` from the system's own maps:
+    ``f`` and ``g`` called on ``np.array(xs)``, each returned as a list (a
+    map may return any array-like of its shape).
 
-    ``control`` is ``controller`` with its output checked.  A feedback
-    marked by :func:`~koopmanhj.systems.feedback_of` and bound to a solution
-    for ``sys`` is evaluated here as the momentum, then
-    :func:`~koopmanhj.systems.feedback` from the stage's ``g(x)``.  The maps
-    run in the order in which ``controller(x)`` and the field would call
-    them, so where two of them would raise, the same error is reported.
+    ``g_first`` (a marked feedback, whose ``u`` needs ``g(x)`` before the
+    field needs ``f(x)``) calls ``g`` and then ``f``; otherwise ``f`` runs
+    first, as in ``f(x) + g(x) @ u``.  So where both maps raise, the
+    rollout reports the error that calling the feedback and then the field
+    would.
     """
     f, g = sys.f, sys.g
-    marked = _marked_momentum(sys, controller)
-    if marked is None:
 
-        def field(xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            u = control(xs)
-            return f(xs) + g(xs) @ u, u
+    def plant(xs: tuple) -> Tuple[list, list]:
+        x = np.array(xs)
+        if g_first:
+            gx = np.asarray(g(x)).tolist()
+            return np.asarray(f(x)).tolist(), gx
+        return np.asarray(f(x)).tolist(), np.asarray(g(x)).tolist()
 
-        return field
-
-    # u = -D^{-1} g(x)^T p(x): the feedback calls g before the field calls f
-    momentum = getattr(*marked)
-
-    def hj_field(xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        px = momentum(xs)
-        gx = g(xs)
-        fx = f(xs)
-        u = feedback(sys, xs, px, gx)
-        return fx + gx @ u, u
-
-    return hj_field
+    return plant
 
 
 def lqr_controller(lin: Linearization) -> Tuple[np.ndarray, np.ndarray]:

@@ -74,9 +74,9 @@ def _coords(x: np.ndarray):
     """The n coordinates of points ``(..., n)``, each of shape ``(...)``.
 
     One state ``(n,)`` unpacks into Python floats, so a single-state map
-    (called four times per RK4 step) runs on float arithmetic rather than
-    on numpy scalars, with the bits a batch row gets from the same
-    operations.
+    runs on float arithmetic rather than on numpy scalars, with the bits a
+    batch row gets from the same operations: a closed loop without a float
+    plant calls example 1's maps on one state four times per RK4 step.
     """
     if x.ndim == 1:
         return x.tolist()
@@ -119,10 +119,11 @@ class ControlAffineSystem:
     of a single state.
 
     The plant of a closed loop is ``f`` and ``g``: a custom system provides
-    these two maps, and each RK4 stage calls both once.  Where ``f`` and
-    ``g`` are methods of one model that also gives one state's ``f`` and
-    ``g`` as floats (the built-in pendulum), :attr:`f_and_g_floats` is that
-    method, and a one-state stage calls it once.
+    these two maps, and each RK4 stage of a one-input closed loop calls both
+    once on the stage point.  Where ``f`` and ``g`` are methods of one model
+    that also gives one state's ``f`` and ``g`` as floats (the built-in
+    pendulum), :attr:`f_and_g_floats` is that method, and each stage calls
+    it once instead.
     """
 
     n: int
@@ -273,12 +274,12 @@ def feedback(
 ) -> np.ndarray:
     """Feedback ``u = -D^{-1} g(x)^T p`` for states and momenta ``(..., n)``: (..., p).
 
-    ``gx`` is ``g(x)`` where the caller has evaluated it already (a
-    closed-loop stage); otherwise ``sys.g`` is called.  The entries are
-    the sums of :func:`_feedback_terms`: one state runs them on floats and
-    a batch runs the same operations on arrays, so one state has the bits
-    of its batch row.  A momentum without ``n`` entries per state raises
-    :func:`_momentum_length_error`'s ``ValueError``.
+    ``gx`` is ``g(x)`` where the caller has evaluated it already (the
+    Hamiltonian lift); otherwise ``sys.g`` is called.  The entries are the
+    sums of :func:`_feedback_terms` on arrays, for one state as for a
+    batch, so one state has the bits of its batch row and of the closed
+    loop's compiled ``momentum`` law.  A momentum without ``n`` entries per
+    state raises :func:`_momentum_length_error`'s ``ValueError``.
     """
     if gx is None:
         gx = sys.g(np.asarray(x, dtype=float))
@@ -288,8 +289,6 @@ def feedback(
     if p.shape[-1:] != (n,):
         raise _momentum_length_error(n, p.shape[-1] if p.ndim else 0)
     D_inv = sys.D_inv.tolist()
-    if gx.ndim == 2 and p.ndim == 1:
-        return np.array(_feedback_terms(D_inv, gx.tolist(), p.tolist()))
     g = [[gx[..., i, k] for k in range(m)] for i in range(n)]
     return np.stack(_feedback_terms(D_inv, g, [p[..., i] for i in range(n)]), axis=-1)
 
@@ -303,7 +302,8 @@ def _momentum_length_error(n: int, got: int) -> ValueError:
 
 def _feedback_terms(D_inv: list, g, p) -> list:
     """The ``p`` entries of ``-D^{-1} g^T p`` from ``D_inv[j][k]``, ``g[i][k]``
-    and ``p[i]``, floats or arrays.
+    and ``p[i]``, arrays of any one shape (:func:`feedback`); the closed
+    loop's compiled ``momentum`` law writes the same sums out on floats.
 
     ``g^T p`` and then ``D^{-1} (g^T p)`` are sums of products taken left
     to right from +0.0, as a BLAS product accumulates them.  Where every
@@ -329,13 +329,14 @@ def _feedback_terms(D_inv: list, g, p) -> list:
 def feedback_of(momentum: str, floats: Optional[str] = None):
     """Mark a solution's ``control(x)`` as ``feedback(self.sys, x, self.<momentum>(x))``.
 
-    The closed loop (:func:`koopmanhj.simulate.closed_loop`) recognises a
-    marked ``control`` bound to a solution for its own system.  It then
-    evaluates the momentum and the feedback itself, from the ``g(x)`` its
-    stage evaluates anyway, with the operands and order of ``control``.
-    ``floats``, where given, names a method of the solution that returns
-    the momentum of one state as a map of its ``n`` floats to ``n`` floats,
-    with the bits of ``<momentum>``, or None where it has no such map.
+    A one-input closed loop (:func:`koopmanhj.simulate.closed_loop`)
+    recognises a marked ``control`` bound to a solution for its own system.
+    It then evaluates the momentum and the feedback itself, from the
+    ``g(x)`` its stage evaluates anyway, with the operands and order of
+    ``control``.  ``floats``, where given, names a method of the solution
+    that returns the momentum of one state as a map of its ``n`` floats to
+    ``n`` floats, with the bits of ``<momentum>``, or None where it has no
+    such map; a stage on a model's float plant takes it.
     """
 
     def mark(control):
@@ -510,10 +511,10 @@ class _CartPole:
     the mass-matrix system's right-hand side and accelerations, which
     :meth:`jacobian_f` differentiates, and :meth:`_input_map` the one site
     of ``g``'s entries.  All three run on the floats of one state and on
-    the arrays of a batch.
-    :meth:`f_and_g_floats` gives one state's drift and input map as float
-    tuples (the one-state closed-loop stage), and the one-state branches of
-    :meth:`f` and :meth:`g` pack its result into arrays.
+    the arrays of a batch, so :meth:`f` and :meth:`g` give one state the
+    bits of its batch row.  :meth:`f_and_g_floats` gives one state's drift
+    and input map as float tuples from the same three sites, the plant of
+    each stage of a one-input closed loop.
     """
 
     def __init__(self, g_gravity: float) -> None:
@@ -571,9 +572,6 @@ class _CartPole:
         return (ps, acc1, acc2), ((0.0,), (b1,), (b2,))
 
     def f(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return np.array(self.f_and_g_floats(x.tolist())[0])
         x, ps, vt, c, s, det = self._terms(x)
         _, _, acc1, acc2 = self._dynamics(ps, vt, c, s, det)
         out = np.empty(x.shape)
@@ -583,9 +581,6 @@ class _CartPole:
         return out
 
     def g(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return np.array(self.f_and_g_floats(x.tolist())[1])
         x, _, _, c, _, det = self._terms(x)
         out = np.zeros(x.shape[:-1] + (3, 1))
         out[..., 1, 0], out[..., 2, 0] = self._input_map(c, det)
@@ -638,8 +633,8 @@ def builtin_pendulum(g_gravity: float) -> ControlAffineSystem:
     a state whose mass matrix is singular raises a ``RuntimeError`` naming
     its ``theta``.  Cost: ``q(x) = x^T x`` and control weight ``D = 2`` (so
     the control term is ``0.5 * 2 * u^2 = u^2``).  ``f``, ``g`` and their
-    jacobians are methods of one model, so a one-state closed-loop stage
-    evaluates ``f`` and ``g`` together on floats
+    jacobians are methods of one model, so each stage of a one-input closed
+    loop evaluates ``f`` and ``g`` together on floats
     (:attr:`ControlAffineSystem.f_and_g_floats`).
     """
     if g_gravity <= 0:

@@ -335,6 +335,45 @@ class TestSimulate:
         assert len(files[1]) == 1 + 1 + 9  # comparison, report, 3 x 3 trajectories
         assert files[2] == files[1]
 
+    def test_two_input_polynomial_system(self, tmp_path):
+        """Route 1, LQR and a 2 x n gain on a system with two inputs, whose
+        rollouts run the array loop: exit 0, and a rerun writes the same
+        bytes."""
+        files = {}
+        for run in ("a", "b"):
+            out = tmp_path / run
+            cfg = dump_cfg(tmp_path, {
+                "schema_version": 1,
+                "system": {
+                    "kind": "polynomial",
+                    "f_terms": [[[-1.0, [1, 0]], [0.5, [0, 2]]],
+                                [[0.5, [1, 0]], [-2.0, [0, 1]], [1.0, [1, 1]]]],
+                    "g_matrix": [[1.0, 0.3], [0.2, 0.7]],
+                    "D": [[1.0, 0.2], [0.2, 2.0]],
+                    "Q0": [[1.0, 0.1], [0.1, 0.5]],
+                },
+                "box": [[-0.5, 0.5], [-0.5, 0.5]],
+                "basis": {"deg_min": 2, "deg_max": 3},
+                "samples": {"L": 1000, "seed": 0},
+                "integrator": {"dt": 0.01, "T": 2.0},
+                "simulate": {
+                    "controllers": [
+                        "procedure1", "lqr", {"name": "static", "gain": [[1.0, 0.5], [0.2, 1.0]]},
+                    ],
+                    "ics": [[0.3, -0.2], [-0.4, 0.4]],
+                },
+                "out": str(out),
+            }, f"{run}.yaml")
+            assert main(["simulate", "--config", cfg]) == 0
+            files[run] = {
+                p.name: p.read_bytes() for p in out.iterdir() if p.name != "resolved_config.yaml"
+            }
+        assert len(files["a"]) == 1 + 1 + 6  # comparison, report, 3 x 2 trajectories
+        assert files["b"] == files["a"]
+        traj = read_csv(tmp_path / "a" / "traj_procedure1_ic0.csv")
+        assert list(traj[0]) == ["t", "x1", "x2", "u1", "u2", "cumulative_cost"]
+        assert len(traj) == 201
+
     def test_missing_initial_conditions(self, tmp_path, capsys):
         out = tmp_path / "noic"
         cfg = dump_cfg(tmp_path, example1_cfg(

@@ -50,6 +50,7 @@ from koopmanhj.systems import (
     control_affine_system,
     feedback,
     linearize,
+    polynomial_system,
 )
 
 
@@ -318,11 +319,27 @@ def _single_state_system():
     return sys_, procedure1_solve(sys_, linear_eigenfunction_set(A, np.array([[-1.0, 1.0]] * 2)))
 
 
+def _cubic_system():
+    """The scalar cubic ``xdot = -x + x^3 + u`` of the shipped route-2 config."""
+    return polynomial_system([[(-1.0, (1,)), (1.0, (3,))]], [[1.0]], [[1.0]], [[1.0]])
+
+
+def _two_input_system():
+    """A two-state polynomial system with two inputs, a full input map and a
+    full control weight, so that ``g(x) @ u`` and ``D^{-1} g^T p`` are sums
+    of rounded products."""
+    return polynomial_system(
+        [[(-1.0, (1, 0)), (0.5, (0, 2))], [(0.5, (1, 0)), (-2.0, (0, 1)), (1.0, (1, 1))]],
+        [[1.0, 0.3], [0.2, 0.7]], [[1.0, 0.2], [0.2, 2.0]], [[1.0, 0.1], [0.1, 0.5]],
+    )
+
+
 @pytest.fixture(scope="module")
 def stage_cases():
     """(system, box, {controller name: controller}) per system: the pendulum
-    with route 1 and LQR, example 1 with routes 1 and 2 and LQR, and a
-    system built from maps of one state with route 1 and LQR."""
+    with route 1 and LQR, example 1 with routes 1 and 2 and LQR, a system
+    built from maps of one state, the scalar cubic and a two-input
+    polynomial system, each with route 1 and LQR."""
     pend = builtin_pendulum(9.81)
     pend_box = np.array([[-0.5, 0.5], [-1.0, 1.0], [-1.0, 1.0]])
     pend_eig = approximate_eigenfunction_set(
@@ -336,6 +353,11 @@ def stage_cases():
     phase_box = default_phase_box(ex1, ex1_box, margin=1.0)
     ex1_p2 = procedure2_solve(ex1, procedure2_basis(2, 3, 2), sample_domain(phase_box, 2000, 0))
     user, user_p1 = _single_state_system()
+    cubic, cubic_box = _cubic_system(), np.array([[-0.35, 0.35]])
+    two, two_box = _two_input_system(), np.array([[-0.5, 0.5]] * 2)
+    two_eig = approximate_eigenfunction_set(
+        two.f, linearize(two).A, monomial_basis(2, 2, 3), sample_domain(two_box, 2000, 7)
+    )
 
     def lqr(sys_):
         return linear_controller(lqr_controller(linearize(sys_))[0])
@@ -348,6 +370,12 @@ def stage_cases():
             "route2": ex1_p2.control, "lqr": lqr(ex1)}),
         "single_state_maps": (user, np.array([[-0.5, 0.5]] * 2), {
             "route1": user_p1.control, "lqr": lqr(user)}),
+        "cubic": (cubic, cubic_box, {
+            "route1": procedure1_solve(
+                cubic, linear_eigenfunction_set(linearize(cubic).A, cubic_box)).control,
+            "lqr": lqr(cubic)}),
+        "two_inputs": (two, two_box, {
+            "route1": procedure1_solve(two, two_eig).control, "lqr": lqr(two)}),
     }
 
 
@@ -398,6 +426,8 @@ class TestOnePlantEvaluationPerStage:
         ("pendulum", "route1"), ("pendulum", "lqr"),
         ("example1", "route1"), ("example1", "route2"), ("example1", "lqr"),
         ("single_state_maps", "route1"), ("single_state_maps", "lqr"),
+        ("cubic", "route1"), ("cubic", "lqr"),
+        ("two_inputs", "route1"), ("two_inputs", "lqr"),
     ])
     @settings(max_examples=6, deadline=None)
     @given(unit=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
@@ -414,6 +444,28 @@ class TestOnePlantEvaluationPerStage:
             np.testing.assert_array_equal(traj.inputs, inputs)
         for attr in ("cumulative_costs", "final_input"):
             np.testing.assert_array_equal(getattr(runs[0], attr), getattr(runs[1], attr))
+
+    @pytest.mark.parametrize("case", ["example1", "single_state_maps", "cubic", "wrapped_pendulum"])
+    def test_one_input_rollouts_run_the_compiled_loop(self, stage_cases, case, monkeypatch):
+        """Every closed loop with one input runs the compiled loop, on the
+        model's float plant or on the system's own ``f`` and ``g``, whatever
+        the controller: the array loop is never called."""
+        if case == "wrapped_pendulum":
+            pend, box, controllers = stage_cases["pendulum"]
+            sys_ = dataclasses.replace(pend, f=lambda x: pend.f(x), g=lambda x: pend.g(x))
+            sol = dataclasses.replace(controllers["route1"].__self__, sys=sys_)
+            controllers = {"route1": sol.control, "lqr": controllers["lqr"]}
+        else:
+            sys_, box, controllers = stage_cases[case]
+        assert sys_.p == 1
+
+        def array_loop(*args, **kwargs):
+            raise AssertionError("a one-input closed loop ran the array loop")
+
+        monkeypatch.setattr(simulate, "_rk4", array_loop)
+        for ctrl in [*controllers.values(), lambda x: -0.5 * x[:1]]:
+            traj = closed_loop(sys_, ctrl, box[:, 1] / 2, dt=self.DT, T=self.K * self.DT)
+            assert traj.diagnostic is None and traj.states.shape == (self.K + 1, sys_.n)
 
     @pytest.mark.parametrize("route", ["route1", "route2"])
     def test_hj_feedback_evaluates_g_once_per_stage(self, stage_cases, route):
@@ -593,7 +645,8 @@ def _raising_at(plant, at):
 
 class TestFloatStep:
     """One state's compiled RK4 loop has the bits of the array loop, and a
-    rollout on the compiled stage has the bits of the array stage."""
+    rollout on the pendulum's float plant has the bits of one on the array
+    plant of its maps."""
 
     FIELDS = [_decay, _coupled, _constant, _square]
     LAWS = ["momentum", "neg_K", "control"]
@@ -665,7 +718,7 @@ class TestFloatStep:
     @pytest.mark.parametrize("K", [np.ones((1, 2)), np.ones((2, 3))])
     def test_a_gain_of_another_shape_is_called_as_a_controller(self, K):
         """A gain without one row of ``n`` takes the checked call, which
-        reports its error as the array stage does."""
+        reports its error as on the array plant."""
         sys_ = builtin_pendulum(9.81)
         ctrl = linear_controller(K)
         assert simulate._float_stage(sys_, ctrl, simulate._checked_control(ctrl, 1))[0] == "control"
@@ -679,8 +732,8 @@ class TestFloatStep:
 
     @pytest.fixture(scope="class")
     def pendulum_paths(self, stage_cases):
-        """The pendulum (float stage) and the same plant with ``f`` and ``g``
-        wrapped (array stage), the route-1 solution and LQR."""
+        """The pendulum (float plant) and the same plant with ``f`` and ``g``
+        wrapped (array plant), the route-1 solution and LQR."""
         pend, _, controllers = stage_cases["pendulum"]
         wrapped = dataclasses.replace(pend, f=lambda x: pend.f(x), g=lambda x: pend.g(x))
         assert pend.f_and_g_floats is not None and wrapped.f_and_g_floats is None
@@ -709,19 +762,20 @@ class TestFloatStep:
         return call
 
     def _rollouts(self, paths, name, x0, K, at=None, fault=None):
-        """The float-stage and the array-stage rollout of controller ``name``."""
+        """The rollouts of controller ``name`` on the pendulum's float plant
+        and on the array plant of its wrapped maps."""
         pend, wrapped, sol, lqr = paths
         runs = []
         for sys_ in (pend, wrapped):
             if name == "route1":
-                # the marked feedback: both stages reach the compiled gradient
+                # the marked feedback: both plants reach the compiled gradient
                 s = dataclasses.replace(sol, sys=sys_)
                 code = s.gradient_code()
                 if fault is not None:
                     object.__setattr__(s, "_grad_code", self._faulty(code, at, fault))
                 ctrl = s.control
             elif name == "route1_contraction":
-                # no collapsed gradient: the float stage packs grad_value's array
+                # no collapsed gradient: both plants pack grad_value's array
                 s = dataclasses.replace(sol, sys=sys_)
                 object.__setattr__(s, "grad_poly", None)
                 assert s.gradient_code() is None
