@@ -644,9 +644,9 @@ def _raising_at(plant, at):
 
 
 class TestFloatStep:
-    """One state's compiled RK4 loop has the bits of the array loop, and a
-    rollout on the pendulum's float plant has the bits of one on the array
-    plant of its maps."""
+    """One state's compiled RK4 loop has the bits of the array loop: a
+    pendulum rollout on its float plant and one on the array plant of its
+    maps each equal the array loop's on its maps, faults included."""
 
     FIELDS = [_decay, _coupled, _constant, _square]
     LAWS = ["momentum", "neg_K", "control"]
@@ -761,12 +761,28 @@ class TestFloatStep:
 
         return call
 
+    def _array_loop(self, sys_, ctrl, x0, K):
+        """``closed_loop`` with the array loop in place of the compiled one:
+        :func:`_rk4` on ``f(x) + g(x) @ ctrl(x)``, every map called as
+        written, then the closed loop's own truncation and costs."""
+        control = simulate._checked_control(ctrl, 1)
+
+        def field(xs):
+            u = control(xs)
+            return sys_.f(xs) + sys_.g(xs) @ u, u
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_float_rk4",
+                       lambda x, dt, K, *stage: simulate._rk4(field, x, dt, K, p=1))
+            return closed_loop(sys_, ctrl, x0, dt=self.DT, T=K * self.DT)
+
     def _rollouts(self, paths, name, x0, K, at=None, fault=None):
-        """The rollouts of controller ``name`` on the pendulum's float plant
-        and on the array plant of its wrapped maps."""
+        """The rollouts of controller ``name`` in the compiled loop on the
+        pendulum's float plant and on the array plant of its wrapped maps,
+        and last the reference: the array loop on the pendulum's maps."""
         pend, wrapped, sol, lqr = paths
         runs = []
-        for sys_ in (pend, wrapped):
+        for sys_, array_loop in ((pend, False), (wrapped, False), (pend, True)):
             if name == "route1":
                 # the marked feedback: both plants reach the compiled gradient
                 s = dataclasses.replace(sol, sys=sys_)
@@ -787,7 +803,8 @@ class TestFloatStep:
                     lambda x: lqr(x) + 0.1 * np.sin(x[:1]) * x[:1]
                 )
                 ctrl = law if fault is None else self._faulty(law, at, fault)
-            runs.append(closed_loop(sys_, ctrl, x0, dt=self.DT, T=K * self.DT))
+            runs.append(self._array_loop(sys_, ctrl, x0, K) if array_loop
+                        else closed_loop(sys_, ctrl, x0, dt=self.DT, T=K * self.DT))
         return runs
 
     @staticmethod
@@ -799,28 +816,34 @@ class TestFloatStep:
             else:
                 assert a == b, f.name
 
+    def _assert_same_as_reference(self, runs):
+        """Both compiled-loop rollouts equal the array loop's, field by field."""
+        *got, want = runs
+        for run in got:
+            self._assert_same_trajectory(run, want)
+
     CONTROLLERS = ["route1", "route1_contraction", "lqr", "lambda"]
 
     @pytest.mark.parametrize("name", CONTROLLERS)
     def test_converging_rollout(self, pendulum_paths, name):
-        got, want = self._rollouts(pendulum_paths, name, [0.1, -0.2, 0.15], 1000)
-        assert want.converged
-        self._assert_same_trajectory(got, want)
+        runs = self._rollouts(pendulum_paths, name, [0.1, -0.2, 0.15], 1000)
+        assert runs[-1].converged
+        self._assert_same_as_reference(runs)
 
     @pytest.mark.parametrize("name", CONTROLLERS)
     @pytest.mark.parametrize("at", [1, 3, 4 * 7 + 2, 4 * 40 + 1])
     def test_controller_raising_at_a_stage(self, pendulum_paths, name, at):
-        got, want = self._rollouts(pendulum_paths, name, [0.3, -0.5, 0.4], 40, at, "raise")
-        assert want.diagnostic.endswith(f"call {at} failed")
-        self._assert_same_trajectory(got, want)
+        runs = self._rollouts(pendulum_paths, name, [0.3, -0.5, 0.4], 40, at, "raise")
+        assert runs[-1].diagnostic.endswith(f"call {at} failed")
+        self._assert_same_as_reference(runs)
 
     @pytest.mark.parametrize("name", CONTROLLERS)
     @pytest.mark.parametrize("at", [1, 4 * 5 + 1, 4 * 5 + 3])
     def test_huge_output_makes_the_next_state_nonfinite(self, pendulum_paths, name, at):
         with np.errstate(all="ignore"):
-            got, want = self._rollouts(pendulum_paths, name, [0.3, -0.5, 0.4], 40, at, "huge")
-        assert want.diagnostic == "diverged"
-        self._assert_same_trajectory(got, want)
+            runs = self._rollouts(pendulum_paths, name, [0.3, -0.5, 0.4], 40, at, "huge")
+        assert runs[-1].diagnostic == "diverged"
+        self._assert_same_as_reference(runs)
 
     @pytest.mark.parametrize("name", CONTROLLERS)
     @pytest.mark.parametrize("at", [2, 4 * 9 + 1, 4 * 40 + 1])
@@ -830,14 +853,14 @@ class TestFloatStep:
         whose feedback forms ``u`` itself, the momentum, with the diagnostic
         of :func:`feedback` on both stages."""
         for fault, size in (("short", 2), ("long", 4)):
-            got, want = self._rollouts(pendulum_paths, name, [0.3, -0.5, 0.4], 40, at, fault)
+            runs = self._rollouts(pendulum_paths, name, [0.3, -0.5, 0.4], 40, at, fault)
             if name.startswith("route1"):
-                assert want.diagnostic.endswith(
+                assert runs[-1].diagnostic.endswith(
                     f"momentum has {size} entries per state, expected n=3"
                 )
             else:
-                assert "expected 1 entries" in want.diagnostic
-            self._assert_same_trajectory(got, want)
+                assert "expected 1 entries" in runs[-1].diagnostic
+            self._assert_same_as_reference(runs)
 
     def test_a_numpy_step_runs_on_python_floats(self, stage_cases, monkeypatch):
         """``dt`` and ``T`` of numpy's scalar type give the trajectory of

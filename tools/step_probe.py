@@ -5,6 +5,12 @@ Usage (from the repository root):
     python3 tools/step_probe.py configs/pendulum_simulate.yaml [--src DIR ...]
         [--runs N]
 
+Any config with a ``simulate`` section works.  Besides the shipped
+``configs/*_simulate.yaml``, ``tools/probe_configs/`` holds two whose
+closed loops call a system's own array maps at every stage: the scalar
+cubic (a polynomial system) and example 1, each with the procedure-1,
+procedure-2 and LQR feedbacks.
+
 Builds the config's system and controllers from the ``koopmanhj`` package
 under ``--src`` (default: this repository's ``src``), then times
 ``closed_loop`` from the config's first initial condition over
