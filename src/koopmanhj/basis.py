@@ -32,6 +32,7 @@ __all__ = [
     "monomial_exponents",
     "procedure2_basis",
     "quadratic_form_gradient",
+    "run_polynomial",
     "value_basis_xi3",
 ]
 
@@ -101,9 +102,8 @@ class MonomialTable:
         """Integer powers of every coordinate: (..., n) -> (..., n * (degree + 1)).
 
         Entry ``j * (degree + 1) + k`` holds ``Z[..., j] ** k``, built by
-        repeated multiplication (``x ** 0 = 1``, also at ``x = 0``), for one
-        state ``(n,)`` as for a batch, so a state has the bits of its batch
-        row.
+        repeated multiplication (``x ** 0 = 1``, also at ``x = 0``) for one
+        state ``(n,)`` as for a batch, so a state has its batch row's bits.
         """
         pw = np.empty(Z.shape + (self.degree + 1,))
         pw[..., 0] = 1.0
@@ -114,8 +114,7 @@ class MonomialTable:
         return pw.reshape(Z.shape[:-1] + (-1,))
 
     def eval(self, pw: np.ndarray) -> np.ndarray:
-        """Monomial values from a power table: (..., M), one state's as a
-        batch row's."""
+        """Monomial values from a power table: (..., M), one state's as a batch row's."""
         return np.multiply.reduce(pw[..., self.eval_index], axis=-1)
 
     def jacobian(self, pw: np.ndarray) -> np.ndarray:
@@ -131,20 +130,21 @@ _SUM_TERMS = 100  # terms per line of a compiled sum; the compiler nests one lev
 
 
 def compile_polynomial(table: MonomialTable, C: npt.ArrayLike) -> Callable[[list], tuple]:
-    """One state's ``table.eval(table.powers(x)) @ C.T`` as straight-line float code.
+    """``table.eval(table.powers(x)) @ C.T`` as straight-line code.
 
-    The returned function takes the ``n`` coordinates of one state as
-    floats (``x.tolist()``) and returns the ``K`` outputs of a ``(K, M)``
-    matrix ``C`` as a tuple of floats.  Each power is the power table's
-    repeated product and each monomial the product of its factors from left
-    to right in coordinate order, so the monomials have the bits of
-    :meth:`MonomialTable.eval` (a factor ``x ** 0 = 1.0`` is left out,
-    which is exact).  Each output is the left-to-right sum ``c0*m0 + c1*m1
-    + ...`` over every column, zero coefficients included, so a non-finite
-    monomial gives nan where the matrix product does; BLAS may round the
-    sum differently.  The source is built from integer exponents and the
-    ``repr`` of each coefficient only, which round-trips exactly (``inf``
-    and ``nan`` are bound names).
+    The returned function takes the ``n`` coordinates of :func:`_coords`,
+    one state's floats or a batch's columns, and returns the ``K`` outputs
+    of a ``(K, M)`` matrix ``C`` as a tuple (:func:`run_polynomial`).  Each
+    power is the power table's repeated product and each monomial the
+    product of its factors from left to right in coordinate order, so the
+    monomials have the bits of :meth:`MonomialTable.eval` (a factor
+    ``x ** 0 = 1.0`` is left out, which is exact).  Each output is the
+    left-to-right sum ``c0*m0 + c1*m1 + ...`` over every column, zero
+    coefficients included, so a non-finite monomial gives nan where the
+    matrix product does; BLAS may round the sum differently.  Each step is
+    one IEEE ``*`` or ``+``, so a batch row has its own state's bits.  The
+    source holds integer exponents and the ``repr`` of each coefficient,
+    which round-trips exactly (``inf`` and ``nan`` are bound names).
     """
     expo = table.exponents
     M, n = expo.shape
@@ -166,6 +166,25 @@ def compile_polynomial(table: MonomialTable, C: npt.ArrayLike) -> Callable[[list
             lines.append(f"    o{i} = {' + '.join(head + terms[start : start + _SUM_TERMS])}")
     lines.append(f"    return ({''.join(f'o{i}, ' for i in range(len(C)))})")
     return _compile_function("\n".join(lines), "polynomial")
+
+
+def _coords(x: np.ndarray):
+    """The n coordinates of points ``(..., n)``, each of shape ``(...)``: the
+    one place a state is unpacked.  One state ``(n,)`` unpacks into Python
+    floats, so a map of one state runs on float arithmetic, with the bits a
+    batch row gets from the same operations on its columns."""
+    if x.ndim == 1:
+        return x.tolist()
+    return x.T if x.ndim == 2 else np.moveaxis(x, -1, 0)
+
+
+def run_polynomial(code: Callable[[list], tuple], x: np.ndarray) -> np.ndarray:
+    """:func:`compile_polynomial`'s ``code`` at states ``(..., n)``: ``(..., K)``,
+    each row with its state's bits; an output without terms gives zeros."""
+    outs = code(_coords(x))
+    if x.ndim == 1:
+        return np.array(outs)
+    return np.stack([np.broadcast_to(o, x.shape[:-1]) for o in outs], axis=-1)
 
 
 def _compile_function(source: str, name: str, **names: object) -> Callable:

@@ -35,7 +35,9 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 import numpy.typing as npt
 
-from .basis import BasisSet, MonomialTable, compile_polynomial, quadratic_form_gradient
+from .basis import (
+    BasisSet, MonomialTable, compile_polynomial, quadratic_form_gradient, run_polynomial,
+)
 from .galerkin import EigenfunctionSet, SampleSet, _derive_seed, sample_domain
 from .simulate import _rk4
 from .spectral import (
@@ -90,9 +92,8 @@ class HJSolution1:
     the value gradient collapsed into one polynomial, a monomial table and
     its ``(n, T)`` coefficient matrix (:func:`_collapse_gradient`);
     otherwise None, and the gradient is the contraction
-    ``(dPhi/dx)^T L Phi``.  The polynomial of one state runs as
-    straight-line float code (:func:`~koopmanhj.basis.compile_polynomial`),
-    compiled on first use and kept on the solution (:meth:`gradient_code`).
+    ``(dPhi/dx)^T L Phi``.  The polynomial is compiled on first use and
+    kept on the solution (:meth:`gradient_code`).
     """
 
     eig: EigenfunctionSet
@@ -118,29 +119,21 @@ class HJSolution1:
     def grad_value(self, x: npt.ArrayLike) -> np.ndarray:
         """The momentum ``dV/dx^T`` at states ``(..., n)``.
 
-        With ``grad_poly``, one state packs the floats of
-        :meth:`gradient_code` and a batch runs the table form
-        ``table.eval(table.powers(X)) @ Cp.T``; the two sum the same terms
-        in a different order, so they agree to rounding.  One state takes
-        the compiled code so that every one-state momentum of a rollout has
-        its bits: the pendulum's stages call :meth:`gradient_code` directly,
-        and the other stages and the final node's ``control(x)`` call this.
+        With ``grad_poly``, :func:`~koopmanhj.basis.run_polynomial` runs
+        :meth:`gradient_code`, which the pendulum's rollout stages call, on
+        one state's floats or a batch's columns, so every row has its bits.
         """
         X = np.asarray(x, dtype=float)
         if self.grad_poly is None:
             Phi, jac = self.eig.Phi_jac(X)
             LPhi = Phi @ self.L.T  # L symmetric; (..., n)
             return (LPhi[..., None, :] @ jac)[..., 0, :]
-        if X.ndim == 1:
-            return np.array(self.gradient_code()(X.tolist()))
-        table, Cp = self.grad_poly
-        return table.eval(table.powers(X)) @ Cp.T
+        return run_polynomial(self.gradient_code(), X)
 
     def gradient_code(self) -> Optional[Callable[[list], tuple]]:
-        """The collapsed gradient of one state as straight-line float code:
-        its ``n`` floats (``x.tolist()``) to ``n`` floats, the values of
-        :meth:`grad_value`; compiled on the first call and kept.  None
-        without ``grad_poly``."""
+        """The collapsed gradient as straight-line code
+        (:func:`~koopmanhj.basis.compile_polynomial`), compiled on the first
+        call and kept; None without ``grad_poly``."""
         code = self._grad_code
         if code is None and self.grad_poly is not None:
             code = compile_polynomial(*self.grad_poly)

@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 import numpy.typing as npt
 
-from .basis import MonomialTable
+from .basis import MonomialTable, _coords, compile_polynomial, run_polynomial
 from .spectral import hamiltonian_matrix, well_conditioned
 
 __all__ = [
@@ -68,19 +68,6 @@ def _fd_jacobian(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.
         e[j] = h
         cols.append((np.atleast_1d(func(x + e)) - np.atleast_1d(func(x - e))) / (2 * h))
     return np.stack(cols, axis=-1)
-
-
-def _coords(x: np.ndarray):
-    """The n coordinates of points ``(..., n)``, each of shape ``(...)``.
-
-    One state ``(n,)`` unpacks into Python floats, so a single-state map
-    runs on float arithmetic rather than on numpy scalars, with the bits a
-    batch row gets from the same operations: a closed loop without a float
-    plant calls example 1's maps on one state four times per RK4 step.
-    """
-    if x.ndim == 1:
-        return x.tolist()
-    return x.T if x.ndim == 2 else np.moveaxis(x, -1, 0)
 
 
 def _cos_sin(t: float) -> Tuple[float, float]:
@@ -417,11 +404,13 @@ def hj_residual(
 # ----------------------------------------------------------------------
 
 def _constant_input_map(B: np.ndarray):
-    """``g`` and ``jacobian_g`` of an input map that does not depend on x."""
+    """``g`` and ``jacobian_g`` of an input map ``B`` that does not depend on
+    x; one state's ``g`` is ``B`` itself, made read-only as a batch's is."""
+    B.flags.writeable = False
     n, p = B.shape
 
     def g(x: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(B, np.shape(x)[:-1] + (n, p))
+        return B if np.ndim(x) == 1 else np.broadcast_to(B, np.shape(x)[:-1] + (n, p))
 
     def jacobian_g(x: np.ndarray) -> np.ndarray:
         return np.zeros(np.shape(x)[:-1] + (n, p, n))
@@ -668,21 +657,23 @@ def polynomial_system(
     Exponents are ints (Python or numpy, not bool), and every term must
     have total degree >= 1 so the origin stays an equilibrium.  The cost
     is ``q(x) = 0.5 x^T Q0 x``.  The drift is one monomial table (every
-    term of every coordinate) times a coefficient matrix.
+    term of every coordinate) times a coefficient matrix, compiled once and
+    run by :func:`~koopmanhj.basis.run_polynomial`; the jacobian is the table form.
     """
-    g_mat = np.atleast_2d(np.asarray(g_matrix, dtype=float))
+    g_mat = np.atleast_2d(np.array(g_matrix, dtype=float))
     n = g_mat.shape[0]
     p = g_mat.shape[1]
     if len(f_terms) != n:
         raise ValueError(f"f_terms has {len(f_terms)} coordinates, input map has {n} rows")
-    coeffs: list[np.ndarray] = []
+    coeffs: list[float] = []
+    rows: list[int] = []  # the coordinate of each term
     expos: list[np.ndarray] = []
     for i, terms in enumerate(f_terms):
-        ci = np.array([float(t[0]) for t in terms])
-        for t in terms:
-            for v in t[1]:
-                if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                    raise ValueError(f"f_terms[{i}] has a non-integer exponent {v!r}")
+        coeffs += [float(t[0]) for t in terms]
+        rows += [i] * len(terms)
+        for v in (v for t in terms for v in t[1]):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"f_terms[{i}] has a non-integer exponent {v!r}")
         ei = np.array([tuple(t[1]) for t in terms], dtype=np.int64).reshape(len(terms), n)
         if np.any(ei < 0):
             raise ValueError(f"negative exponent in f_terms[{i}]")
@@ -690,23 +681,19 @@ def polynomial_system(
             raise ValueError(
                 f"f_terms[{i}] has a constant term; the origin must be an equilibrium"
             )
-        coeffs.append(ci)
         expos.append(ei)
     Q0 = np.asarray(Q0, dtype=float)
     if Q0.shape != (n, n):
         raise ValueError(f"Q0 shape {Q0.shape} != ({n}, {n})")
 
     expo = np.concatenate(expos, axis=0)  # (T, n), all terms
-    C = np.zeros((n, expo.shape[0]))  # drift_i = sum_t C[i, t] x^expo[t]
-    start = 0
-    for i, ci in enumerate(coeffs):
-        C[i, start : start + ci.size] = ci
-        start += ci.size
+    C = np.zeros((n, len(rows)))  # drift_i = sum_t C[i, t] x^expo[t]
+    C[rows, np.arange(len(rows))] = coeffs
     table = MonomialTable(expo, int(expo.max(initial=0)))
+    code = compile_polynomial(table, C)
 
     def f(x: np.ndarray) -> np.ndarray:
-        pw = table.powers(np.asarray(x, dtype=float))
-        return table.eval(pw) @ C.T
+        return run_polynomial(code, np.asarray(x, dtype=float))
 
     def jacobian_f(x: np.ndarray) -> np.ndarray:
         pw = table.powers(np.asarray(x, dtype=float))

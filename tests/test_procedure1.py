@@ -21,9 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bitwise import state_rows
+from bitwise import assert_same_bits, state_rows
 from koopmanhj import procedure1
-from koopmanhj.basis import monomial_basis
+from koopmanhj.basis import monomial_basis, monomial_exponents
 from koopmanhj.galerkin import (
     SampleSet,
     _derive_seed,
@@ -435,8 +435,8 @@ class TestCollapsedGradient:
     def test_one_state_runs_the_compiled_polynomial(self, collapsed, name):
         """One state's gradient sums the table form's terms in another
         order: within 1e-12 of the sum of the terms' magnitudes on the box.
-        It is compiled on the first one-state call, not by the solve, and
-        kept on the solution."""
+        Its batch row has its bits.  It is compiled on the first one-state
+        call, not by the solve, and kept on the solution."""
         sol = dataclasses.replace(collapsed[name])
         assert sol._grad_code is None
         table, Cp = sol.grad_poly
@@ -447,6 +447,7 @@ class TestCollapsedGradient:
         assert code is not None
         assert np.all(np.abs(got - mono @ Cp.T) <= 1e-12 * (np.abs(mono) @ np.abs(Cp).T))
         assert code(X[0].tolist()) == tuple(got[0])
+        assert_same_bits(sol.grad_value(X), got)
         sol.grad_value(X[1])
         assert sol._grad_code is code
 
@@ -470,6 +471,67 @@ class TestCollapsedGradient:
         assert procedure1_solve(sys_, example1_eigenfunction_set()).grad_poly is None
         eig = linear_eigenfunction_set(linearize(sys_).A, np.array([[-1.0, 1.0]] * 2))
         assert procedure1_solve(sys_, eig).grad_poly is not None
+
+
+def _batches(n):
+    """Batches of :func:`state_rows`' coordinates: ``(B, n)`` with B = 1..100
+    and ``(a, b, n)`` with a * b <= 100."""
+    flat = st.integers(1, 100).flatmap(lambda k: state_rows(n, k))
+    nested = st.tuples(st.integers(1, 10), st.integers(1, 10)).flatmap(
+        lambda ab: state_rows(n, ab[0] * ab[1]).map(lambda X: X.reshape(ab + (n,)))
+    )
+    return flat | nested
+
+
+def _linear_solution():
+    sys_ = builtin_example1(1.0)
+    eig = linear_eigenfunction_set(linearize(sys_).A, np.array([[-1.0, 1.0]] * 2))
+    return procedure1_solve(sys_, eig)
+
+
+def _many_term_drift():
+    """Three coordinates, each with all 55 monomials of degree 1..5."""
+    expo = monomial_exponents(3, 1, 5).tolist()
+    coef = np.random.default_rng(5).uniform(-1.0, 1.0, (3, len(expo))).tolist()
+    return polynomial_system([list(zip(c, map(tuple, expo))) for c in coef],
+                             np.ones((3, 1)), [[1.0]], np.eye(3))
+
+
+class TestBatchRowsHaveOneStateBits:
+    """One evaluator per polynomial map: every row of a batch ``(B, n)`` or
+    ``(a, b, n)`` has the bits of its state's own call, non-finite states
+    included, for the collapsed value gradient and the polynomial drift."""
+
+    @staticmethod
+    def _check(fn, n):
+        @settings(max_examples=40, deadline=None)
+        @given(_batches(n))
+        def check(X):
+            with np.errstate(all="ignore"):
+                rows = fn(X)
+                assert rows.shape == X.shape
+                for idx in np.ndindex(X.shape[:-1]):
+                    assert_same_bits(fn(X[idx]), rows[idx])
+
+        check()
+
+    @pytest.mark.parametrize("name", ["pendulum", "example1", "linear"])
+    def test_grad_value(self, collapsed, name):
+        sol = _linear_solution() if name == "linear" else collapsed[name]
+        assert sol.grad_poly is not None
+        self._check(sol.grad_value, sol.eig.n)
+
+    @pytest.mark.parametrize("make", [
+        lambda: polynomial_system([[(-1.0, (1,)), (1.0, (3,))]], [[1.0]], [[1.0]], [[1.0]]),
+        lambda: polynomial_system(
+            [[(-1.0, (1, 0)), (0.5, (0, 2))], [(0.5, (1, 0)), (-2.0, (0, 1)), (1.0, (1, 1))]],
+            [[1.0, 0.3], [0.2, 0.7]], [[1.0, 0.2], [0.2, 2.0]], [[1.0, 0.1], [0.1, 0.5]],
+        ),
+        _many_term_drift,
+    ], ids=["cubic", "two_input", "many_terms"])
+    def test_polynomial_drift(self, make):
+        sys_ = make()
+        self._check(sys_.f, sys_.n)
 
 
 def _integrability_per_sample(eig, sys_, samples, t_grid, dt):

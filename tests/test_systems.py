@@ -496,9 +496,8 @@ class TestOneStateEqualsBatchRow:
     ])
     def test_polynomial_drift_one_state_and_batch_row(self, terms):
         """One state's drift and its batch row are both the sum of the terms
-        to rounding: within 1e-14 of the sum of the terms' magnitudes.  The
-        one-state contraction is a vector-matrix product and the batch one
-        a matrix product, which may round their sums differently."""
+        to rounding: within 1e-14 of the sum of the terms' magnitudes.  Both
+        run the one compiled sum, so the row has the state's bits too."""
         n = len(terms)
         sys_ = polynomial_system(terms, np.ones((n, 1)), [[1.0]], np.eye(n))
         row = st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)
@@ -515,6 +514,7 @@ class TestOneStateEqualsBatchRow:
                 tol = 1e-14 * np.array([math.fsum(map(abs, t)) for t in parts]) + 1e-300
                 assert np.all(np.abs(sys_.f(X[k]) - want) <= tol)
                 assert np.all(np.abs(F[k] - want) <= tol)
+                assert_same_bits(sys_.f(X[k]), F[k])
 
         check()
 
@@ -564,6 +564,36 @@ class TestPolynomialSystem:
     def test_constant_term_rejected(self):
         with pytest.raises(ValueError):
             polynomial_system([[(1.0, (0,))]], [[1.0]], [[1.0]], [[1.0]])
+
+    @pytest.mark.parametrize("shape", [(), (4,), (2, 3)])
+    def test_a_drift_with_no_terms_keeps_its_shape(self, shape):
+        """A coordinate without terms is zero, for one state and a batch,
+        alone or next to a coordinate with terms."""
+        X = np.arange(1.0, 1.0 + 2 * math.prod(shape)).reshape(shape + (2,))
+        empty = polynomial_system([[]], [[1.0]], [[1.0]], [[1.0]])
+        assert_same_bits(empty.f(X[..., :1]), np.zeros(shape + (1,)))
+        mixed = polynomial_system([[], [(2.0, (1, 1))]], np.ones((2, 1)), [[1.0]], np.eye(2))
+        want = np.stack([np.zeros(shape), 2.0 * X[..., 0] * X[..., 1]], axis=-1)
+        assert_same_bits(mixed.f(X), want)
+
+    @pytest.mark.parametrize("make", [
+        lambda B: polynomial_system([[(-1.0, (1, 0))], [(-1.0, (0, 1))]], B, np.eye(2), np.eye(2)),
+        lambda B: builtin_example1(),
+    ], ids=["polynomial", "example1"])
+    def test_constant_input_map_of_one_state_is_read_only(self, make):
+        """One state's ``g`` is the input map itself, with the values of
+        the batch's broadcast, and neither can be written."""
+        B = np.array([[1.0, 0.0], [0.0, 2.0]])
+        sys_ = make(B)
+        G = sys_.g(np.zeros((3, sys_.n)))
+        for x in (np.zeros(sys_.n), np.ones(sys_.n)):
+            assert_same_bits(sys_.g(x), G[0])
+            assert sys_.g(x) is sys_.g(np.zeros(sys_.n))
+        for gx in (sys_.g(np.zeros(sys_.n)), G):
+            with pytest.raises(ValueError, match="read-only"):
+                gx[..., 0, 0] = 5.0
+        B[0, 0] = 7.0  # the caller's matrix stays writable and is not shared
+        assert sys_.g(np.zeros(sys_.n))[0, 0] == 1.0
 
 
 class TestConstructionInvariants:

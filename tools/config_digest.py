@@ -13,15 +13,22 @@ directory, emptied first, so that ``resolved_config.yaml``, which names that
 directory, compares too.
 
 One line per output file gives its sha256 per tree and ``same_as_first``:
-whether every tree wrote the bytes of the first.  The last line of standard
-output is one JSON object: per config, the subcommand, each tree's exit code
-and wall time, and per file the digests and ``same_as_first``.
+whether every tree wrote the bytes of the first.  Where a CSV file's bytes
+differ from the first tree's but its header and row count do not, one
+indented line per differing column and tree follows, with the number of
+differing cells and the largest ``|a - b|`` over them (nan where a
+differing cell is not a number).  The last line of standard output is one
+JSON object: per config, the subcommand, each tree's exit code and wall
+time, and per file the digests, ``same_as_first`` and, per later tree,
+those column moves (``moved``).
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -51,6 +58,36 @@ def _digests(out: Path) -> dict:
     }
 
 
+def _number(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return float("nan")
+
+
+def _moved(first: Path, other: Path):
+    """Per differing column of two CSV files with the same header and row
+    count: ``{"cells": differing cells, "max_abs": largest |a - b|}``; None
+    for files of another kind, header or length."""
+    if first.suffix != ".csv":
+        return None
+    with first.open(newline="") as fa, other.open(newline="") as fb:
+        a, b = list(csv.reader(fa)), list(csv.reader(fb))
+    if len(a) != len(b) or not a or a[0] != b[0] or any(
+        len(ra) != len(rb) for ra, rb in zip(a, b)
+    ):
+        return None
+    diffs: dict = {}
+    for ra, rb in zip(a[1:], b[1:]):
+        for name, ca, cb in zip(a[0], ra, rb):
+            if ca != cb:
+                diffs.setdefault(name, []).append(abs(_number(ca) - _number(cb)))
+    return {
+        name: {"cells": len(d), "max_abs": max(d) if not any(map(math.isnan, d)) else math.nan}
+        for name, d in diffs.items()
+    }
+
+
 def _run(tree: str, command: str, config: Path, out: Path) -> dict:
     """One CLI run of ``config`` on the package under ``tree``, writing to ``out``."""
     shutil.rmtree(out, ignore_errors=True)
@@ -77,15 +114,30 @@ def main(argv=None) -> int:
         for config in sorted((ROOT / "configs").glob("*.yaml")):
             command = _subcommand(config)
             out = Path(work) / config.stem
-            runs = {tree: _run(tree, command, config, out) for tree in trees}
+            kept = Path(work) / "first" / config.stem  # the first tree's files
+            runs, moved = {}, {}
+            for tree in trees:
+                runs[tree] = _run(tree, command, config, out)
+                if tree == trees[0]:
+                    if out.is_dir():
+                        shutil.copytree(out, kept)
+                    continue
+                for name, digest in runs[tree]["files"].items():
+                    if runs[trees[0]]["files"].get(name, digest) != digest:
+                        moved.setdefault(name, {})[tree] = _moved(kept / name, out / name)
             first = runs[trees[0]]["files"]
             files = {}
             for name in sorted(set().union(*(r["files"] for r in runs.values()))):
                 digests = {tree: runs[tree]["files"].get(name) for tree in trees}
                 same = len(set(digests.values())) == 1
-                files[name] = {"sha256": digests, "same_as_first": same}
+                files[name] = {"sha256": digests, "same_as_first": same,
+                               "moved": moved.get(name, {})}
                 shown = " ".join(str(d)[:16] for d in digests.values())
                 print(f"{config.stem}/{name} {shown} same_as_first={same}")
+                for tree, cols in moved.get(name, {}).items():
+                    for col, m in (cols or {}).items():
+                        print(f"    {col}: {m['cells']} cells, max |a - b| "
+                              f"{m['max_abs']:.3g} ({tree})")
             result[config.stem] = {
                 "command": command,
                 "runs": {tree: {k: r[k] for k in ("exit", "wall_s")} for tree, r in runs.items()},
