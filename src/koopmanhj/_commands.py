@@ -319,16 +319,25 @@ def cmd_simulate(cfg: RunConfig) -> None:
             "simulate requires initial conditions: set simulate.ics or "
             "simulate.pendulum_cloud"
         )
+    owners = {}  # trajectory file stem -> the first controller that writes it
+    for spec in cfg.simulate["controllers"]:
+        name = spec if isinstance(spec, str) else str(spec["name"])
+        stem = f"traj_{_safe_name(name)}"
+        if stem in owners:
+            raise ConfigError(
+                f"controllers '{owners[stem]}' and '{name}' would both write "
+                f"{stem}_ic<k>.csv; give them names that differ in letters, digits, '-' or '_'"
+            )
+        owners[stem] = name
     out = _ensure_out(cfg)
     lin = linearize(sys_)
     named = _build_controllers(cfg, sys_, lin)
 
-    traj_files: List[Tuple[str, int]] = []  # the cells whose file was written
     rows = compare_controllers(
         sys_, named, list(ics), dt=cfg.integrator["dt"], T=cfg.integrator["T"],
-        on_trajectory=lambda name, i, traj: traj_files.append((name, i)),
         trajectory_csv=lambda name, i: str(out / f"traj_{_safe_name(name)}_ic{i}.csv"),
     )
+    written = sum(not r.diagnostic.startswith("rollout failed:") for r in rows)
     write_comparison_csv(rows, str(out / "comparison.csv"))
 
     lines = [
@@ -358,7 +367,7 @@ def cmd_simulate(cfg: RunConfig) -> None:
                 lines.append(f"  ic {r.ic_index}: {r.diagnostic}")
     lines += [
         "",
-        f"files: comparison.csv, {len(traj_files)} trajectory files "
+        f"files: comparison.csv, {written} trajectory files "
         "(traj_<controller>_ic<k>.csv), resolved_config.yaml",
     ]
     _write_report(out, lines)

@@ -14,8 +14,9 @@ once per state dimension and feedback law (:func:`_float_rk4`); each stage
 evaluates the plant once, and a route-1 or route-2 feedback reuses the
 stage's ``g(x)`` (:func:`closed_loop`).  It has the bits of the array loop
 (:func:`_rk4`), which runs batches, bare fields and closed loops with more
-than one input.  :func:`compare_controllers` writes each trajectory CSV in
-the process that computed the trajectory.
+than one input.  A :func:`compare_controllers` cell writes its trajectory
+CSV and makes its :class:`ComparisonRow` in the process that ran it, and
+only the row comes back.
 """
 
 from __future__ import annotations
@@ -457,15 +458,25 @@ def _checked_control(
 
 def _marked_momentum(
     sys: ControlAffineSystem, controller: Callable[[np.ndarray], np.ndarray]
-) -> Optional[Tuple[object, str]]:
-    """The solution and the momentum's name of a feedback marked by
+) -> Optional[Callable[[tuple], list]]:
+    """One state's momentum on floats for a feedback marked by
     :func:`~koopmanhj.systems.feedback_of` and bound to a solution for
-    ``sys``; None for any other controller."""
+    ``sys``; None for any other controller.
+
+    It is the map the mark names, where the solution has one (route 1's
+    compiled gradient, which its ``grad_value`` runs too); else the array
+    momentum on the point's array, the map that ``controller(x)`` calls.
+    """
     owner = getattr(controller, "__self__", None)
     name = getattr(controller, "feedback_momentum", None)
     if name is None or getattr(owner, "sys", None) is not sys:
         return None
-    return owner, name
+    floats = controller.feedback_floats
+    momentum = getattr(owner, floats)() if floats else None
+    if momentum is None:
+        array_momentum = getattr(owner, name)
+        momentum = lambda xs: array_momentum(np.array(xs)).tolist()  # noqa: E731
+    return momentum
 
 
 def _float_stage(
@@ -479,24 +490,16 @@ def _float_stage(
     (:attr:`~koopmanhj.systems.ControlAffineSystem.f_and_g_floats`, the
     built-in pendulum), else :func:`_array_plant` on the system's ``f`` and
     ``g``.  ``control`` is ``controller`` with its output checked.  A marked
-    feedback passes its momentum on floats: on a model plant the map its
-    mark names, where it has one; else its array momentum on the point's
-    array, which on the array plant calls the maps that ``controller(x)``
-    calls.  A :func:`linear_controller` whose gain has one row of ``n``
-    passes its ``neg_K``.  Any other controller is called as
-    ``control(np.array(x))``.
+    feedback passes its momentum on floats (:func:`_marked_momentum`), the
+    same map on either plant.  A :func:`linear_controller` whose gain has
+    one row of ``n`` passes its ``neg_K``.  Any other controller is called
+    as ``control(np.array(x))``.
     """
-    marked = _marked_momentum(sys, controller)
+    momentum = _marked_momentum(sys, controller)
     plant = sys.f_and_g_floats
-    floats = getattr(controller, "feedback_floats", None)
     if plant is None:
-        plant, floats = _array_plant(sys, g_first=marked is not None), None
-    if marked is not None:
-        owner, name = marked
-        momentum = getattr(owner, floats)() if floats else None
-        if momentum is None:
-            array_momentum = getattr(owner, name)
-            momentum = lambda xs: array_momentum(np.array(xs)).tolist()  # noqa: E731
+        plant = _array_plant(sys, g_first=momentum is not None)
+    if momentum is not None:
         return "momentum", plant, momentum, sys.D_inv.item()
     neg_K = getattr(controller, "neg_K", None)
     if neg_K is not None and neg_K.shape == (1, sys.n):
@@ -571,17 +574,19 @@ class ComparisonRow:
     diagnostic: str
 
 
-def _rollout(cell: tuple) -> Tuple[Optional[Trajectory], str]:
-    """One cell's :func:`closed_loop` run, and its trajectory CSV where the
-    cell names a path: the trajectory, or ``None`` and the error text."""
-    sys_, ctrl, x0, dt, T, path = cell
+def _rollout(cell: tuple) -> ComparisonRow:
+    """One cell's row, made where the cell runs: its :func:`closed_loop`
+    run, with its trajectory CSV written where the cell names a path.  Any
+    exception, the write's included, gives the ``rollout failed`` row."""
+    name, i, sys_, ctrl, x0, dt, T, path = cell
     try:
         traj = closed_loop(sys_, ctrl, x0, dt=dt, T=T)
         if path is not None:
             write_trajectory_csv(traj, path)
-        return traj, ""
     except Exception as exc:  # noqa: BLE001 — table must not abort
-        return None, str(exc)
+        return ComparisonRow(name, i, x0, False, True, math.nan, math.nan, f"rollout failed: {exc}")
+    return ComparisonRow(name, i, x0, traj.converged, traj.diverged, traj.running_cost,
+                         float(np.max(np.abs(traj.states))), traj.diagnostic or "")
 
 
 # The cells of the table, in a pool worker only (set by ``_start_worker``).
@@ -607,7 +612,7 @@ def _start_worker(cells: Sequence[tuple]) -> None:
     threading.Thread(target=exit_after_parent, daemon=True).start()
 
 
-def _forked_rollout(index: int) -> Tuple[Optional[Trajectory], str]:
+def _forked_rollout(index: int) -> ComparisonRow:
     """A pool worker's run of cell ``index`` of the cells it was started with."""
     return _rollout(_WORKER_CELLS[index])
 
@@ -631,38 +636,32 @@ def compare_controllers(
     x0_list: Sequence[npt.ArrayLike],
     dt: float = 1e-3,
     T: float = 20.0,
-    on_trajectory: Optional[Callable[[str, int, Trajectory], None]] = None,
     trajectory_csv: Optional[Callable[[str, int], str]] = None,
 ) -> List[ComparisonRow]:
     """Roll out every controller from every initial condition.
 
     Failures stay in their own cell as diagnostics; the table always has one
     row per (controller, x0) pair, in input order.  ``trajectory_csv`` (if
-    given) names the file of each cell, ``trajectory_csv(name, ic_index)``,
-    and the process that runs the cell writes its trajectory there
-    (:func:`write_trajectory_csv`); a write that raises fails its cell.
-    ``on_trajectory`` (if given) receives each completed rollout, its file
-    written, as ``(name, ic_index, traj)``, in table order and in the
-    calling process.
+    given) names the file of each cell, ``trajectory_csv(name, ic_index)``.
+    Each cell is one :func:`_rollout`: the process that runs it writes its
+    trajectory there (:func:`write_trajectory_csv`) and makes its row, so
+    only the row leaves that process; a write that raises fails its cell.
 
     The cells run concurrently in ``min(cells, len(os.sched_getaffinity(0)))``
     forked worker processes.  Each cell is the same deterministic
-    :func:`closed_loop` call, so rows, trajectories and written files are
-    the bytes of a one-by-one run.  With one worker, or where the platform
-    has no ``fork`` start method or no CPU affinity, the cells run one after
-    another in the calling process.
+    :func:`closed_loop` call, so rows and written files are the bytes of a
+    one-by-one run.  With one worker, or where the platform has no ``fork``
+    start method or no CPU affinity, the cells run one after another in the
+    calling process.
     """
-    keys: List[Tuple[str, int, np.ndarray]] = []
     cells = []
     for name, ctrl in controllers:
         for i, x0 in enumerate(x0_list):
-            x0a = np.asarray(x0, dtype=float).ravel()
-            keys.append((name, i, x0a))
             path = trajectory_csv(name, i) if trajectory_csv is not None else None
-            cells.append((sys, ctrl, x0a, dt, T, path))
+            cells.append((name, i, sys, ctrl, np.asarray(x0, dtype=float).ravel(), dt, T, path))
     workers = _pool_workers(len(cells))
     if workers <= 1:
-        return _tabulate(keys, map(_rollout, cells), on_trajectory)
+        return [_rollout(cell) for cell in cells]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -671,53 +670,10 @@ def compare_controllers(
         workers, context, initializer=_start_worker, initargs=(cells,)
     ) as pool:
         try:
-            return _tabulate(keys, pool.map(_forked_rollout, range(len(cells))), on_trajectory)
+            return list(pool.map(_forked_rollout, range(len(cells))))
         except BaseException:  # an interrupt: start no further cell
             pool.shutdown(cancel_futures=True)
             raise
-
-
-def _tabulate(
-    keys: Sequence[Tuple[str, int, np.ndarray]],
-    outcomes: Iterable[Tuple[Optional[Trajectory], str]],
-    on_trajectory: Optional[Callable[[str, int, Trajectory], None]],
-) -> List[ComparisonRow]:
-    """One row per cell outcome, in table order; each trajectory is handed to
-    ``on_trajectory`` first, and an exception there fails its cell."""
-    rows: List[ComparisonRow] = []
-    for (name, i, x0a), (traj, error) in zip(keys, outcomes):
-        if traj is not None:
-            try:
-                if on_trajectory is not None:
-                    on_trajectory(name, i, traj)
-                rows.append(
-                    ComparisonRow(
-                        controller=name,
-                        ic_index=i,
-                        x0=x0a,
-                        converged=traj.converged,
-                        diverged=traj.diverged,
-                        running_cost=traj.running_cost,
-                        max_abs_state=float(np.max(np.abs(traj.states))),
-                        diagnostic=traj.diagnostic or "",
-                    )
-                )
-                continue
-            except Exception as exc:  # noqa: BLE001 — table must not abort
-                error = str(exc)
-        rows.append(
-            ComparisonRow(
-                controller=name,
-                ic_index=i,
-                x0=x0a,
-                converged=False,
-                diverged=True,
-                running_cost=float("nan"),
-                max_abs_state=float("nan"),
-                diagnostic=f"rollout failed: {error}",
-            )
-        )
-    return rows
 
 
 def pendulum_ic_cloud(

@@ -374,6 +374,25 @@ class TestSimulate:
         assert list(traj[0]) == ["t", "x1", "x2", "u1", "u2", "cumulative_cost"]
         assert len(traj) == 201
 
+    def test_a_cell_that_cannot_write_its_file_fails_alone(self, tmp_path):
+        """A directory at one cell's trajectory path fails that cell's row
+        only, and the report counts the files that were written."""
+        out = tmp_path / "sim"
+        (out / "traj_lqr_ic1.csv").mkdir(parents=True)
+        cfg = dump_cfg(tmp_path, example1_cfg(
+            out,
+            integrator={"dt": 0.01, "T": 1.0},
+            simulate={"controllers": ["lqr"], "ics": [[0.2, 0.1], [-0.3, 0.2], [0.1, -0.4]]},
+        ))
+        assert main(["simulate", "--config", cfg]) == 0
+        diagnostics = [r["diagnostic"] for r in read_csv(out / "comparison.csv")]
+        assert diagnostics[0] == diagnostics[2] == ""
+        assert diagnostics[1].startswith("rollout failed: [Errno 21] Is a directory")
+        report = (out / "report.txt").read_text()
+        assert "  ic 1: rollout failed: [Errno 21]" in report
+        assert "files: comparison.csv, 2 trajectory files" in report
+        assert (out / "traj_lqr_ic0.csv").is_file() and (out / "traj_lqr_ic2.csv").is_file()
+
     def test_missing_initial_conditions(self, tmp_path, capsys):
         out = tmp_path / "noic"
         cfg = dump_cfg(tmp_path, example1_cfg(
@@ -487,6 +506,13 @@ _CUBIC = {"kind": "polynomial", "f_terms": [[[-1.0, [1]]]], "g_matrix": [[1.0]],
      "simulate.pendulum_cloud.center"),
     ("simulate", {"simulate": {"ics": [[0.1, 0.1]], "pendulum_cloud": {"center": [0.1, 0.1]}}},
      "simulate.ics and simulate.pendulum_cloud; both are set"),
+    ("simulate", {"simulate": {"controllers": ["lqr", {"name": "lqr", "gain": [[1, 0]]}],
+                               "ics": [[0.1, 0.1]]}},
+     "controllers 'lqr' and 'lqr' would both write traj_lqr_ic<k>.csv"),
+    ("simulate", {"simulate": {"controllers": [{"name": "a b", "gain": [[1, 0]]},
+                                               {"name": "a_b", "gain": [[0, 1]]}],
+                               "ics": [[0.1, 0.1]]}},
+     "controllers 'a b' and 'a_b' would both write traj_a_b_ic<k>.csv"),
 ])
 def test_invalid_config_exits_1_without_output(tmp_path, capsys, sub, overrides, key):
     out = tmp_path / "o"

@@ -1,12 +1,14 @@
-"""sha256 of every output file of every shipped config, for one or more trees.
+"""sha256 of every output file of every shipped and probe config, for one or more trees.
 
 Usage (from the repository root):
 
     python3 tools/config_digest.py [--src DIR ...]
 
-Runs each ``configs/*.yaml`` through the command-line interface with the
-``koopmanhj`` package under each ``--src`` tree (default: this repository's
-``src``): the subcommand the config's keys name (``simulate``, ``converge``,
+Runs each ``configs/*.yaml`` and then each ``tools/probe_configs/*.yaml``
+(a polynomial system's closed loops, and route 2's feedback in a closed
+loop) through the command-line interface with the ``koopmanhj`` package
+under each ``--src`` tree (default: this repository's ``src``): the
+subcommand the config's keys name (``simulate``, ``converge``,
 ``procedure`` for ``solve``, else ``eigfun``), in a fresh process with BLAS
 on one thread.  Every tree's run of a config writes to the same output
 directory, emptied first, so that ``resolved_config.yaml``, which names that
@@ -42,6 +44,9 @@ import yaml
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = (("simulate", "simulate"), ("converge", "converge"), ("procedure", "solve"))
+CONFIGS = sorted((ROOT / "configs").glob("*.yaml")) + sorted(
+    (ROOT / "tools" / "probe_configs").glob("*.yaml")
+)
 
 
 def _subcommand(config: Path) -> str:
@@ -111,7 +116,7 @@ def main(argv=None) -> int:
     trees = [str(Path(s).resolve()) for s in (args.src or [ROOT / "src"])]
     result = {}
     with tempfile.TemporaryDirectory() as work:
-        for config in sorted((ROOT / "configs").glob("*.yaml")):
+        for config in CONFIGS:
             command = _subcommand(config)
             out = Path(work) / config.stem
             kept = Path(work) / "first" / config.stem  # the first tree's files
