@@ -8,15 +8,14 @@ step grid.  Identical inputs produce identical output bytes, also where
 worker processes (one per usable CPU; in-process without ``fork``).
 
 The plant of a rollout is the system's ``f`` and ``g``; a custom system
-provides these two maps.  A closed loop with one input runs in one compiled
-loop that holds the state in float locals through every RK4 step, generated
-once per state dimension and feedback law (:func:`_float_rk4`); each stage
-evaluates the plant once, and a route-1 or route-2 feedback reuses the
-stage's ``g(x)`` (:func:`closed_loop`).  It has the bits of the array loop
-(:func:`_rk4`), which runs batches, bare fields and closed loops with more
-than one input.  A :func:`compare_controllers` cell writes its trajectory
-CSV and makes its :class:`ComparisonRow` in the process that ran it, and
-only the row comes back.
+provides these two maps.  Every closed loop runs in one compiled loop that
+holds the state in float locals through every RK4 step, generated once per
+state dimension, input count and feedback law (:func:`_float_rk4`); each
+stage evaluates the plant once, and a route-1 or route-2 feedback reuses
+the stage's ``g(x)`` (:func:`closed_loop`).  The array loop (:func:`_rk4`)
+runs batches and bare fields.  A :func:`compare_controllers` cell writes
+its trajectory CSV and makes its :class:`ComparisonRow` in the process
+that ran it, and only the row comes back.
 """
 
 from __future__ import annotations
@@ -111,8 +110,7 @@ def _rk4_step(
 
 @dataclass(frozen=True)
 class _Rollout:
-    """Raw output of :func:`_rk4` and :func:`_float_rk4` (one state, the
-    closed loops with one input).
+    """Raw output of :func:`_rk4` and :func:`_float_rk4` (every closed loop).
 
     ``kept`` (shape ``x0.shape[:-1]``: 0-d for one state, ``(B,)`` for rows)
     counts the steps of each row: ``K``, or the step ``k`` at which the row
@@ -147,10 +145,10 @@ def _rk4(
     stops there and the other rows go on; a stopped row is held at its last
     state.  A step that raises stops every row still going.
 
-    This loop runs batches (a custom ``admissible`` included),
-    :func:`integrate_rk4`, the closed loops with more than one input, and
-    the reference the tests hold :func:`_float_rk4` to; a closed loop with
-    one input runs :func:`_float_rk4`, which has its bits.
+    This loop runs batches (a custom ``admissible`` included) and
+    :func:`integrate_rk4`.  ``p`` is for the tests, which hold every closed
+    loop's :func:`_float_rk4` to this loop on the same field as the
+    array-loop reference.
     """
     x = np.array(x0, dtype=float)
     states = np.empty((K + 1,) + x.shape)
@@ -180,20 +178,21 @@ def _rk4(
     return _Rollout(states=states, inputs=inputs, kept=kept, error=error)
 
 
-def _float_loop_source(n: int, law: str) -> str:
+def _float_loop_source(n: int, p: int, law: str) -> str:
     """Source of ``rollout(x, dt, K, plant, <law>)``: ``K`` RK4 steps of one
-    state of ``n`` floats on a float plant with one input, in straight-line
-    code.
+    state of ``n`` floats on a float plant with ``p`` inputs, in
+    straight-line code.
 
     The state is ``n`` float locals.  Each stage calls ``plant`` (``f`` as
-    ``n`` floats, ``g`` as ``n`` rows of one float) at the stage point as a
-    tuple, and ``xdot_i = f_i + (g_i u + 0.0)``: the sum over the one input
-    taken from +0.0 as numpy's ``g(x) @ u`` takes it, so the field has the
+    ``n`` floats, ``g`` as ``n`` rows of ``p`` floats) at the stage point as
+    a tuple, and ``xdot_i = f_i + (0.0 + g_i0 u_0 + g_i1 u_1 + ...)``: the
+    sum over the inputs taken left to right from +0.0, the order of
+    :func:`~koopmanhj.systems._feedback_terms`.  For one input it has the
     bits of ``f(x) + g(x) @ u``.  ``u`` comes from the ``law``:
 
     * ``"momentum"``: a marked HJ feedback, from the momentum's ``n``
-      floats at the point and ``d = D^{-1}``, with the sums of
-      :func:`~koopmanhj.systems._feedback_terms`; another length raises
+      floats at the point and the rows ``d`` of ``D^{-1}``, with the sums
+      of :func:`~koopmanhj.systems._feedback_terms`; another length raises
       ``mismatch(n, len)``.  It takes ``g`` from the stage's plant call,
       which the feedback called as ``control(x)`` would evaluate again;
     * ``"neg_K"``: the linear law, ``neg_K @ buf`` on one ``(n,)`` buffer
@@ -206,57 +205,63 @@ def _float_loop_source(n: int, law: str) -> str:
     its order (``h = 0.5 * dt``; ``x_i + h k_i``; ``x_i + dt k3_i``;
     ``x_i + (dt / 6.0) (((k1_i + 2.0 k2_i) + 2.0 k3_i) + k4_i)``), and the
     test of ``x_{k+1}`` is ``isfinite`` on each coordinate.  The function
-    returns the state tuples, the stage-1 inputs, the steps kept and the
-    exception that stopped the rollout, as :class:`_Rollout` counts them.
+    returns the state tuples, the stage-1 inputs (flat, ``p`` per step),
+    the steps kept and the exception that stopped the rollout, as
+    :class:`_Rollout` counts them.
     """
 
-    def names(prefix: str, stage: str = "") -> List[str]:
-        return [f"{prefix}{stage}{i}" for i in range(n)]
+    def names(prefix: str, count: int = n) -> List[str]:
+        return [f"{prefix}{i}" for i in range(count)]
 
     def tup(items: Iterable[str]) -> str:  # a tuple display, one item included
         return "(" + "".join(f"{v}, " for v in items) + ")"
 
+    def total(terms: Iterable[str]) -> str:  # summed left to right from +0.0
+        return " + ".join(["0.0", *terms])
+
     law_params = {"momentum": "momentum, d", "neg_K": "neg_K", "control": "control"}[law]
-    x, f, g, p = names("x"), names("f"), names("g"), names("p")
+    x, f, m, t = names("x"), names("f"), names("p"), names("t", p)
+    g = [names(f"g{i}_", p) for i in range(n)]
+    d = [names(f"d{j}_", p) for j in range(p)]
     body: List[str] = []
 
     def stage(s: int, point: str, ys: List[str]) -> None:
-        u = "u1" if s == 1 else "u"
+        u = names("v" if s == 1 else "u", p)
         if law == "momentum":
             body.append(f"m = momentum({point})")
         elif law == "neg_K":
             body.extend(f"buf[{i}] = {y}" for i, y in enumerate(ys))
-            body.append(f"{u}, = (neg_K @ buf).tolist()")
+            body.append(f"{tup(u)} = (neg_K @ buf).tolist()")
         else:
-            body.append(f"{u}, = control(array({point})).tolist()")
-        body.append(f"{tup(f)}, {tup(f'({gi},)' for gi in g)} = plant({point})")
+            body.append(f"{tup(u)} = control(array({point})).tolist()")
+        body.append(f"{tup(f)}, {tup(map(tup, g))} = plant({point})")
         if law == "momentum":  # checked where feedback() checks it: after the plant
-            gTp = " + ".join(f"{gi} * {pi}" for gi, pi in zip(g, p))
             body.extend([
                 f"if len(m) != {n}:",
                 f"    raise mismatch({n}, len(m))",
-                f"{tup(p)} = m",
-                f"{u} = -(0.0 + d * (0.0 + {gTp}))",
+                f"{tup(m)} = m",
+                *(f"{tk} = {total(f'{gi[k]} * {pi}' for gi, pi in zip(g, m))}"
+                  for k, tk in enumerate(t)),
+                *(f"{uj} = -({total(f'{dj} * {tk}' for dj, tk in zip(dr, t))})"
+                  for uj, dr in zip(u, d)),
             ])
-        body.extend(f"{k} = {fi} + ({gi} * {u} + 0.0)"
-                    for k, fi, gi in zip(names("k", f"{s}_"), f, g))
+        body.extend(f"k{s}_{i} = {fi} + ({total(f'{gk} * {uk}' for gk, uk in zip(gi, u))})"
+                    for i, (fi, gi) in enumerate(zip(f, g)))
 
     y = names("y")
     stage(1, "X", x)
     for s, scale in ((2, "h"), (3, "h"), (4, "dt")):
         body.extend(f"{yi} = {xi} + {scale} * {k}"
-                    for yi, xi, k in zip(y, x, names("k", f"{s - 1}_")))
+                    for yi, xi, k in zip(y, x, names(f"k{s - 1}_")))
         body.append(f"Y = {tup(y)}")
         stage(s, "Y", y)
     z = names("z")
     body.extend(
         f"{zi} = {xi} + c * ((({k1} + 2.0 * {k2}) + 2.0 * {k3}) + {k4})"
-        for zi, xi, k1, k2, k3, k4 in zip(
-            z, x, *(names("k", f"{s}_") for s in range(1, 5))
-        )
+        for zi, xi, k1, k2, k3, k4 in zip(z, x, *(names(f"k{s}_") for s in range(1, 5)))
     )
     body += [
-        "inputs.append(u1)",
+        *(f"inputs.append({v})" for v in names("v", p)),
         f"if not ({' and '.join(f'isfinite({zi})' for zi in z)}):",
         "    return states, inputs, step, None",
         f"{tup(x)} = X = {tup(z)}",
@@ -270,7 +275,7 @@ def _float_loop_source(n: int, law: str) -> str:
         "    states = [X]",
         "    inputs = []",
         "    step = 0",
-    ] + ([f"    buf = empty({n})"] if law == "neg_K" else [])
+    ] + {"neg_K": [f"    buf = empty({n})"], "momentum": [f"    {tup(map(tup, d))} = d"]}.get(law, [])
     return "\n".join(head + [
         "    try:",
         "        for step in range(K):",
@@ -282,26 +287,26 @@ def _float_loop_source(n: int, law: str) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _float_loop(n: int, law: str) -> Callable:
-    """The compiled :func:`_float_loop_source` for ``n`` and ``law``, built
-    once per process and kept (one per dimension and law in use)."""
+def _float_loop(n: int, p: int, law: str) -> Callable:
+    """The compiled :func:`_float_loop_source` for ``n``, ``p`` and ``law``,
+    built once per process and kept."""
     return _compile_function(
-        _float_loop_source(n, law), "rollout", isfinite=math.isfinite,
+        _float_loop_source(n, p, law), "rollout", isfinite=math.isfinite,
         mismatch=_momentum_length_error, array=np.array, empty=np.empty,
     )
 
 
-def _float_rk4(x0: np.ndarray, dt: float, K: int, law: str, *args) -> _Rollout:
-    """``K`` RK4 steps of the one state ``x0`` ``(n,)`` in the compiled loop
-    of ``law`` (:func:`_float_loop_source`; ``args`` are the plant and the
-    law's parameters).  A step that raises stops the rollout with ``error``,
-    and so does a non-finite ``x_{k+1}``, as in :func:`_rk4`, whose states,
-    inputs and steps kept it has bit for bit.  The states and inputs are
-    collected in lists and become arrays once."""
-    states, inputs, kept, error = _float_loop(x0.size, law)(x0.tolist(), dt, K, *args)
+def _float_rk4(x0: np.ndarray, dt: float, K: int, p: int, law: str, *args) -> _Rollout:
+    """``K`` RK4 steps of the one state ``x0`` ``(n,)`` with ``p`` inputs in
+    the compiled loop of ``law`` (:func:`_float_loop_source`; ``args`` are
+    the plant and the law's parameters).  A step that raises stops the
+    rollout with ``error``, and so does a non-finite ``x_{k+1}``, as in
+    :func:`_rk4`, whose states, inputs and steps kept it has bit for bit
+    on the same field.  States and inputs become arrays once, at the end."""
+    states, inputs, kept, error = _float_loop(x0.size, p, law)(x0.tolist(), dt, K, *args)
     return _Rollout(
         states=np.array(states),
-        inputs=np.array(inputs).reshape(-1, 1),
+        inputs=np.array(inputs).reshape(-1, p),
         kept=np.array(kept),
         error=error,
     )
@@ -356,21 +361,20 @@ def closed_loop(
     """Roll out ``xdot = f(x) + g(x) u`` with ``u = controller(x)``.
 
     The feedback is evaluated at every RK4 stage point, and must give
-    exactly ``p`` entries (any shape that ravels to ``(p,)``).  A system
-    with one input runs in one compiled loop on the state's floats
-    (:func:`_float_rk4`, :func:`_float_stage`), where each stage evaluates
-    the plant once: from one call where the model gives one state's plant
-    on floats (:attr:`~koopmanhj.systems.ControlAffineSystem.f_and_g_floats`,
-    the built-in pendulum), else by calling ``f`` and ``g`` on the point's
-    array (a custom system provides these two maps only).  There a route-1
-    or route-2 feedback bound to a solution for ``sys`` (``control`` marked
-    by :func:`~koopmanhj.systems.feedback_of`) takes the stage's ``g(x)``,
-    a :func:`linear_controller` is applied to a buffer holding the stage
+    exactly ``p`` entries (any shape that ravels to ``(p,)``).  The loop
+    runs compiled on the state's floats (:func:`_float_rk4`,
+    :func:`_float_stage`), where each stage evaluates the plant once: from
+    one call where the model gives one state's plant on floats
+    (:attr:`~koopmanhj.systems.ControlAffineSystem.f_and_g_floats`, the
+    built-in pendulum), else by calling ``f`` and ``g`` on the point's
+    array (a custom system provides these two maps only).  A route-1 or
+    route-2 feedback bound to a solution for ``sys`` (``control`` marked by
+    :func:`~koopmanhj.systems.feedback_of`) takes the stage's ``g(x)``, a
+    :func:`linear_controller` is applied to a buffer holding the stage
     point, and any other controller is called as ``controller(x)`` on an
-    array.  A system with more than one input runs the array loop
-    (:func:`_rk4`) on ``f(x) + g(x) @ controller(x)``, where a marked
-    feedback is called as ``controller(x)`` too and so evaluates ``g`` in
-    its own call.  All give the bits of ``f(x) + g(x) controller(x)``.
+    array.  The field is ``f(x) + g(x) u`` with ``g(x) u`` summed over the
+    inputs left to right from +0.0; for one input that is the bits of
+    ``f(x) + g(x) @ u``.
 
     ``dt`` and ``T`` are taken as Python floats, whatever their scalar
     type.  Running cost is the trapezoid rule over the node values
@@ -385,16 +389,7 @@ def closed_loop(
         raise ValueError(f"x0 has dimension {x.size}, system has n={sys.n}")
     p = sys.p
     control = _checked_control(controller, p)
-    if p == 1:
-        run = _float_rk4(x, dt, K, *_float_stage(sys, controller, control))
-    else:
-        f, g = sys.f, sys.g
-
-        def field(xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            u = control(xs)
-            return f(xs) + g(xs) @ u, u
-
-        run = _rk4(field, x, dt, K, p=p)
+    run = _float_rk4(x, dt, K, p, *_float_stage(sys, controller, control))
     kept = int(run.kept)
     states = run.states[: kept + 1]
     nodes = np.full((kept + 1, p), np.nan)  # the feedback at each kept node
@@ -484,25 +479,25 @@ def _float_stage(
     controller: Callable[[np.ndarray], np.ndarray],
     control: Callable[[np.ndarray], np.ndarray],
 ) -> tuple:
-    """The law and arguments of :func:`_float_rk4` for a one-input closed loop.
+    """The law and arguments of :func:`_float_rk4` for a closed loop.
 
     The plant is the model's float entry where the system has one
     (:attr:`~koopmanhj.systems.ControlAffineSystem.f_and_g_floats`, the
     built-in pendulum), else :func:`_array_plant` on the system's ``f`` and
     ``g``.  ``control`` is ``controller`` with its output checked.  A marked
     feedback passes its momentum on floats (:func:`_marked_momentum`), the
-    same map on either plant.  A :func:`linear_controller` whose gain has
-    one row of ``n`` passes its ``neg_K``.  Any other controller is called
-    as ``control(np.array(x))``.
+    same map on either plant, and the rows of ``D^{-1}``.  A
+    :func:`linear_controller` whose gain is ``(p, n)`` passes its
+    ``neg_K``.  Any other controller is called as ``control(np.array(x))``.
     """
     momentum = _marked_momentum(sys, controller)
     plant = sys.f_and_g_floats
     if plant is None:
         plant = _array_plant(sys, g_first=momentum is not None)
     if momentum is not None:
-        return "momentum", plant, momentum, sys.D_inv.item()
+        return "momentum", plant, momentum, sys.D_inv.tolist()
     neg_K = getattr(controller, "neg_K", None)
-    if neg_K is not None and neg_K.shape == (1, sys.n):
+    if neg_K is not None and neg_K.shape == (sys.p, sys.n):
         return "neg_K", plant, neg_K
     return "control", plant, control
 

@@ -342,7 +342,9 @@ def solve_riccati(A: npt.ArrayLike, R: npt.ArrayLike, Q: npt.ArrayLike) -> Ricca
     Route: assemble the Hamiltonian matrix ``[[A, -R], [-Q, -A^T]]``, extract
     its left-unstable subspace, and read off ``P = -D2^{-1} D1``.  The
     returned solution always carries a residual certificate and the
-    closed-loop spectrum of ``A - R P``, both enforced here.
+    closed-loop spectrum of ``A - R P``, both enforced here.  The residual
+    limit ``1e-8 (1 + |Q| + 2 |A| |P| + |P|^2 |R|)`` (Frobenius norms)
+    grows with the equation's own terms, whose round-off it bounds.
     """
     A = np.asarray(A, dtype=float)
     R = np.asarray(R, dtype=float)
@@ -355,7 +357,8 @@ def solve_riccati(A: npt.ArrayLike, R: npt.ArrayLike, Q: npt.ArrayLike) -> Ricca
     sub = unstable_left_subspace(hamiltonian_matrix(A, R, Q))
     P = lagrangian_subspace(sub)
     residual = float(np.linalg.norm(A.T @ P + P @ A - P @ R @ P + Q))
-    limit = 1e-8 * (1.0 + np.linalg.norm(Q))
+    nA, nR, nQ, nP = (np.linalg.norm(M) for M in (A, R, Q, P))
+    limit = 1e-8 * (1.0 + nQ + 2.0 * nA * nP + nP**2 * nR)
     if residual > limit:
         raise RuntimeError(
             f"Riccati residual {residual:.3e} exceeds tolerance {limit:.3e}"

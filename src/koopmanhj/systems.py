@@ -106,8 +106,8 @@ class ControlAffineSystem:
     of a single state.
 
     The plant of a closed loop is ``f`` and ``g``: a custom system provides
-    these two maps, and each RK4 stage of a one-input closed loop calls both
-    once on the stage point.  Where ``f`` and ``g`` are methods of one model
+    these two maps, and each RK4 stage of a closed loop calls both once on
+    the stage point.  Where ``f`` and ``g`` are methods of one model
     that also gives one state's ``f`` and ``g`` as floats (the built-in
     pendulum), :attr:`f_and_g_floats` is that method, and each stage calls
     it once instead.
@@ -316,14 +316,14 @@ def _feedback_terms(D_inv: list, g, p) -> list:
 def feedback_of(momentum: str, floats: Optional[str] = None):
     """Mark a solution's ``control(x)`` as ``feedback(self.sys, x, self.<momentum>(x))``.
 
-    A one-input closed loop (:func:`koopmanhj.simulate.closed_loop`)
-    recognises a marked ``control`` bound to a solution for its own system.
-    It then evaluates the momentum and the feedback itself, from the
-    ``g(x)`` its stage evaluates anyway, with the operands and order of
-    ``control``.  ``floats``, where given, names a method of the solution
-    that returns the momentum of one state as a map of its ``n`` floats to
-    ``n`` floats, with the bits of ``<momentum>``, or None where it has no
-    such map; a stage on a model's float plant takes it.
+    A closed loop (:func:`koopmanhj.simulate.closed_loop`) recognises a
+    marked ``control`` bound to a solution for its own system.  It then
+    evaluates the momentum and the feedback itself, from the ``g(x)`` its
+    stage evaluates anyway, with the operands and order of ``control``.
+    ``floats``, where given, names a method of the solution that returns
+    the momentum of one state as a map of its ``n`` floats to ``n``
+    floats, with the bits of ``<momentum>``, or None where it has no such
+    map; a stage on a model's float plant takes it.
     """
 
     def mark(control):
@@ -503,7 +503,7 @@ class _CartPole:
     the arrays of a batch, so :meth:`f` and :meth:`g` give one state the
     bits of its batch row.  :meth:`f_and_g_floats` gives one state's drift
     and input map as float tuples from the same three sites, the plant of
-    each stage of a one-input closed loop.
+    each stage of a closed loop.
     """
 
     def __init__(self, g_gravity: float) -> None:
@@ -622,8 +622,8 @@ def builtin_pendulum(g_gravity: float) -> ControlAffineSystem:
     a state whose mass matrix is singular raises a ``RuntimeError`` naming
     its ``theta``.  Cost: ``q(x) = x^T x`` and control weight ``D = 2`` (so
     the control term is ``0.5 * 2 * u^2 = u^2``).  ``f``, ``g`` and their
-    jacobians are methods of one model, so each stage of a one-input closed
-    loop evaluates ``f`` and ``g`` together on floats
+    jacobians are methods of one model, so each stage of a closed loop
+    evaluates ``f`` and ``g`` together on floats
     (:attr:`ControlAffineSystem.f_and_g_floats`).
     """
     if g_gravity <= 0:

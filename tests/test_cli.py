@@ -337,8 +337,8 @@ class TestSimulate:
 
     def test_two_input_polynomial_system(self, tmp_path):
         """Route 1, LQR and a 2 x n gain on a system with two inputs, whose
-        rollouts run the array loop: exit 0, and a rerun writes the same
-        bytes."""
+        rollouts run the compiled loop with two inputs: exit 0, and a rerun
+        writes the same bytes."""
         files = {}
         for run in ("a", "b"):
             out = tmp_path / run

@@ -46,6 +46,7 @@ from koopmanhj.spectral import solve_riccati
 from koopmanhj.systems import (
     ControlAffineSystem,
     _feedback_terms,
+    _momentum_length_error,
     builtin_example1,
     builtin_pendulum,
     control_affine_system,
@@ -380,12 +381,24 @@ def stage_cases():
     }
 
 
+def _field(f, g, u):
+    """The closed loop's field ``f + g u`` for one state, with ``g u``
+    summed over the inputs left to right from +0.0; for one input it has
+    the bits of ``f + g @ u``."""
+    g = np.asarray(g, dtype=float)
+    gu = np.zeros(g.shape[0])
+    for k in range(g.shape[1]):
+        gu = gu + g[:, k] * u[k]
+    return np.asarray(f, dtype=float) + gu
+
+
 def _reference_rollout(sys_, controller, x0, dt, K):
-    """States and stage-1 inputs of RK4 on the stage ``f(x) + g(x) u``,
-    ``u = controller(x)``, with every map called as written."""
+    """States and stage-1 inputs of RK4 on the stage ``f(x) + g(x) u``
+    (:func:`_field`), ``u = controller(x)``, with every map called as
+    written."""
     def stage(x):
         u = np.asarray(controller(x), dtype=float).ravel()
-        return sys_.f(x) + sys_.g(x) @ u, u
+        return _field(sys_.f(x), sys_.g(x), u), u
 
     x = np.array(x0, dtype=float)
     states, inputs = [x], []
@@ -446,11 +459,13 @@ class TestOnePlantEvaluationPerStage:
         for attr in ("cumulative_costs", "final_input"):
             np.testing.assert_array_equal(getattr(runs[0], attr), getattr(runs[1], attr))
 
-    @pytest.mark.parametrize("case", ["example1", "single_state_maps", "cubic", "wrapped_pendulum"])
-    def test_one_input_rollouts_run_the_compiled_loop(self, stage_cases, case, monkeypatch):
-        """Every closed loop with one input runs the compiled loop, on the
-        model's float plant or on the system's own ``f`` and ``g``, whatever
-        the controller: the array loop is never called."""
+    @pytest.mark.parametrize("case", [
+        "example1", "single_state_maps", "cubic", "wrapped_pendulum", "two_inputs"])
+    def test_every_rollout_runs_the_compiled_loop(self, stage_cases, case, monkeypatch):
+        """Every closed loop runs the compiled loop, on the model's float
+        plant or on the system's own ``f`` and ``g``, whatever the
+        controller and the number of inputs: the array loop is never
+        called."""
         if case == "wrapped_pendulum":
             pend, box, controllers = stage_cases["pendulum"]
             sys_ = dataclasses.replace(pend, f=lambda x: pend.f(x), g=lambda x: pend.g(x))
@@ -458,26 +473,36 @@ class TestOnePlantEvaluationPerStage:
             controllers = {"route1": sol.control, "lqr": controllers["lqr"]}
         else:
             sys_, box, controllers = stage_cases[case]
-        assert sys_.p == 1
 
         def array_loop(*args, **kwargs):
-            raise AssertionError("a one-input closed loop ran the array loop")
+            raise AssertionError("a closed loop ran the array loop")
 
         monkeypatch.setattr(simulate, "_rk4", array_loop)
-        for ctrl in [*controllers.values(), lambda x: -0.5 * x[:1]]:
+        for ctrl in [*controllers.values(), lambda x: -0.5 * x[: sys_.p]]:
             traj = closed_loop(sys_, ctrl, box[:, 1] / 2, dt=self.DT, T=self.K * self.DT)
             assert traj.diagnostic is None and traj.states.shape == (self.K + 1, sys_.n)
 
-    @pytest.mark.parametrize("route", ["route1", "route2"])
-    def test_hj_feedback_evaluates_g_once_per_stage(self, stage_cases, route):
-        """K steps call g 4K times, plus once for the final node's feedback."""
-        sys_, box, controllers = stage_cases["example1"]
+    @pytest.mark.parametrize("case, route", [
+        ("example1", "route1"), ("example1", "route2"), ("two_inputs", "route1")])
+    def test_hj_feedback_evaluates_g_once_per_stage(self, stage_cases, case, route):
+        """K steps call g 4K times, plus once for the final node's feedback,
+        for one input as for two."""
+        sys_, box, controllers = stage_cases[case]
         counting = _CountingMaps(sys_)
         sol = dataclasses.replace(controllers[route].__self__, sys=counting.sys)
         counting.calls.update(f=0, g=0)
         traj = closed_loop(counting.sys, sol.control, box[:, 1], dt=self.DT, T=self.K * self.DT)
         assert traj.diagnostic is None
         assert counting.calls == {"f": 4 * self.K, "g": 4 * self.K + 1}
+
+    def test_two_input_stages_take_the_compiled_laws(self, stage_cases):
+        """With two inputs, LQR's ``(2, n)`` gain takes the ``neg_K`` law and
+        route 1 the ``momentum`` law with the rows of ``D^{-1}``."""
+        sys_, _, controllers = stage_cases["two_inputs"]
+        laws = {name: simulate._float_stage(sys_, c, simulate._checked_control(c, 2))
+                for name, c in controllers.items()}
+        assert laws["lqr"][0] == "neg_K" and laws["lqr"][2].shape == (2, 2)
+        assert laws["route1"][0] == "momentum" and laws["route1"][3] == sys_.D_inv.tolist()
 
     def test_pendulum_stages_evaluate_the_shared_plant(self, stage_cases, monkeypatch):
         """Each stage calls the model's float entry once, as the system
@@ -514,7 +539,7 @@ class TestOnePlantEvaluationPerStage:
                 stage = simulate._float_stage(sys_, ctrl, simulate._checked_control(ctrl, 1))
                 assert stage[0] == {"route1": "momentum", "lqr": "neg_K"}[name]
                 for x in X:
-                    run = simulate._float_rk4(x, self.DT, 1, *stage)
+                    run = simulate._float_rk4(x, self.DT, 1, 1, *stage)
                     want, want_u = simulate._rk4_step(array_stage(ctrl), x, self.DT)
                     assert_same_bits(run.inputs[0], want_u)
                     finite = bool(np.isfinite(want).all())
@@ -579,7 +604,8 @@ class TestOnePlantEvaluationPerStage:
         )
 
 
-# Float plants of n = 1..4 coordinates: f as n floats and g as n rows of one.
+# Float plants of n = 1..4 coordinates: f as n floats and g as n rows of
+# one float (the first four) or of two.
 def _decay(xs):
     n = len(xs)
     return tuple(-(i + 1.0) * xs[i] + 0.5 * xs[-1] for i in range(n)), ((1.0,),) * n
@@ -599,34 +625,62 @@ def _square(xs):
     return tuple(x * x for x in xs), tuple((x,) for x in reversed(xs))
 
 
-_NEG_K = np.array([[0.3, -1.2, 2.5, -0.7]])
-_D_INV = 0.5
+def _decay_two(xs):
+    f, _ = _decay(xs)
+    return f, tuple((1.0, 0.3 - 0.1 * i) for i in range(len(xs)))
 
 
-def _law(law, n, plant):
-    """The compiled loop's arguments for ``law`` on ``plant``, and the array
-    stage ``x -> (f(x) + g(x) @ u, u)`` with the same ``u``, computed as the
-    array loop's stage computes it."""
+def _coupled_two(xs):
+    f, g = _coupled(xs)
+    return f, tuple((g0, 0.7 * xs[i] + 0.2) for i, (g0,) in enumerate(g))
+
+
+def _constant_two(xs):
+    return (1.0, -0.0, 1e300, -2.5)[: len(xs)], ((0.0, -0.0),) * len(xs)
+
+
+def _square_two(xs):
+    return tuple(x * x for x in xs), tuple((x, -x * y) for x, y in zip(reversed(xs), xs))
+
+
+_NEG_K = np.array([[0.3, -1.2, 2.5, -0.7], [-0.4, 0.9, 0.1, 1.6]])
+_D_INV = {1: [[0.5]], 2: [[0.5, -0.2], [-0.2, 0.8]]}
+
+
+def _law(law, n, p, plant, momentum_fault_at=None):
+    """The compiled loop's arguments for ``law`` on ``plant`` with ``p``
+    inputs, and the array stage ``x -> (f(x) + g(x) u, u)`` with the same
+    ``u``, computed as the array loop's stage computes it and ``g(x) u``
+    summed as :func:`_field` sums it.  ``momentum_fault_at`` (1-based)
+    names the momentum call that returns ``n + 1`` entries."""
     if law == "momentum":
-        momentum = lambda xs: tuple(2.0 * x - 1.0 for x in xs)  # noqa: E731
-        args = (plant, momentum, _D_INV)
+        calls = [0]
+
+        def momentum(xs):
+            calls[0] += 1
+            m = tuple(2.0 * x - 1.0 for x in xs)
+            return m + (0.0,) if calls[0] == momentum_fault_at else m
+
+        args = (plant, momentum, _D_INV[p])
 
         def u_of(x, g):
-            return np.array(_feedback_terms([[_D_INV]], [list(r) for r in g],
-                                            list(momentum(tuple(x.tolist())))))
+            m = momentum(tuple(x.tolist()))
+            if len(m) != n:
+                raise _momentum_length_error(n, len(m))
+            return np.array(_feedback_terms(_D_INV[p], [list(r) for r in g], list(m)))
     elif law == "neg_K":
-        neg_K = _NEG_K[:, :n].copy()
+        neg_K = _NEG_K[:p, :n].copy()
         args = (plant, neg_K)
         u_of = lambda x, g: neg_K @ x  # noqa: E731
     else:
-        control = lambda x: np.array([x[0] - 0.5 * x[-1]])  # noqa: E731
+        control = lambda x: np.array([x[0] - 0.5 * x[-1], 0.25 * x[-1] * x[0]][:p])  # noqa: E731
         args = (plant, control)
         u_of = lambda x, g: control(x)  # noqa: E731
 
     def array_field(x):
         f, g = plant(tuple(x.tolist()))
         u = u_of(x, g)
-        return np.array(f) + np.array(g) @ u, u
+        return _field(f, g, u), u
 
     return args, array_field
 
@@ -645,11 +699,13 @@ def _raising_at(plant, at):
 
 
 class TestFloatStep:
-    """One state's compiled RK4 loop has the bits of the array loop: a
-    pendulum rollout on its float plant and one on the array plant of its
-    maps each equal the array loop's on its maps, faults included."""
+    """One state's compiled RK4 loop has the bits of the array loop on the
+    same field, for one input and for two: a pendulum rollout on its float
+    plant and one on the array plant of its maps each equal the array
+    loop's on its maps, faults included."""
 
-    FIELDS = [_decay, _coupled, _constant, _square]
+    FIELDS = [(_decay, 1), (_coupled, 1), (_constant, 1), (_square, 1),
+              (_decay_two, 2), (_coupled_two, 2), (_constant_two, 2), (_square_two, 2)]
     LAWS = ["momentum", "neg_K", "control"]
 
     @settings(max_examples=60, deadline=None)
@@ -658,12 +714,12 @@ class TestFloatStep:
         """One compiled step: the stage-1 ``u`` and a finite ``x_{k+1}`` of
         :func:`_rk4_step`; a non-finite one keeps no step."""
         with np.errstate(all="ignore"):
-            for plant in self.FIELDS:
+            for plant, p in self.FIELDS:
                 for law in self.LAWS:
-                    args, array_field = _law(law, 3, plant)
+                    args, array_field = _law(law, 3, p, plant)
                     for x in X:
                         want, want_u = simulate._rk4_step(array_field, x, dt)
-                        got = simulate._float_rk4(x, dt, 1, law, *args)
+                        got = simulate._float_rk4(x, dt, 1, p, law, *args)
                         assert_same_bits(got.inputs[0], want_u)
                         finite = bool(np.isfinite(want).all())
                         assert int(got.kept) == int(finite) and got.error is None
@@ -672,24 +728,28 @@ class TestFloatStep:
 
     @settings(max_examples=40, deadline=None)
     @given(X=st.integers(1, 4).flatmap(state_rows), dt=st.sampled_from([1e-3, 0.25, 1e3]),
-           at=st.sampled_from([None, 1, 3, 4 * 2 + 2]))
-    def test_float_kernel_stops_where_the_array_kernel_stops(self, X, dt, at):
+           fault=st.sampled_from([None, ("plant", 1), ("plant", 3), ("plant", 4 * 2 + 2),
+                                  ("momentum", 1), ("momentum", 4 * 2 + 3)]))
+    def test_float_kernel_stops_where_the_array_kernel_stops(self, X, dt, fault):
         """The compiled loop keeps the steps, states, inputs and error of
-        the array loop for ``n`` = 1..4 and each law: a non-finite
-        ``x_{k+1}`` (an infinity or a nan) stops both, and so does a stage
-        whose plant raises at call ``at``."""
+        the array loop for ``n`` = 1..4, one or two inputs and each law: a
+        non-finite ``x_{k+1}`` (an infinity or a nan) stops both, and so
+        does a stage whose plant raises, or whose momentum has ``n + 1``
+        entries, at call ``at`` of that map."""
         K, n = 4, X.shape[1]
+        which, at = fault or (None, None)
         with np.errstate(all="ignore"):
-            for plant in self.FIELDS:
+            for plant, p in self.FIELDS:
                 for law in self.LAWS:
                     for x in X:
                         runs = []
                         for kernel in ("array", "float"):
-                            faulty = plant if at is None else _raising_at(plant, at)
-                            args, array_field = _law(law, n, faulty)
+                            faulty = _raising_at(plant, at) if which == "plant" else plant
+                            args, array_field = _law(
+                                law, n, p, faulty, at if which == "momentum" else None)
                             runs.append(
-                                simulate._rk4(array_field, x, dt, K, p=1) if kernel == "array"
-                                else simulate._float_rk4(x, dt, K, law, *args)
+                                simulate._rk4(array_field, x, dt, K, p=p) if kernel == "array"
+                                else simulate._float_rk4(x, dt, K, p, law, *args)
                             )
                         want, got = runs
                         kept = int(want.kept)
@@ -697,7 +757,7 @@ class TestFloatStep:
                         assert repr(got.error) == repr(want.error)
                         stopped = kept < K and want.error is None
                         assert got.states.shape == (kept + 1, n)
-                        assert got.inputs.shape == (kept + stopped, 1)
+                        assert got.inputs.shape == (kept + stopped, p)
                         assert_same_bits(got.states, want.states[: kept + 1])
                         assert_same_bits(got.inputs, want.inputs[: kept + stopped])
 
@@ -713,12 +773,12 @@ class TestFloatStep:
         assert stage[0] == "neg_K"
         with np.errstate(all="ignore"):
             for x in X:
-                run = simulate._float_rk4(x, 1e-2, 1, *stage)
+                run = simulate._float_rk4(x, 1e-2, 1, 1, *stage)
                 assert_same_bits(run.inputs[0], ctrl(np.array(x.tolist())))
 
     @pytest.mark.parametrize("K", [np.ones((1, 2)), np.ones((2, 3))])
     def test_a_gain_of_another_shape_is_called_as_a_controller(self, K):
-        """A gain without one row of ``n`` takes the checked call, which
+        """A gain not of shape ``(p, n)`` takes the checked call, which
         reports its error as on the array plant."""
         sys_ = builtin_pendulum(9.81)
         ctrl = linear_controller(K)
@@ -774,7 +834,7 @@ class TestFloatStep:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulate, "_float_rk4",
-                       lambda x, dt, K, *stage: simulate._rk4(field, x, dt, K, p=1))
+                       lambda x, dt, K, p, *stage: simulate._rk4(field, x, dt, K, p=p))
             return closed_loop(sys_, ctrl, x0, dt=self.DT, T=K * self.DT)
 
     def _rollouts(self, paths, name, x0, K, at=None, fault=None):

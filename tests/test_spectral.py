@@ -11,6 +11,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from koopmanhj import spectral
 from koopmanhj.spectral import (
     block_exp,
     lagrangian_subspace,
@@ -443,20 +444,67 @@ class TestRiccatiProperties:
         assert np.all(np.linalg.eigvalsh(P) > 0)
         np.testing.assert_allclose(P, P_ref, rtol=0, atol=1e-7 * (1.0 + np.linalg.norm(P_ref)))
 
-    @pytest.mark.xfail(raises=RuntimeError, strict=True,
-                       reason="the residual tolerance 1e-8 (1 + |Q|) does not grow "
-                              "with |P| (FOUND line on solve_riccati in CHANGES.md)")
-    def test_accepts_an_accurate_solution_with_a_large_P(self):
-        """A well-posed scalar problem whose stabilizing ``P`` is about 4.8e10:
-        the closed-form root ``(a + sqrt(a^2 + r q)) / r`` leaves a residual
-        of about 9e-6, round-off of an exact solution, which the program's
-        own solution should be allowed too.  The property test above draws
-        only pairs with ``|P| <= 1e3``."""
-        A, B, D, Q = (np.array([[v]]) for v in (2.39, 1e-5, 1.005, 0.128))
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 3), st.floats(0.5, 1.5),
+           st.integers(0, 2**32 - 1))
+    def test_certificates_with_a_large_P(self, n, p, decades, seed):
+        """Pairs whose input map is scaled down by ``10^decades``, drawn
+        where ``1e3 < |P| <= 1e6``: the solution is accepted, its residual is
+        within ``1e-8 (1 + |Q| + 2 |A| |P| + |P|^2 |R|)``, and ``P`` equals
+        the independent CARE solution."""
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(n, n))
+        B = rng.normal(size=(n, p)) * 10.0**-decades
+        ctrb = np.hstack([np.linalg.matrix_power(A, k) @ B for k in range(n)])
+        sv = np.linalg.svd(ctrb, compute_uv=False)
+        assume(sv[-1] > 1e-3 * sv[0])
+        M = rng.normal(size=(n, n))
+        Q = M @ M.T + 0.1 * np.eye(n)
+        G = rng.normal(size=(p, p))
+        D = G @ G.T + np.eye(p)
         R = B @ np.linalg.solve(D, B.T)
+        P_ref = scipy.linalg.solve_continuous_are(A, B, Q, D)
+        assume(1e3 < np.linalg.norm(P_ref) <= 1e6)
+        sol = solve_riccati(A, R, Q)
+        norm_P = np.linalg.norm(sol.P)
+        assert sol.residual <= 1e-8 * (
+            1.0 + np.linalg.norm(Q) + 2.0 * np.linalg.norm(A) * norm_P
+            + norm_P**2 * np.linalg.norm(R)
+        )
+        np.testing.assert_allclose(
+            sol.P, P_ref, rtol=0, atol=1e-7 * (1.0 + np.linalg.norm(P_ref))
+        )
+
+    @staticmethod
+    def _large_P_problem():
+        """A well-posed scalar problem whose stabilizing ``P`` is about 4.8e10."""
+        A, B, D, Q = (np.array([[v]]) for v in (2.39, 1e-5, 1.005, 0.128))
+        return A, B @ np.linalg.solve(D, B.T), Q
+
+    def test_accepts_an_accurate_solution_with_a_large_P(self):
+        """The closed-form root ``(a + sqrt(a^2 + r q)) / r`` of the scalar
+        problem leaves a residual of about 9e-6 against ``1e-8 (1 + |Q|)``,
+        round-off of an exact solution, and the program's own solution is
+        accepted too: the certificate's limit grows with ``|P|``."""
+        A, R, Q = self._large_P_problem()
         a, r, q = A[0, 0], R[0, 0], Q[0, 0]
         P_ref = np.array([[(a + np.sqrt(a * a + r * q)) / r]])
         residual_ref = np.linalg.norm(A.T @ P_ref + P_ref @ A - P_ref @ R @ P_ref + Q)
         assert residual_ref > 1e-8 * (1.0 + np.linalg.norm(Q))
         sol = solve_riccati(A, R, Q)
         np.testing.assert_allclose(sol.P, P_ref, rtol=1e-10)
+
+    @pytest.mark.parametrize("problem", ["example1", "large_P"])
+    def test_rejects_a_perturbed_solution(self, problem, monkeypatch):
+        """A ``P`` off by 1e-6 relative fails the residual certificate, for
+        a moderate and for a large ``P``."""
+        if problem == "example1":
+            lin = linearize(builtin_example1(0.5))
+            A, R, Q = lin.A, lin.R0, lin.Q0
+        else:
+            A, R, Q = self._large_P_problem()
+        exact = spectral.lagrangian_subspace
+        monkeypatch.setattr(spectral, "lagrangian_subspace",
+                            lambda sub: exact(sub) * (1.0 + 1e-6))
+        with pytest.raises(RuntimeError, match=r"Riccati residual .* exceeds tolerance"):
+            solve_riccati(A, R, Q)

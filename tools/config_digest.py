@@ -5,14 +5,14 @@ Usage (from the repository root):
     python3 tools/config_digest.py [--src DIR ...]
 
 Runs each ``configs/*.yaml`` and then each ``tools/probe_configs/*.yaml``
-(a polynomial system's closed loops, and route 2's feedback in a closed
-loop) through the command-line interface with the ``koopmanhj`` package
-under each ``--src`` tree (default: this repository's ``src``): the
-subcommand the config's keys name (``simulate``, ``converge``,
-``procedure`` for ``solve``, else ``eigfun``), in a fresh process with BLAS
-on one thread.  Every tree's run of a config writes to the same output
-directory, emptied first, so that ``resolved_config.yaml``, which names that
-directory, compares too.
+(a polynomial system's closed loops with one input and with two, and route
+2's feedback in a closed loop) through the command-line interface with the
+``koopmanhj`` package under each ``--src`` tree (default: this repository's
+``src``): the subcommand the config's keys name (``simulate``,
+``converge``, ``procedure`` for ``solve``, else ``eigfun``), in a fresh
+process with BLAS on one thread.  Every tree's run of a config writes to
+the same output directory, emptied first, so that ``resolved_config.yaml``,
+which names that directory, compares too.
 
 One line per output file gives its sha256 per tree and ``same_as_first``:
 whether every tree wrote the bytes of the first.  Where a CSV file's bytes

@@ -6,10 +6,11 @@ Usage (from the repository root):
         [--runs N]
 
 Any config with a ``simulate`` section works.  Besides the shipped
-``configs/*_simulate.yaml``, ``tools/probe_configs/`` holds two whose
+``configs/*_simulate.yaml``, ``tools/probe_configs/`` holds three whose
 closed loops call a system's own array maps at every stage: the scalar
 cubic (a polynomial system) and example 1, each with the procedure-1,
-procedure-2 and LQR feedbacks.
+procedure-2 and LQR feedbacks, and a two-input polynomial system with the
+procedure-1 and LQR feedbacks and a static gain.
 
 Builds the config's system and controllers from the ``koopmanhj`` package
 under ``--src`` (default: this repository's ``src``), then times
