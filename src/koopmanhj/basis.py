@@ -1,13 +1,15 @@
 """Monomial basis dictionaries with analytic gradients.
 
-One kind of dictionary is provided, :class:`BasisSet`: the monomials of an
-integer exponent table, evaluated with their jacobian from one table of
-integer powers.  When every row has total degree at least two
-(``purely_nonlinear``), ``eval(0) = 0`` and ``jacobian(0) = 0`` hold exactly;
-such dictionaries expand the nonlinear part of principal eigenfunctions and
-of value functions.  :class:`Procedure2Basis` is the one on ``z = (x, p)``
-whose rows are at most linear in ``p``, which lets the stable-manifold
-equation be solved for ``p`` in closed form downstream.
+One monomial-table type is provided, :class:`BasisSet`: the monomials of
+an integer exponent table, its only input, evaluated with their jacobian
+from one table of integer powers.  When every row has total degree at least
+two (``purely_nonlinear``), ``eval(0) = 0`` and ``jacobian(0) = 0`` hold
+exactly; such dictionaries expand the nonlinear part of principal
+eigenfunctions and of value functions.  Other tables carry the terms of a
+polynomial drift or value gradient (:func:`compile_polynomial`).
+:class:`Procedure2Basis` is the one on ``z = (x, p)`` whose rows are at
+most linear in ``p``, which lets the stable-manifold equation be solved for
+``p`` in closed form downstream.
 
 Monomials are ordered graded-lexicographically (ascending total degree,
 then lexicographic with the first coordinate most significant), which makes
@@ -25,7 +27,6 @@ import numpy.typing as npt
 
 __all__ = [
     "BasisSet",
-    "MonomialTable",
     "Procedure2Basis",
     "compile_polynomial",
     "monomial_basis",
@@ -66,37 +67,53 @@ def _compositions(deg: int, n: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-class MonomialTable:
-    """Table-driven evaluation of a fixed exponent table and of its jacobian.
+@dataclass(frozen=True)
+class BasisSet:
+    """A finite monomial dictionary with analytic gradients.
 
-    Built once from an ``(M, n)`` exponent table.  Evaluation gathers, for
-    every monomial, one entry per coordinate from the power table of
-    :meth:`powers` (``degree`` must be at least the largest exponent) and
-    multiplies them.  The jacobian uses the decremented-exponent table: one
-    entry per nonzero ``alpha_j`` with its row ``m``, column ``j``,
-    coefficient ``alpha_j`` and the exponents ``alpha - e_j``, so that
-    ``d(x^alpha)/dx_j = alpha_j * x^(alpha - e_j)`` costs one gather too.
-    Equal decremented exponents are evaluated once and scattered to every
-    entry that shares them.
+    Built from its ``(M, dim_in)`` integer exponent table alone, which fixes
+    everything else:
+
+    * ``dim_in`` and ``M``: the table's shape;
+    * ``purely_nonlinear``: True when every row has total degree >= 2, in
+      which case ``eval(0) = 0`` and ``jacobian(0) = 0`` exactly;
+    * ``degree``: the largest exponent, the degree of :meth:`powers`.
+
+    Evaluation gathers, for every monomial, one entry per coordinate from
+    the power table and multiplies them.  The jacobian uses the
+    decremented-exponent table: one entry per nonzero ``alpha_j`` with its
+    row ``m``, column ``j``, coefficient ``alpha_j`` and the exponents
+    ``alpha - e_j``, so that ``d(x^alpha)/dx_j = alpha_j * x^(alpha - e_j)``
+    costs one gather too.  Equal decremented exponents are evaluated once
+    and scattered to every entry that shares them.
     """
 
-    def __init__(self, exponents: np.ndarray, degree: int) -> None:
-        expo = np.asarray(exponents, dtype=np.int64)
+    exponents: np.ndarray
+    dim_in: int = field(init=False)
+    M: int = field(init=False)
+    purely_nonlinear: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        expo = np.asarray(self.exponents, dtype=np.int64)
+        if expo.ndim != 2 or np.any(expo < 0):
+            raise ValueError(f"exponent table must be 2-D and nonnegative, got shape {expo.shape}")
         M, n = expo.shape
-        if expo.size and int(expo.max()) > degree:
-            raise ValueError(f"exponent {int(expo.max())} exceeds table degree {degree}")
+        degree = int(expo.max(initial=0))
         offsets = np.arange(n) * (degree + 1)
-        self.M, self.n, self.degree = M, n, degree
-        self.exponents = expo
-        self.eval_index = expo + offsets  # (M, n) into the power table
         rows, cols = np.nonzero(expo)
         dec = expo[rows].copy()
         dec[np.arange(rows.size), cols] -= 1
         dec, inverse = np.unique(dec, axis=0, return_inverse=True)
-        self.jac_index = dec + offsets  # (U, n) distinct decremented monomials
-        self.jac_row = inverse.reshape(-1)  # (T,) row of each entry in jac_index
-        self.jac_coef = expo[rows, cols].astype(float)  # (T,)
-        self.jac_pos = rows * n + cols  # (T,) into a flattened (M, n) block
+        for name, value in dict(
+            exponents=expo, dim_in=n, M=M, degree=degree,
+            purely_nonlinear=bool(np.all(expo.sum(axis=1) >= 2)),
+            eval_index=expo + offsets,  # (M, n) into the power table
+            jac_index=dec + offsets,  # (U, n) distinct decremented monomials
+            jac_row=inverse.reshape(-1),  # (T,) row of each entry in jac_index
+            jac_coef=expo[rows, cols].astype(float),  # (T,)
+            jac_pos=rows * n + cols,  # (T,) into a flattened (M, n) block
+        ).items():
+            object.__setattr__(self, name, value)
 
     def powers(self, Z: np.ndarray) -> np.ndarray:
         """Integer powers of every coordinate: (..., n) -> (..., n * (degree + 1)).
@@ -113,31 +130,43 @@ class MonomialTable:
             np.multiply(pw[..., k - 1], Z, out=pw[..., k])
         return pw.reshape(Z.shape[:-1] + (-1,))
 
-    def eval(self, pw: np.ndarray) -> np.ndarray:
-        """Monomial values from a power table: (..., M), one state's as a batch row's."""
+    def eval(self, Z: npt.ArrayLike) -> np.ndarray:
+        """Basis values at ``Z`` with shape (..., dim_in) -> (..., M), one
+        state's as a batch row's."""
+        return self._values(self.powers(np.asarray(Z, dtype=float)))
+
+    def jacobian(self, Z: npt.ArrayLike) -> np.ndarray:
+        """Analytic jacobian at ``Z``: shape (..., M, dim_in)."""
+        return self._jacobian(self.powers(np.asarray(Z, dtype=float)))
+
+    def eval_and_jacobian(self, Z: npt.ArrayLike) -> tuple[np.ndarray, np.ndarray]:
+        """``eval(Z)`` and ``jacobian(Z)`` from one power table."""
+        pw = self.powers(np.asarray(Z, dtype=float))
+        return self._values(pw), self._jacobian(pw)
+
+    def _values(self, pw: np.ndarray) -> np.ndarray:
         return np.multiply.reduce(pw[..., self.eval_index], axis=-1)
 
-    def jacobian(self, pw: np.ndarray) -> np.ndarray:
-        """Monomial jacobian from a power table: (..., M, n)."""
+    def _jacobian(self, pw: np.ndarray) -> np.ndarray:
         lead = pw.shape[:-1]
-        out = np.zeros(lead + (self.M * self.n,))
+        out = np.zeros(lead + (self.M * self.dim_in,))
         vals = np.multiply.reduce(pw[..., self.jac_index], axis=-1)  # (..., U)
         out[..., self.jac_pos] = self.jac_coef * vals[..., self.jac_row]
-        return out.reshape(lead + (self.M, self.n))
+        return out.reshape(lead + (self.M, self.dim_in))
 
 
 _SUM_TERMS = 100  # terms per line of a compiled sum; the compiler nests one level per term
 
 
-def compile_polynomial(table: MonomialTable, C: npt.ArrayLike) -> Callable[[list], tuple]:
-    """``table.eval(table.powers(x)) @ C.T`` as straight-line code.
+def compile_polynomial(table: BasisSet, C: npt.ArrayLike) -> Callable[[list], tuple]:
+    """``table.eval(x) @ C.T`` as straight-line code.
 
     The returned function takes the ``n`` coordinates of :func:`_coords`,
     one state's floats or a batch's columns, and returns the ``K`` outputs
     of a ``(K, M)`` matrix ``C`` as a tuple (:func:`run_polynomial`).  Each
     power is the power table's repeated product and each monomial the
     product of its factors from left to right in coordinate order, so the
-    monomials have the bits of :meth:`MonomialTable.eval` (a factor
+    monomials have the bits of :meth:`BasisSet.eval` (a factor
     ``x ** 0 = 1.0`` is left out, which is exact).  Each output is the
     left-to-right sum ``c0*m0 + c1*m1 + ...`` over every column, zero
     coefficients included, so a non-finite monomial gives nan where the
@@ -201,16 +230,16 @@ def _compile_function(source: str, name: str, **names: object) -> Callable:
 
 def quadratic_form_gradient(
     exponents: npt.ArrayLike, S: npt.ArrayLike
-) -> tuple[MonomialTable, np.ndarray]:
+) -> tuple[BasisSet, np.ndarray]:
     """``(dpsi/dx)^T S psi`` for monomials ``psi_a = x^(E_a)``, as one polynomial.
 
     This is the gradient of ``0.5 psi^T S psi`` for a symmetric ``S``.  Entry
     ``j`` is ``sum_{a,b} S_ba E_bj x^(E_a + E_b - e_j)``; with every row of
     ``E`` of degree 1..d it is a polynomial of degrees 1..2d-1.  Returns the
-    table of ``monomial_exponents(n, 1, 2d - 1)`` (``C(n + 2d - 1, n) - 1``
-    terms) and the ``(n, T)`` coefficient matrix ``C``, so that the gradient
-    at ``x`` is ``table.eval(table.powers(x)) @ C.T``.  Every pair and
-    derivative is collected by one ``bincount`` in a fixed order.  The
+    :class:`BasisSet` of ``monomial_exponents(n, 1, 2d - 1)``
+    (``C(n + 2d - 1, n) - 1`` terms) and the ``(n, T)`` coefficient matrix
+    ``C``, so that the gradient at ``x`` is ``table.eval(x) @ C.T``.  Every
+    pair and derivative is collected by one ``bincount`` in a fixed order.  The
     products ``E_a + E_b - e_j`` are matched to table rows by one
     ``np.unique`` over whole rows, exact for any ``n`` and degree.
     """
@@ -235,54 +264,7 @@ def quadratic_form_gradient(
     coef = S[b, :].T * E[b, j]  # (P, b.size): S_ba E_bj
     pos = j[None, :] * T + term
     C = np.bincount(pos.ravel(), weights=coef.ravel(), minlength=n * T)
-    return MonomialTable(out, top), C.reshape(n, T)
-
-
-@dataclass(frozen=True)
-class BasisSet:
-    """A finite monomial dictionary with analytic gradients.
-
-    Attributes
-    ----------
-    dim_in : input dimension.
-    M : number of basis functions.
-    exponents : (M, dim_in) integer exponent table (it fully determines the basis).
-    purely_nonlinear : True when every row has total degree >= 2, in which
-        case ``eval(0) = 0`` and ``jacobian(0) = 0`` exactly.
-    """
-
-    dim_in: int
-    M: int
-    exponents: np.ndarray
-    purely_nonlinear: bool
-    _table: MonomialTable = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        expo = np.asarray(self.exponents, dtype=np.int64)
-        if expo.shape != (self.M, self.dim_in):
-            raise ValueError(
-                f"exponent table shape {expo.shape} does not match "
-                f"(M, dim_in)=({self.M}, {self.dim_in})"
-            )
-        object.__setattr__(self, "exponents", expo)
-        degree = int(expo.max(initial=0))
-        object.__setattr__(self, "_table", MonomialTable(expo, degree))
-
-    def eval(self, Z: npt.ArrayLike) -> np.ndarray:
-        """Basis values at ``Z`` with shape (..., dim_in) -> (..., M)."""
-        t = self._table
-        return t.eval(t.powers(np.asarray(Z, dtype=float)))
-
-    def jacobian(self, Z: npt.ArrayLike) -> np.ndarray:
-        """Analytic jacobian at ``Z``: shape (..., M, dim_in)."""
-        t = self._table
-        return t.jacobian(t.powers(np.asarray(Z, dtype=float)))
-
-    def eval_and_jacobian(self, Z: npt.ArrayLike) -> tuple[np.ndarray, np.ndarray]:
-        """``eval(Z)`` and ``jacobian(Z)`` from one power table."""
-        t = self._table
-        pw = t.powers(np.asarray(Z, dtype=float))
-        return t.eval(pw), t.jacobian(pw)
+    return BasisSet(out), C.reshape(n, T)
 
 
 def monomial_basis(n: int, deg_min: int, deg_max: int) -> BasisSet:
@@ -294,8 +276,7 @@ def monomial_basis(n: int, deg_min: int, deg_max: int) -> BasisSet:
     """
     if deg_min < 2:
         raise ValueError(f"deg_min must be >= 2 for a purely nonlinear basis, got {deg_min}")
-    expo = monomial_exponents(n, deg_min, deg_max)
-    return BasisSet(dim_in=n, M=expo.shape[0], exponents=expo, purely_nonlinear=True)
+    return BasisSet(monomial_exponents(n, deg_min, deg_max))
 
 
 def value_basis_xi3(n: int, d3: int) -> BasisSet:
@@ -323,13 +304,12 @@ class Procedure2Basis(BasisSet):
       ``M - N`` functions.
 
     Every row has x-degree at least one and total degree at least two.
-    ``n`` is the state dimension (``dim_in = 2n``).
+    Both counts are read off the table: ``n = dim_in // 2`` is the state
+    dimension and ``N`` the number of leading rows without a momentum factor.
     """
 
-    n: int
-    N: int
-    _xi1_index: np.ndarray = field(init=False, repr=False, compare=False)
-    _xi2_index: np.ndarray = field(init=False, repr=False, compare=False)
+    n: int = field(init=False)
+    N: int = field(init=False)
 
     # bound here too: bench/tracing.py wraps each class's own eval/jacobian
     eval = BasisSet.eval
@@ -337,20 +317,21 @@ class Procedure2Basis(BasisSet):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        n, N, expo = self.n, self.N, self.exponents
-        if self.dim_in != 2 * n or (self.M - N) % n or not np.array_equal(
+        expo, n = self.exponents, self.dim_in // 2
+        N = int(np.argmax(np.append(expo[:, n:].any(axis=1), True)))  # first p row, or M
+        if not n or self.dim_in != 2 * n or (self.M - N) % n or not np.array_equal(
             expo, _momentum_linear_rows(expo[:N, :n], expo[N::n, :n])
         ):
             raise ValueError(f"exponent table is not N={N} rows (alpha, 0), then (alpha_j, e_i)")
         # the x-part of the power table of z is the power table of x
-        index = self._table.eval_index[:, :n]
-        object.__setattr__(self, "_xi1_index", index[:N])
-        object.__setattr__(self, "_xi2_index", index[N::n])
+        index = self.eval_index[:, :n]
+        for name, value in dict(n=n, N=N, _xi1_index=index[:N], _xi2_index=index[N::n]).items():
+            object.__setattr__(self, name, value)
 
     def x_monomials(self, x: npt.ArrayLike) -> tuple[np.ndarray, np.ndarray]:
         """``Xi1(x)`` (..., N) and the monomials ``m_j(x)`` (..., K) of the
         second block, from one power table of ``x``."""
-        pw = self._table.powers(np.asarray(x, dtype=float))
+        pw = self.powers(np.asarray(x, dtype=float))
         return (
             np.multiply.reduce(pw[..., self._xi1_index], axis=-1),
             np.multiply.reduce(pw[..., self._xi2_index], axis=-1),
@@ -380,12 +361,8 @@ def procedure2_basis(n: int, d1: int, d2: int) -> Procedure2Basis:
         raise ValueError(f"d1 must be >= 2, got {d1}")
     if d2 < 1:
         raise ValueError(f"d2 must be >= 1, got {d2}")
-    xi1 = monomial_exponents(n, 2, d1)
-    expo = _momentum_linear_rows(xi1, monomial_exponents(n, 1, d2))
-    return Procedure2Basis(
-        dim_in=2 * n, M=expo.shape[0], exponents=expo, purely_nonlinear=True,
-        n=n, N=xi1.shape[0],
-    )
+    xi1, mono = monomial_exponents(n, 2, d1), monomial_exponents(n, 1, d2)
+    return Procedure2Basis(_momentum_linear_rows(xi1, mono))
 
 
 def _momentum_linear_rows(xi1: np.ndarray, mono: np.ndarray) -> np.ndarray:

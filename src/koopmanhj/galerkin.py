@@ -536,7 +536,7 @@ def linear_eigenfunction_set(A: npt.ArrayLike, box: npt.ArrayLike) -> Eigenfunct
     """
     dec = real_spectral_decomposition(np.asarray(A, dtype=float))
     n = dec.Vt.shape[0]
-    empty = BasisSet(dim_in=n, M=0, exponents=np.zeros((0, n)), purely_nonlinear=True)
+    empty = BasisSet(np.zeros((0, n)))
     return EigenfunctionSet(
         Lambda=dec.Lambda,
         Vt=dec.Vt,

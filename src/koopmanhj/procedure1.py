@@ -36,7 +36,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .basis import (
-    BasisSet, MonomialTable, compile_polynomial, quadratic_form_gradient, run_polynomial,
+    BasisSet, compile_polynomial, quadratic_form_gradient, run_polynomial,
 )
 from .galerkin import EigenfunctionSet, SampleSet, _derive_seed, sample_domain
 from .simulate import _rk4
@@ -89,10 +89,10 @@ class HJSolution1:
 
     ``grad_poly`` is derived from ``eig`` and ``L`` on construction: for a
     set on a monomial dictionary (fitted, or the empty one of a linear set),
-    the value gradient collapsed into one polynomial, a monomial table and
-    its ``(n, T)`` coefficient matrix (:func:`_collapse_gradient`);
-    otherwise None, and the gradient is the contraction
-    ``(dPhi/dx)^T L Phi``.  The polynomial is compiled on first use and
+    the value gradient collapsed into one polynomial, a
+    :class:`~koopmanhj.basis.BasisSet` and its ``(n, T)`` coefficient
+    matrix (:func:`_collapse_gradient`); otherwise None, and the gradient
+    is the contraction ``(dPhi/dx)^T L Phi``.  The polynomial is compiled on first use and
     kept on the solution (:meth:`gradient_code`).
     """
 
@@ -102,7 +102,7 @@ class HJSolution1:
     R1: np.ndarray
     Q1: np.ndarray
     riccati: RiccatiSolution
-    grad_poly: Optional[Tuple[MonomialTable, np.ndarray]] = field(
+    grad_poly: Optional[Tuple[BasisSet, np.ndarray]] = field(
         init=False, repr=False, compare=False
     )
     _grad_code: Optional[Callable[[list], tuple]] = field(
@@ -152,7 +152,7 @@ class HJSolution1:
 
 def _collapse_gradient(
     eig: EigenfunctionSet, L: np.ndarray
-) -> Optional[Tuple[MonomialTable, np.ndarray]]:
+) -> Optional[Tuple[BasisSet, np.ndarray]]:
     """The value gradient of a set on monomials as one polynomial, else None.
 
     ``Phi = C psi`` with ``psi = (x, G(x))`` and ``C = [Vt Theta]``, so

@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 import numpy.typing as npt
 
-from .basis import MonomialTable, _coords, compile_polynomial, run_polynomial
+from .basis import BasisSet, _coords, compile_polynomial, run_polynomial
 from .spectral import hamiltonian_matrix, well_conditioned
 
 __all__ = [
@@ -656,9 +656,11 @@ def polynomial_system(
     of the drift, e.g. ``[(-1.0, (1,)), (1.0, (3,))]`` for ``-x + x^3``.
     Exponents are ints (Python or numpy, not bool), and every term must
     have total degree >= 1 so the origin stays an equilibrium.  The cost
-    is ``q(x) = 0.5 x^T Q0 x``.  The drift is one monomial table (every
-    term of every coordinate) times a coefficient matrix, compiled once and
-    run by :func:`~koopmanhj.basis.run_polynomial`; the jacobian is the table form.
+    is ``q(x) = 0.5 x^T Q0 x``.  The drift is one
+    :class:`~koopmanhj.basis.BasisSet` (every term of every coordinate)
+    times a coefficient matrix ``C``, compiled once and run by
+    :func:`~koopmanhj.basis.run_polynomial`; the jacobian is
+    ``C @ table.jacobian(x)``.
     """
     g_mat = np.atleast_2d(np.array(g_matrix, dtype=float))
     n = g_mat.shape[0]
@@ -689,15 +691,14 @@ def polynomial_system(
     expo = np.concatenate(expos, axis=0)  # (T, n), all terms
     C = np.zeros((n, len(rows)))  # drift_i = sum_t C[i, t] x^expo[t]
     C[rows, np.arange(len(rows))] = coeffs
-    table = MonomialTable(expo, int(expo.max(initial=0)))
+    table = BasisSet(expo)
     code = compile_polynomial(table, C)
 
     def f(x: np.ndarray) -> np.ndarray:
         return run_polynomial(code, np.asarray(x, dtype=float))
 
     def jacobian_f(x: np.ndarray) -> np.ndarray:
-        pw = table.powers(np.asarray(x, dtype=float))
-        return C @ table.jacobian(pw)
+        return C @ table.jacobian(x)
 
     g, jacobian_g = _constant_input_map(g_mat)
 

@@ -1,4 +1,5 @@
 """Tests for the monomial dictionaries and their analytic jacobians."""
+import inspect
 import math
 import re
 from pathlib import Path
@@ -12,7 +13,6 @@ from bitwise import assert_same_bits, state_rows
 import koopmanhj
 from koopmanhj.basis import (
     BasisSet,
-    MonomialTable,
     Procedure2Basis,
     compile_polynomial,
     monomial_basis,
@@ -100,9 +100,26 @@ class TestBasisSet:
             monomial_basis(2, 1, 3)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="exponent table"):
-            BasisSet(dim_in=2, M=3, exponents=np.zeros((2, 2), dtype=int),
-                     purely_nonlinear=True)
+        """A table that is not 2-D or has a negative entry is rejected; a
+        negative exponent would index another column of the power table
+        (``[[2, -1]]`` would give 16 at (2, 3), not 4/3)."""
+        for expo in (np.zeros(2, dtype=int), np.zeros((1, 2, 2), dtype=int), [[2, -1]]):
+            with pytest.raises(ValueError, match="exponent table"):
+                BasisSet(expo)
+
+    def test_counts_and_flags_are_read_off_the_table(self):
+        """``dim_in``, ``M`` and ``purely_nonlinear`` come from the table: a
+        dictionary with a degree-1 row is not purely nonlinear."""
+        quadratic = monomial_exponents(2, 2, 3)
+        basis = BasisSet(quadratic)
+        assert (basis.dim_in, basis.M, basis.purely_nonlinear) == (2, 7, True)
+        mixed = BasisSet(np.vstack([[[1, 0]], quadratic]))
+        assert (mixed.dim_in, mixed.M, mixed.purely_nonlinear) == (2, 8, False)
+        assert BasisSet(np.zeros((0, 3))).purely_nonlinear  # the empty dictionary
+
+    @pytest.mark.parametrize("cls", [BasisSet, Procedure2Basis])
+    def test_takes_only_the_exponent_table(self, cls):
+        assert list(inspect.signature(cls).parameters) == ["exponents"]
 
 
 class TestValueBasis:
@@ -181,9 +198,27 @@ class TestProcedure2Basis:
         b = procedure2_basis(1, 2, 2)
         expo = b.exponents.copy()
         expo[-1, 1] = 2  # x^2 p^2
+        for bad in (expo, np.zeros((2, 0), dtype=int), np.ones((2, 1), dtype=int)):
+            with pytest.raises(ValueError, match="exponent table"):
+                Procedure2Basis(bad)  # not momentum-linear, no state, odd width
+
+    def test_rejects_a_momentum_row_before_an_xi1_row(self):
+        expo = procedure2_basis(1, 3, 2).exponents  # x^2, x^3, then x p, x^2 p
+        moved = expo[[0, 2, 1, 3]]  # x p before x^3
         with pytest.raises(ValueError, match="exponent table"):
-            Procedure2Basis(dim_in=2, M=b.M, exponents=expo, purely_nonlinear=True,
-                            n=1, N=b.N)
+            Procedure2Basis(moved)
+
+    @pytest.mark.parametrize("n,d1,d2", [(1, 7, 5), (2, 6, 4), (3, 4, 3)])
+    def test_counts_are_read_off_the_table(self, n, d1, d2):
+        """``n`` and ``N`` come from the table, so a dictionary rebuilt
+        from its exponents alone is the same dictionary."""
+        b = procedure2_basis(n, d1, d2)
+        again = Procedure2Basis(b.exponents)
+        assert (again.n, again.N, again.M) == (n, b.N, b.M)
+        assert b.N == len(monomial_exponents(n, 2, d1))
+        Z = np.random.default_rng(n).uniform(-1.2, 1.2, size=(20, 2 * n))
+        assert_same_bits(again.eval(Z), b.eval(Z))
+        assert_same_bits(again.jacobian(Z), b.jacobian(Z))
 
     @pytest.mark.parametrize("n,d1,d2", [(1, 7, 5), (2, 6, 4), (3, 4, 3)])
     def test_jacobian_matches_the_product_rule(self, n, d1, d2):
@@ -193,20 +228,21 @@ class TestProcedure2Basis:
         rng = np.random.default_rng(d1)
         Z = rng.uniform(-1.2, 1.2, size=(50, 2 * n))
         x, p = Z[:, :n], Z[:, n:]
-        xi1 = MonomialTable(monomial_exponents(n, 2, d1), d1)
-        mono = MonomialTable(monomial_exponents(n, 1, d2), d2)
+        xi1 = BasisSet(monomial_exponents(n, 2, d1))
+        mono = BasisSet(monomial_exponents(n, 1, d2))
         K = mono.M
         want = np.zeros((50, b.M, 2 * n))
-        want[:, : b.N, :n] = xi1.jacobian(xi1.powers(x))
-        pw = mono.powers(x)
-        dx = mono.jacobian(pw)[:, :, None, :] * p[:, None, :, None]
-        dp = mono.eval(pw)[:, :, None, None] * np.eye(n)
+        want[:, : b.N, :n] = xi1.jacobian(x)
+        dx = mono.jacobian(x)[:, :, None, :] * p[:, None, :, None]
+        dp = mono.eval(x)[:, :, None, None] * np.eye(n)
         want[:, b.N :, :n] = dx.reshape(50, K * n, n)
         want[:, b.N :, n:] = dp.reshape(50, K * n, n)
         np.testing.assert_allclose(b.jacobian(Z), want, rtol=1e-14, atol=0)
 
 
 class TestMonomialTable:
+    """The table-driven evaluation inside :class:`BasisSet`."""
+
     @pytest.mark.parametrize("expo", [
         monomial_exponents(2, 2, 5),  # a route-1 dictionary
         procedure2_basis(2, 6, 4).exponents,  # a route-2 dictionary on (x, p)
@@ -215,7 +251,8 @@ class TestMonomialTable:
         """Evaluating each distinct decremented monomial once leaves every
         entry ``alpha_j * prod(pw[alpha - e_j])`` bit for bit."""
         degree = int(expo.max())
-        table = MonomialTable(expo, degree)
+        table = BasisSet(expo)
+        assert table.degree == degree
         rows, cols = np.nonzero(expo)
         dec = expo[rows].copy()
         dec[np.arange(rows.size), cols] -= 1
@@ -225,22 +262,21 @@ class TestMonomialTable:
         offsets = np.arange(expo.shape[1]) * (degree + 1)
         want = np.zeros(Z.shape[:1] + expo.shape)
         want[:, rows, cols] = expo[rows, cols] * pw[:, dec + offsets].prod(axis=-1)
-        assert np.array_equal(table.jacobian(pw), want)
+        assert np.array_equal(table.jacobian(Z), want)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 4), degree=st.integers(0, 6), data=st.data())
     def test_one_state_equals_batch_row(self, n, degree, data):
         """``powers`` and ``eval`` of one state ``(n,)`` (float products,
         an RK4 stage) give the bits of that state's row in a batch."""
-        table = MonomialTable(monomial_exponents(n, 0, degree), degree)
+        table = BasisSet(monomial_exponents(n, 0, degree))
         Z = data.draw(state_rows(n))
         with np.errstate(all="ignore"):
             pw = table.powers(Z)
-            vals = table.eval(pw)
+            vals = table.eval(Z)
             for k, z in enumerate(Z):
-                one = table.powers(z)
-                assert_same_bits(one, pw[k])
-                assert_same_bits(table.eval(one), vals[k])
+                assert_same_bits(table.powers(z), pw[k])
+                assert_same_bits(table.eval(z), vals[k])
 
 
 class TestCompiledPolynomial:
@@ -251,7 +287,7 @@ class TestCompiledPolynomial:
         """With ``C`` the identity, output ``j`` is monomial ``j`` plus zeros,
         so on states whose monomials are nonzero and finite it has the bits
         of the table's product of powers."""
-        table = MonomialTable(monomial_exponents(n, 0, degree), degree)
+        table = BasisSet(monomial_exponents(n, 0, degree))
         monomials = compile_polynomial(table, np.eye(table.M))
         coord = st.floats(1e-3, 10.0).flatmap(lambda v: st.sampled_from([v, -v]))
 
@@ -260,7 +296,7 @@ class TestCompiledPolynomial:
         def check(z):
             got = monomials(z)
             assert all(type(v) is float for v in got)
-            assert_same_bits(np.array(got), table.eval(table.powers(np.array(z))))
+            assert_same_bits(np.array(got), table.eval(np.array(z)))
 
         check()
 
@@ -269,7 +305,7 @@ class TestCompiledPolynomial:
         right, every coefficient exact: a sparse odd ``C`` checks the
         order, ``-0.0``, an extreme magnitude and the bound names ``inf``
         and ``nan``."""
-        table = MonomialTable(monomial_exponents(2, 1, 2), 2)  # x1, x2, x1^2, x1 x2, x2^2
+        table = BasisSet(monomial_exponents(2, 1, 2))  # x1, x2, x1^2, x1 x2, x2^2
         C = np.array([
             [0.1, -0.0, 1e-300, math.pi, -2.5],
             [np.inf, 0.0, 0.0, 0.0, 0.0],
@@ -281,7 +317,7 @@ class TestCompiledPolynomial:
         want = 0.1 * m[0] + -0.0 * m[1] + 1e-300 * m[2] + math.pi * m[3] + -2.5 * m[4]
         assert got[0] == want
         assert got[1] == math.inf and math.isnan(got[2])
-        assert compile_polynomial(MonomialTable(np.zeros((0, 2), dtype=int), 0),
+        assert compile_polynomial(BasisSet(np.zeros((0, 2), dtype=int)),
                                   np.zeros((2, 0)))([1.0, 2.0]) == (0.0, 0.0)
         with pytest.raises(ValueError, match="coefficient matrix shape"):
             compile_polynomial(table, C[:, :4])
@@ -307,11 +343,10 @@ class TestQuadraticFormGradient:
         table, C = quadratic_form_gradient(E, S)
         assert table.M == math.comb(n + 2 * dmax - 1, n) - 1
         assert C.shape == (n, table.M)
-        psi = MonomialTable(E, dmax)
+        psi = BasisSet(E)
         X = rng.uniform(-1.5, 1.5, size=(40, n))
-        pw = psi.powers(X)
-        want = np.einsum("kbn,ba,ka->kn", psi.jacobian(pw), S, psi.eval(pw))
-        got = table.eval(table.powers(X)) @ C.T
+        want = np.einsum("kbn,ba,ka->kn", psi.jacobian(X), S, psi.eval(X))
+        got = table.eval(X) @ C.T
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_exact_past_the_int64_packing_limit(self):
@@ -328,11 +363,10 @@ class TestQuadraticFormGradient:
         S = np.random.default_rng(7).normal(size=(6, 6))
         table, C = quadratic_form_gradient(E, S)
         assert table.M == math.comb(n + 3, n) - 1
-        psi = MonomialTable(E, 2)
+        psi = BasisSet(E)
         X = np.random.default_rng(8).uniform(-1.5, 1.5, size=(40, n))
-        pw = psi.powers(X)
-        want = np.einsum("kbn,ba,ka->kn", psi.jacobian(pw), S, psi.eval(pw))
-        got = table.eval(table.powers(X)) @ C.T
+        want = np.einsum("kbn,ba,ka->kn", psi.jacobian(X), S, psi.eval(X))
+        got = table.eval(X) @ C.T
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_rejects_constants_and_mismatched_weights(self):

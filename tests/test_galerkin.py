@@ -11,7 +11,7 @@ Oracle functions used here are closed forms verified by hand:
 import numpy as np
 import pytest
 
-from koopmanhj.basis import monomial_basis
+from koopmanhj.basis import BasisSet, monomial_basis, monomial_exponents
 from koopmanhj.galerkin import (
     SampleSet,
     approximate_eigenfunction_set,
@@ -239,10 +239,8 @@ class TestFailurePaths:
     def test_singular_dictionary_rejected(self):
         """Duplicated dictionary entries make the projection matrix
         singular."""
-        from koopmanhj.basis import BasisSet
-
         expo = np.array([[2], [2], [3]])  # repeated x^2 row
-        bad = BasisSet(dim_in=1, M=3, exponents=expo, purely_nonlinear=True)
+        bad = BasisSet(expo)
         samples = sample_domain(CUBIC_BOX, 500, 0)
         A = np.array([[-1.0]])
         with pytest.raises(RuntimeError, match="singular|independent"):
@@ -250,6 +248,17 @@ class TestFailurePaths:
                 cubic_f, bad, A, np.array([[1.0]]), samples, E=A
             )
             solve_coefficients(prob)
+
+    def test_dictionary_with_a_linear_row_rejected(self):
+        """A degree-1 row would change the linear part ``dPhi/dx(0) = Vt``
+        the fit assumes; the table marks such a dictionary not purely
+        nonlinear, and the fit refuses it."""
+        sys_ = builtin_example1()
+        basis = BasisSet(np.vstack([[[1, 0]], monomial_exponents(2, 2, 3)]))
+        assert not basis.purely_nonlinear
+        samples = sample_domain(np.array([[-1.0, 1.0], [-1.0, 1.0]]), 500, 0)
+        with pytest.raises(ValueError, match="basis must be purely nonlinear"):
+            approximate_eigenfunction_set(sys_.f, linearize(sys_).A, basis, samples)
 
 
 class TestConvergenceStudy:

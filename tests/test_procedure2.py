@@ -319,16 +319,16 @@ class TestOneLinearManifoldPerSolve:
 class TestOnePowerTablePerManifoldSolve:
     def test_batched_p_star_builds_one_power_table(self, example1_p2, monkeypatch):
         """``Xi1(x)`` and the ``Xi2`` monomials come from one power table."""
-        from koopmanhj.basis import MonomialTable
+        from koopmanhj.basis import BasisSet
 
         calls = []
-        powers = MonomialTable.powers
+        powers = BasisSet.powers
 
         def counting(self, Z):
             calls.append(Z.shape)
             return powers(self, Z)
 
-        monkeypatch.setattr(MonomialTable, "powers", counting)
+        monkeypatch.setattr(BasisSet, "powers", counting)
         _, sol = example1_p2
         X = np.random.default_rng(6).uniform(-0.4, 0.4, size=(7, 3, 2))
         assert sol.p_star(X).shape == (7, 3, 2)
