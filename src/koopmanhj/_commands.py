@@ -5,8 +5,9 @@ runs the corresponding pipeline, and writes its outputs (CSV tables plus a
 human-readable ``report.txt`` and the echoed ``resolved_config.yaml``) into
 the configured output directory.  All outputs are deterministic functions of
 the resolved configuration, so reruns produce byte-identical files.  Each
-builds the system, and makes the checks that need it, before it creates the
-output directory, so a configuration error leaves none.
+builds the system and its dictionaries, and makes the checks that need
+them, before it creates the output directory, so a configuration error
+leaves none.
 
 Every numeric table goes through :func:`_write_csv` to the one writer,
 :func:`~koopmanhj.simulate.write_table_csv` (17 significant digits, ``\\r\\n``
@@ -19,7 +20,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .basis import monomial_basis, procedure2_basis, value_basis_xi3
+from .basis import BasisSet, monomial_basis, procedure2_basis, value_basis_xi3
 from .config import ConfigError, RunConfig, build_system, write_resolved
 from .galerkin import (
     approximate_eigenfunction_set,
@@ -44,6 +45,21 @@ _MAX_GRID_POINTS = 1_000_000
 
 def _ensure_out(cfg: RunConfig) -> Path:
     return write_resolved(cfg, cfg.out).parent
+
+
+def _dictionary(cfg: RunConfig, sys_, procedure: int, L: int, key: str) -> BasisSet:
+    """Route ``procedure``'s dictionary, for a fit on ``L`` samples (the
+    config's ``key``): fewer samples than functions is a configuration error."""
+    if procedure == 1:
+        basis = monomial_basis(sys_.n, cfg.basis["deg_min"], cfg.basis["deg_max"])
+    else:
+        basis = procedure2_basis(sys_.n, cfg.basis["d1"], cfg.basis["d2"])
+    if L < basis.M:
+        raise ConfigError(
+            f"underdetermined: {key} is {L}, fewer samples than the M={basis.M} "
+            "functions of the basis"
+        )
+    return basis
 
 
 def _write_csv(path: Path, header: Sequence[str], table: np.ndarray) -> None:
@@ -120,9 +136,9 @@ def _write_report(out: Path, lines: Sequence[str]) -> None:
 
 def cmd_eigfun(cfg: RunConfig) -> None:
     sys_ = build_system(cfg)
+    basis = _dictionary(cfg, sys_, 1, cfg.samples["L"], "samples.L")
     out = _ensure_out(cfg)
     lin = linearize(sys_)
-    basis = monomial_basis(sys_.n, cfg.basis["deg_min"], cfg.basis["deg_max"])
     samples = sample_domain(cfg.box, cfg.samples["L"], cfg.samples["seed"])
     eig = approximate_eigenfunction_set(sys_.f, lin.A, basis, samples)
 
@@ -162,14 +178,12 @@ def cmd_eigfun(cfg: RunConfig) -> None:
 # solve
 # ----------------------------------------------------------------------
 
-def _solve_procedure1(cfg: RunConfig, sys_, lin):
-    basis = monomial_basis(sys_.n, cfg.basis["deg_min"], cfg.basis["deg_max"])
+def _solve_procedure1(cfg: RunConfig, sys_, lin, basis: BasisSet):
     samples = sample_domain(cfg.box, cfg.samples["L"], cfg.samples["seed"])
     return procedure1_solve(sys_, approximate_eigenfunction_set(sys_.f, lin.A, basis, samples))
 
 
-def _build_p2(cfg: RunConfig, sys_):
-    basis2 = procedure2_basis(sys_.n, cfg.basis["d1"], cfg.basis["d2"])
+def _build_p2(cfg: RunConfig, sys_, basis2: BasisSet):
     phase_box = default_phase_box(sys_, cfg.box, margin=cfg.momentum_margin)
     samples = sample_domain(phase_box, cfg.samples["L"], cfg.samples["seed"])
     d3 = cfg.basis["d3"]
@@ -180,12 +194,13 @@ def _build_p2(cfg: RunConfig, sys_):
 def cmd_solve(cfg: RunConfig) -> None:
     sys_ = build_system(cfg)
     grid = _grid_points(cfg.box, cfg.grid_points_per_dim)
+    basis = _dictionary(cfg, sys_, cfg.procedure, cfg.samples["L"], "samples.L")
     out = _ensure_out(cfg)
     lin = linearize(sys_)
     n, p = sys_.n, sys_.p
 
     if cfg.procedure == 1:
-        sol = _solve_procedure1(cfg, sys_, lin)
+        sol = _solve_procedure1(cfg, sys_, lin, basis)
         eig, name, grad, value = sol.eig, "psi", sol.grad_value, sol.value
         P_emb = sol.riccati_embedding
         K_lin = np.linalg.solve(lin.D, lin.B.T @ P_emb)
@@ -212,7 +227,7 @@ def cmd_solve(cfg: RunConfig) -> None:
         )
         fit_lines = []
     else:
-        sol = _build_p2(cfg, sys_)
+        sol = _build_p2(cfg, sys_, basis)
         eig, name, grad = sol.eigs, "Psi", sol.p_star
         title = [
             "stationary solution report (zero-level set of unstable eigenfunctions)",
@@ -280,9 +295,21 @@ def _safe_name(name: str) -> str:
     return "".join(c if (c.isalnum() or c in "-_") else "_" for c in name)
 
 
+_ROUTES = {"procedure1": 1, "procedure2": 2}
+
+
+def _controller_dictionaries(cfg: RunConfig, sys_) -> dict:
+    """The dictionary of each route-1 or route-2 controller, by name."""
+    return {
+        spec: _dictionary(cfg, sys_, _ROUTES[spec], cfg.samples["L"], "samples.L")
+        for spec in cfg.simulate["controllers"] if isinstance(spec, str) and spec in _ROUTES
+    }
+
+
 def _build_controllers(
-    cfg: RunConfig, sys_, lin
+    cfg: RunConfig, sys_, lin, bases: dict
 ) -> List[Tuple[str, Callable[[np.ndarray], np.ndarray]]]:
+    """The named feedback laws; ``bases`` is :func:`_controller_dictionaries`."""
     named: List[Tuple[str, Callable[[np.ndarray], np.ndarray]]] = []
     for spec in cfg.simulate["controllers"]:
         if isinstance(spec, str):
@@ -290,10 +317,10 @@ def _build_controllers(
                 K, _ = lqr_controller(lin)
                 named.append(("lqr", linear_controller(K)))
             elif spec == "procedure1":
-                sol = _solve_procedure1(cfg, sys_, lin)
+                sol = _solve_procedure1(cfg, sys_, lin, bases[spec])
                 named.append(("procedure1", sol.control))
             elif spec == "procedure2":
-                sol2 = _build_p2(cfg, sys_)
+                sol2 = _build_p2(cfg, sys_, bases[spec])
                 named.append(("procedure2", sol2.control))
             else:  # pragma: no cover — config validation rejects other names
                 raise ConfigError(f"unknown controller '{spec}'")
@@ -329,9 +356,10 @@ def cmd_simulate(cfg: RunConfig) -> None:
                 f"{stem}_ic<k>.csv; give them names that differ in letters, digits, '-' or '_'"
             )
         owners[stem] = name
+    bases = _controller_dictionaries(cfg, sys_)
     out = _ensure_out(cfg)
     lin = linearize(sys_)
-    named = _build_controllers(cfg, sys_, lin)
+    named = _build_controllers(cfg, sys_, lin, bases)
 
     rows = compare_controllers(
         sys_, named, list(ics), dt=cfg.integrator["dt"], T=cfg.integrator["T"],
@@ -386,8 +414,8 @@ def cmd_converge(cfg: RunConfig) -> None:
             f"'eig_block' is {cfg.eig_block}, but the drift linearization has "
             f"{n_blocks} eigenvalue blocks (valid: 0..{n_blocks - 1})"
         )
+    basis = _dictionary(cfg, sys_, 1, min(cfg.converge["L_list"]), "min(converge.L_list)")
     out = _ensure_out(cfg)
-    basis = monomial_basis(sys_.n, cfg.basis["deg_min"], cfg.basis["deg_max"])
     study = convergence_study(
         sys_.f,
         lin.A,

@@ -2,11 +2,14 @@
 
 One monomial-table type is provided, :class:`BasisSet`: the monomials of
 an integer exponent table, its only input, evaluated with their jacobian
-from one table of integer powers.  When every row has total degree at least
-two (``purely_nonlinear``), ``eval(0) = 0`` and ``jacobian(0) = 0`` hold
-exactly; such dictionaries expand the nonlinear part of principal
-eigenfunctions and of value functions.  Other tables carry the terms of a
-polynomial drift or value gradient (:func:`compile_polynomial`).
+from one table of integer powers.  Its constructor is the one place where
+an exponent table enters the package, and it rejects a table that is not
+2-D or has an entry that is not a nonnegative integer.  When every row has
+total degree at least two (``purely_nonlinear``), ``eval(0) = 0`` and
+``jacobian(0) = 0`` hold exactly; such dictionaries expand the nonlinear
+part of principal eigenfunctions and of value functions.  Other tables
+carry the terms of a polynomial drift or value gradient
+(:func:`compile_polynomial`, :func:`quadratic_form_gradient`).
 :class:`Procedure2Basis` is the one on ``z = (x, p)`` whose rows are at
 most linear in ``p``, which lets the stable-manifold equation be solved for
 ``p`` in closed form downstream.
@@ -19,7 +22,6 @@ every dictionary — and everything computed from it — reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
@@ -67,13 +69,16 @@ def _compositions(deg: int, n: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-@dataclass(frozen=True)
 class BasisSet:
     """A finite monomial dictionary with analytic gradients.
 
-    Built from its ``(M, dim_in)`` integer exponent table alone, which fixes
+    Built from its ``(M, dim_in)`` exponent table alone, which fixes
     everything else:
 
+    * ``exponents``: the table as int64.  It must be 2-D with nonnegative
+      integer entries: an integer dtype, or floats that are integral (the
+      empty float table ``np.zeros((0, n))`` is the empty dictionary); a
+      fractional, non-finite or bool entry raises ``ValueError``;
     * ``dim_in`` and ``M``: the table's shape;
     * ``purely_nonlinear``: True when every row has total degree >= 2, in
       which case ``eval(0) = 0`` and ``jacobian(0) = 0`` exactly;
@@ -85,35 +90,33 @@ class BasisSet:
     row ``m``, column ``j``, coefficient ``alpha_j`` and the exponents
     ``alpha - e_j``, so that ``d(x^alpha)/dx_j = alpha_j * x^(alpha - e_j)``
     costs one gather too.  Equal decremented exponents are evaluated once
-    and scattered to every entry that shares them.
+    and scattered to every entry that shares them.  A dictionary is a
+    plain object: it equals and hashes as itself only, and its attributes
+    are not to be changed after construction.
     """
 
-    exponents: np.ndarray
-    dim_in: int = field(init=False)
-    M: int = field(init=False)
-    purely_nonlinear: bool = field(init=False)
-
-    def __post_init__(self) -> None:
-        expo = np.asarray(self.exponents, dtype=np.int64)
-        if expo.ndim != 2 or np.any(expo < 0):
-            raise ValueError(f"exponent table must be 2-D and nonnegative, got shape {expo.shape}")
+    def __init__(self, exponents: npt.ArrayLike) -> None:
+        table = np.asarray(exponents)
+        with np.errstate(invalid="ignore"):  # nan, inf and huge floats fail `expo != table`
+            expo = np.asarray(table, dtype=np.int64) if table.dtype.kind in "iuf" else None
+        if expo is None or expo.ndim != 2 or np.any(expo != table) or np.any(expo < 0):
+            raise ValueError(
+                f"exponent table must be 2-D with nonnegative integer entries, got {table!r}"
+            )
         M, n = expo.shape
-        degree = int(expo.max(initial=0))
-        offsets = np.arange(n) * (degree + 1)
+        self.exponents, self.dim_in, self.M = expo, n, M
+        self.degree = int(expo.max(initial=0))
+        self.purely_nonlinear = bool(np.all(expo.sum(axis=1) >= 2))
+        offsets = np.arange(n) * (self.degree + 1)
         rows, cols = np.nonzero(expo)
         dec = expo[rows].copy()
         dec[np.arange(rows.size), cols] -= 1
         dec, inverse = np.unique(dec, axis=0, return_inverse=True)
-        for name, value in dict(
-            exponents=expo, dim_in=n, M=M, degree=degree,
-            purely_nonlinear=bool(np.all(expo.sum(axis=1) >= 2)),
-            eval_index=expo + offsets,  # (M, n) into the power table
-            jac_index=dec + offsets,  # (U, n) distinct decremented monomials
-            jac_row=inverse.reshape(-1),  # (T,) row of each entry in jac_index
-            jac_coef=expo[rows, cols].astype(float),  # (T,)
-            jac_pos=rows * n + cols,  # (T,) into a flattened (M, n) block
-        ).items():
-            object.__setattr__(self, name, value)
+        self.eval_index = expo + offsets  # (M, n) into the power table
+        self.jac_index = dec + offsets  # (U, n) distinct decremented monomials
+        self.jac_row = inverse.reshape(-1)  # (T,) row of each entry in jac_index
+        self.jac_coef = expo[rows, cols].astype(float)  # (T,)
+        self.jac_pos = rows * n + cols  # (T,) into a flattened (M, n) block
 
     def powers(self, Z: np.ndarray) -> np.ndarray:
         """Integer powers of every coordinate: (..., n) -> (..., n * (degree + 1)).
@@ -228,22 +231,21 @@ def _compile_function(source: str, name: str, **names: object) -> Callable:
     return namespace[name]
 
 
-def quadratic_form_gradient(
-    exponents: npt.ArrayLike, S: npt.ArrayLike
-) -> tuple[BasisSet, np.ndarray]:
-    """``(dpsi/dx)^T S psi`` for monomials ``psi_a = x^(E_a)``, as one polynomial.
+def quadratic_form_gradient(psi: BasisSet, S: npt.ArrayLike) -> tuple[BasisSet, np.ndarray]:
+    """``(dpsi/dx)^T S psi`` for the monomial dictionary ``psi``, as one polynomial.
 
-    This is the gradient of ``0.5 psi^T S psi`` for a symmetric ``S``.  Entry
-    ``j`` is ``sum_{a,b} S_ba E_bj x^(E_a + E_b - e_j)``; with every row of
-    ``E`` of degree 1..d it is a polynomial of degrees 1..2d-1.  Returns the
-    :class:`BasisSet` of ``monomial_exponents(n, 1, 2d - 1)``
-    (``C(n + 2d - 1, n) - 1`` terms) and the ``(n, T)`` coefficient matrix
-    ``C``, so that the gradient at ``x`` is ``table.eval(x) @ C.T``.  Every
-    pair and derivative is collected by one ``bincount`` in a fixed order.  The
-    products ``E_a + E_b - e_j`` are matched to table rows by one
-    ``np.unique`` over whole rows, exact for any ``n`` and degree.
+    This is the gradient of ``0.5 psi^T S psi`` for a symmetric ``S``, where
+    ``psi_a = x^(E_a)`` with ``E = psi.exponents``.  Entry ``j`` is
+    ``sum_{a,b} S_ba E_bj x^(E_a + E_b - e_j)``; with every row of ``E`` of
+    degree 1..d it is a polynomial of degrees 1..2d-1.  Returns the :class:`BasisSet` of
+    ``monomial_exponents(n, 1, 2d - 1)`` (``C(n + 2d - 1, n) - 1`` terms)
+    and the ``(n, T)`` coefficient matrix ``C``, so that the gradient at
+    ``x`` is ``table.eval(x) @ C.T``.  Every pair and derivative is
+    collected by one ``bincount`` in a fixed order.  The products ``E_a +
+    E_b - e_j`` are matched to table rows by one ``np.unique`` over whole
+    rows, exact for any ``n`` and degree.
     """
-    E = np.asarray(exponents, dtype=np.int64)
+    E = psi.exponents
     S = np.asarray(S, dtype=float)
     P, n = E.shape
     if S.shape != (P, P):
@@ -291,7 +293,6 @@ def value_basis_xi3(n: int, d3: int) -> BasisSet:
     return monomial_basis(n, 2, d3)
 
 
-@dataclass(frozen=True)
 class Procedure2Basis(BasisSet):
     """The :class:`BasisSet` on z = (x, p) that is at most linear in p.
 
@@ -306,27 +307,25 @@ class Procedure2Basis(BasisSet):
     Every row has x-degree at least one and total degree at least two.
     Both counts are read off the table: ``n = dim_in // 2`` is the state
     dimension and ``N`` the number of leading rows without a momentum factor.
+    A table of any other structure raises ``ValueError``.
     """
-
-    n: int = field(init=False)
-    N: int = field(init=False)
 
     # bound here too: bench/tracing.py wraps each class's own eval/jacobian
     eval = BasisSet.eval
     jacobian = BasisSet.jacobian
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def __init__(self, exponents: npt.ArrayLike) -> None:
+        super().__init__(exponents)
         expo, n = self.exponents, self.dim_in // 2
         N = int(np.argmax(np.append(expo[:, n:].any(axis=1), True)))  # first p row, or M
         if not n or self.dim_in != 2 * n or (self.M - N) % n or not np.array_equal(
             expo, _momentum_linear_rows(expo[:N, :n], expo[N::n, :n])
         ):
             raise ValueError(f"exponent table is not N={N} rows (alpha, 0), then (alpha_j, e_i)")
+        self.n, self.N = n, N
         # the x-part of the power table of z is the power table of x
         index = self.eval_index[:, :n]
-        for name, value in dict(n=n, N=N, _xi1_index=index[:N], _xi2_index=index[N::n]).items():
-            object.__setattr__(self, name, value)
+        self._xi1_index, self._xi2_index = index[:N], index[N::n]
 
     def x_monomials(self, x: npt.ArrayLike) -> tuple[np.ndarray, np.ndarray]:
         """``Xi1(x)`` (..., N) and the monomials ``m_j(x)`` (..., K) of the

@@ -165,7 +165,7 @@ def _collapse_gradient(
     if int(expo.sum(axis=1).min()) < 1:
         return None
     C = np.hstack([eig.Vt, eig.Theta])
-    return quadratic_form_gradient(expo, C.T @ L @ C)
+    return quadratic_form_gradient(BasisSet(expo), C.T @ L @ C)
 
 
 def procedure1_solve(sys: ControlAffineSystem, eig: EigenfunctionSet) -> HJSolution1:

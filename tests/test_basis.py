@@ -2,6 +2,7 @@
 import inspect
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +121,49 @@ class TestBasisSet:
     @pytest.mark.parametrize("cls", [BasisSet, Procedure2Basis])
     def test_takes_only_the_exponent_table(self, cls):
         assert list(inspect.signature(cls).parameters) == ["exponents"]
+
+    @pytest.mark.parametrize("cls", [BasisSet, Procedure2Basis])
+    @pytest.mark.parametrize("table", [
+        [[1.5, 0.0]], np.array([[True, False]]), [[math.nan, 1.0]], [[math.inf, 1.0]],
+        [[1e20, 0.0]], [["1", "0"]],
+    ], ids=["fraction", "bool", "nan", "inf", "beyond-int64", "str"])
+    def test_rejects_an_entry_that_is_not_an_integer(self, cls, table):
+        """Each of these tables is rejected with one error that shows it, and
+        without a cast warning; a truncating cast would turn ``[[1.5, 0]]``
+        into ``x1`` (2.0 at (2, 3), where 2^1.5 is 2.83) and the bool table
+        into ``[[1, 0]]``."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                cls(table)
+        message = str(exc.value)
+        assert message.startswith("exponent table") and repr(np.asarray(table)) in message
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3), data=st.data())
+    def test_integral_floats_are_the_integer_table(self, n, data):
+        """A table of integral floats is the int64 table: same exponents and
+        the same bits of ``eval`` and ``jacobian``."""
+        row = st.lists(st.integers(0, 5), min_size=n, max_size=n)
+        expo = np.array(data.draw(st.lists(row, max_size=8)), dtype=np.int64).reshape(-1, n)
+        exact, floats = BasisSet(expo), BasisSet(expo.astype(float))
+        assert floats.exponents.dtype == np.int64
+        assert np.array_equal(floats.exponents, expo)
+        Z = data.draw(state_rows(n))
+        with np.errstate(all="ignore"):
+            assert_same_bits(floats.eval(Z), exact.eval(Z))
+            assert_same_bits(floats.jacobian(Z), exact.jacobian(Z))
+
+    @pytest.mark.parametrize("build", [
+        lambda: monomial_basis(2, 2, 3), lambda: procedure2_basis(2, 3, 2),
+    ], ids=["BasisSet", "Procedure2Basis"])
+    def test_equality_and_hash_are_identity(self, build):
+        """A dictionary equals itself only, whatever its table, and is a
+        ``dict`` key."""
+        b = build()
+        assert b == b
+        assert (b == build()) is False
+        assert {b: "fit"}[b] == "fit" and build() not in {b: "fit"}
 
 
 class TestValueBasis:
@@ -340,10 +384,10 @@ class TestQuadraticFormGradient:
         rng = np.random.default_rng(n)
         E = monomial_exponents(n, 1, dmax)
         S = rng.normal(size=(len(E), len(E)))
-        table, C = quadratic_form_gradient(E, S)
+        psi = BasisSet(E)
+        table, C = quadratic_form_gradient(psi, S)
         assert table.M == math.comb(n + 2 * dmax - 1, n) - 1
         assert C.shape == (n, table.M)
-        psi = BasisSet(E)
         X = rng.uniform(-1.5, 1.5, size=(40, n))
         want = np.einsum("kbn,ba,ka->kn", psi.jacobian(X), S, psi.eval(X))
         got = table.eval(X) @ C.T
@@ -361,9 +405,9 @@ class TestQuadraticFormGradient:
         E[4, 32] = 2
         E[5, [1, 30]] = 1
         S = np.random.default_rng(7).normal(size=(6, 6))
-        table, C = quadratic_form_gradient(E, S)
-        assert table.M == math.comb(n + 3, n) - 1
         psi = BasisSet(E)
+        table, C = quadratic_form_gradient(psi, S)
+        assert table.M == math.comb(n + 3, n) - 1
         X = np.random.default_rng(8).uniform(-1.5, 1.5, size=(40, n))
         want = np.einsum("kbn,ba,ka->kn", psi.jacobian(X), S, psi.eval(X))
         got = table.eval(X) @ C.T
@@ -371,6 +415,6 @@ class TestQuadraticFormGradient:
 
     def test_rejects_constants_and_mismatched_weights(self):
         with pytest.raises(ValueError, match="degree at least 1"):
-            quadratic_form_gradient(monomial_exponents(2, 0, 2), np.eye(6))
+            quadratic_form_gradient(BasisSet(monomial_exponents(2, 0, 2)), np.eye(6))
         with pytest.raises(ValueError, match="S has shape"):
-            quadratic_form_gradient(monomial_exponents(2, 1, 2), np.eye(4))
+            quadratic_form_gradient(BasisSet(monomial_exponents(2, 1, 2)), np.eye(4))

@@ -477,6 +477,11 @@ class TestExitCodes:
 
 _CUBIC = {"kind": "polynomial", "f_terms": [[[-1.0, [1]]]], "g_matrix": [[1.0]],
           "D": [[1.0]], "Q0": [[1.0]]}
+# fewer samples than basis functions: M = 18 on route 1, 30 on route 2
+_FEW_L = {"samples": {"L": 10, "seed": 0}}
+_ROUTE1_M18 = {**_FEW_L, "basis": {"deg_min": 2, "deg_max": 5}}
+_ROUTE2_M30 = {**_FEW_L, "basis": {"d1": 4, "d2": 3}}
+_UNDERDETERMINED = "underdetermined: samples.L is 10, fewer samples than the M={}"
 
 
 @pytest.mark.parametrize("sub, overrides, key", [
@@ -513,6 +518,17 @@ _CUBIC = {"kind": "polynomial", "f_terms": [[[-1.0, [1]]]], "g_matrix": [[1.0]],
                                                {"name": "a_b", "gain": [[0, 1]]}],
                                "ics": [[0.1, 0.1]]}},
      "controllers 'a b' and 'a_b' would both write traj_a_b_ic<k>.csv"),
+    ("eigfun", _ROUTE1_M18, _UNDERDETERMINED.format(18)),
+    ("solve", _ROUTE1_M18, _UNDERDETERMINED.format(18)),
+    ("solve", {**_ROUTE2_M30, "procedure": 2}, _UNDERDETERMINED.format(30)),
+    ("converge", {"basis": _ROUTE1_M18["basis"], "converge": {"L_list": [10, 100]}},
+     "underdetermined: min(converge.L_list) is 10, fewer samples than the M=18"),
+    ("simulate", {**_ROUTE1_M18, "simulate": {"controllers": ["lqr", "procedure1"],
+                                              "ics": [[0.1, 0.1]]}},
+     _UNDERDETERMINED.format(18)),
+    ("simulate", {**_ROUTE2_M30, "simulate": {"controllers": ["lqr", "procedure2"],
+                                              "ics": [[0.1, 0.1]]}},
+     _UNDERDETERMINED.format(30)),
 ])
 def test_invalid_config_exits_1_without_output(tmp_path, capsys, sub, overrides, key):
     out = tmp_path / "o"

@@ -23,6 +23,10 @@ differing cell is not a number).  The last line of standard output is one
 JSON object: per config, the subcommand, each tree's exit code and wall
 time, and per file the digests, ``same_as_first`` and, per later tree,
 those column moves (``moved``).
+
+Exit status: 0 when every config is ``same_as_first`` (every tree's run
+exited 0, wrote files, and wrote the first tree's bytes), else 1, so the
+byte-identity check can gate a script.
 """
 from __future__ import annotations
 
@@ -151,7 +155,7 @@ def main(argv=None) -> int:
                 and bool(first) and all(r["exit"] == 0 for r in runs.values()),
             }
     print(json.dumps({"trees": trees, "configs": result}))
-    return 0
+    return 0 if all(c["same_as_first"] for c in result.values()) else 1
 
 
 if __name__ == "__main__":

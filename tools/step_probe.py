@@ -56,7 +56,7 @@ def _time_controllers(config: str, runs: int) -> dict:
     and the digest of each rollout."""
     import numpy as np
 
-    from koopmanhj._commands import _build_controllers
+    from koopmanhj import _commands
     from koopmanhj.config import build_system, load_config
     from koopmanhj.simulate import closed_loop, pendulum_ic_cloud
     from koopmanhj.systems import linearize
@@ -66,7 +66,11 @@ def _time_controllers(config: str, runs: int) -> dict:
     sim = cfg.simulate
     ics = sim["ics"] if "ics" in sim else pendulum_ic_cloud(**sim["pendulum_cloud"])
     x0 = np.asarray(ics[IC], dtype=float)
-    named = _build_controllers(cfg, sys_, linearize(sys_))
+    # older trees have no _controller_dictionaries: their _build_controllers
+    # builds each dictionary itself, and they stay comparable
+    bases = getattr(_commands, "_controller_dictionaries", None)
+    extra = (bases(cfg, sys_),) if bases else ()
+    named = _commands._build_controllers(cfg, sys_, linearize(sys_), *extra)
     dt = cfg.integrator["dt"]
     steps = int(round(SECONDS / dt))
     for _, ctrl in named:  # untimed: one-time work stays out of the figures
