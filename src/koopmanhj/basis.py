@@ -8,8 +8,9 @@ an exponent table enters the package, and it rejects a table that is not
 total degree at least two (``purely_nonlinear``), ``eval(0) = 0`` and
 ``jacobian(0) = 0`` hold exactly; such dictionaries expand the nonlinear
 part of principal eigenfunctions and of value functions.  Other tables
-carry the terms of a polynomial drift or value gradient
-(:func:`compile_polynomial`, :func:`quadratic_form_gradient`).
+carry the terms of a polynomial map: :class:`Polynomial`, a table times a
+coefficient matrix, is a polynomial drift or route 1's collapsed value
+gradient (:func:`quadratic_form_gradient`), run as straight-line code.
 :class:`Procedure2Basis` is the one on ``z = (x, p)`` whose rows are at
 most linear in ``p``, which lets the stable-manifold equation be solved for
 ``p`` in closed form downstream.
@@ -22,6 +23,7 @@ every dictionary — and everything computed from it — reproducible.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Callable, Iterator
 
 import numpy as np
@@ -29,13 +31,12 @@ import numpy.typing as npt
 
 __all__ = [
     "BasisSet",
+    "Polynomial",
     "Procedure2Basis",
-    "compile_polynomial",
     "monomial_basis",
     "monomial_exponents",
     "procedure2_basis",
     "quadratic_form_gradient",
-    "run_polynomial",
     "value_basis_xi3",
 ]
 
@@ -90,9 +91,10 @@ class BasisSet:
     row ``m``, column ``j``, coefficient ``alpha_j`` and the exponents
     ``alpha - e_j``, so that ``d(x^alpha)/dx_j = alpha_j * x^(alpha - e_j)``
     costs one gather too.  Equal decremented exponents are evaluated once
-    and scattered to every entry that shares them.  A dictionary is a
-    plain object: it equals and hashes as itself only, and its attributes
-    are not to be changed after construction.
+    and scattered to every entry that shares them.  These tables are built
+    on the first jacobian: a table that is only evaluated never dedups its
+    rows.  A dictionary is a plain object: it equals and hashes as itself
+    only, and its attributes are not to be changed after construction.
     """
 
     def __init__(self, exponents: npt.ArrayLike) -> None:
@@ -107,16 +109,23 @@ class BasisSet:
         self.exponents, self.dim_in, self.M = expo, n, M
         self.degree = int(expo.max(initial=0))
         self.purely_nonlinear = bool(np.all(expo.sum(axis=1) >= 2))
-        offsets = np.arange(n) * (self.degree + 1)
+        self._offsets = np.arange(n) * (self.degree + 1)
+        self.eval_index = expo + self._offsets  # (M, n) into the power table
+
+    @cached_property
+    def _jacobian_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(jac_index, jac_row, jac_coef, jac_pos)``, built on first use."""
+        expo = self.exponents
         rows, cols = np.nonzero(expo)
         dec = expo[rows].copy()
         dec[np.arange(rows.size), cols] -= 1
         dec, inverse = np.unique(dec, axis=0, return_inverse=True)
-        self.eval_index = expo + offsets  # (M, n) into the power table
-        self.jac_index = dec + offsets  # (U, n) distinct decremented monomials
-        self.jac_row = inverse.reshape(-1)  # (T,) row of each entry in jac_index
-        self.jac_coef = expo[rows, cols].astype(float)  # (T,)
-        self.jac_pos = rows * n + cols  # (T,) into a flattened (M, n) block
+        return (
+            dec + self._offsets,  # (U, n) distinct decremented monomials
+            inverse.reshape(-1),  # (T,) row of each entry in jac_index
+            expo[rows, cols].astype(float),  # (T,)
+            rows * self.dim_in + cols,  # (T,) into a flattened (M, n) block
+        )
 
     def powers(self, Z: np.ndarray) -> np.ndarray:
         """Integer powers of every coordinate: (..., n) -> (..., n * (degree + 1)).
@@ -151,53 +160,76 @@ class BasisSet:
         return np.multiply.reduce(pw[..., self.eval_index], axis=-1)
 
     def _jacobian(self, pw: np.ndarray) -> np.ndarray:
+        index, row, coef, pos = self._jacobian_tables
         lead = pw.shape[:-1]
         out = np.zeros(lead + (self.M * self.dim_in,))
-        vals = np.multiply.reduce(pw[..., self.jac_index], axis=-1)  # (..., U)
-        out[..., self.jac_pos] = self.jac_coef * vals[..., self.jac_row]
+        vals = np.multiply.reduce(pw[..., index], axis=-1)  # (..., U)
+        out[..., pos] = coef * vals[..., row]
         return out.reshape(lead + (self.M, self.dim_in))
 
 
 _SUM_TERMS = 100  # terms per line of a compiled sum; the compiler nests one level per term
 
 
-def compile_polynomial(table: BasisSet, C: npt.ArrayLike) -> Callable[[list], tuple]:
-    """``table.eval(x) @ C.T`` as straight-line code.
+class Polynomial:
+    """The map ``x -> table.eval(x) @ C.T`` of a :class:`BasisSet` ``table``
+    and a ``(K, M)`` coefficient matrix ``C``, which the constructor checks.
 
-    The returned function takes the ``n`` coordinates of :func:`_coords`,
-    one state's floats or a batch's columns, and returns the ``K`` outputs
-    of a ``(K, M)`` matrix ``C`` as a tuple (:func:`run_polynomial`).  Each
-    power is the power table's repeated product and each monomial the
-    product of its factors from left to right in coordinate order, so the
-    monomials have the bits of :meth:`BasisSet.eval` (a factor
-    ``x ** 0 = 1.0`` is left out, which is exact).  Each output is the
-    left-to-right sum ``c0*m0 + c1*m1 + ...`` over every column, zero
-    coefficients included, so a non-finite monomial gives nan where the
-    matrix product does; BLAS may round the sum differently.  Each step is
-    one IEEE ``*`` or ``+``, so a batch row has its own state's bits.  The
-    source holds integer exponents and the ``repr`` of each coefficient,
-    which round-trips exactly (``inf`` and ``nan`` are bound names).
+    A call on states ``(..., n)`` runs :attr:`floats` on one state's floats
+    or a batch's columns (:func:`_coords`): ``(..., K)``, each row with its
+    state's bits; an output without terms gives zeros.
     """
-    expo = table.exponents
-    M, n = expo.shape
-    C = np.asarray(C, dtype=float)
-    if C.ndim != 2 or C.shape[1] != M:
-        raise ValueError(f"coefficient matrix shape {C.shape} != (K, {M})")
-    xs = [f"x{j}" for j in range(n)]
-    lines = ["def polynomial(xs):", f"    {', '.join(xs)}, = xs"]
-    for j in range(n):
-        for k in range(2, int(expo[:, j].max(initial=0)) + 1):
-            lines.append(f"    x{j}_{k} = {xs[j] if k == 2 else f'x{j}_{k - 1}'} * x{j}")
-    for r, row in enumerate(expo.tolist()):
-        factors = [xs[j] if a == 1 else f"x{j}_{a}" for j, a in enumerate(row) if a]
-        lines.append(f"    m{r} = {' * '.join(factors) or '1.0'}")
-    for i, row in enumerate(C.tolist()):
-        terms = [f"{c!r} * m{r}" for r, c in enumerate(row)] or ["0.0"]
-        for start in range(0, len(terms), _SUM_TERMS):
-            head = [f"o{i}"] if start else []
-            lines.append(f"    o{i} = {' + '.join(head + terms[start : start + _SUM_TERMS])}")
-    lines.append(f"    return ({''.join(f'o{i}, ' for i in range(len(C)))})")
-    return _compile_function("\n".join(lines), "polynomial")
+
+    def __init__(self, table: BasisSet, C: npt.ArrayLike) -> None:
+        C = np.asarray(C, dtype=float)
+        if C.ndim != 2 or C.shape[1] != table.M:
+            raise ValueError(f"coefficient matrix shape {C.shape} != (K, {table.M})")
+        self.table, self.C = table, C
+
+    def __call__(self, x: npt.ArrayLike) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        outs = self.floats(_coords(x))
+        if x.ndim == 1:
+            return np.array(outs)
+        return np.stack([np.broadcast_to(o, x.shape[:-1]) for o in outs], axis=-1)
+
+    def jacobian(self, x: npt.ArrayLike) -> np.ndarray:
+        """``(..., K, n)`` at states ``(..., n)``."""
+        return self.C @ self.table.jacobian(x)
+
+    @cached_property
+    def floats(self) -> Callable[[list], tuple]:
+        """The map as straight-line code, compiled on first use and kept:
+        the ``n`` coordinates of :func:`_coords` to the ``K`` outputs.
+
+        Each power is the power table's repeated product and each monomial
+        the product of its factors from left to right in coordinate order,
+        so the monomials have the bits of :meth:`BasisSet.eval` (a factor
+        ``x ** 0 = 1.0`` is left out, which is exact).  Each output is the
+        left-to-right sum ``c0*m0 + c1*m1 + ...`` over every column, zero
+        coefficients included, so a non-finite monomial gives nan where the
+        matrix product does; BLAS may round the sum differently.  Each step
+        is one IEEE ``*`` or ``+``, so a batch row has its own state's bits.
+        The source holds integer exponents and the ``repr`` of each
+        coefficient, which round-trips (``inf`` and ``nan`` are bound names).
+        """
+        expo = self.table.exponents
+        n = expo.shape[1]
+        xs = [f"x{j}" for j in range(n)]
+        lines = ["def polynomial(xs):", f"    {', '.join(xs)}, = xs"]
+        for j in range(n):
+            for k in range(2, int(expo[:, j].max(initial=0)) + 1):
+                lines.append(f"    x{j}_{k} = {xs[j] if k == 2 else f'x{j}_{k - 1}'} * x{j}")
+        for r, row in enumerate(expo.tolist()):
+            factors = [xs[j] if a == 1 else f"x{j}_{a}" for j, a in enumerate(row) if a]
+            lines.append(f"    m{r} = {' * '.join(factors) or '1.0'}")
+        for i, row in enumerate(self.C.tolist()):
+            terms = [f"{c!r} * m{r}" for r, c in enumerate(row)] or ["0.0"]
+            for start in range(0, len(terms), _SUM_TERMS):
+                head = [f"o{i}"] if start else []
+                lines.append(f"    o{i} = {' + '.join(head + terms[start : start + _SUM_TERMS])}")
+        lines.append(f"    return ({''.join(f'o{i}, ' for i in range(len(self.C)))})")
+        return _compile_function("\n".join(lines), "polynomial")
 
 
 def _coords(x: np.ndarray):
@@ -208,15 +240,6 @@ def _coords(x: np.ndarray):
     if x.ndim == 1:
         return x.tolist()
     return x.T if x.ndim == 2 else np.moveaxis(x, -1, 0)
-
-
-def run_polynomial(code: Callable[[list], tuple], x: np.ndarray) -> np.ndarray:
-    """:func:`compile_polynomial`'s ``code`` at states ``(..., n)``: ``(..., K)``,
-    each row with its state's bits; an output without terms gives zeros."""
-    outs = code(_coords(x))
-    if x.ndim == 1:
-        return np.array(outs)
-    return np.stack([np.broadcast_to(o, x.shape[:-1]) for o in outs], axis=-1)
 
 
 def _compile_function(source: str, name: str, **names: object) -> Callable:
@@ -231,16 +254,16 @@ def _compile_function(source: str, name: str, **names: object) -> Callable:
     return namespace[name]
 
 
-def quadratic_form_gradient(psi: BasisSet, S: npt.ArrayLike) -> tuple[BasisSet, np.ndarray]:
+def quadratic_form_gradient(psi: BasisSet, S: npt.ArrayLike) -> Polynomial:
     """``(dpsi/dx)^T S psi`` for the monomial dictionary ``psi``, as one polynomial.
 
     This is the gradient of ``0.5 psi^T S psi`` for a symmetric ``S``, where
     ``psi_a = x^(E_a)`` with ``E = psi.exponents``.  Entry ``j`` is
     ``sum_{a,b} S_ba E_bj x^(E_a + E_b - e_j)``; with every row of ``E`` of
-    degree 1..d it is a polynomial of degrees 1..2d-1.  Returns the :class:`BasisSet` of
-    ``monomial_exponents(n, 1, 2d - 1)`` (``C(n + 2d - 1, n) - 1`` terms)
-    and the ``(n, T)`` coefficient matrix ``C``, so that the gradient at
-    ``x`` is ``table.eval(x) @ C.T``.  Every pair and derivative is
+    degree 1..d it is a polynomial of degrees 1..2d-1.  Returns it as the
+    :class:`Polynomial` of the table ``monomial_exponents(n, 1, 2d - 1)``
+    (``C(n + 2d - 1, n) - 1`` terms) and an ``(n, T)`` coefficient matrix
+    ``C``.  Every pair and derivative is
     collected by one ``bincount`` in a fixed order.  The products ``E_a +
     E_b - e_j`` are matched to table rows by one ``np.unique`` over whole
     rows, exact for any ``n`` and degree.
@@ -266,7 +289,7 @@ def quadratic_form_gradient(psi: BasisSet, S: npt.ArrayLike) -> tuple[BasisSet, 
     coef = S[b, :].T * E[b, j]  # (P, b.size): S_ba E_bj
     pos = j[None, :] * T + term
     C = np.bincount(pos.ravel(), weights=coef.ravel(), minlength=n * T)
-    return BasisSet(out), C.reshape(n, T)
+    return Polynomial(BasisSet(out), C.reshape(n, T))
 
 
 def monomial_basis(n: int, deg_min: int, deg_max: int) -> BasisSet:

@@ -415,7 +415,7 @@ def pde_residual_rms(
     return float(_residual_pass(F, basis, [(S, W, Th)], np.asarray(points, dtype=float))[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenfunctionSet:
     """Stacked principal eigenfunctions ``Phi(z) = Vt z + Theta Gamma(z)``.
 
@@ -427,7 +427,8 @@ class EigenfunctionSet:
     ``Vt`` is ``(n, 2n)`` (``procedure2.UnstableEigenfunctions``).  A fitted
     set carries its monomial basis, a linear set the empty one (``M = 0``),
     the closed-form example-1 set its one-function dictionary.  :meth:`Phi`
-    and :meth:`Phi_jac` accept batched inputs ``(..., dim)``.
+    and :meth:`Phi_jac` accept batched inputs ``(..., dim)``.  A set equals
+    and hashes as itself only.
     """
 
     Lambda: np.ndarray  # (n, n) real block eigenmatrix

@@ -29,15 +29,14 @@ Phi(x)`` solves the evolution equation ``H0(x, dW/dx^T) + dW/dt = 0``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import numpy.typing as npt
 
-from .basis import (
-    BasisSet, compile_polynomial, quadratic_form_gradient, run_polynomial,
-)
+from .basis import BasisSet, Polynomial, quadratic_form_gradient
 from .galerkin import EigenfunctionSet, SampleSet, _derive_seed, sample_domain
 from .simulate import _rk4
 from .spectral import (
@@ -78,22 +77,24 @@ def compute_R1_Q1(lin: Linearization, Vt: npt.ArrayLike) -> tuple[np.ndarray, np
     return (R1 + R1.T) / 2.0, (Q1 + Q1.T) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HJSolution1:
     """Approximate stationary solution built from eigenfunction coordinates.
 
     ``value``, ``grad_value`` and ``control`` accept a single state or
     batched states ``(..., n)``.  ``riccati_embedding`` is the
     quadratic-order value matrix ``P_r = Vt^T L Vt``, which solves the
-    state-space Riccati equation of the linearization.
+    state-space Riccati equation of the linearization.  A solution equals
+    and hashes as itself only.
 
-    ``grad_poly`` is derived from ``eig`` and ``L`` on construction: for a
-    set on a monomial dictionary (fitted, or the empty one of a linear set),
-    the value gradient collapsed into one polynomial, a
-    :class:`~koopmanhj.basis.BasisSet` and its ``(n, T)`` coefficient
-    matrix (:func:`_collapse_gradient`); otherwise None, and the gradient
-    is the contraction ``(dPhi/dx)^T L Phi``.  The polynomial is compiled on first use and
-    kept on the solution (:meth:`gradient_code`).
+    ``grad_poly`` and ``momentum`` are derived from ``eig`` and ``L`` on
+    first use and kept.  For a set on a monomial dictionary (fitted, or the
+    empty one of a linear set), ``grad_poly`` is the value gradient
+    collapsed into one :class:`~koopmanhj.basis.Polynomial`
+    (:func:`_collapse_gradient`), whose straight-line code is compiled on
+    its first call; otherwise it is None.  ``momentum`` is the map
+    ``dV/dx^T`` that ``grad_value`` and ``control`` evaluate: ``grad_poly``
+    where there is one, else the contraction ``(dPhi/dx)^T L Phi``.
     """
 
     eig: EigenfunctionSet
@@ -102,15 +103,19 @@ class HJSolution1:
     R1: np.ndarray
     Q1: np.ndarray
     riccati: RiccatiSolution
-    grad_poly: Optional[Tuple[BasisSet, np.ndarray]] = field(
-        init=False, repr=False, compare=False
-    )
-    _grad_code: Optional[Callable[[list], tuple]] = field(
-        init=False, default=None, repr=False, compare=False
-    )
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "grad_poly", _collapse_gradient(self.eig, self.L))
+    @cached_property
+    def grad_poly(self) -> Optional[Polynomial]:
+        return _collapse_gradient(self.eig, self.L)
+
+    @cached_property
+    def momentum(self) -> Callable[[np.ndarray], np.ndarray]:
+        return self._contraction if self.grad_poly is None else self.grad_poly
+
+    def _contraction(self, X: np.ndarray) -> np.ndarray:
+        Phi, jac = self.eig.Phi_jac(X)
+        LPhi = Phi @ self.L.T  # L symmetric; (..., n)
+        return (LPhi[..., None, :] @ jac)[..., 0, :]
 
     def value(self, x: npt.ArrayLike) -> np.ndarray:
         Phi = self.eig.Phi(np.asarray(x, dtype=float))
@@ -119,28 +124,13 @@ class HJSolution1:
     def grad_value(self, x: npt.ArrayLike) -> np.ndarray:
         """The momentum ``dV/dx^T`` at states ``(..., n)``.
 
-        With ``grad_poly``, :func:`~koopmanhj.basis.run_polynomial` runs
-        :meth:`gradient_code`, which the pendulum's rollout stages call, on
-        one state's floats or a batch's columns, so every row has its bits.
+        With ``grad_poly``, its compiled code runs on one state's floats,
+        as in the pendulum's rollout stages, or on a batch's columns, so
+        every row has its state's bits.
         """
-        X = np.asarray(x, dtype=float)
-        if self.grad_poly is None:
-            Phi, jac = self.eig.Phi_jac(X)
-            LPhi = Phi @ self.L.T  # L symmetric; (..., n)
-            return (LPhi[..., None, :] @ jac)[..., 0, :]
-        return run_polynomial(self.gradient_code(), X)
+        return self.momentum(np.asarray(x, dtype=float))
 
-    def gradient_code(self) -> Optional[Callable[[list], tuple]]:
-        """The collapsed gradient as straight-line code
-        (:func:`~koopmanhj.basis.compile_polynomial`), compiled on the first
-        call and kept; None without ``grad_poly``."""
-        code = self._grad_code
-        if code is None and self.grad_poly is not None:
-            code = compile_polynomial(*self.grad_poly)
-            object.__setattr__(self, "_grad_code", code)
-        return code
-
-    @feedback_of("grad_value", floats="gradient_code")
+    @feedback_of("momentum")
     def control(self, x: npt.ArrayLike) -> np.ndarray:
         X = np.asarray(x, dtype=float)
         return feedback(self.sys, X, self.grad_value(X))
@@ -150,9 +140,7 @@ class HJSolution1:
         return self.eig.Vt.T @ self.L @ self.eig.Vt
 
 
-def _collapse_gradient(
-    eig: EigenfunctionSet, L: np.ndarray
-) -> Optional[Tuple[BasisSet, np.ndarray]]:
+def _collapse_gradient(eig: EigenfunctionSet, L: np.ndarray) -> Optional[Polynomial]:
     """The value gradient of a set on monomials as one polynomial, else None.
 
     ``Phi = C psi`` with ``psi = (x, G(x))`` and ``C = [Vt Theta]``, so
@@ -176,8 +164,8 @@ def procedure1_solve(sys: ControlAffineSystem, eig: EigenfunctionSet) -> HJSolut
     stabilizing solution, and a set on the state: ``Vt`` square, so a
     route-2 set on z = (x, p) is rejected.  For a set on a monomial
     dictionary (fitted or linear) the solution collapses its value gradient
-    once into one polynomial; the closed-form example-1 set keeps the
-    contraction.
+    into one polynomial on first use; the closed-form example-1 set keeps
+    the contraction.
     """
     if eig.Vt.shape != (sys.n, sys.n):
         raise ValueError(

@@ -26,7 +26,7 @@ manifold gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -289,7 +289,6 @@ def fit_value_Jn(
     )
 
 
-@dataclass(frozen=True)
 class HJSolution2:
     """Feedback law and (optional) value function from the zero-level set.
 
@@ -297,26 +296,24 @@ class HJSolution2:
     construction: the raw linear manifold coefficient
     (:func:`linear_manifold`), its symmetrization, and the raw formula's
     relative asymmetry ``|Jl_raw - Jl_raw^T|_F / max(1, |Jl_raw|_F)``.
+    ``value_fit`` is the fitted value (:func:`fit_value_Jn`), or None.
     ``p_star`` solves the zero-level equation directly
     (:func:`nonlinear_manifold`), so ``Psi_u(x, p_star(x)) = 0`` holds to
     machine precision.  ``p_star``, ``control`` (the feedback law
     ``u = -D^{-1} g(x)^T p*(x)``) and ``value`` accept one state or states
-    ``(..., n)``.
+    ``(..., n)``.  A solution is a plain object: it equals and hashes as
+    itself only.
     """
 
-    eigs: UnstableEigenfunctions
-    sys: ControlAffineSystem
-    value_fit: Optional[ValueFit] = None
-    Jl_raw: np.ndarray = field(init=False, repr=False, compare=False)
-    Jl: np.ndarray = field(init=False, repr=False, compare=False)
-    jl_asymmetry: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        Jl_raw = linear_manifold(self.eigs)
-        asym = float(np.linalg.norm(Jl_raw - Jl_raw.T)) / max(1.0, float(np.linalg.norm(Jl_raw)))
-        object.__setattr__(self, "Jl_raw", Jl_raw)
-        object.__setattr__(self, "Jl", (Jl_raw + Jl_raw.T) / 2.0)
-        object.__setattr__(self, "jl_asymmetry", asym)
+    def __init__(
+        self, eigs: UnstableEigenfunctions, sys: ControlAffineSystem,
+        value_fit: Optional[ValueFit] = None,
+    ) -> None:
+        self.eigs, self.sys, self.value_fit = eigs, sys, value_fit
+        self.Jl_raw = Jl_raw = linear_manifold(eigs)
+        self.Jl = (Jl_raw + Jl_raw.T) / 2.0
+        norm = float(np.linalg.norm(Jl_raw))
+        self.jl_asymmetry = float(np.linalg.norm(Jl_raw - Jl_raw.T)) / max(1.0, norm)
 
     def p_star(self, x: npt.ArrayLike) -> np.ndarray:
         return nonlinear_manifold(self.eigs, x)
@@ -392,6 +389,5 @@ def procedure2_solve(
                 samples.box[: sys.n], max(10 * nv, 100),
                 _derive_seed(samples.seed, _FIT_SEED_XOR),
             )
-        # set in place: a new HJSolution2 would derive Jl_raw again
-        object.__setattr__(sol, "value_fit", fit_value_Jn(sol, xi3, fit_samples))
+        sol.value_fit = fit_value_Jn(sol, xi3, fit_samples)
     return sol

@@ -369,7 +369,8 @@ def closed_loop(
     built-in pendulum), else by calling ``f`` and ``g`` on the point's
     array (a custom system provides these two maps only).  A route-1 or
     route-2 feedback bound to a solution for ``sys`` (``control`` marked by
-    :func:`~koopmanhj.systems.feedback_of`) takes the stage's ``g(x)``, a
+    :func:`~koopmanhj.systems.feedback_of`) takes the stage's ``g(x)`` and
+    its momentum map's own floats, a
     :func:`linear_controller` is applied to a buffer holding the stage
     point, and any other controller is called as ``controller(x)`` on an
     array.  The field is ``f(x) + g(x) u`` with ``g(x) u`` summed over the
@@ -458,20 +459,20 @@ def _marked_momentum(
     :func:`~koopmanhj.systems.feedback_of` and bound to a solution for
     ``sys``; None for any other controller.
 
-    It is the map the mark names, where the solution has one (route 1's
-    compiled gradient, which its ``grad_value`` runs too); else the array
-    momentum on the point's array, the map that ``controller(x)`` calls.
+    It is the compiled ``floats`` of the momentum map the mark names, where
+    the map has them (a :class:`~koopmanhj.basis.Polynomial`, route 1's
+    collapsed gradient, whose call runs the same code); else that map on
+    the point's array, the map that ``controller(x)`` calls.
     """
     owner = getattr(controller, "__self__", None)
     name = getattr(controller, "feedback_momentum", None)
     if name is None or getattr(owner, "sys", None) is not sys:
         return None
-    floats = controller.feedback_floats
-    momentum = getattr(owner, floats)() if floats else None
-    if momentum is None:
-        array_momentum = getattr(owner, name)
-        momentum = lambda xs: array_momentum(np.array(xs)).tolist()  # noqa: E731
-    return momentum
+    momentum = getattr(owner, name)
+    floats = getattr(momentum, "floats", None)
+    if floats is None:
+        floats = lambda xs: momentum(np.array(xs)).tolist()  # noqa: E731
+    return floats
 
 
 def _float_stage(
@@ -485,8 +486,9 @@ def _float_stage(
     (:attr:`~koopmanhj.systems.ControlAffineSystem.f_and_g_floats`, the
     built-in pendulum), else :func:`_array_plant` on the system's ``f`` and
     ``g``.  ``control`` is ``controller`` with its output checked.  A marked
-    feedback passes its momentum on floats (:func:`_marked_momentum`), the
-    same map on either plant, and the rows of ``D^{-1}``.  A
+    feedback passes its momentum on floats (:func:`_marked_momentum`: a
+    ``Polynomial``'s compiled code), the same map on either plant, and the
+    rows of ``D^{-1}``.  A
     :func:`linear_controller` whose gain is ``(p, n)`` passes its
     ``neg_K``.  Any other controller is called as ``control(np.array(x))``.
     """

@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 import numpy.typing as npt
 
-from .basis import BasisSet, _coords, compile_polynomial, run_polynomial
+from .basis import BasisSet, Polynomial, _coords
 from .spectral import hamiltonian_matrix, well_conditioned
 
 __all__ = [
@@ -313,22 +313,20 @@ def _feedback_terms(D_inv: list, g, p) -> list:
     return u
 
 
-def feedback_of(momentum: str, floats: Optional[str] = None):
+def feedback_of(momentum: str):
     """Mark a solution's ``control(x)`` as ``feedback(self.sys, x, self.<momentum>(x))``.
 
+    ``momentum`` names the solution's momentum map of states ``(..., n)``.
     A closed loop (:func:`koopmanhj.simulate.closed_loop`) recognises a
     marked ``control`` bound to a solution for its own system.  It then
     evaluates the momentum and the feedback itself, from the ``g(x)`` its
-    stage evaluates anyway, with the operands and order of ``control``.
-    ``floats``, where given, names a method of the solution that returns
-    the momentum of one state as a map of its ``n`` floats to ``n``
-    floats, with the bits of ``<momentum>``, or None where it has no such
-    map; a stage on a model's float plant takes it.
+    stage evaluates anyway, with the operands and order of ``control``;
+    a map with compiled ``floats`` (a :class:`~koopmanhj.basis.Polynomial`)
+    runs them on the stage point's floats.
     """
 
     def mark(control):
         control.feedback_momentum = momentum
-        control.feedback_floats = floats
         return control
 
     return mark
@@ -657,10 +655,9 @@ def polynomial_system(
     Exponents are ints (Python or numpy, not bool), and every term must
     have total degree >= 1 so the origin stays an equilibrium.  The cost
     is ``q(x) = 0.5 x^T Q0 x``.  The drift is one
-    :class:`~koopmanhj.basis.BasisSet` (every term of every coordinate)
-    times a coefficient matrix ``C``, compiled once and run by
-    :func:`~koopmanhj.basis.run_polynomial`; the jacobian is
-    ``C @ table.jacobian(x)``.
+    :class:`~koopmanhj.basis.Polynomial`: the table of every term of every
+    coordinate times a coefficient matrix ``C``; ``jacobian_f`` is its
+    jacobian ``C @ table.jacobian(x)``.
     """
     g_mat = np.atleast_2d(np.array(g_matrix, dtype=float))
     n = g_mat.shape[0]
@@ -691,15 +688,7 @@ def polynomial_system(
     expo = np.concatenate(expos, axis=0)  # (T, n), all terms
     C = np.zeros((n, len(rows)))  # drift_i = sum_t C[i, t] x^expo[t]
     C[rows, np.arange(len(rows))] = coeffs
-    table = BasisSet(expo)
-    code = compile_polynomial(table, C)
-
-    def f(x: np.ndarray) -> np.ndarray:
-        return run_polynomial(code, np.asarray(x, dtype=float))
-
-    def jacobian_f(x: np.ndarray) -> np.ndarray:
-        return C @ table.jacobian(x)
-
+    drift = Polynomial(BasisSet(expo), C)
     g, jacobian_g = _constant_input_map(g_mat)
 
     def q(x: np.ndarray):
@@ -710,6 +699,6 @@ def polynomial_system(
         return np.asarray(x, dtype=float) @ Q0.T
 
     return ControlAffineSystem(
-        n=n, p=p, f=f, g=g, D=np.atleast_2d(np.asarray(D, dtype=float)), q=q,
-        jacobian_f=jacobian_f, jacobian_g=jacobian_g, grad_q=grad_q, hess_q0=Q0,
+        n=n, p=p, f=drift, g=g, D=np.atleast_2d(np.asarray(D, dtype=float)), q=q,
+        jacobian_f=drift.jacobian, jacobian_g=jacobian_g, grad_q=grad_q, hess_q0=Q0,
     )

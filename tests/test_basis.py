@@ -14,8 +14,8 @@ from bitwise import assert_same_bits, state_rows
 import koopmanhj
 from koopmanhj.basis import (
     BasisSet,
+    Polynomial,
     Procedure2Basis,
-    compile_polynomial,
     monomial_basis,
     monomial_exponents,
     procedure2_basis,
@@ -300,13 +300,37 @@ class TestMonomialTable:
         rows, cols = np.nonzero(expo)
         dec = expo[rows].copy()
         dec[np.arange(rows.size), cols] -= 1
-        assert len(table.jac_index) < rows.size  # shared rows are evaluated once
+        assert len(table._jacobian_tables[0]) < rows.size  # shared rows are evaluated once
         Z = np.random.default_rng(11).uniform(-1.5, 1.5, size=(30, expo.shape[1]))
         pw = table.powers(Z)
         offsets = np.arange(expo.shape[1]) * (degree + 1)
         want = np.zeros(Z.shape[:1] + expo.shape)
         want[:, rows, cols] = expo[rows, cols] * pw[:, dec + offsets].prod(axis=-1)
         assert np.array_equal(table.jacobian(Z), want)
+
+    def test_jacobian_tables_are_built_on_the_first_jacobian(self, monkeypatch):
+        """A table that is only evaluated never runs the row dedup of the
+        jacobian tables; the first jacobian runs it once, with the bits of
+        a table built before."""
+        expo = procedure2_basis(2, 4, 3).exponents
+        Z = np.random.default_rng(12).uniform(-1.5, 1.5, size=(20, expo.shape[1]))
+        reference = BasisSet(expo)
+        want = reference.jacobian(Z)
+        calls = []
+        unique = np.unique
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting)
+        table = BasisSet(expo)
+        table.eval(Z)
+        table.eval(Z[0])
+        assert calls == []
+        assert_same_bits(table.jacobian(Z), want)
+        assert_same_bits(table.eval_and_jacobian(Z[3])[1], want[3])
+        assert calls == [1]
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 4), degree=st.integers(0, 6), data=st.data())
@@ -324,7 +348,7 @@ class TestMonomialTable:
 
 
 class TestCompiledPolynomial:
-    """``compile_polynomial``: one state's table form as straight-line float code."""
+    """``Polynomial.floats``: one state's table form as straight-line float code."""
 
     @pytest.mark.parametrize("n, degree", [(1, 6), (2, 5), (3, 3)])
     def test_monomials_equal_the_table(self, n, degree):
@@ -332,7 +356,7 @@ class TestCompiledPolynomial:
         so on states whose monomials are nonzero and finite it has the bits
         of the table's product of powers."""
         table = BasisSet(monomial_exponents(n, 0, degree))
-        monomials = compile_polynomial(table, np.eye(table.M))
+        monomials = Polynomial(table, np.eye(table.M)).floats
         coord = st.floats(1e-3, 10.0).flatmap(lambda v: st.sampled_from([v, -v]))
 
         @settings(max_examples=60, deadline=None)
@@ -357,17 +381,37 @@ class TestCompiledPolynomial:
         ])
         x1, x2 = 0.3, -1.7
         m = [x1, x2, x1 * x1, x1 * x2, x2 * x2]
-        got = compile_polynomial(table, C)([x1, x2])
+        got = Polynomial(table, C).floats([x1, x2])
         want = 0.1 * m[0] + -0.0 * m[1] + 1e-300 * m[2] + math.pi * m[3] + -2.5 * m[4]
         assert got[0] == want
         assert got[1] == math.inf and math.isnan(got[2])
-        assert compile_polynomial(BasisSet(np.zeros((0, 2), dtype=int)),
-                                  np.zeros((2, 0)))([1.0, 2.0]) == (0.0, 0.0)
+        empty = Polynomial(BasisSet(np.zeros((0, 2), dtype=int)), np.zeros((2, 0)))
+        assert empty.floats([1.0, 2.0]) == (0.0, 0.0)
+        assert_same_bits(empty(np.array([[1.0, 2.0]] * 3)), np.zeros((3, 2)))
         with pytest.raises(ValueError, match="coefficient matrix shape"):
-            compile_polynomial(table, C[:, :4])
+            Polynomial(table, C[:, :4])
+
+    def test_call_and_jacobian(self):
+        """A call runs the compiled code, kept on the polynomial, on one
+        state's floats or a batch's columns: each row has its state's bits.
+        The jacobian is ``C @ table.jacobian(x)``."""
+        table = BasisSet(monomial_exponents(2, 1, 3))
+        C = np.random.default_rng(3).uniform(-1.0, 1.0, (3, table.M))
+        poly = Polynomial(table, C)
+        assert "floats" not in vars(poly)
+        X = np.random.default_rng(4).uniform(-2.0, 2.0, (4, 5, 2))
+        rows = poly(X)
+        code = poly.floats
+        assert rows.shape == (4, 5, 3)
+        for idx in np.ndindex(X.shape[:-1]):
+            assert_same_bits(poly(X[idx]), rows[idx])
+        assert poly.floats is code
+        mono = table.eval(X)
+        assert np.all(np.abs(rows - mono @ C.T) <= 1e-12 * (np.abs(mono) @ np.abs(C).T))
+        assert_same_bits(poly.jacobian(X), C @ table.jacobian(X))
 
     def test_the_package_has_one_exec_site(self):
-        """``compile_polynomial`` is the package's one ``exec``."""
+        """``Polynomial.floats`` compiles through the package's one ``exec``."""
         src = Path(koopmanhj.__file__).parent
         sites = [
             path.name for path in sorted(src.rglob("*.py"))
@@ -385,7 +429,8 @@ class TestQuadraticFormGradient:
         E = monomial_exponents(n, 1, dmax)
         S = rng.normal(size=(len(E), len(E)))
         psi = BasisSet(E)
-        table, C = quadratic_form_gradient(psi, S)
+        grad = quadratic_form_gradient(psi, S)
+        table, C = grad.table, grad.C
         assert table.M == math.comb(n + 2 * dmax - 1, n) - 1
         assert C.shape == (n, table.M)
         X = rng.uniform(-1.5, 1.5, size=(40, n))
@@ -406,7 +451,8 @@ class TestQuadraticFormGradient:
         E[5, [1, 30]] = 1
         S = np.random.default_rng(7).normal(size=(6, 6))
         psi = BasisSet(E)
-        table, C = quadratic_form_gradient(psi, S)
+        grad = quadratic_form_gradient(psi, S)
+        table, C = grad.table, grad.C
         assert table.M == math.comb(n + 3, n) - 1
         X = np.random.default_rng(8).uniform(-1.5, 1.5, size=(40, n))
         want = np.einsum("kbn,ba,ka->kn", psi.jacobian(X), S, psi.eval(X))

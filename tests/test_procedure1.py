@@ -320,6 +320,23 @@ class TestIntegrability:
         assert rep.max_P_drift_rel < 1e-9
 
 
+def test_fitted_sets_and_solutions_are_equal_to_themselves_only():
+    """A fitted set and its route-1 solution equal and hash as themselves
+    only: a second fit on the same samples is another object."""
+    sys_ = builtin_example1(1.0)
+    samples = sample_domain(np.array([[-1.0, 1.0], [-1.0, 1.0]]), 200, 3)
+
+    def fit():
+        eig = approximate_eigenfunction_set(
+            sys_.f, linearize(sys_).A, monomial_basis(2, 2, 3), samples)
+        return eig, procedure1_solve(sys_, eig)
+
+    first, second = fit(), fit()
+    for a, b in zip(first, second):
+        assert a == a and {a: "fit"}[a] == "fit"
+        assert (a == b) is False and b not in {a: "fit"}
+
+
 def _spiral_system():
     """Stable spiral (eigenvalues -1 +- 2i) with quadratic and cubic terms."""
     return polynomial_system(
@@ -408,7 +425,7 @@ class TestCollapsedGradient:
         degrees 1..2d - 1."""
         sol = collapsed[name]
         n, d = sol.eig.n, COLLAPSE_CASES[name][2][1]
-        table, Cp = sol.grad_poly
+        table, Cp = sol.grad_poly.table, sol.grad_poly.C
         assert table.M == math.comb(n + 2 * d - 1, n) - 1
         assert Cp.shape == (n, table.M)
         # the linear terms are the Riccati embedding: grad V = P_r x + ...
@@ -438,23 +455,23 @@ class TestCollapsedGradient:
         Its batch row has its bits.  It is compiled on the first one-state
         call, not by the solve, and kept on the solution."""
         sol = dataclasses.replace(collapsed[name])
-        assert sol._grad_code is None
-        table, Cp = sol.grad_poly
+        assert "floats" not in vars(sol.grad_poly)
+        table, Cp = sol.grad_poly.table, sol.grad_poly.C
         X = sample_domain(COLLAPSE_CASES[name][1], 2000, 13).points
         mono = table.eval(X)
         got = np.array([sol.grad_value(x) for x in X])
-        code = sol._grad_code
+        code = vars(sol.grad_poly).get("floats")
         assert code is not None
         assert np.all(np.abs(got - mono @ Cp.T) <= 1e-12 * (np.abs(mono) @ np.abs(Cp).T))
         assert code(X[0].tolist()) == tuple(got[0])
         assert_same_bits(sol.grad_value(X), got)
         sol.grad_value(X[1])
-        assert sol._grad_code is code
+        assert sol.grad_poly.floats is code
 
     @pytest.mark.parametrize("name", sorted(COLLAPSE_CASES))
     def test_one_state_is_nan_where_the_table_form_is(self, collapsed, name):
         sol = collapsed[name]
-        table, Cp = sol.grad_poly
+        table, Cp = sol.grad_poly.table, sol.grad_poly.C
 
         @settings(max_examples=60, deadline=None)
         @given(state_rows(sol.eig.n))

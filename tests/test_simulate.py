@@ -22,14 +22,14 @@ from hypothesis import strategies as st
 
 from bitwise import assert_same_bits, state_rows
 from koopmanhj import simulate
-from koopmanhj.basis import monomial_basis, procedure2_basis
+from koopmanhj.basis import BasisSet, Polynomial, monomial_basis, procedure2_basis
 from koopmanhj.galerkin import (
     approximate_eigenfunction_set,
     linear_eigenfunction_set,
     sample_domain,
 )
 from koopmanhj.procedure1 import example1_eigenfunction_set, procedure1_solve
-from koopmanhj.procedure2 import default_phase_box, procedure2_solve
+from koopmanhj.procedure2 import HJSolution2, default_phase_box, procedure2_solve
 from koopmanhj.simulate import (
     Trajectory,
     closed_loop,
@@ -51,6 +51,7 @@ from koopmanhj.systems import (
     builtin_pendulum,
     control_affine_system,
     feedback,
+    feedback_of,
     linearize,
     polynomial_system,
 )
@@ -489,11 +490,39 @@ class TestOnePlantEvaluationPerStage:
         for one input as for two."""
         sys_, box, controllers = stage_cases[case]
         counting = _CountingMaps(sys_)
-        sol = dataclasses.replace(controllers[route].__self__, sys=counting.sys)
+        own = controllers[route].__self__
+        sol = (dataclasses.replace(own, sys=counting.sys) if route == "route1"
+               else HJSolution2(own.eigs, counting.sys, own.value_fit))
         counting.calls.update(f=0, g=0)
         traj = closed_loop(counting.sys, sol.control, box[:, 1], dt=self.DT, T=self.K * self.DT)
         assert traj.diagnostic is None
         assert counting.calls == {"f": 4 * self.K, "g": 4 * self.K + 1}
+
+    def test_any_polynomial_momentum_takes_its_compiled_code(self, stage_cases):
+        """A solution of any type whose marked ``control`` names a
+        ``Polynomial`` momentum passes that polynomial's ``floats`` to the
+        ``momentum`` law, and rolls out the bits of the same feedback
+        called as ``controller(x)``."""
+        sys_, box, _ = stage_cases["two_inputs"]
+        P_r = lqr_controller(linearize(sys_))[1]
+
+        class LinearMomentum:
+            def __init__(self):
+                self.sys = sys_
+                self.momentum = Polynomial(BasisSet(np.eye(sys_.n, dtype=int)), P_r)
+
+            @feedback_of("momentum")
+            def control(self, x):
+                return feedback(self.sys, x, self.momentum(x))
+
+        sol = LinearMomentum()
+        law = simulate._float_stage(sys_, sol.control, simulate._checked_control(sol.control, 2))
+        assert law[0] == "momentum" and law[2] is sol.momentum.floats
+        marked, generic = (closed_loop(sys_, c, box[:, 1], dt=self.DT, T=self.K * self.DT)
+                           for c in (sol.control, lambda x: sol.control(x)))
+        assert marked.diagnostic is None
+        assert_same_bits(marked.states, generic.states)
+        assert_same_bits(marked.inputs, generic.inputs)
 
     def test_two_input_stages_take_the_compiled_laws(self, stage_cases):
         """With two inputs, LQR's ``(2, n)`` gain takes the ``neg_K`` law and
@@ -589,7 +618,7 @@ class TestOnePlantEvaluationPerStage:
         base, A, _ = _linear_system()
         sys_ = dataclasses.replace(base, f=raising("f", base.f), g=raising("g", base.g))
         sol = procedure1_solve(sys_, linear_eigenfunction_set(A, np.array([[-1.0, 1.0]] * 2)))
-        object.__setattr__(sol, "_grad_code", raising("momentum", sol.gradient_code()))
+        sol.grad_poly.floats = raising("momentum", sol.grad_poly.floats)
         marked = closed_loop(sys_, sol.control, [1.0, 0.2], dt=1e-2, T=3.0)
         generic = closed_loop(sys_, lambda x: sol.control(x), [1.0, 0.2], dt=1e-2, T=3.0)
         assert marked.diagnostic.endswith(f"{fails[0]} failed")
@@ -847,17 +876,17 @@ class TestFloatStep:
             if name == "route1":
                 # the marked feedback: both plants reach the compiled gradient
                 s = dataclasses.replace(sol, sys=sys_)
-                code = s.gradient_code()
+                code = s.momentum.floats
                 if fault is not None:
-                    object.__setattr__(s, "_grad_code", self._faulty(code, at, fault))
+                    s.momentum.floats = self._faulty(code, at, fault)
                 ctrl = s.control
             elif name == "route1_contraction":
-                # no collapsed gradient: both plants pack grad_value's array
+                # no collapsed gradient: both plants pack the momentum's array
                 s = dataclasses.replace(sol, sys=sys_)
                 object.__setattr__(s, "grad_poly", None)
-                assert s.gradient_code() is None
+                assert getattr(s.momentum, "floats", None) is None
                 if fault is not None:
-                    object.__setattr__(s, "grad_value", self._faulty(s.grad_value, at, fault))
+                    object.__setattr__(s, "momentum", self._faulty(s.momentum, at, fault))
                 ctrl = s.control
             else:
                 law = lqr if name == "lqr" else (
