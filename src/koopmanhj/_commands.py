@@ -30,6 +30,7 @@ from .galerkin import (
 from .procedure1 import procedure1_solve
 from .procedure2 import default_phase_box, procedure2_solve
 from .simulate import (
+    _linear_gain,
     compare_controllers,
     linear_controller,
     lqr_controller,
@@ -44,7 +45,12 @@ _MAX_GRID_POINTS = 1_000_000
 
 
 def _ensure_out(cfg: RunConfig) -> Path:
-    return write_resolved(cfg, cfg.out).parent
+    """The output directory, with ``resolved_config.yaml`` in it.  A path that
+    cannot be made or written is a configuration error (exit 1)."""
+    try:
+        return write_resolved(cfg, cfg.out).parent
+    except OSError as exc:
+        raise ConfigError(f"cannot write output directory {cfg.out}: {exc}") from exc
 
 
 def _dictionary(cfg: RunConfig, sys_, procedure: int, L: int, key: str) -> BasisSet:
@@ -203,7 +209,7 @@ def cmd_solve(cfg: RunConfig) -> None:
         sol = _solve_procedure1(cfg, sys_, lin, basis)
         eig, name, grad, value = sol.eig, "psi", sol.grad_value, sol.value
         P_emb = sol.riccati_embedding
-        K_lin = np.linalg.solve(lin.D, lin.B.T @ P_emb)
+        K_lin = _linear_gain(lin, P_emb)
         # each underline is one '=' longer than its title: shipped reports keep these bytes
         title = [
             "stationary solution report (eigenfunction-coordinate quadratic form)",
@@ -314,8 +320,7 @@ def _build_controllers(
     for spec in cfg.simulate["controllers"]:
         if isinstance(spec, str):
             if spec == "lqr":
-                K, _ = lqr_controller(lin)
-                named.append(("lqr", linear_controller(K)))
+                named.append(("lqr", linear_controller(lqr_controller(lin)[0])))
             elif spec == "procedure1":
                 sol = _solve_procedure1(cfg, sys_, lin, bases[spec])
                 named.append(("procedure1", sol.control))
@@ -325,8 +330,7 @@ def _build_controllers(
             else:  # pragma: no cover — config validation rejects other names
                 raise ConfigError(f"unknown controller '{spec}'")
         else:
-            gain = np.asarray(spec["gain"], dtype=float)
-            named.append((str(spec["name"]), linear_controller(gain)))
+            named.append((str(spec["name"]), linear_controller(spec["gain"])))
     return named
 
 

@@ -97,13 +97,14 @@ def _check_in_box(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
         raise ValueError("some points lie outside the declared box")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
     """Points drawn (or laid out) inside a box, with their provenance.
 
     ``seed`` is None for externally constructed point sets (e.g. dense
     grids); sampled sets always carry the seed so they can be regenerated
-    bit-identically from ``(box, L, seed)``.
+    bit-identically from ``(box, L, seed)``.  A set equals and hashes as
+    itself only.
     """
 
     points: np.ndarray  # (L, dim)
@@ -173,13 +174,14 @@ def sample_domain(box: npt.ArrayLike, L: int, seed: int) -> SampleSet:
     return SampleSet(points=pts, box=box_arr, seed=seed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleStream:
     """The points of ``sample_domain(box, L, seed)``, never held at once.
 
     :meth:`chunks` draws them ``CHUNK`` rows at a time and checks each block
     against the box as :class:`SampleSet` does.  :func:`fit_blocks` takes a
-    stream wherever it takes a sample set, with a callable field.
+    stream wherever it takes a sample set, with a callable field.  A stream
+    equals and hashes as itself only.
     """
 
     box: np.ndarray  # (dim, 2) rows [lo, hi]

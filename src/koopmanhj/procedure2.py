@@ -40,11 +40,11 @@ from .galerkin import (
     fit_eigenfunction_set,
     sample_domain,
 )
+from .simulate import lqr_controller
 from .spectral import (
     _certify_complementarity,
     _graph,
     _lead_index,
-    solve_riccati,
     unstable_left_subspace,
     well_conditioned,
 )
@@ -352,12 +352,12 @@ def default_phase_box(
     """Sampling box on (x, p): x ranges as given, momenta bounded by the
     image of the box under the linear manifold estimate.
 
-    The linear estimate is the stabilizing Riccati solution of the origin
-    linearization; the momentum radius is ``margin * ||P_r||_2 * max |x|``.
+    The linear estimate is the regulator's ``P_r``
+    (:func:`~koopmanhj.simulate.lqr_controller` of the origin
+    linearization); the momentum radius is ``margin * ||P_r||_2 * max |x|``.
     """
     x_box = np.asarray(x_box, dtype=float).reshape(sys.n, 2)
-    lin = linearize(sys)
-    P_r = solve_riccati(lin.A, lin.R0, lin.Q0).P
+    P_r = lqr_controller(linearize(sys))[1]
     pmax = margin * float(np.linalg.norm(P_r, 2)) * float(np.max(np.abs(x_box)))
     p_rows = np.tile([-pmax, pmax], (sys.n, 1))
     return np.vstack([x_box, p_rows])

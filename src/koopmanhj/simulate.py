@@ -10,9 +10,10 @@ worker processes (one per usable CPU; in-process without ``fork``).
 The plant of a rollout is the system's ``f`` and ``g``; a custom system
 provides these two maps.  Every closed loop runs in one compiled loop that
 holds the state in float locals through every RK4 step, generated once per
-state dimension, input count and feedback law (:func:`_float_rk4`); each
-stage evaluates the plant once, and a route-1 or route-2 feedback reuses
-the stage's ``g(x)`` (:func:`closed_loop`).  The array loop (:func:`_rk4`)
+state dimension, input count and feedback law (:func:`_float_rk4`): each
+stage evaluates the plant once, a route-1 or route-2 feedback reuses the
+stage's ``g(x)``, and any other controller, LQR included, gives ``u`` on
+floats (:func:`closed_loop`).  The array loop (:func:`_rk4`)
 runs batches and bare fields.  A :func:`compare_controllers` cell writes
 its trajectory CSV and makes its :class:`ComparisonRow` in the process
 that ran it, and only the row comes back.
@@ -30,7 +31,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 import numpy.typing as npt
 
-from .basis import _compile_function
+from .basis import BasisSet, Polynomial, _compile_function
 from .spectral import solve_riccati
 from .systems import ControlAffineSystem, Linearization, _momentum_length_error
 
@@ -193,13 +194,10 @@ def _float_loop_source(n: int, p: int, law: str) -> str:
     * ``"momentum"``: a marked HJ feedback, from the momentum's ``n``
       floats at the point and the rows ``d`` of ``D^{-1}``, with the sums
       of :func:`~koopmanhj.systems._feedback_terms`; another length raises
-      ``mismatch(n, len)``.  It takes ``g`` from the stage's plant call,
-      which the feedback called as ``control(x)`` would evaluate again;
-    * ``"neg_K"``: the linear law, ``neg_K @ buf`` on one ``(n,)`` buffer
-      that holds the point, the gemv of ``neg_K @ x`` without the array
-      and the checks of a controller call per stage;
-    * ``"control"``: ``control(array(point))``, the checked controller, for
-      every other controller.
+      ``momentum_error(n, len)``.  It takes ``g`` from the stage's plant
+      call, which ``control(x)`` would evaluate again;
+    * ``"control"``: any other controller, ``control(point)`` on floats; an
+      output of another length raises ``control_error((len,), p)``.
 
     Stage points and the combination are :func:`_rk4_step`'s operations in
     its order (``h = 0.5 * dt``; ``x_i + h k_i``; ``x_i + dt k3_i``;
@@ -219,26 +217,28 @@ def _float_loop_source(n: int, p: int, law: str) -> str:
     def total(terms: Iterable[str]) -> str:  # summed left to right from +0.0
         return " + ".join(["0.0", *terms])
 
-    law_params = {"momentum": "momentum, d", "neg_K": "neg_K", "control": "control"}[law]
+    law_params = {"momentum": "momentum, d", "control": "control"}[law]
     x, f, m, t = names("x"), names("f"), names("p"), names("t", p)
     g = [names(f"g{i}_", p) for i in range(n)]
     d = [names(f"d{j}_", p) for j in range(p)]
     body: List[str] = []
 
-    def stage(s: int, point: str, ys: List[str]) -> None:
+    def stage(s: int, point: str) -> None:
         u = names("v" if s == 1 else "u", p)
         if law == "momentum":
             body.append(f"m = momentum({point})")
-        elif law == "neg_K":
-            body.extend(f"buf[{i}] = {y}" for i, y in enumerate(ys))
-            body.append(f"{tup(u)} = (neg_K @ buf).tolist()")
         else:
-            body.append(f"{tup(u)} = control(array({point})).tolist()")
+            body.extend([
+                f"w = control({point})",
+                f"if len(w) != {p}:",
+                f"    raise control_error((len(w),), {p})",
+                f"{tup(u)} = w",
+            ])
         body.append(f"{tup(f)}, {tup(map(tup, g))} = plant({point})")
         if law == "momentum":  # checked where feedback() checks it: after the plant
             body.extend([
                 f"if len(m) != {n}:",
-                f"    raise mismatch({n}, len(m))",
+                f"    raise momentum_error({n}, len(m))",
                 f"{tup(m)} = m",
                 *(f"{tk} = {total(f'{gi[k]} * {pi}' for gi, pi in zip(g, m))}"
                   for k, tk in enumerate(t)),
@@ -249,12 +249,12 @@ def _float_loop_source(n: int, p: int, law: str) -> str:
                     for i, (fi, gi) in enumerate(zip(f, g)))
 
     y = names("y")
-    stage(1, "X", x)
+    stage(1, "X")
     for s, scale in ((2, "h"), (3, "h"), (4, "dt")):
         body.extend(f"{yi} = {xi} + {scale} * {k}"
                     for yi, xi, k in zip(y, x, names(f"k{s - 1}_")))
         body.append(f"Y = {tup(y)}")
-        stage(s, "Y", y)
+        stage(s, "Y")
     z = names("z")
     body.extend(
         f"{zi} = {xi} + c * ((({k1} + 2.0 * {k2}) + 2.0 * {k3}) + {k4})"
@@ -275,7 +275,7 @@ def _float_loop_source(n: int, p: int, law: str) -> str:
         "    states = [X]",
         "    inputs = []",
         "    step = 0",
-    ] + {"neg_K": [f"    buf = empty({n})"], "momentum": [f"    {tup(map(tup, d))} = d"]}.get(law, [])
+    ] + ([f"    {tup(map(tup, d))} = d"] if law == "momentum" else [])
     return "\n".join(head + [
         "    try:",
         "        for step in range(K):",
@@ -292,7 +292,7 @@ def _float_loop(n: int, p: int, law: str) -> Callable:
     built once per process and kept."""
     return _compile_function(
         _float_loop_source(n, p, law), "rollout", isfinite=math.isfinite,
-        mismatch=_momentum_length_error, array=np.array, empty=np.empty,
+        momentum_error=_momentum_length_error, control_error=_control_length_error,
     )
 
 
@@ -370,10 +370,9 @@ def closed_loop(
     array (a custom system provides these two maps only).  A route-1 or
     route-2 feedback bound to a solution for ``sys`` (``control`` marked by
     :func:`~koopmanhj.systems.feedback_of`) takes the stage's ``g(x)`` and
-    its momentum map's own floats, a
-    :func:`linear_controller` is applied to a buffer holding the stage
-    point, and any other controller is called as ``controller(x)`` on an
-    array.  The field is ``f(x) + g(x) u`` with ``g(x) u`` summed over the
+    its momentum map on floats; any other controller gives ``u`` on floats,
+    a :func:`linear_controller` by its compiled code (:func:`_float_stage`).
+    The field is ``f(x) + g(x) u`` with ``g(x) u`` summed over the
     inputs left to right from +0.0; for one input that is the bits of
     ``f(x) + g(x) @ u``.
 
@@ -435,6 +434,12 @@ def closed_loop(
     )
 
 
+def _control_length_error(shape: tuple, p: int) -> ValueError:
+    """A controller output of ``shape`` where the closed loop needs ``p``
+    entries: one diagnostic for the checked call and every compiled stage."""
+    return ValueError(f"controller returned shape {shape}, expected {p} entries")
+
+
 def _checked_control(
     controller: Callable[[np.ndarray], np.ndarray], p: int
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -446,33 +451,10 @@ def _checked_control(
             shape = np.shape(u)
             u = np.asarray(u, dtype=float).ravel()
             if u.size != p:
-                raise ValueError(f"controller returned shape {shape}, expected {p} entries")
+                raise _control_length_error(shape, p)
         return u
 
     return control
-
-
-def _marked_momentum(
-    sys: ControlAffineSystem, controller: Callable[[np.ndarray], np.ndarray]
-) -> Optional[Callable[[tuple], list]]:
-    """One state's momentum on floats for a feedback marked by
-    :func:`~koopmanhj.systems.feedback_of` and bound to a solution for
-    ``sys``; None for any other controller.
-
-    It is the compiled ``floats`` of the momentum map the mark names, where
-    the map has them (a :class:`~koopmanhj.basis.Polynomial`, route 1's
-    collapsed gradient, whose call runs the same code); else that map on
-    the point's array, the map that ``controller(x)`` calls.
-    """
-    owner = getattr(controller, "__self__", None)
-    name = getattr(controller, "feedback_momentum", None)
-    if name is None or getattr(owner, "sys", None) is not sys:
-        return None
-    momentum = getattr(owner, name)
-    floats = getattr(momentum, "floats", None)
-    if floats is None:
-        floats = lambda xs: momentum(np.array(xs)).tolist()  # noqa: E731
-    return floats
 
 
 def _float_stage(
@@ -482,26 +464,34 @@ def _float_stage(
 ) -> tuple:
     """The law and arguments of :func:`_float_rk4` for a closed loop.
 
-    The plant is the model's float entry where the system has one
-    (:attr:`~koopmanhj.systems.ControlAffineSystem.f_and_g_floats`, the
-    built-in pendulum), else :func:`_array_plant` on the system's ``f`` and
-    ``g``.  ``control`` is ``controller`` with its output checked.  A marked
-    feedback passes its momentum on floats (:func:`_marked_momentum`: a
-    ``Polynomial``'s compiled code), the same map on either plant, and the
-    rows of ``D^{-1}``.  A
-    :func:`linear_controller` whose gain is ``(p, n)`` passes its
-    ``neg_K``.  Any other controller is called as ``control(np.array(x))``.
+    A feedback marked by :func:`~koopmanhj.systems.feedback_of` and bound
+    to a solution for ``sys`` takes the ``momentum`` law with the rows of
+    ``D^{-1}`` and the momentum map the mark names, the map that
+    ``controller(x)`` calls; any other controller takes the ``control``
+    law with itself.  Either map runs on one state's floats by one rule:
+    its compiled ``floats`` where it has them (a
+    :class:`~koopmanhj.basis.Polynomial`, whose call runs the same code:
+    route 1's collapsed gradient, LQR, a static gain), else the map on the
+    point's array as a list, a controller with its output checked
+    (``control``).  The plant is the model's float entry where the system
+    has one (:attr:`~koopmanhj.systems.ControlAffineSystem.f_and_g_floats`,
+    the built-in pendulum), else :func:`_array_plant` on the system's ``f``
+    and ``g``; the map is the same on either plant.
     """
-    momentum = _marked_momentum(sys, controller)
+    owner = getattr(controller, "__self__", None)
+    name = getattr(controller, "feedback_momentum", None)
+    marked = name is not None and getattr(owner, "sys", None) is sys
+    m = getattr(owner, name) if marked else controller
+    call = m if marked else control
+    floats = getattr(m, "floats", None)
+    if floats is None:
+        floats = lambda xs: call(np.array(xs)).tolist()  # noqa: E731
     plant = sys.f_and_g_floats
     if plant is None:
-        plant = _array_plant(sys, g_first=momentum is not None)
-    if momentum is not None:
-        return "momentum", plant, momentum, sys.D_inv.tolist()
-    neg_K = getattr(controller, "neg_K", None)
-    if neg_K is not None and neg_K.shape == (sys.p, sys.n):
-        return "neg_K", plant, neg_K
-    return "control", plant, control
+        plant = _array_plant(sys, g_first=marked)
+    if marked:
+        return "momentum", plant, floats, sys.D_inv.tolist()
+    return "control", plant, floats
 
 
 def _array_plant(sys: ControlAffineSystem, g_first: bool) -> Callable[[tuple], Tuple[list, list]]:
@@ -534,27 +524,28 @@ def lqr_controller(lin: Linearization) -> Tuple[np.ndarray, np.ndarray]:
     ``K = D^{-1} B^T P_r`` and the feedback is ``u = -K x``.
     """
     P_r = solve_riccati(lin.A, lin.R0, lin.Q0).P
-    K = np.linalg.solve(lin.D, lin.B.T @ P_r)
-    return K, P_r
+    return _linear_gain(lin, P_r), P_r
 
 
-def linear_controller(K: npt.ArrayLike) -> Callable[[np.ndarray], np.ndarray]:
-    """Feedback ``u = -K x`` as a rollout-ready callable.
+def _linear_gain(lin: Linearization, P: np.ndarray) -> np.ndarray:
+    """The gain ``K = D^{-1} B^T P`` of the quadratic value ``0.5 x^T P x``."""
+    return np.linalg.solve(lin.D, lin.B.T @ P)
 
-    The callable carries its ``neg_K`` (``-K`` with one row per input): a
-    closed loop on floats (:func:`closed_loop`) computes ``neg_K @ buf``
-    on a buffer that holds the stage point, the product the callable makes.
+
+def linear_controller(K: npt.ArrayLike) -> Polynomial:
+    """Feedback ``u = -K x``: the degree-1 :class:`~koopmanhj.basis.Polynomial`
+    of ``-K`` (a 1-D ``K`` is one row) on the monomials ``x_1 .. x_n``.
+
+    It takes one state ``(n,)`` or a batch ``(..., n)``.  Entry ``j`` of
+    ``u`` is ``(-K_j1) x_1 + (-K_j2) x_2 + ...`` summed left to right in
+    IEEE floats, the same operations for a batch row as for one state; a
+    BLAS ``-K @ x`` may round it differently.  A closed loop runs its
+    compiled ``floats`` (:func:`closed_loop`).
     """
     K = np.asarray(K, dtype=float)
     if K.ndim == 1:
         K = K.reshape(1, -1)
-    neg_K = -K
-
-    def control(x: npt.ArrayLike) -> np.ndarray:
-        return neg_K @ np.asarray(x, dtype=float).ravel()
-
-    control.neg_K = neg_K
-    return control
+    return Polynomial(BasisSet(np.eye(K.shape[1], dtype=np.int64)), -K)
 
 
 @dataclass(frozen=True)

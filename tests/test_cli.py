@@ -449,6 +449,18 @@ class TestExitCodes:
         assert main(["eigfun"]) == 1
         capsys.readouterr()
 
+    def test_an_output_directory_that_cannot_be_made_is_a_configuration_error(
+        self, tmp_path, capsys
+    ):
+        """``--out`` under an existing file: exit 1, naming the directory."""
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        cfg = dump_cfg(tmp_path, example1_cfg(tmp_path / "o"))
+        assert main(["eigfun", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot write output directory")
+        assert str(out) in err
+
     def test_numerical_failure_is_exit_2(self, tmp_path, capsys):
         """A system with no control authority makes the momentum block of
         the unstable eigenfunctions singular; that is a numerical failure,

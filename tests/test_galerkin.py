@@ -14,6 +14,7 @@ import pytest
 from koopmanhj.basis import BasisSet, monomial_basis, monomial_exponents
 from koopmanhj.galerkin import (
     SampleSet,
+    SampleStream,
     approximate_eigenfunction_set,
     assemble_galerkin,
     convergence_study,
@@ -52,6 +53,14 @@ class TestSampleDomain:
         s = sample_domain(CUBIC_BOX, 100, 7)
         assert s.points.shape == (100, 1)
         assert s.seed == 7
+
+    def test_sample_sets_and_streams_are_equal_to_themselves_only(self):
+        """A sample set or stream equals and hashes as itself only: a second
+        draw of the same ``(box, L, seed)`` is another object."""
+        for make in (sample_domain, SampleStream):
+            a, b = make(CUBIC_BOX, 5, 0), make(CUBIC_BOX, 5, 0)
+            assert a == a and {a: "draw"}[a] == "draw"
+            assert (a == b) is False and b not in {a: "draw"}
 
 
 class TestCubicEigenfunction:

@@ -7,7 +7,9 @@ bounds for the accumulated running cost.
 """
 import csv
 import dataclasses
+import functools
 import multiprocessing
+import operator
 import os
 import signal
 import subprocess
@@ -55,6 +57,13 @@ from koopmanhj.systems import (
     linearize,
     polynomial_system,
 )
+
+
+def _left_to_right(K, x):
+    """``-K @ x`` with each entry summed left to right in IEEE floats,
+    ``(-K_j0) x_0 + (-K_j1) x_1 + ...``, on Python floats."""
+    return np.array([functools.reduce(operator.add, (-k * xi for k, xi in zip(row, x)))
+                     for row in np.atleast_2d(K).tolist()])
 
 
 def _linear_system():
@@ -201,13 +210,56 @@ class TestRegulator:
         np.testing.assert_allclose(ctrl(np.array([1.0, 1.0])), [-5.0])
 
     def test_linear_controller_equals_negated_product(self):
-        """The gain negated once at construction gives the bits of ``-K @ x``."""
+        """The gain negated once at construction gives ``-K @ x`` summed
+        left to right in IEEE floats, bit for bit, and BLAS's ``-K @ x``
+        to within 4 ulp of ``|K| |x|``."""
         rng = np.random.default_rng(8)
         K = rng.normal(size=(2, 3))
         ctrl = linear_controller(K)
         for x in rng.normal(size=(20, 3)):
-            np.testing.assert_array_equal(ctrl(x), -K @ x)
-            np.testing.assert_array_equal(ctrl(list(x)), -K @ x)
+            want = _left_to_right(K, x.tolist())
+            assert_same_bits(ctrl(x), want)
+            assert_same_bits(ctrl(list(x)), want)
+            assert (np.abs(ctrl(x) - (-K @ x)) <= 4 * np.spacing(np.abs(K) @ np.abs(x))).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_linear_controller_on_a_closed_loop_and_a_batch(self, data):
+        """For a ``(p, n)`` gain, ``p <= 3`` and ``n <= 4``: a closed loop's
+        stage-1 inputs and final input are the one-state call's bits; each
+        row of a ``(B, n)`` batch has its state's bits; and a gain with a
+        wrong row count stops a pendulum rollout with one diagnostic on
+        its float plant and on the array plant of its maps."""
+        n, p = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        K = np.array(data.draw(st.lists(
+            st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n), min_size=p, max_size=p)))
+        X = data.draw(state_rows(n))
+        ctrl = linear_controller(K)
+        with np.errstate(all="ignore"):
+            batch = ctrl(X)
+            assert batch.shape == (len(X), p)
+            for x, u in zip(X, batch):
+                assert_same_bits(u, ctrl(x))
+                assert_same_bits(u, _left_to_right(K, x.tolist()))
+            B = np.linspace(1.0, 0.5, n * p).reshape(n, p)
+            sys_ = control_affine_system(
+                n, p, f=lambda x: -x, g=lambda x: B, D=np.eye(p),
+                q=lambda x: 0.5 * float(x @ x), jacobian_f=lambda x: -np.eye(n),
+                grad_q=lambda x: x, hess_q0=np.eye(n),
+            )
+            for x0 in X:
+                traj = closed_loop(sys_, ctrl, x0, dt=1e-2, T=0.05)
+                for x, u in zip(traj.states, traj.inputs):
+                    assert_same_bits(u, ctrl(x))
+                if traj.final_input is not None:
+                    assert_same_bits(traj.final_input, ctrl(traj.states[-1]))
+        rows = data.draw(st.integers(2, 3))
+        wrong = linear_controller(np.resize(K, (rows, 3)))
+        pend = builtin_pendulum(9.81)
+        wrapped = dataclasses.replace(pend, f=lambda x: pend.f(x), g=lambda x: pend.g(x))
+        want = f"controller failed at t=0: controller returned shape ({rows},), expected 1 entries"
+        for s in (pend, wrapped):
+            assert closed_loop(s, wrong, [0.3, -0.5, 0.4], dt=1e-2, T=0.1).diagnostic == want
 
     def test_route1_reduces_to_regulator_on_linear_problems(self):
         sys_, A, _ = _linear_system()
@@ -525,12 +577,13 @@ class TestOnePlantEvaluationPerStage:
         assert_same_bits(marked.inputs, generic.inputs)
 
     def test_two_input_stages_take_the_compiled_laws(self, stage_cases):
-        """With two inputs, LQR's ``(2, n)`` gain takes the ``neg_K`` law and
-        route 1 the ``momentum`` law with the rows of ``D^{-1}``."""
+        """With two inputs, LQR's ``(2, n)`` gain takes the ``control`` law
+        with its compiled ``floats`` and route 1 the ``momentum`` law with
+        the rows of ``D^{-1}``."""
         sys_, _, controllers = stage_cases["two_inputs"]
         laws = {name: simulate._float_stage(sys_, c, simulate._checked_control(c, 2))
                 for name, c in controllers.items()}
-        assert laws["lqr"][0] == "neg_K" and laws["lqr"][2].shape == (2, 2)
+        assert laws["lqr"][0] == "control" and laws["lqr"][2] is controllers["lqr"].floats
         assert laws["route1"][0] == "momentum" and laws["route1"][3] == sys_.D_inv.tolist()
 
     def test_pendulum_stages_evaluate_the_shared_plant(self, stage_cases, monkeypatch):
@@ -566,7 +619,9 @@ class TestOnePlantEvaluationPerStage:
         with np.errstate(all="ignore"):
             for name, ctrl in controllers.items():
                 stage = simulate._float_stage(sys_, ctrl, simulate._checked_control(ctrl, 1))
-                assert stage[0] == {"route1": "momentum", "lqr": "neg_K"}[name]
+                assert stage[0] == {"route1": "momentum", "lqr": "control"}[name]
+                if name == "lqr":
+                    assert stage[2] is ctrl.floats
                 for x in X:
                     run = simulate._float_rk4(x, self.DT, 1, 1, *stage)
                     want, want_u = simulate._rk4_step(array_stage(ctrl), x, self.DT)
@@ -672,17 +727,20 @@ def _square_two(xs):
     return tuple(x * x for x in xs), tuple((x, -x * y) for x, y in zip(reversed(xs), xs))
 
 
-_NEG_K = np.array([[0.3, -1.2, 2.5, -0.7], [-0.4, 0.9, 0.1, 1.6]])
+_GAIN = np.array([[0.3, -1.2, 2.5, -0.7], [-0.4, 0.9, 0.1, 1.6]])
 _D_INV = {1: [[0.5]], 2: [[0.5, -0.2], [-0.2, 0.8]]}
 
 
-def _law(law, n, p, plant, momentum_fault_at=None):
-    """The compiled loop's arguments for ``law`` on ``plant`` with ``p``
-    inputs, and the array stage ``x -> (f(x) + g(x) u, u)`` with the same
-    ``u``, computed as the array loop's stage computes it and ``g(x) u``
-    summed as :func:`_field` sums it.  ``momentum_fault_at`` (1-based)
-    names the momentum call that returns ``n + 1`` entries."""
-    if law == "momentum":
+def _law(case, n, p, plant, momentum_fault_at=None):
+    """The compiled loop's law and arguments for ``case`` on ``plant`` with
+    ``p`` inputs, and the array stage ``x -> (f(x) + g(x) u, u)`` with the
+    same ``u``, computed as the array loop's stage computes it and ``g(x) u``
+    summed as :func:`_field` sums it.  ``"gain"`` is the ``control`` law
+    with a linear controller's compiled ``floats``, whose ``u`` the array
+    stage sums as :func:`_left_to_right` does.  ``momentum_fault_at``
+    (1-based) names the momentum call that returns ``n + 1`` entries."""
+    law = "momentum" if case == "momentum" else "control"
+    if case == "momentum":
         calls = [0]
 
         def momentum(xs):
@@ -697,10 +755,10 @@ def _law(law, n, p, plant, momentum_fault_at=None):
             if len(m) != n:
                 raise _momentum_length_error(n, len(m))
             return np.array(_feedback_terms(_D_INV[p], [list(r) for r in g], list(m)))
-    elif law == "neg_K":
-        neg_K = _NEG_K[:p, :n].copy()
-        args = (plant, neg_K)
-        u_of = lambda x, g: neg_K @ x  # noqa: E731
+    elif case == "gain":
+        K = _GAIN[:p, :n].copy()
+        args = (plant, linear_controller(K).floats)
+        u_of = lambda x, g: _left_to_right(K, x.tolist())  # noqa: E731
     else:
         control = lambda x: np.array([x[0] - 0.5 * x[-1], 0.25 * x[-1] * x[0]][:p])  # noqa: E731
         args = (plant, control)
@@ -711,7 +769,7 @@ def _law(law, n, p, plant, momentum_fault_at=None):
         u = u_of(x, g)
         return _field(f, g, u), u
 
-    return args, array_field
+    return law, args, array_field
 
 
 def _raising_at(plant, at):
@@ -735,7 +793,7 @@ class TestFloatStep:
 
     FIELDS = [(_decay, 1), (_coupled, 1), (_constant, 1), (_square, 1),
               (_decay_two, 2), (_coupled_two, 2), (_constant_two, 2), (_square_two, 2)]
-    LAWS = ["momentum", "neg_K", "control"]
+    LAWS = ["momentum", "gain", "control"]
 
     @settings(max_examples=60, deadline=None)
     @given(X=state_rows(3), dt=st.sampled_from([1e-3, 0.25, 1e3]))
@@ -744,8 +802,8 @@ class TestFloatStep:
         :func:`_rk4_step`; a non-finite one keeps no step."""
         with np.errstate(all="ignore"):
             for plant, p in self.FIELDS:
-                for law in self.LAWS:
-                    args, array_field = _law(law, 3, p, plant)
+                for case in self.LAWS:
+                    law, args, array_field = _law(case, 3, p, plant)
                     for x in X:
                         want, want_u = simulate._rk4_step(array_field, x, dt)
                         got = simulate._float_rk4(x, dt, 1, p, law, *args)
@@ -769,13 +827,13 @@ class TestFloatStep:
         which, at = fault or (None, None)
         with np.errstate(all="ignore"):
             for plant, p in self.FIELDS:
-                for law in self.LAWS:
+                for case in self.LAWS:
                     for x in X:
                         runs = []
                         for kernel in ("array", "float"):
                             faulty = _raising_at(plant, at) if which == "plant" else plant
-                            args, array_field = _law(
-                                law, n, p, faulty, at if which == "momentum" else None)
+                            law, args, array_field = _law(
+                                case, n, p, faulty, at if which == "momentum" else None)
                             runs.append(
                                 simulate._rk4(array_field, x, dt, K, p=p) if kernel == "array"
                                 else simulate._float_rk4(x, dt, K, p, law, *args)
@@ -795,19 +853,21 @@ class TestFloatStep:
     @given(X=state_rows(3))
     def test_linear_law_keeps_the_bits_of_its_product(self, K, X):
         """``linear_controller(K)`` on the compiled stage, 1-D or 2-D ``K``:
-        its ``u`` is ``control(np.array(x))`` bit for bit."""
+        the ``control`` law runs its compiled ``floats``, and its ``u`` is
+        ``control(np.array(x))`` and the left-to-right sum bit for bit."""
         sys_ = builtin_pendulum(9.81)
         ctrl = linear_controller(K)
         stage = simulate._float_stage(sys_, ctrl, simulate._checked_control(ctrl, 1))
-        assert stage[0] == "neg_K"
+        assert stage[0] == "control" and stage[2] is ctrl.floats
         with np.errstate(all="ignore"):
             for x in X:
                 run = simulate._float_rk4(x, 1e-2, 1, 1, *stage)
                 assert_same_bits(run.inputs[0], ctrl(np.array(x.tolist())))
+                assert_same_bits(run.inputs[0], _left_to_right(K, x.tolist()))
 
     @pytest.mark.parametrize("K", [np.ones((1, 2)), np.ones((2, 3))])
     def test_a_gain_of_another_shape_is_called_as_a_controller(self, K):
-        """A gain not of shape ``(p, n)`` takes the checked call, which
+        """A gain not of shape ``(p, n)`` takes the ``control`` law, which
         reports its error as on the array plant."""
         sys_ = builtin_pendulum(9.81)
         ctrl = linear_controller(K)

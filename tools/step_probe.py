@@ -27,6 +27,10 @@ minimum and the median microseconds per step over the runs, and the
 sha256 of the rollout's ``states`` then ``inputs`` bytes.  With several
 trees, each controller's ``same_as_first`` says whether its digest equals
 the first tree's, that is, whether the trees roll out the same bits.
+
+Exit status: 0, except with several trees where some controller of some
+tree is not ``same_as_first``: then 1, so the bit-identity check can gate
+a script, as in ``tools/config_digest.py``.
 """
 from __future__ import annotations
 
@@ -138,7 +142,8 @@ def main(argv=None) -> int:
             for name, row in result[tree].items():
                 row["same_as_first"] = row["sha256"] == first[name]["sha256"]
     print(json.dumps({"config": config, "seconds": SECONDS, "ic": IC, "trees": result}))
-    return 0
+    same = all(row.get("same_as_first", True) for rows in result.values() for row in rows.values())
+    return 0 if same else 1
 
 
 if __name__ == "__main__":
